@@ -1,46 +1,3 @@
-"""Numba acceleration switch.
-
-Hot kernels in :mod:`aadkit.kernels` exist in two variants: an njit-compiled
-loop version and a pure-numpy version. Selection happens once at import time:
-
-* ``AADKIT_NUMBA=0`` (or ``off``/``false``/``no``) forces the numpy fallback,
-* ``AADKIT_NUMBA=1`` (or ``on``/``true``/``yes``) requires numba and fails
-  loudly when it cannot be imported,
-* unset or ``auto`` uses numba when available.
-
-``benchmarks/bench_kernels.py`` times both paths side by side.
-"""
-
-import os
-
-try:
-    import numba
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    numba = None
-    HAVE_NUMBA = False
-
-_FLAG = os.environ.get("AADKIT_NUMBA", "auto").strip().lower()
-
-if _FLAG in ("0", "off", "false", "no"):
-    NUMBA_ENABLED = False
-elif _FLAG in ("1", "on", "true", "yes"):
-    if not HAVE_NUMBA:
-        raise ImportError("AADKIT_NUMBA=1 but numba is not importable")
-    NUMBA_ENABLED = True
-elif _FLAG in ("", "auto"):
-    NUMBA_ENABLED = HAVE_NUMBA
-else:
-    raise ValueError(f"unrecognized AADKIT_NUMBA value: {_FLAG!r}")
-
-
-def njit(func):
-    """Compile ``func`` with numba when available, else return it unchanged.
-
-    Used only to build the compiled kernel variants; dispatch between the
-    compiled and numpy paths is done explicitly in :mod:`aadkit.kernels`.
-    """
-    if HAVE_NUMBA:
-        return numba.njit(cache=True, nogil=True)(func)
-    return func
+"""Empty module. Nothing in the package imports it; it exists only because
+the benchmark's tracer (``perfbench/tracer.py``, ``_package_modules``)
+imports ``aadkit.accel``."""

@@ -1,431 +1,125 @@
-"""Hot numeric kernels, each in a numba and a pure-numpy variant.
+"""Hot numeric kernels, each one LAPACK or scipy.signal call.
 
-Every public function dispatches on :data:`aadkit.accel.NUMBA_ENABLED`.
-The ``_nb``-suffixed variants are plain loops compiled with ``@njit``; the
-``_np`` variants express the same recurrences with vectorized numpy where
-the data dependencies allow it. Both variants implement identical arithmetic
-and agree to floating-point roundoff (summation order may differ).
-
-Algorithms here are deliberately simple and deterministic: fixed sweep
-order, no pivoting, no randomization.
+These six functions are the only places where the package runs a dense
+factorization or a sample-by-sample filter recurrence. :mod:`aadkit.numerics`
+builds its solvers on the first three, the filtering and resampling code on
+the last three. Library failures come back as the integer status codes the
+callers already map onto :mod:`aadkit.errors`, never as exceptions.
 """
 
-import math
-
 import numpy as np
-
-from . import accel
-
-# ---------------------------------------------------------------------------
-# cyclic Jacobi eigensolver (symmetric)
-# ---------------------------------------------------------------------------
+from scipy import signal as _signal
+from scipy.linalg import lapack as _lapack
 
 
-def _jacobi_driver_py(a, v, tol, max_sweeps):
-    """Run cyclic Jacobi sweeps in place. Returns sweeps used, -1 if no
-    convergence within max_sweeps."""
-    n = a.shape[0]
-    base = 0.0
-    for i in range(n):
-        for j in range(n):
-            base += a[i, j] * a[i, j]
-    base = math.sqrt(base)
-    if base == 0.0:
-        return 0
-    thresh = tol * base
-    skip = thresh / (2.0 * n)
-    for sweep in range(max_sweeps):
-        off = 0.0
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                off += a[i, j] * a[i, j]
-        if math.sqrt(2.0 * off) <= thresh:
-            return sweep
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= skip:
-                    continue
-                app = a[p, p]
-                aqq = a[q, q]
-                theta = (aqq - app) / (2.0 * apq)
-                if theta >= 0.0:
-                    t = 1.0 / (theta + math.sqrt(1.0 + theta * theta))
-                else:
-                    t = -1.0 / (-theta + math.sqrt(1.0 + theta * theta))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                for k in range(n):
-                    akp = a[k, p]
-                    akq = a[k, q]
-                    a[k, p] = c * akp - s * akq
-                    a[k, q] = s * akp + c * akq
-                for k in range(n):
-                    apk = a[p, k]
-                    aqk = a[q, k]
-                    a[p, k] = c * apk - s * aqk
-                    a[q, k] = s * apk + c * aqk
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                for k in range(n):
-                    vkp = v[k, p]
-                    vkq = v[k, q]
-                    v[k, p] = c * vkp - s * vkq
-                    v[k, q] = s * vkp + c * vkq
-    off = 0.0
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            off += a[i, j] * a[i, j]
-    if math.sqrt(2.0 * off) <= thresh:
-        return max_sweeps
-    return -1
+def jacobi_sweep(a, v, tol=None, max_sweeps=None):
+    """Diagonalize symmetric ``a`` in place with LAPACK (``np.linalg.eigh``).
+
+    On return ``a`` is ``diag(eigenvalues)`` and ``v`` has been multiplied
+    on the right by the orthonormal eigenvectors, so that the original
+    ``a`` equals ``v @ a @ v.T`` when ``v`` started as the identity.
+    Eigenvalues are ascending. ``tol`` and ``max_sweeps`` are ignored:
+    LAPACK applies its own convergence test.
+
+    Returns 0, or -1 when LAPACK fails to converge or the spectrum is not
+    finite.
+    """
+    try:
+        values, vectors = np.linalg.eigh(a)
+    except np.linalg.LinAlgError:
+        return -1
+    if not np.all(np.isfinite(values)):
+        return -1
+    a[...] = np.diag(values)
+    v[...] = v @ vectors
+    return 0
 
 
-def _jacobi_driver_np(a, v, tol, max_sweeps):
-    n = a.shape[0]
-    base = float(np.sqrt(np.sum(a * a)))
-    if base == 0.0:
-        return 0
-    thresh = tol * base
-    skip = thresh / (2.0 * n)
-    for sweep in range(max_sweeps):
-        off = math.sqrt(2.0 * float(np.sum(np.triu(a, 1) ** 2)))
-        if off <= thresh:
-            return sweep
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= skip:
-                    continue
-                app = a[p, p]
-                aqq = a[q, q]
-                theta = (aqq - app) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (
-                    abs(theta) + math.sqrt(1.0 + theta * theta)
-                )
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                colp = a[:, p].copy()
-                colq = a[:, q].copy()
-                a[:, p] = c * colp - s * colq
-                a[:, q] = s * colp + c * colq
-                rowp = a[p, :].copy()
-                rowq = a[q, :].copy()
-                a[p, :] = c * rowp - s * rowq
-                a[q, :] = s * rowp + c * rowq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    off = math.sqrt(2.0 * float(np.sum(np.triu(a, 1) ** 2)))
-    if off <= thresh:
-        return max_sweeps
-    return -1
+def svd_sweep(b, v, tol=None, max_sweeps=None):
+    """Thin SVD of ``b`` (m >= n) in place with LAPACK (``np.linalg.svd``).
 
+    On return the columns of ``b`` are ``u_j * s_j`` (singular values
+    descending) and ``v`` has been multiplied on the right by the right
+    singular vectors, so that the original ``b`` equals ``b @ v.T`` when
+    ``v`` started as the identity. ``tol`` and ``max_sweeps`` are ignored,
+    as in :func:`jacobi_sweep`.
 
-# ---------------------------------------------------------------------------
-# one-sided Jacobi SVD (rotates columns of b, accumulates v)
-# ---------------------------------------------------------------------------
-
-
-def _svd_onesided_py(b, v, tol, max_sweeps):
-    m, n = b.shape
-    base = 0.0
-    for i in range(m):
-        for j in range(n):
-            base += b[i, j] * b[i, j]
-    if base == 0.0:
-        return 0
-    for sweep in range(max_sweeps):
-        rotated = False
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                alpha = 0.0
-                beta = 0.0
-                gamma = 0.0
-                for k in range(m):
-                    bp = b[k, p]
-                    bq = b[k, q]
-                    alpha += bp * bp
-                    beta += bq * bq
-                    gamma += bp * bq
-                if alpha == 0.0 or beta == 0.0:
-                    continue
-                if abs(gamma) <= tol * math.sqrt(alpha * beta):
-                    continue
-                rotated = True
-                zeta = (beta - alpha) / (2.0 * gamma)
-                t = math.copysign(1.0, zeta) / (
-                    abs(zeta) + math.sqrt(1.0 + zeta * zeta)
-                )
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = c * t
-                for k in range(m):
-                    bp = b[k, p]
-                    bq = b[k, q]
-                    b[k, p] = c * bp - s * bq
-                    b[k, q] = s * bp + c * bq
-                for k in range(n):
-                    vp = v[k, p]
-                    vq = v[k, q]
-                    v[k, p] = c * vp - s * vq
-                    v[k, q] = s * vp + c * vq
-        if not rotated:
-            return sweep
-    return -1
-
-
-def _svd_onesided_np(b, v, tol, max_sweeps):
-    m, n = b.shape
-    if float(np.sum(b * b)) == 0.0:
-        return 0
-    for sweep in range(max_sweeps):
-        rotated = False
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                bp = b[:, p]
-                bq = b[:, q]
-                alpha = float(bp @ bp)
-                beta = float(bq @ bq)
-                gamma = float(bp @ bq)
-                if alpha == 0.0 or beta == 0.0:
-                    continue
-                if abs(gamma) <= tol * math.sqrt(alpha * beta):
-                    continue
-                rotated = True
-                zeta = (beta - alpha) / (2.0 * gamma)
-                t = math.copysign(1.0, zeta) / (
-                    abs(zeta) + math.sqrt(1.0 + zeta * zeta)
-                )
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = c * t
-                newp = c * bp - s * bq
-                newq = s * bp + c * bq
-                b[:, p] = newp
-                b[:, q] = newq
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-        if not rotated:
-            return sweep
-    return -1
-
-
-# ---------------------------------------------------------------------------
-# Cholesky factorization (lower, in place); returns failing pivot or -1
-# ---------------------------------------------------------------------------
-
-
-def _cholesky_py(a, tol):
-    n = a.shape[0]
-    for j in range(n):
-        d = a[j, j]
-        for k in range(j):
-            d -= a[j, k] * a[j, k]
-        if not (d > tol):
-            return j
-        d = math.sqrt(d)
-        a[j, j] = d
-        for i in range(j + 1, n):
-            s = a[i, j]
-            for k in range(j):
-                s -= a[i, k] * a[j, k]
-            a[i, j] = s / d
-    return -1
-
-
-def _cholesky_np(a, tol):
-    n = a.shape[0]
-    for j in range(n):
-        d = a[j, j] - float(a[j, :j] @ a[j, :j])
-        if not (d > tol):
-            return j
-        d = math.sqrt(d)
-        a[j, j] = d
-        if j + 1 < n:
-            a[j + 1 :, j] = (a[j + 1 :, j] - a[j + 1 :, :j] @ a[j, :j]) / d
-    return -1
-
-
-# ---------------------------------------------------------------------------
-# second-order-section IIR filtering (direct form II transposed, zero ICs)
-# ---------------------------------------------------------------------------
-
-
-def _sosfilt_py(sections, x):
-    n_sec = sections.shape[0]
-    t_len, n_ch = x.shape
-    y = x.copy()
-    for c in range(n_ch):
-        for si in range(n_sec):
-            b0 = sections[si, 0]
-            b1 = sections[si, 1]
-            b2 = sections[si, 2]
-            a1 = sections[si, 3]
-            a2 = sections[si, 4]
-            z0 = 0.0
-            z1 = 0.0
-            for t in range(t_len):
-                xt = y[t, c]
-                yt = b0 * xt + z0
-                z0 = b1 * xt - a1 * yt + z1
-                z1 = b2 * xt - a2 * yt
-                y[t, c] = yt
-    return y
-
-
-def _sosfilt_np(sections, x):
-    t_len, n_ch = x.shape
-    y = x.copy()
-    for si in range(sections.shape[0]):
-        b0, b1, b2, a1, a2 = sections[si]
-        z0 = np.zeros(n_ch)
-        z1 = np.zeros(n_ch)
-        for t in range(t_len):
-            xt = y[t].copy()
-            yt = b0 * xt + z0
-            z0 = b1 * xt - a1 * yt + z1
-            z1 = b2 * xt - a2 * yt
-            y[t] = yt
-    return y
-
-
-# ---------------------------------------------------------------------------
-# complex one-pole resonator cascade (gammatone approximation); returns the
-# per-band magnitude of the cascade output
-# ---------------------------------------------------------------------------
-
-
-def _resonator_mag_py(x, poles, gains, n_stages):
-    t_len = x.shape[0]
-    n_bands = poles.shape[0]
-    out = np.empty((t_len, n_bands))
-    for b in range(n_bands):
-        a = poles[b]
-        w = np.empty(t_len, dtype=np.complex128)
-        acc = 0.0 + 0.0j
-        for t in range(t_len):
-            acc = x[t] + a * acc
-            w[t] = acc
-        for _ in range(n_stages - 1):
-            acc = 0.0 + 0.0j
-            for t in range(t_len):
-                acc = w[t] + a * acc
-                w[t] = acc
-        g = gains[b]
-        for t in range(t_len):
-            out[t, b] = g * abs(w[t])
-    return out
-
-
-def _resonator_mag_np(x, poles, gains, n_stages):
-    t_len = x.shape[0]
-    n_bands = poles.shape[0]
-    w = np.empty((t_len, n_bands), dtype=np.complex128)
-    acc = np.zeros(n_bands, dtype=np.complex128)
-    for t in range(t_len):
-        acc = x[t] + poles * acc
-        w[t] = acc
-    for _ in range(n_stages - 1):
-        acc = np.zeros(n_bands, dtype=np.complex128)
-        for t in range(t_len):
-            acc = w[t] + poles * acc
-            w[t] = acc
-    return np.abs(w) * gains
-
-
-# ---------------------------------------------------------------------------
-# polyphase FIR resampling: zero-stuff by `up`, filter with `h`, take every
-# `down`-th sample, compensated for the filter group delay (len(h) odd)
-# ---------------------------------------------------------------------------
-
-
-def _fir_resample_py(x, h, up, down, n_out):
-    t_len, n_ch = x.shape
-    n_taps = h.shape[0]
-    delay = (n_taps - 1) // 2
-    y = np.zeros((n_out, n_ch))
-    for k in range(n_out):
-        start = k * down + delay
-        j = start % up
-        while j < n_taps and j <= start:
-            ti = (start - j) // up
-            if ti < t_len:
-                hj = h[j]
-                for c in range(n_ch):
-                    y[k, c] += hj * x[ti, c]
-            j += up
-    return y
-
-
-def _fir_resample_np(x, h, up, down, n_out):
-    t_len, n_ch = x.shape
-    n_taps = h.shape[0]
-    delay = (n_taps - 1) // 2
-    y = np.zeros((n_out, n_ch))
-    for k in range(n_out):
-        start = k * down + delay
-        js = np.arange(start % up, min(n_taps, start + 1), up)
-        ti = (start - js) // up
-        keep = ti < t_len
-        if not np.all(keep):
-            js = js[keep]
-            ti = ti[keep]
-        y[k] = h[js] @ x[ti]
-    return y
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-if accel.HAVE_NUMBA:
-    _jacobi_driver_nb = accel.njit(_jacobi_driver_py)
-    _svd_onesided_nb = accel.njit(_svd_onesided_py)
-    _cholesky_nb = accel.njit(_cholesky_py)
-    _sosfilt_nb = accel.njit(_sosfilt_py)
-    _resonator_mag_nb = accel.njit(_resonator_mag_py)
-    _fir_resample_nb = accel.njit(_fir_resample_py)
-
-
-def jacobi_sweep(a, v, tol, max_sweeps):
-    if accel.NUMBA_ENABLED:
-        return _jacobi_driver_nb(a, v, tol, max_sweeps)
-    return _jacobi_driver_np(a, v, tol, max_sweeps)
-
-
-def svd_sweep(b, v, tol, max_sweeps):
-    if accel.NUMBA_ENABLED:
-        return _svd_onesided_nb(b, v, tol, max_sweeps)
-    return _svd_onesided_np(b, v, tol, max_sweeps)
+    Returns 0, or -1 when LAPACK fails to converge.
+    """
+    try:
+        u, s, vt = np.linalg.svd(b, full_matrices=False)
+    except np.linalg.LinAlgError:
+        return -1
+    b[...] = u * s
+    v[...] = v @ vt.T
+    return 0
 
 
 def cholesky_inplace(a, tol):
-    if accel.NUMBA_ENABLED:
-        return _cholesky_nb(a, tol)
-    return _cholesky_np(a, tol)
+    """Lower Cholesky factor of symmetric ``a`` with LAPACK ``dpotrf``.
+
+    The factor overwrites the lower triangle of ``a``; the strict upper
+    triangle is left as it was. Pivot ``j`` counts as positive only when
+    ``L[j, j] ** 2 > tol``.
+
+    Returns the index of the first pivot that is not positive, or -1 when
+    all are.
+    """
+    # dpotrf on the transposed (Fortran-ordered) view of a C-ordered ``a``
+    # factors in place: its upper factor U = L^T lands on the lower triangle
+    # of ``a``. The copy back below only moves data for other layouts.
+    factor, info = _lapack.dpotrf(a.T, lower=0, clean=0, overwrite_a=1)
+    if info < 0:
+        raise ValueError(f"dpotrf: illegal argument {-info}")
+    a[...] = factor.T
+    n_done = a.shape[0] if info == 0 else info - 1
+    bad = np.flatnonzero(~(np.diagonal(a)[:n_done] ** 2 > tol))
+    if bad.size:
+        return int(bad[0])
+    return -1 if info == 0 else n_done
 
 
 def sosfilt(sections, x):
-    if accel.NUMBA_ENABLED:
-        return _sosfilt_nb(sections, x)
-    return _sosfilt_np(sections, x)
+    """Filter the columns of ``x`` (T, C) through second-order sections.
+
+    ``sections`` rows are ``(b0, b1, b2, a1, a2)`` with ``a0 = 1``; direct
+    form II transposed with zero initial conditions (``scipy.signal.sosfilt``).
+    """
+    sos = np.insert(sections, 3, 1.0, axis=1)
+    return _signal.sosfilt(sos, x, axis=0)
 
 
 def resonator_magnitudes(x, poles, gains, n_stages):
-    if accel.NUMBA_ENABLED:
-        return _resonator_mag_nb(x, poles, gains, n_stages)
-    return _resonator_mag_np(x, poles, gains, n_stages)
+    """Per-band magnitude of a cascade of complex one-pole resonators.
+
+    Band ``b`` runs ``n_stages`` times through ``w[t] = in[t] + poles[b] *
+    w[t-1]`` (``scipy.signal.lfilter`` per stage); the output column is
+    ``gains[b] * |w|``. Returns shape (T, n_bands).
+    """
+    out = np.empty((x.shape[0], poles.shape[0]))
+    for band, (pole, gain) in enumerate(zip(poles, gains)):
+        w = x
+        for _ in range(n_stages):
+            w = _signal.lfilter([1.0], [1.0, -pole], w)
+        out[:, band] = gain * np.abs(w)
+    return out
 
 
 def fir_resample(x, h, up, down, n_out):
-    if accel.NUMBA_ENABLED:
-        return _fir_resample_nb(x, h, up, down, n_out)
-    return _fir_resample_np(x, h, up, down, n_out)
+    """Rational resampling of the columns of ``x`` (T, C) by ``up/down``.
+
+    Zero-stuffs by ``up``, filters with ``h`` (odd length), keeps every
+    ``down``-th sample starting at the filter's group delay
+    ``(len(h) - 1) // 2``, and returns exactly ``n_out`` rows, zero past the
+    end of the filtered signal (``scipy.signal.upfirdn``).
+    """
+    delay = (h.shape[0] - 1) // 2
+    # leading zeros on h shift the delay onto a multiple of ``down``
+    pad = -delay % down
+    full = _signal.upfirdn(np.concatenate([np.zeros(pad), h]), x, up, down,
+                           axis=0)
+    start = (delay + pad) // down
+    y = np.zeros((n_out, x.shape[1]))
+    kept = full[start : start + n_out]
+    y[: kept.shape[0]] = kept
+    return y

@@ -1,22 +1,23 @@
 """Dense symmetric linear algebra used by every decoder.
 
-All solvers are deterministic (fixed sweep order, no pivoting) and operate
-on float64 arrays. Eigendecomposition uses cyclic Jacobi rotations, the SVD
-is one-sided Jacobi on columns, and regularized solves go through an
-unpivoted Cholesky factorization with one step of iterative refinement.
-Problem sizes in this pipeline stay in the low hundreds, where these
-methods are both fast enough and easy to validate.
+Everything here operates on float64 arrays and runs on LAPACK through the
+kernels in :mod:`aadkit.kernels`: symmetric eigendecomposition (``eigh``),
+thin SVD, and regularized solves through a Cholesky factorization
+(``dpotrf``/``cho_solve``) with one step of iterative refinement. This
+module adds the package's contracts on top: eigen- and singular values
+in descending order, the SPD tolerance rule, and failures raised as
+:class:`NotSpd`, :class:`SingularSystem` or :class:`NonConvergence`.
 """
 
+import math
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg import cho_solve
 
 from . import kernels
 from .errors import DimensionMismatch, NonConvergence, NotSpd, SingularSystem
 
-_JACOBI_TOL = 1e-13
-_MAX_SWEEPS = 100
 # relative floor under which an eigenvalue no longer counts as positive
 SPD_RTOL = 1e-12
 
@@ -92,12 +93,16 @@ def solve_regularized(a, b, lam):
     ------
     SingularSystem
         When the loaded matrix is numerically singular (lam = 0 and ``a``
-        rank deficient).
+        rank deficient), or when ``a``, ``b`` or ``lam`` is not finite.
     """
-    a = _check_square_symmetric(a)
+    a = _as_matrix(a)
     b = np.asarray(b, dtype=np.float64)
     if lam < 0:
         raise ValueError("lam must be nonnegative")
+    if not (math.isfinite(lam) and np.all(np.isfinite(a))
+            and np.all(np.isfinite(b))):
+        raise SingularSystem(f"non-finite system or rhs (lam={lam})")
+    a = _check_square_symmetric(a)
     n = a.shape[0]
     if b.shape[0] != n:
         raise DimensionMismatch(
@@ -112,25 +117,14 @@ def solve_regularized(a, b, lam):
         raise SingularSystem(
             f"Cholesky pivot {bad} not positive; system singular at lam={lam}"
         )
-    x = _chol_solve(fac, b)
+    x = cho_solve((fac, True), b, check_finite=False)
     # one refinement step keeps the residual tiny on ill-conditioned systems
-    x = x + _chol_solve(fac, b - m @ x)
+    x = x + cho_solve((fac, True), b - m @ x, check_finite=False)
     return x
 
 
-def _chol_solve(low, b):
-    """Solve L L^T x = b given the lower factor (vector or matrix rhs)."""
-    n = low.shape[0]
-    y = np.array(b, dtype=np.float64, copy=True)
-    for i in range(n):
-        y[i] = (y[i] - low[i, :i] @ y[:i]) / low[i, i]
-    for i in range(n - 1, -1, -1):
-        y[i] = (y[i] - low[i + 1 :, i] @ y[i + 1 :]) / low[i, i]
-    return y
-
-
 def sym_eig(s):
-    """Eigendecomposition of a symmetric matrix via cyclic Jacobi.
+    """Eigendecomposition of a symmetric matrix with LAPACK (``eigh``).
 
     Returns
     -------
@@ -141,17 +135,15 @@ def sym_eig(s):
     Raises
     ------
     NonConvergence
-        If the sweep cap is hit; signals pathological input.
+        If LAPACK does not converge or the spectrum is not finite; signals
+        pathological input.
     """
     s = _check_square_symmetric(s)
     n = s.shape[0]
     a = s.copy()
     v = np.eye(n)
-    sweeps = kernels.jacobi_sweep(a, v, _JACOBI_TOL, _MAX_SWEEPS)
-    if sweeps < 0:
-        raise NonConvergence(
-            f"Jacobi eigensolver did not converge in {_MAX_SWEEPS} sweeps"
-        )
+    if kernels.jacobi_sweep(a, v) < 0:
+        raise NonConvergence("symmetric eigensolver did not converge")
     values = np.diag(a).copy()
     order = np.argsort(-values, kind="stable")
     return EigPairs(values[order], v[:, order])
@@ -176,10 +168,16 @@ def gen_sym_eig(a, b):
 
 
 def svd(m):
-    """Singular value decomposition via one-sided Jacobi.
+    """Thin singular value decomposition with LAPACK (``np.linalg.svd``).
 
     Returns (u, s, v) with compact shapes: ``m = u @ diag(s) @ v.T``,
     ``s`` nonnegative descending, ``u`` and ``v`` column-orthonormal.
+    Singular values at or below ``1e-14 * s[0]`` are set to exactly zero.
+
+    Raises
+    ------
+    NonConvergence
+        If LAPACK does not converge.
     """
     m = _as_matrix(m)
     if not np.all(np.isfinite(m)):
@@ -188,9 +186,8 @@ def svd(m):
     b = (m.T if transposed else m).copy()
     n = b.shape[1]
     v = np.eye(n)
-    sweeps = kernels.svd_sweep(b, v, 1e-15, 60)
-    if sweeps < 0:
-        raise NonConvergence("one-sided Jacobi SVD did not converge")
+    if kernels.svd_sweep(b, v) < 0:
+        raise NonConvergence("SVD did not converge")
     s = np.sqrt(np.sum(b * b, axis=0))
     order = np.argsort(-s, kind="stable")
     s = s[order]

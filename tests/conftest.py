@@ -1,24 +1,6 @@
 import numpy as np
 import pytest
 
-from aadkit import kernels
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    """Trigger JIT compilation once so timed tests measure algorithm cost."""
-    a = np.array([[2.0, 0.5], [0.5, 1.0]])
-    v = np.eye(2)
-    kernels.jacobi_sweep(a.copy(), v.copy(), 1e-13, 50)
-    kernels.svd_sweep(a.copy(), v.copy(), 1e-15, 50)
-    kernels.cholesky_inplace(a.copy(), 1e-14)
-    sos = np.array([[1.0, 0.0, 0.0, 0.0, 0.0]])
-    kernels.sosfilt(sos, np.zeros((4, 2)))
-    kernels.resonator_magnitudes(
-        np.zeros(8), np.array([0.5 + 0.1j]), np.array([1.0]), 4
-    )
-    kernels.fir_resample(np.zeros((10, 1)), np.array([0.2, 0.6, 0.2]), 1, 2, 5)
-
 
 @pytest.fixture
 def rng():

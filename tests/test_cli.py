@@ -115,6 +115,38 @@ class TestRun:
             digests.append(hashlib.sha256(payload).hexdigest())
         assert digests[0] == digests[1]
 
+    def test_deterministic_cca_outputs(self, session_dir, tmp_path):
+        # eigh/SVD under the default (multithreaded) BLAS
+        _, sess = session_dir
+        payloads = []
+        for name in ("a", "b"):
+            r = run_cli("run", "--manifest", str(sess / "manifest.json"),
+                        "--model", "cca", "--protocol", "loto",
+                        "--window", "10", "--folds", "2",
+                        "--out", str(tmp_path / name))
+            assert r.returncode == 0, r.stderr
+            payloads.append(b"".join(
+                (tmp_path / name / f).read_bytes()
+                for f in ("summary.json", "windows.csv")
+            ))
+        assert payloads[0] == payloads[1]
+
+    def test_lapack_failure_exit_5(self, session_dir, tmp_path, monkeypatch,
+                                   capsys):
+        from aadkit import cli
+
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("forced failure")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        _, sess = session_dir
+        code = cli.main(["run", "--manifest", str(sess / "manifest.json"),
+                         "--model", "cca", "--protocol", "loto",
+                         "--window", "10", "--folds", "2",
+                         "--out", str(tmp_path / "o")])
+        assert code == 5
+        assert capsys.readouterr().err.startswith("error: numeric:")
+
     def test_group_tuning_two_subjects(self, tmp_path, grid_file):
         manifests = []
         for s, seed in (("a", 21), ("b", 22)):

@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
-from aadkit import numerics
-from aadkit.errors import DimensionMismatch, NotSpd, SingularSystem
+from aadkit import kernels, numerics
+from aadkit.errors import (
+    DimensionMismatch,
+    NonConvergence,
+    NotSpd,
+    SingularSystem,
+)
 
 
 def random_spd(rng, n, cond=10.0):
@@ -68,6 +74,18 @@ class TestSolveRegularized:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             numerics.solve_regularized(np.eye(3), np.ones(2), 0.0)
+
+    @pytest.mark.parametrize("where", ["a", "b", "lam", "lam_inf"])
+    def test_non_finite_input_raises(self, where):
+        a, b, lam = np.eye(3), np.ones(3), 0.1
+        if where == "a":
+            a[1, 1] = np.nan
+        elif where == "b":
+            b[2] = np.nan
+        else:
+            lam = np.nan if where == "lam" else np.inf
+        with pytest.raises(SingularSystem):
+            numerics.solve_regularized(a, b, lam)
 
     def test_shrinkage_monotone(self, rng):
         a = random_spd(rng, 6)
@@ -236,3 +254,36 @@ class TestSpdFunction:
             numerics.spd_function(np.diag([1.0, 0.0]), "log")
         with pytest.raises(NotSpd):
             numerics.spd_function(np.diag([1.0, -2.0]), "inv_sqrt")
+
+
+class TestLibraryFailures:
+    """LAPACK failures surface as the package's numeric errors."""
+
+    @staticmethod
+    def _raise(*args, **kwargs):
+        raise np.linalg.LinAlgError("forced failure")
+
+    def test_eigh_failure_is_nonconvergence(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eigh", self._raise)
+        assert kernels.jacobi_sweep(np.eye(3), np.eye(3)) == -1
+        with pytest.raises(NonConvergence):
+            numerics.sym_eig(np.eye(3))
+        with pytest.raises(NonConvergence):
+            numerics.spd_function(np.eye(3), "log")
+
+    def test_svd_failure_is_nonconvergence(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "svd", self._raise)
+        assert kernels.svd_sweep(np.ones((4, 2)), np.eye(2)) == -1
+        with pytest.raises(NonConvergence):
+            numerics.svd(np.ones((4, 2)))
+
+    def test_non_finite_spectrum_is_nonconvergence(self):
+        with pytest.raises(NonConvergence):
+            numerics.sym_eig(np.array([[np.inf, 1.0], [1.0, 2.0]]))
+
+    def test_failed_dpotrf_is_singular_system(self, monkeypatch):
+        # info = 2: the second leading minor is not positive definite
+        monkeypatch.setattr(lapack, "dpotrf", lambda a, **kw: (a, 2))
+        assert kernels.cholesky_inplace(np.eye(3), 1e-13) == 1
+        with pytest.raises(SingularSystem):
+            numerics.solve_regularized(np.eye(3), np.ones(3), 0.1)
