@@ -18,7 +18,12 @@ loso / nested_loso
 
 Hyperparameters are searched on a deterministic grid (optionally a seeded
 random subset), maximizing mean validation accuracy with ties broken by
-the smaller regularizer, then the smaller lag count.
+the smaller regularizer, then the smaller lag count. There is one tuning
+path: ``score_grid`` builds the table of mean validation scores and
+``pick_best`` takes the winner, in ``search_hyperparams``,
+``run_pipeline`` and ``run_pipeline_group`` alike; the group path scores a
+point by the unweighted mean over sessions of each session's mean. Both
+pipelines take a one-point grid as is, without any validation fit.
 """
 
 import itertools
@@ -29,7 +34,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from . import dataio, linear, metrics, spatial
-from .design import accumulate, build_lagged
+from .design import LaggedDesign, accumulate, build_lagged
 from .errors import (
     BadChannelIndex,
     BadProtocolConfig,
@@ -275,6 +280,29 @@ def pick_best(scored):
     return best[1], best[2]
 
 
+def score_grid(points, tuning):
+    """Validation score table ``[(params, score)]`` in grid order.
+
+    ``tuning`` holds one ``(objective, assignments)`` pair per session,
+    where ``objective(params, train_units, val_units)`` returns the score
+    to maximize. A point's score is the unweighted mean over sessions of
+    its mean score over that session's assignments.
+    """
+    table = []
+    for params in points:
+        per_session = [
+            float(np.mean([objective(params, a.train, a.val)
+                           for a in assignments]))
+            for objective, assignments in tuning
+        ]
+        table.append((params, float(np.mean(per_session))))
+    return table
+
+
+def _select(points, tuning):
+    return pick_best(score_grid(points, tuning))
+
+
 def search_hyperparams(plan, grid, objective):
     """Grid search per outer loop on the plan's validation assignments.
 
@@ -290,11 +318,7 @@ def search_hyperparams(plan, grid, objective):
                 f"outer loop {loop.index} has no validation assignments; "
                 "use a nested protocol"
             )
-        scored = []
-        for params in pts:
-            vals = [objective(params, a.train, a.val) for a in loop.inner]
-            scored.append((params, float(np.mean(vals))))
-        results.append(pick_best(scored))
+        results.append(_select(pts, [(objective, loop.inner)]))
     return results
 
 
@@ -311,9 +335,15 @@ def _window_len(window_s, fs):
 
 
 class _RunnerBase:
-    def __init__(self, session, plan, window_s, time_pcc_seg_s=1.0):
+    """One session's fold bookkeeping. Subclasses provide
+    ``_fit(units, params)`` and ``_eval_units(model, params, units,
+    collect)``, which returns (accuracy, macro-F1, window records,
+    per-trial time-PCC curves) over the units' valid windows."""
+
+    def __init__(self, session, plan, window_s, kind, time_pcc_seg_s=1.0):
         self.session = session
         self.plan = plan
+        self.kind = kind
         self.window_s = float(window_s)
         self.time_pcc_seg_s = time_pcc_seg_s
         self.fs = session.fs
@@ -335,7 +365,6 @@ class _RunnerBase:
             raise BadProtocolConfig(
                 "within_trial segments must match the decision window"
             )
-        self.n_excluded = 0
 
     # unit address -> (eeg rows, stream slice bounds)
     def _unit_bounds(self, unit):
@@ -347,25 +376,59 @@ class _RunnerBase:
         t = self.trials[unit]
         return unit, 0, t.eeg.n_samples
 
-    def validation_score(self, loop_index, params):
-        raise NotImplementedError
+    def _windows(self, unit):
+        """Yield (trial_id, window_index, row_lo, row_hi) for every
+        decision window of a unit, valid or not."""
+        tid, lo, hi = self._unit_bounds(unit)
+        if isinstance(unit, tuple):
+            yield tid, unit[1], lo, hi
+            return
+        for w in range((hi - lo) // self.win):
+            a = lo + w * self.win
+            yield tid, w, a, a + self.win
 
-    def evaluate_outer(self, loop_index, params):
-        raise NotImplementedError
+    def _channel_stats(self, model, params):
+        return {}
 
-    def tuning_assignments(self, loop):
+    def tuning_assignments(self, loop_index):
+        loop = self.plan.outer[loop_index]
         if loop.inner:
             return loop.inner
         # single-loop protocols tune on the test fold (optimistic by design)
         return [Assignment(loop.fit, loop.test, loop.test)]
 
+    def score(self, params, train, val):
+        """Accuracy on ``val`` of a model fitted on ``train``."""
+        return self._eval_units(self._fit(train, params), params, val)[0]
+
+    def evaluate_outer(self, loop_index, params):
+        """Final fit and test of one outer loop: (fold, window records,
+        time-PCC curves, number of test windows excluded)."""
+        loop = self.plan.outer[loop_index]
+        model = self._fit(loop.fit, params)
+        acc, f1, records, curves = self._eval_units(
+            model, params, loop.test, collect=True
+        )
+        fold = FoldResult(
+            fold_index=loop_index,
+            test_ids=loop.test,
+            params=dict(params),
+            accuracy=acc,
+            macro_f1=f1,
+            n_windows=len(records),
+            model_bytes=dataio.serialize_model(model),
+            **self._channel_stats(model, params),
+        )
+        n_all = sum(1 for unit in loop.test for _ in self._windows(unit))
+        return fold, records, curves, n_all - len(records)
+
 
 class _LinearRunner(_RunnerBase):
-    """Wiener-filter and CCA pipeline."""
+    """Wiener-filter and CCA pipeline; a window is evaluated when its
+    attended stream is defined throughout."""
 
-    def __init__(self, session, plan, window_s, kind, time_pcc_seg_s=1.0):
-        super().__init__(session, plan, window_s, time_pcc_seg_s)
-        self.kind = kind
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         self._unit_stats = {}
         self._sum_cache = {}
 
@@ -419,25 +482,6 @@ class _LinearRunner(_RunnerBase):
 
     # -- evaluation ---------------------------------------------------------
 
-    def _windows_of(self, unit, count_excluded=False):
-        """Yield (window_index, row_lo, row_hi) for valid eval windows."""
-        tid, lo, hi = self._unit_bounds(unit)
-        mask = self.streams[tid].mask
-        if isinstance(unit, tuple):
-            if mask[lo:hi].all():
-                yield unit[1], lo, hi
-            elif count_excluded:
-                self.n_excluded += 1
-            return
-        n_win = (hi - lo) // self.win
-        for w in range(n_win):
-            a = lo + w * self.win
-            b = a + self.win
-            if mask[a:b].all():
-                yield w, a, b
-            elif count_excluded:
-                self.n_excluded += 1
-
     def _rhos_wf(self, model, design, streams, lo, hi, rows):
         rec = design.matrix[rows[0] : rows[1]] @ model.w
         cands = [streams.attended[lo:hi]] + [
@@ -461,14 +505,11 @@ class _LinearRunner(_RunnerBase):
         return tuple(rhos)
 
     def _eval_units(self, model, params, units, collect=False):
-        """Accuracy over the eval windows of the given units; optionally
-        returns window records and per-trial time-PCC curves."""
         lags = int(params["L"])
         target_lags = int(params.get("L_y", 0) or 0)
         records = []
         curves = {}
         preds = []
-        labels = []
         by_trial = {}
         for unit in units:
             tid, _, _ = self._unit_bounds(unit)
@@ -481,7 +522,9 @@ class _LinearRunner(_RunnerBase):
             if not segmented:
                 design = build_lagged(trial.eeg.samples, lags)
             for unit in by_trial[tid]:
-                for w, lo, hi in self._windows_of(unit, count_excluded=collect):
+                for _, w, lo, hi in self._windows(unit):
+                    if not streams.mask[lo:hi].all():
+                        continue
                     if segmented:
                         # segments are self-contained: lag with zero padding
                         # exactly as their training statistics were built
@@ -503,7 +546,6 @@ class _LinearRunner(_RunnerBase):
                         )
                     decision = metrics.decide_window(rhos, 0)
                     preds.append(-1 if decision.tie else decision.predicted)
-                    labels.append(0)
                     if collect:
                         records.append(
                             WindowRecord(
@@ -516,15 +558,13 @@ class _LinearRunner(_RunnerBase):
                                 tie=decision.tie,
                             )
                         )
-            if collect and not isinstance(by_trial[tid][0], tuple):
+            if collect and not segmented:
                 curves[tid] = self._trial_curves(model, design, trial,
                                                  target_lags)
-        if not labels:
-            return 0.0, records, curves, preds, labels
-        acc, _ = metrics.classification_metrics(
-            np.array(preds), np.array(labels), 3
+        acc, f1 = metrics.classification_metrics(
+            np.array(preds), np.zeros(len(preds), dtype=int), 3
         )
-        return acc, records, curves, preds, labels
+        return acc, f1, records, curves
 
     def _trial_curves(self, model, design, trial, target_lags):
         """Per-speaker time-PCC curves over the whole trial."""
@@ -554,26 +594,7 @@ class _LinearRunner(_RunnerBase):
                 curve[i, j] = float(np.mean(comps))
         return labels, curve
 
-    # -- runner interface ----------------------------------------------------
-
-    def validation_score(self, loop_index, params):
-        loop = self.plan.outer[loop_index]
-        scores = []
-        for a in self.tuning_assignments(loop):
-            model = self._fit(a.train, params)
-            acc, *_ = self._eval_units(model, params, a.val)
-            scores.append(acc)
-        return float(np.mean(scores))
-
-    def evaluate_outer(self, loop_index, params):
-        loop = self.plan.outer[loop_index]
-        model = self._fit(loop.fit, params)
-        acc, records, curves, preds, labels = self._eval_units(
-            model, params, loop.test, collect=True
-        )
-        _, f1 = metrics.classification_metrics(
-            np.array(preds), np.array(labels), 3
-        )
+    def _channel_stats(self, model, params):
         if self.kind == "wf":
             cw = linear.channel_weight_stats(model.w, model.lags,
                                              model.channels)
@@ -581,26 +602,15 @@ class _LinearRunner(_RunnerBase):
             lags = int(params["L"])
             channels = model.wx.shape[0] // lags
             cw = linear.channel_weight_stats(model.wx[:, 0], lags, channels)
-        fold = FoldResult(
-            fold_index=loop_index,
-            test_ids=loop.test,
-            params=dict(params),
-            accuracy=acc,
-            macro_f1=f1,
-            n_windows=len(records),
-            model_bytes=dataio.serialize_model(model),
-            channel_max_abs=cw.max_abs,
-            channel_mean_sq=cw.mean_sq,
-        )
-        return fold, records, curves
+        return {"channel_max_abs": cw.max_abs, "channel_mean_sq": cw.mean_sq}
 
 
 class _ClassifierRunner(_RunnerBase):
-    """Filterbank-CSP and Riemannian classifier pipeline."""
+    """Filterbank-CSP and Riemannian classifier pipeline; a window is
+    evaluated when it sits inside one attended span."""
 
-    def __init__(self, session, plan, window_s, kind, time_pcc_seg_s=1.0):
-        super().__init__(session, plan, window_s, time_pcc_seg_s)
-        self.kind = kind
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         self._label_cache = {}
 
     def _window_label(self, tid, lo, hi):
@@ -623,26 +633,19 @@ class _ClassifierRunner(_RunnerBase):
         self._label_cache[key] = label
         return label
 
-    def _labeled_windows(self, units, count_excluded=False):
+    def _labeled_windows(self, units):
         out = []
         for unit in units:
-            tid, lo, hi = self._unit_bounds(unit)
-            if isinstance(unit, tuple):
-                spans = [(unit[1], lo, hi)]
-            else:
-                n_win = (hi - lo) // self.win
-                spans = [
-                    (w, lo + w * self.win, lo + (w + 1) * self.win)
-                    for w in range(n_win)
-                ]
-            for w, a, b in spans:
+            for tid, w, a, b in self._windows(unit):
                 label = self._window_label(tid, a, b)
-                if label is None:
-                    if count_excluded:
-                        self.n_excluded += 1
-                    continue
-                out.append((tid, w, a, b, label))
+                if label is not None:
+                    out.append((tid, w, a, b, label))
         return out
+
+    def _features(self, segment, front):
+        if self.kind == "csp":
+            return spatial.csp_features(segment, front)
+        return spatial.tangent_features(segment, front)
 
     def _fit(self, units, params):
         rows = self._labeled_windows(units)
@@ -661,9 +664,6 @@ class _ClassifierRunner(_RunnerBase):
                 f_per=int(params.get("csp_f", spatial.DEFAULT_CSP_FILTERS)),
                 n_classes=3,
             )
-            feats = np.stack(
-                [spatial.csp_features(s, front) for s in segments]
-            )
         else:
             front = spatial.rgc_fit(
                 segments,
@@ -671,47 +671,18 @@ class _ClassifierRunner(_RunnerBase):
                     params.get("rgc_shrinkage", spatial.DEFAULT_RGC_SHRINKAGE)
                 ),
             )
-            feats = np.stack(
-                [spatial.tangent_features(s, front) for s in segments]
-            )
+        feats = np.stack([self._features(s, front) for s in segments])
         lda = spatial.lda_fit(feats, labels, gamma=gamma, n_classes=3)
         return front, lda
 
-    def _predict(self, model, tid, a, b):
+    def _eval_units(self, model, params, units, collect=False):
         front, lda = model
-        segment = self.trials[tid].eeg.samples[a:b]
-        if self.kind == "csp":
-            feats = spatial.csp_features(segment, front)
-        else:
-            feats = spatial.tangent_features(segment, front)
-        return int(lda_predict_single(lda, feats))
-
-    def validation_score(self, loop_index, params):
-        loop = self.plan.outer[loop_index]
-        scores = []
-        for assign in self.tuning_assignments(loop):
-            model = self._fit(assign.train, params)
-            rows = self._labeled_windows(assign.val)
-            if not rows:
-                scores.append(0.0)
-                continue
-            preds = [self._predict(model, tid, a, b) for tid, _, a, b, _ in rows]
-            labels = [r[4] for r in rows]
-            acc, _ = metrics.classification_metrics(
-                np.array(preds), np.array(labels), 3
-            )
-            scores.append(acc)
-        return float(np.mean(scores))
-
-    def evaluate_outer(self, loop_index, params):
-        loop = self.plan.outer[loop_index]
-        model = self._fit(loop.fit, params)
-        rows = self._labeled_windows(loop.test, count_excluded=True)
         records = []
         preds = []
         labels = []
-        for tid, w, a, b, label in rows:
-            pred = self._predict(model, tid, a, b)
+        for tid, w, a, b, label in self._labeled_windows(units):
+            feats = self._features(self.trials[tid].eeg.samples[a:b], front)
+            pred = int(spatial.lda_predict(feats, lda)[0])
             preds.append(pred)
             labels.append(label)
             records.append(
@@ -725,31 +696,13 @@ class _ClassifierRunner(_RunnerBase):
                     tie=False,
                 )
             )
-        if labels:
-            acc, f1 = metrics.classification_metrics(
-                np.array(preds), np.array(labels), 3
-            )
-        else:
-            acc, f1 = 0.0, 0.0
-        fold = FoldResult(
-            fold_index=loop_index,
-            test_ids=loop.test,
-            params=dict(params),
-            accuracy=acc,
-            macro_f1=f1,
-            n_windows=len(records),
-            model_bytes=dataio.serialize_model(model),
+        acc, f1 = metrics.classification_metrics(
+            np.array(preds), np.array(labels), 3
         )
-        return fold, records, {}
-
-
-def lda_predict_single(lda, feats):
-    return spatial.lda_predict(feats[None, :], lda)[0]
+        return acc, f1, records, {}
 
 
 def _masked_design(design, mask):
-    from .design import LaggedDesign
-
     return LaggedDesign(design.matrix[mask], design.lags, design.channels)
 
 
@@ -763,6 +716,47 @@ def _make_runner(session, model_kind, plan, window_s, time_pcc_seg_s):
     raise BadProtocolConfig(f"unknown model kind {model_kind!r}")
 
 
+def _loop_params(points, runners, loop_index):
+    """Parameters of one outer loop, chosen on every runner's tuning
+    assignments; a one-point grid is returned without scoring."""
+    if len(points) == 1:
+        return dict(points[0])
+    tuning = [(r.score, r.tuning_assignments(loop_index)) for r in runners]
+    return dict(_select(points, tuning)[0])
+
+
+def _report(runner, params_for, jobs):
+    """Evaluate every outer loop with ``params_for(loop_index)``."""
+
+    def _one(loop_index):
+        return runner.evaluate_outer(loop_index, params_for(loop_index))
+
+    indices = range(len(runner.plan.outer))
+    if jobs and jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(_one, indices))
+    else:
+        results = [_one(i) for i in indices]
+
+    session = runner.session
+    report = MetricsReport(
+        model_kind=runner.kind,
+        protocol=runner.plan.protocol,
+        window_s=runner.window_s,
+        time_pcc_seg_s=runner.time_pcc_seg_s,
+        channel_names=list(session.trials[0].eeg.channel_names),
+    )
+    for fold, records, curves, n_excluded in results:
+        report.folds.append(fold)
+        report.windows.extend(records)
+        report.time_pcc.update(curves)
+        report.n_excluded += n_excluded
+    report.n_candidates = max(
+        (len(t.speakers) for t in session.trials), default=3
+    )
+    return finalize_report(report)
+
+
 def run_pipeline(session, model_kind, plan, grid, window_s, *,
                  fixed_params=None, time_pcc_seg_s=1.0, jobs=1):
     """Full train/tune/evaluate pass; returns a MetricsReport.
@@ -773,47 +767,13 @@ def run_pipeline(session, model_kind, plan, grid, window_s, *,
     skipped entirely. Test folds are never read before final evaluation.
     """
     runner = _make_runner(session, model_kind, plan, window_s, time_pcc_seg_s)
-    points = None if fixed_params is not None else grid.points()
-
-    def _select(loop_index):
-        if fixed_params is not None:
-            if isinstance(fixed_params, dict):
-                return dict(fixed_params)
-            return dict(fixed_params[loop_index])
-        if len(points) == 1:
-            return dict(points[0])
-        scored = [
-            (pt, runner.validation_score(loop_index, pt)) for pt in points
-        ]
-        return dict(pick_best(scored)[0])
-
-    def _one(loop_index):
-        params = _select(loop_index)
-        return runner.evaluate_outer(loop_index, params)
-
-    indices = range(len(plan.outer))
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_one, indices))
-    else:
-        results = [_one(i) for i in indices]
-
-    report = MetricsReport(
-        model_kind=model_kind,
-        protocol=plan.protocol,
-        window_s=float(window_s),
-        time_pcc_seg_s=time_pcc_seg_s,
-        channel_names=list(session.trials[0].eeg.channel_names),
-    )
-    for fold, records, curves in results:
-        report.folds.append(fold)
-        report.windows.extend(records)
-        report.time_pcc.update(curves)
-    report.n_excluded = runner.n_excluded
-    report.n_candidates = max(
-        (len(t.speakers) for t in session.trials), default=3
-    )
-    return finalize_report(report)
+    if fixed_params is None:
+        points = grid.points()
+        return _report(runner, lambda i: _loop_params(points, [runner], i),
+                       jobs)
+    if isinstance(fixed_params, dict):
+        fixed_params = [fixed_params] * len(plan.outer)
+    return _report(runner, lambda i: dict(fixed_params[i]), jobs)
 
 
 def run_pipeline_group(sessions, model_kind, protocol, window_s, grid, *,
@@ -837,26 +797,10 @@ def run_pipeline_group(sessions, model_kind, protocol, window_s, grid, *,
         for s, p in zip(sessions, plans)
     ]
     points = grid.points()
-    selected = []
-    for loop_index in range(n_outer.pop()):
-        scored = []
-        for pt in points:
-            vals = [r.validation_score(loop_index, pt) for r in runners]
-            scored.append((pt, float(np.mean(vals))))
-        selected.append(pick_best(scored)[0])
-    reports = []
-    for session, plan in zip(sessions, plans):
-        reports.append(
-            run_pipeline(
-                session,
-                model_kind,
-                plan,
-                grid,
-                window_s,
-                fixed_params=selected,
-                time_pcc_seg_s=time_pcc_seg_s,
-            )
-        )
+    selected = [
+        _loop_params(points, runners, i) for i in range(n_outer.pop())
+    ]
+    reports = [_report(r, lambda i: dict(selected[i]), 1) for r in runners]
     return reports, selected
 
 

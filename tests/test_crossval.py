@@ -312,7 +312,8 @@ class TestRunPipeline:
             (1 / 3) * (2 / 3) / n
         )
 
-    def test_task4_windows_excluded(self):
+    @pytest.mark.parametrize("jobs", [1, 3])
+    def test_task4_windows_excluded(self, jobs):
         cfg = dataio.SynthConfig(
             n_trials=6, duration_s=30.0, n_channels=3, seed=12,
             tasks=[1, 4, 1, 4, 1, 4],
@@ -320,12 +321,15 @@ class TestRunPipeline:
         )
         session = dataio.synth_generate(cfg)
         plan = crossval.make_folds(session.trials, "loto", 3, seed=0)
-        report = crossval.run_pipeline(session, "wf", plan, SMALL_GRID, 30.0)
+        report = crossval.run_pipeline(session, "wf", plan, SMALL_GRID, 30.0,
+                                       jobs=jobs)
         # 30 s windows on task-4 trials span the unattended half: excluded
         assert report.n_windows == 3
         assert report.n_excluded == 3
         trial_tasks = {t.trial_id: t.task for t in session.trials}
         assert all(trial_tasks[w.trial_id] == 1 for w in report.windows)
+        serial = crossval.run_pipeline(session, "wf", plan, SMALL_GRID, 30.0)
+        assert report.windows == serial.windows
 
     def test_switch_trials_keep_30s_windows(self):
         cfg = dataio.SynthConfig(
@@ -348,6 +352,33 @@ class TestRunPipeline:
         assert len(selected) == 4
         for rep in reports:
             assert [f.params for f in rep.folds] == selected
+
+    def test_group_one_point_grid_fits_once_per_loop(self, monkeypatch):
+        sessions = [synth(n_trials=8, n_channels=3, seed=s) for s in (1, 2)]
+        calls = []
+        wf_fit = linear.wf_fit
+
+        def counting_fit(*args, **kwargs):
+            calls.append(1)
+            return wf_fit(*args, **kwargs)
+
+        monkeypatch.setattr(linear, "wf_fit", counting_fit)
+        crossval.run_pipeline_group(
+            sessions, "wf", "nested_loto", 10.0, SMALL_GRID, n_folds=4,
+            seed=0,
+        )
+        # nothing to tune: one final fit per (session, outer loop)
+        assert len(calls) == 2 * 4
+
+    def test_group_of_one_selects_like_run_pipeline(self):
+        session = synth(n_trials=8, n_channels=3, snr=0.05, seed=6)
+        grid = crossval.HyperGrid({"lam": [0.01, 1.0, 100.0], "L": [4, 8]})
+        plan = crossval.make_folds(session.trials, "nested_loto", 4, seed=0)
+        report = crossval.run_pipeline(session, "wf", plan, grid, 10.0)
+        _, selected = crossval.run_pipeline_group(
+            [session], "wf", "nested_loto", 10.0, grid, n_folds=4, seed=0
+        )
+        assert selected == [f.params for f in report.folds]
 
 
 class TestAblation:
