@@ -3,8 +3,8 @@
 Subcommands: synth, convert-dataset, preprocess, envelope, run, ablate,
 track. Commands take flags plus an optional --config JSON file; flags
 override config-file fields. Exit codes: 0 success, 2 configuration
-error, 3 I/O error (synth), 4 data error, 5 numerical failure. Errors go
-to stderr with a machine-parsable category prefix.
+error, 3 I/O error (synth, envelope), 4 data error, 5 numerical failure.
+Errors go to stderr with a machine-parsable category prefix.
 """
 
 import argparse
@@ -179,6 +179,7 @@ def cmd_run(args):
             reports, _ = crossval.run_pipeline_group(
                 sessions, args.model, args.protocol, args.window, grid,
                 n_folds=args.folds, seed=args.seed, segment_s=segment_s,
+                jobs=args.jobs or 1,
             )
             for session, report in zip(sessions, reports):
                 out = Path(args.out) / session.subject
@@ -372,9 +373,11 @@ def cmd_envelope(args):
         dataio.write_array(args.out, env.samples, env.fs)
         print(f"wrote {env.samples.shape[0]} envelope samples to {args.out}")
         return 0
-    except (InvalidBand, ValueError) as exc:
+    except AadError as exc:
+        return _classify(exc, io_code=3)
+    except ValueError as exc:
         return _fail("config", exc, 2)
-    except (IoError, OSError) as exc:
+    except OSError as exc:
         return _fail("io", exc, 3)
 
 

@@ -24,6 +24,14 @@ path: ``score_grid`` builds the table of mean validation scores and
 ``run_pipeline`` and ``run_pipeline_group`` alike; the group path scores a
 point by the unweighted mean over sessions of each session's mean. Both
 pipelines take a one-point grid as is, without any validation fit.
+
+The two envelope decoders share one evaluation path, the Wiener filter
+being CCA's one-component case. Each test unit (a whole trial, or a
+within_trial segment) is lagged with its own zero padding and projected
+by ``linear.eeg_components``; every decision window then scores each
+candidate stream by ``metrics.component_pcc`` against
+``linear.envelope_components`` of that window of the candidate, and whole
+trials get their time-PCC curves from the same projections.
 """
 
 import itertools
@@ -236,6 +244,8 @@ class HyperGrid:
             dict(zip(keys, combo))
             for combo in itertools.product(*(self.params[k] for k in keys))
         ]
+        if self.budget is not None and self.budget < 1:
+            raise EmptyGrid(f"budget={self.budget} selects no grid points")
         if self.budget is not None and self.budget < len(pts):
             rng = np.random.default_rng([self.seed, 99])
             idx = np.sort(rng.choice(len(pts), size=self.budget, replace=False))
@@ -299,10 +309,6 @@ def score_grid(points, tuning):
     return table
 
 
-def _select(points, tuning):
-    return pick_best(score_grid(points, tuning))
-
-
 def search_hyperparams(plan, grid, objective):
     """Grid search per outer loop on the plan's validation assignments.
 
@@ -318,7 +324,7 @@ def search_hyperparams(plan, grid, objective):
                 f"outer loop {loop.index} has no validation assignments; "
                 "use a nested protocol"
             )
-        results.append(_select(pts, [(objective, loop.inner)]))
+        results.append(pick_best(score_grid(pts, [(objective, loop.inner)])))
     return results
 
 
@@ -439,23 +445,15 @@ class _LinearRunner(_RunnerBase):
         if key in self._unit_stats:
             return self._unit_stats[key]
         tid, lo, hi = self._unit_bounds(unit)
-        trial = self.trials[tid]
         streams = self.streams[tid]
-        eeg = trial.eeg.samples[lo:hi]
-        target = streams.attended[lo:hi]
-        mask = streams.mask[lo:hi]
-        x = build_lagged(eeg, lags)
+        x = build_lagged(self.trials[tid].eeg.samples[lo:hi], lags)
+        y = streams.attended[lo:hi]
         if target_lags:
-            y = build_lagged(target, target_lags)
-            if not mask.all():
-                x = _masked_design(x, mask)
-                y = _masked_design(y, mask)
-            stats = accumulate([x], [y])
-        else:
-            if not mask.all():
-                x = _masked_design(x, mask)
-                target = target[mask]
-            stats = accumulate([x], [target])
+            y = build_lagged(y, target_lags)
+        mask = streams.mask[lo:hi]
+        if not mask.all():
+            x, y = _masked(x, mask), _masked(y, mask)
+        stats = accumulate([x], [y])
         self._unit_stats[key] = stats
         return stats
 
@@ -482,126 +480,69 @@ class _LinearRunner(_RunnerBase):
 
     # -- evaluation ---------------------------------------------------------
 
-    def _rhos_wf(self, model, design, streams, lo, hi, rows):
-        rec = design.matrix[rows[0] : rows[1]] @ model.w
-        cands = [streams.attended[lo:hi]] + [
-            u[lo:hi] for u in streams.unattended
-        ]
-        return tuple(metrics.pcc(rec, c) for c in cands)
-
-    def _rhos_cca(self, model, design, streams, lo, hi, target_lags, rows):
-        px = design.matrix[rows[0] : rows[1]] @ model.wx
-        cands = [streams.attended[lo:hi]] + [
-            u[lo:hi] for u in streams.unattended
-        ]
-        rhos = []
-        for c in cands:
-            py = build_lagged(c, target_lags).matrix @ model.wy
-            comps = [
-                metrics.pcc(px[:, i], py[:, i])
-                for i in range(px.shape[1])
-            ]
-            rhos.append(float(np.mean(comps)))
-        return tuple(rhos)
-
     def _eval_units(self, model, params, units, collect=False):
+        """Score every valid window; units run in trial order, each lagged
+        with its own zero padding exactly as its training statistics
+        were built (a whole trial is one unit)."""
         lags = int(params["L"])
-        target_lags = int(params.get("L_y", 0) or 0)
         records = []
         curves = {}
         preds = []
-        by_trial = {}
-        for unit in units:
-            tid, _, _ = self._unit_bounds(unit)
-            by_trial.setdefault(tid, []).append(unit)
-        for tid in sorted(by_trial):
+        for unit in sorted(units, key=lambda u: self._unit_bounds(u)[0]):
+            tid, lo, hi = self._unit_bounds(unit)
             trial = self.trials[tid]
             streams = self.streams[tid]
-            segmented = isinstance(by_trial[tid][0], tuple)
-            design = None
-            if not segmented:
-                design = build_lagged(trial.eeg.samples, lags)
-            for unit in by_trial[tid]:
-                for _, w, lo, hi in self._windows(unit):
-                    if not streams.mask[lo:hi].all():
-                        continue
-                    if segmented:
-                        # segments are self-contained: lag with zero padding
-                        # exactly as their training statistics were built
-                        seg_design = build_lagged(
-                            trial.eeg.samples[lo:hi], lags
+            cands = [streams.attended] + streams.unattended
+            px = linear.eeg_components(
+                model, build_lagged(trial.eeg.samples[lo:hi], lags)
+            )
+            for _, w, a, b in self._windows(unit):
+                if not streams.mask[a:b].all():
+                    continue
+                rhos = tuple(
+                    metrics.component_pcc(
+                        px[a - lo : b - lo],
+                        linear.envelope_components(model, c[a:b]),
+                    )
+                    for c in cands
+                )
+                decision = metrics.decide_window(rhos, 0)
+                preds.append(-1 if decision.tie else decision.predicted)
+                if collect:
+                    records.append(
+                        WindowRecord(
+                            trial_id=tid,
+                            window_index=w,
+                            predicted=decision.predicted,
+                            attended=0,
+                            rhos=rhos,
+                            correct=decision.correct,
+                            tie=decision.tie,
                         )
-                        rows = (0, hi - lo)
-                    else:
-                        seg_design = design
-                        rows = (lo, hi)
-                    if self.kind == "wf":
-                        rhos = self._rhos_wf(
-                            model, seg_design, streams, lo, hi, rows
-                        )
-                    else:
-                        rhos = self._rhos_cca(
-                            model, seg_design, streams, lo, hi, target_lags,
-                            rows,
-                        )
-                    decision = metrics.decide_window(rhos, 0)
-                    preds.append(-1 if decision.tie else decision.predicted)
-                    if collect:
-                        records.append(
-                            WindowRecord(
-                                trial_id=tid,
-                                window_index=w,
-                                predicted=decision.predicted,
-                                attended=0,
-                                rhos=rhos,
-                                correct=decision.correct,
-                                tie=decision.tie,
-                            )
-                        )
-            if collect and not segmented:
-                curves[tid] = self._trial_curves(model, design, trial,
-                                                 target_lags)
+                    )
+            if collect and unit == tid:
+                curves[tid] = self._trial_curves(model, px, trial)
         acc, f1 = metrics.classification_metrics(
             np.array(preds), np.zeros(len(preds), dtype=int), 3
         )
         return acc, f1, records, curves
 
-    def _trial_curves(self, model, design, trial, target_lags):
+    def _trial_curves(self, model, px, trial):
         """Per-speaker time-PCC curves over the whole trial."""
         speakers = sorted(trial.speakers, key=lambda s: s.speaker_id)
         labels = tuple(f"spk{s.speaker_id}" for s in speakers)
-        if self.kind == "wf":
-            rec = design.matrix @ model.w
-            curve = metrics.time_pcc_curve(
-                rec,
-                [s.envelope for s in speakers],
-                self.fs,
-                self.time_pcc_seg_s,
-            )
-            return labels, curve
-        px = design.matrix @ model.wx
-        seg_len = int(round(self.time_pcc_seg_s * self.fs))
-        n_seg = px.shape[0] // seg_len
-        curve = np.empty((n_seg, len(speakers)))
-        for j, s in enumerate(speakers):
-            py = build_lagged(s.envelope, target_lags).matrix @ model.wy
-            for i in range(n_seg):
-                sl = slice(i * seg_len, (i + 1) * seg_len)
-                comps = [
-                    metrics.pcc(px[sl, k], py[sl, k])
-                    for k in range(px.shape[1])
-                ]
-                curve[i, j] = float(np.mean(comps))
+        curve = metrics.time_pcc_curve(
+            px,
+            [linear.envelope_components(model, s.envelope) for s in speakers],
+            self.fs,
+            self.time_pcc_seg_s,
+        )
         return labels, curve
 
     def _channel_stats(self, model, params):
-        if self.kind == "wf":
-            cw = linear.channel_weight_stats(model.w, model.lags,
-                                             model.channels)
-        else:
-            lags = int(params["L"])
-            channels = model.wx.shape[0] // lags
-            cw = linear.channel_weight_stats(model.wx[:, 0], lags, channels)
+        w = model.w if self.kind == "wf" else model.wx[:, 0]
+        lags = int(params["L"])
+        cw = linear.channel_weight_stats(w, lags, w.shape[0] // lags)
         return {"channel_max_abs": cw.max_abs, "channel_mean_sq": cw.mean_sq}
 
 
@@ -702,8 +643,12 @@ class _ClassifierRunner(_RunnerBase):
         return acc, f1, records, {}
 
 
-def _masked_design(design, mask):
-    return LaggedDesign(design.matrix[mask], design.lags, design.channels)
+def _masked(a, mask):
+    """Rows of a lagged design, or samples of a vector, where ``mask``
+    holds."""
+    if isinstance(a, LaggedDesign):
+        return LaggedDesign(a.matrix[mask], a.lags, a.channels)
+    return a[mask]
 
 
 def _make_runner(session, model_kind, plan, window_s, time_pcc_seg_s):
@@ -722,7 +667,7 @@ def _loop_params(points, runners, loop_index):
     if len(points) == 1:
         return dict(points[0])
     tuning = [(r.score, r.tuning_assignments(loop_index)) for r in runners]
-    return dict(_select(points, tuning)[0])
+    return dict(pick_best(score_grid(points, tuning))[0])
 
 
 def _report(runner, params_for, jobs):
@@ -778,10 +723,11 @@ def run_pipeline(session, model_kind, plan, grid, window_s, *,
 
 def run_pipeline_group(sessions, model_kind, protocol, window_s, grid, *,
                        n_folds=None, seed=0, segment_s=None,
-                       time_pcc_seg_s=1.0):
+                       time_pcc_seg_s=1.0, jobs=1):
     """Group-level tuning: one parameter set per outer loop, selected by
     the unweighted mean of the per-session validation accuracies, then
-    applied to every session's final fit."""
+    applied to every session's final fit (``jobs`` outer loops of a
+    session at a time, as in ``run_pipeline``)."""
     plans = [
         make_folds(s.trials, protocol, n_folds, seed, segment_s=segment_s)
         for s in sessions
@@ -800,7 +746,7 @@ def run_pipeline_group(sessions, model_kind, protocol, window_s, grid, *,
     selected = [
         _loop_params(points, runners, i) for i in range(n_outer.pop())
     ]
-    reports = [_report(r, lambda i: dict(selected[i]), 1) for r in runners]
+    reports = [_report(r, lambda i: dict(selected[i]), jobs) for r in runners]
     return reports, selected
 
 

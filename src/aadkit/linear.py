@@ -1,13 +1,20 @@
 """Envelope reconstruction decoders: ridge-regularized Wiener filter and
-regularized CCA, plus per-channel statistics of the fitted weights."""
+regularized CCA, their paired EEG/envelope projections, plus per-channel
+statistics of the fitted weights.
+
+Both decoders are scored the same way: ``eeg_components`` and
+``envelope_components`` give paired (T, k) projections and
+``metrics.component_pcc`` averages their column correlations. The Wiener
+filter is the one-component case, with the identity on the envelope side.
+"""
 
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from .design import build_lagged
 from .errors import DimensionMismatch
-from .metrics import pcc
 from .numerics import solve_regularized, spd_function, svd
 
 
@@ -63,29 +70,34 @@ def cca_fit(stats, reg, n_components):
     return CcaModel(wx=wx, wy=wy, correlations=corr, reg=float(reg))
 
 
-def cca_score(x, y, model):
-    """Mean correlation between paired projections of EEG and a candidate.
+def eeg_components(model, x):
+    """EEG-side components (T, k) of a lagged design.
 
-    Averaging over components keeps the score in [-1, 1]; rankings are
-    identical to the summed-component form.
+    A Wiener filter gives its reconstruction as the single column; CCA
+    gives one column per canonical component.
     """
-    if x.matrix.shape[1] != model.wx.shape[0]:
-        raise DimensionMismatch("EEG design does not match model")
-    if y.matrix.shape[1] != model.wy.shape[0]:
-        raise DimensionMismatch("candidate design does not match model")
-    px = x.matrix @ model.wx
-    py = y.matrix @ model.wy
-    n = model.wx.shape[1]
-    return float(np.mean([pcc(px[:, i], py[:, i]) for i in range(n)]))
-
-
-def wf_predict(x, model):
-    """Reconstruction X_lag @ w for a lagged design."""
-    if x.matrix.shape[1] != model.w.shape[0]:
+    wf = isinstance(model, WfModel)
+    weights = model.w if wf else model.wx
+    if x.matrix.shape[1] != weights.shape[0]:
         raise DimensionMismatch(
-            f"design width {x.matrix.shape[1]} != weights {model.w.shape[0]}"
+            f"design width {x.matrix.shape[1]} != weights {weights.shape[0]}"
         )
-    return x.matrix @ model.w
+    # w stays 1-D: an (n, 1) matrix product does not round like a
+    # matrix-vector product
+    out = x.matrix @ weights
+    return out[:, None] if wf else out
+
+
+def envelope_components(model, envelope):
+    """Envelope-side components (T, k) paired with ``eeg_components``.
+
+    A Wiener filter compares its reconstruction with the envelope itself;
+    CCA lags the envelope with ``wy``'s lag count and projects it.
+    """
+    envelope = np.asarray(envelope, dtype=np.float64)
+    if isinstance(model, WfModel):
+        return envelope.reshape(-1, 1)
+    return build_lagged(envelope, model.wy.shape[0]).matrix @ model.wy
 
 
 class ChannelWeightStats(NamedTuple):

@@ -77,18 +77,41 @@ def classification_metrics(predictions, labels, n_classes):
     return accuracy, float(np.mean(f1s))
 
 
+def component_pcc(a, b):
+    """Mean Pearson correlation of the paired columns of two (T, k) arrays.
+
+    One column gives its ``pcc`` exactly. Averaging over components keeps
+    the score in [-1, 1].
+    """
+    a = np.asarray(a)
+    b = np.asarray(b)
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
+        raise LengthMismatch(
+            f"component arrays differ: {a.shape} vs {b.shape}"
+        )
+    rhos = [pcc(a[:, i], b[:, i]) for i in range(a.shape[1])]
+    return rhos[0] if len(rhos) == 1 else float(np.mean(rhos))
+
+
+def _as_components(x):
+    x = np.asarray(x, dtype=np.float64)
+    return x[:, None] if x.ndim == 1 else x
+
+
 def time_pcc_curve(reconstructed, candidates, fs, seg_s):
     """Correlation per non-overlapping segment against each candidate.
 
-    Returns an (n_segments, n_candidates) array; an incomplete tail
-    segment is dropped.
+    ``reconstructed`` and the candidates are 1-D signals or (T, k)
+    component arrays, scored with ``component_pcc``. Returns an
+    (n_segments, n_candidates) array; an incomplete tail segment is
+    dropped.
     """
-    reconstructed = np.asarray(reconstructed, dtype=np.float64).ravel()
+    reconstructed = _as_components(reconstructed)
     if seg_s <= 0:
         raise ValueError("seg_s must be positive")
     seg_len = int(round(seg_s * fs))
     n_seg = reconstructed.shape[0] // seg_len
-    cands = [np.asarray(c, dtype=np.float64).ravel() for c in candidates]
+    cands = [_as_components(c) for c in candidates]
     for c in cands:
         if c.shape[0] != reconstructed.shape[0]:
             raise LengthMismatch("candidate length differs from reconstruction")
@@ -97,7 +120,7 @@ def time_pcc_curve(reconstructed, candidates, fs, seg_s):
         lo, hi = i * seg_len, (i + 1) * seg_len
         rec = reconstructed[lo:hi]
         for j, c in enumerate(cands):
-            out[i, j] = pcc(rec, c[lo:hi])
+            out[i, j] = component_pcc(rec, c[lo:hi])
     return out
 
 

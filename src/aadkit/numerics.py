@@ -57,22 +57,6 @@ def spd_tolerance(a):
     return SPD_RTOL * abs(float(np.trace(a))) / n
 
 
-def check_spd(a, name="matrix"):
-    """Validate symmetry and positive definiteness; returns the eigenpairs.
-
-    Raises NotSpd when the smallest eigenvalue is at or below
-    ``spd_tolerance(a)``.
-    """
-    a = _check_square_symmetric(a, name)
-    pairs = sym_eig(a)
-    if pairs.values[-1] <= spd_tolerance(a):
-        raise NotSpd(
-            f"{name} is not positive definite "
-            f"(min eigenvalue {pairs.values[-1]:.3e})"
-        )
-    return pairs
-
-
 def solve_regularized(a, b, lam):
     """Solve (a + lam*I) x = b for symmetric PSD ``a``.
 

@@ -91,6 +91,20 @@ class TestRun:
         assert r.returncode == 2
         assert r.stderr.startswith("error: config:")
 
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_grid_budget_below_one_exit_2(self, session_dir, tmp_path,
+                                          budget):
+        _, sess = session_dir
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"lam": [0.1, 10.0], "L": [8],
+                                    "budget": budget}))
+        r = run_cli("run", "--manifest", str(sess / "manifest.json"),
+                    "--model", "wf", "--protocol", "loto", "--window", "30",
+                    "--grid", str(grid), "--out", str(tmp_path / "o"))
+        assert r.returncode == 2
+        assert r.stderr.startswith("error: config:")
+        assert "Traceback" not in r.stderr
+
     def test_missing_manifest_exit_4(self, tmp_path):
         r = run_cli("run", "--manifest", str(tmp_path / "absent.json"),
                     "--model", "wf", "--protocol", "loto", "--window", "30",
@@ -351,6 +365,22 @@ class TestPreprocessEnvelope:
         assert fs == 40.0
         assert env.shape[0] == 40
         assert np.all(env >= 0)
+
+    def test_irrational_rate_exit_4(self, tmp_path, rng):
+        import wave
+
+        p = tmp_path / "x.wav"
+        samples = (rng.uniform(-0.4, 0.4, 16000) * 32767).astype(np.int16)
+        with wave.open(str(p), "wb") as fh:
+            fh.setnchannels(1)
+            fh.setsampwidth(2)
+            fh.setframerate(16000)
+            fh.writeframes(samples.tobytes())
+        r = run_cli("envelope", "--audio", str(p), "--out",
+                    str(tmp_path / "env.aad"), "--to-fs", "39.9999")
+        assert r.returncode == 4
+        assert r.stderr.startswith("error: data:")
+        assert "Traceback" not in r.stderr
 
 
 class TestConvert:

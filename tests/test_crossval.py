@@ -107,6 +107,12 @@ class TestHyperGrid:
             {"lam": list(range(20))}, budget=5, seed=3
         ).points()
 
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_budget_below_one(self, budget):
+        g = crossval.HyperGrid({"lam": [0.1, 1.0], "L": [4]}, budget=budget)
+        with pytest.raises(EmptyGrid):
+            g.points()
+
     def test_empty_grid(self):
         with pytest.raises(EmptyGrid):
             crossval.HyperGrid({}).points()
@@ -353,6 +359,29 @@ class TestRunPipeline:
         for rep in reports:
             assert [f.params for f in rep.folds] == selected
 
+    def test_group_jobs_parallel_same_result(self):
+        sessions = [synth(n_trials=8, n_channels=3, seed=s) for s in (1, 2)]
+        grid = crossval.HyperGrid({"lam": [0.1, 10.0], "L": [6]})
+        runs = [
+            crossval.run_pipeline_group(
+                sessions, "wf", "nested_loto", 10.0, grid, n_folds=4,
+                seed=0, jobs=jobs,
+            )
+            for jobs in (1, 3)
+        ]
+        (serial, sel1), (parallel, sel3) = runs
+        assert sel1 == sel3
+        for a, b in zip(serial, parallel):
+            assert [f.model_bytes for f in a.folds] == [
+                f.model_bytes for f in b.folds
+            ]
+            assert a.windows == b.windows
+            assert a.time_pcc.keys() == b.time_pcc.keys()
+            for tid in a.time_pcc:
+                assert a.time_pcc[tid][0] == b.time_pcc[tid][0]
+                assert np.array_equal(a.time_pcc[tid][1], b.time_pcc[tid][1])
+            assert (a.accuracy, a.n_excluded) == (b.accuracy, b.n_excluded)
+
     def test_group_one_point_grid_fits_once_per_loop(self, monkeypatch):
         sessions = [synth(n_trials=8, n_channels=3, seed=s) for s in (1, 2)]
         calls = []
@@ -425,3 +454,113 @@ class TestAblation:
             for rep in reports.values()
         ]
         assert h[0] != h[1]
+
+
+def _lag_oracle(x, lags):
+    """Column c*L + l holds x_c(t - l), zero before the first sample."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim == 1:
+        x = x[:, None]
+    t_len, n_ch = x.shape
+    out = np.zeros((t_len, n_ch, lags))
+    for lag in range(lags):
+        out[lag:, :, lag] = x[: t_len - lag]
+    return out.reshape(t_len, n_ch * lags)
+
+
+def _pcc_oracle(a, b):
+    a = a - a.mean()
+    b = b - b.mean()
+    den = np.sqrt((a @ a) * (b @ b))
+    return 0.0 if den == 0 else float((a @ b) / den)
+
+
+class TestLinearWindowRhos:
+    """Window correlations of the envelope decoders against a direct
+    computation: a within_trial segment is lagged on its own with zero
+    padding, a whole trial is lagged once; CCA lags every candidate per
+    window."""
+
+    PARAMS = {
+        "wf": {"lam": 1.0, "L": 6},
+        "cca": {"reg": 1.0, "L": 6, "L_y": 4, "n_components": 2},
+    }
+
+    @pytest.mark.parametrize("kind", ["wf", "cca"])
+    @pytest.mark.parametrize("protocol,kw", [
+        ("within_trial", {"segment_s": 10.0}),
+        ("loto", {}),
+    ])
+    def test_rhos_match_direct_computation(self, monkeypatch, kind,
+                                           protocol, kw):
+        cfg = dataio.SynthConfig(
+            n_trials=6, duration_s=30.0, n_channels=3, seed=14,
+            tasks=[1, 4, 1, 4, 1, 1],
+            switch_times=[None, 15.0, None, 15.0, None, None],
+        )
+        session = dataio.synth_generate(cfg)
+        plan = crossval.make_folds(session.trials, protocol, 3, seed=0, **kw)
+        params = self.PARAMS[kind]
+        fitted = []
+        fit_name = "wf_fit" if kind == "wf" else "cca_fit"
+        real_fit = getattr(linear, fit_name)
+
+        def recording_fit(*args, **kwargs):
+            fitted.append(real_fit(*args, **kwargs))
+            return fitted[-1]
+
+        monkeypatch.setattr(linear, fit_name, recording_fit)
+        report = crossval.run_pipeline(session, kind, plan, None, 10.0,
+                                       fixed_params=params)
+        assert len(fitted) == len(plan.outer)
+
+        trials = {t.trial_id: t for t in session.trials}
+        win = int(10.0 * session.fs)
+        want = {}
+        for loop, model in zip(plan.outer, fitted):
+            for unit in loop.test:
+                if protocol == "within_trial":
+                    tid, k = unit
+                    spans = [(k, k * win)]
+                    x = None
+                else:
+                    tid = unit
+                    n_win = trials[tid].eeg.n_samples // win
+                    spans = [(w, w * win) for w in range(n_win)]
+                    x = _lag_oracle(trials[tid].eeg.samples, params["L"])
+                streams = dataio.build_attended_streams(trials[tid])
+                cands = [streams.attended] + list(streams.unattended)
+                for w, lo in spans:
+                    hi = lo + win
+                    if not streams.mask[lo:hi].all():
+                        continue
+                    if x is None:
+                        rows = _lag_oracle(trials[tid].eeg.samples[lo:hi],
+                                           params["L"])
+                    else:
+                        rows = x[lo:hi]
+                    if kind == "wf":
+                        rec = rows @ model.w
+                        rhos = [_pcc_oracle(rec, c[lo:hi]) for c in cands]
+                    else:
+                        px = rows @ model.wx
+                        rhos = []
+                        for c in cands:
+                            py = _lag_oracle(c[lo:hi], params["L_y"])
+                            py = py @ model.wy
+                            rhos.append(np.mean([
+                                _pcc_oracle(px[:, i], py[:, i])
+                                for i in range(px.shape[1])
+                            ]))
+                    want[(loop.index, tid, w)] = rhos
+
+        got = {}
+        records = iter(report.windows)
+        for fold in report.folds:
+            for _ in range(fold.n_windows):
+                r = next(records)
+                got[(fold.fold_index, r.trial_id, r.window_index)] = r.rhos
+        assert sorted(got) == sorted(want)
+        assert report.n_excluded > 0
+        for key, rhos in want.items():
+            assert np.allclose(got[key], rhos, rtol=0, atol=1e-10), key

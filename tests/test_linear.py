@@ -4,7 +4,7 @@ import pytest
 from aadkit import linear
 from aadkit.design import accumulate, build_lagged
 from aadkit.errors import DimensionMismatch
-from aadkit.metrics import pcc
+from aadkit.metrics import component_pcc, pcc
 
 
 def lag_matrix_oracle(x, lags):
@@ -26,7 +26,8 @@ class TestWfFit:
         stats = accumulate([d], [y])
         model = linear.wf_fit(stats, 0.0)
         assert model.w == pytest.approx([1.0])
-        assert pcc(linear.wf_predict(d, model), y) == pytest.approx(1.0)
+        rec = linear.eeg_components(model, d)[:, 0]
+        assert pcc(rec, y) == pytest.approx(1.0)
 
     def test_shrinkage_bound(self, rng):
         x = rng.standard_normal((200, 3))
@@ -82,17 +83,23 @@ class TestWfFit:
 
 
 class TestWfPredict:
+    """The Wiener filter's reconstruction is its one EEG-side component;
+    its envelope side is the envelope itself."""
+
     def test_zero_eeg(self, rng):
         d = build_lagged(np.zeros((50, 2)), 3)
         model = linear.WfModel(rng.standard_normal(6), 0.0, 3, 2)
-        assert np.all(linear.wf_predict(d, model) == 0)
+        got = linear.eeg_components(model, d)
+        assert got.shape == (50, 1)
+        assert np.all(got == 0)
 
     def test_one_hot_selects_column(self, rng):
         d = build_lagged(rng.standard_normal((30, 2)), 4)
         w = np.zeros(8)
         w[5] = 1.0
         model = linear.WfModel(w, 0.0, 4, 2)
-        assert np.array_equal(linear.wf_predict(d, model), d.matrix[:, 5])
+        got = linear.eeg_components(model, d)
+        assert np.array_equal(got[:, 0], d.matrix[:, 5])
 
     def test_scalar_loop_oracle(self, rng):
         x = rng.standard_normal((40, 3))
@@ -100,7 +107,7 @@ class TestWfPredict:
         w = rng.standard_normal(12)
         d = build_lagged(x, lags)
         model = linear.WfModel(w, 0.0, lags, 3)
-        got = linear.wf_predict(d, model)
+        got = linear.eeg_components(model, d)[:, 0]
         ref = np.zeros(40)
         for t in range(40):
             for c in range(3):
@@ -109,11 +116,24 @@ class TestWfPredict:
                         ref[t] += x[t - l, c] * w[c * lags + l]
         assert np.allclose(got, ref, atol=1e-12)
 
+    def test_matches_matrix_vector_product(self, rng):
+        d = build_lagged(rng.standard_normal((60, 3)), 5)
+        model = linear.WfModel(rng.standard_normal(15), 0.0, 5, 3)
+        got = linear.eeg_components(model, d)
+        assert np.array_equal(got[:, 0], d.matrix @ model.w)
+
+    def test_envelope_side_is_identity(self, rng):
+        env = rng.standard_normal(40)
+        model = linear.WfModel(np.zeros(6), 0.0, 3, 2)
+        got = linear.envelope_components(model, env)
+        assert got.shape == (40, 1)
+        assert np.array_equal(got[:, 0], env)
+
     def test_dimension_mismatch(self, rng):
         d = build_lagged(rng.standard_normal((30, 2)), 4)
         model = linear.WfModel(np.zeros(6), 0.0, 3, 2)
         with pytest.raises(DimensionMismatch):
-            linear.wf_predict(d, model)
+            linear.eeg_components(model, d)
 
 
 def cca_stats(rng, t_len, n_ch, lags, y_lags, y=None):
@@ -163,6 +183,14 @@ class TestCcaFit:
         assert np.max(np.abs(c1 - c2)) < 1e-6
 
 
+def cca_score(xd, envelope, model):
+    """Window score of a candidate envelope under a CCA model."""
+    return component_pcc(
+        linear.eeg_components(model, xd),
+        linear.envelope_components(model, envelope),
+    )
+
+
 class TestCcaScore:
     def test_training_candidate_dominates_noise(self, rng):
         t_len = 500
@@ -171,10 +199,8 @@ class TestCcaScore:
         xd = build_lagged(x, 2)
         stats = accumulate([xd], [build_lagged(y, 2)])
         model = linear.cca_fit(stats, 0.0, 2)
-        s_true = linear.cca_score(xd, build_lagged(y, 2), model)
-        s_noise = linear.cca_score(
-            xd, build_lagged(rng.standard_normal(t_len), 2), model
-        )
+        s_true = cca_score(xd, y, model)
+        s_noise = cca_score(xd, rng.standard_normal(t_len), model)
         assert s_true >= s_noise
 
     def test_single_component_equals_pcc(self, rng):
@@ -182,23 +208,35 @@ class TestCcaScore:
         model = linear.cca_fit(stats, 0.1, 1)
         xd = build_lagged(x, 2)
         yd = build_lagged(y, 3)
-        got = linear.cca_score(xd, yd, model)
+        got = cca_score(xd, y, model)
         want = pcc(xd.matrix @ model.wx[:, 0], yd.matrix @ model.wy[:, 0])
         assert got == pytest.approx(want)
+
+    def test_components_are_lagged_projections(self, rng):
+        stats, x, y = cca_stats(rng, 200, 3, 2, 4)
+        model = linear.cca_fit(stats, 0.1, 2)
+        xd = build_lagged(x, 2)
+        px = linear.eeg_components(model, xd)
+        py = linear.envelope_components(model, y)
+        assert px.shape == py.shape == (200, 2)
+        assert np.array_equal(px, xd.matrix @ model.wx)
+        assert np.array_equal(py, build_lagged(y, 4).matrix @ model.wy)
 
     def test_argmax_invariant_to_candidate_scaling(self, rng):
         stats, x, y = cca_stats(rng, 300, 2, 2, 2)
         model = linear.cca_fit(stats, 0.1, 2)
         xd = build_lagged(x, 2)
         cands = [y, rng.standard_normal(300), rng.standard_normal(300)]
-        scores = [
-            linear.cca_score(xd, build_lagged(c, 2), model) for c in cands
-        ]
-        scaled = [
-            linear.cca_score(xd, build_lagged(3.7 * c, 2), model)
-            for c in cands
-        ]
+        scores = [cca_score(xd, c, model) for c in cands]
+        scaled = [cca_score(xd, 3.7 * c, model) for c in cands]
         assert np.argmax(scores) == np.argmax(scaled)
+
+    def test_dimension_mismatch(self, rng):
+        stats, _, _ = cca_stats(rng, 100, 2, 3, 2)
+        model = linear.cca_fit(stats, 0.1, 1)
+        with pytest.raises(DimensionMismatch):
+            linear.eeg_components(model, build_lagged(
+                rng.standard_normal((100, 2)), 4))
 
 
 class TestChannelWeightStats:

@@ -120,6 +120,53 @@ class TestTimePcc:
         curve = metrics.time_pcc_curve(rec, [rec], fs, 2.5)
         assert curve.shape[0] * 2.5 <= len(rec) / fs
 
+    def test_component_arrays(self, rng):
+        fs, seg_s = 10.0, 2.0
+        rec = rng.standard_normal((75, 2))
+        cands = [rng.standard_normal((75, 2)) for _ in range(3)]
+        curve = metrics.time_pcc_curve(rec, cands, fs, seg_s)
+        assert curve.shape == (3, 3)
+        for i in range(3):
+            sl = slice(i * 20, (i + 1) * 20)
+            for j, c in enumerate(cands):
+                want = np.mean([metrics.pcc(rec[sl, k], c[sl, k])
+                                for k in range(2)])
+                assert curve[i, j] == pytest.approx(want, abs=1e-15)
+
+    def test_one_column_equals_vector(self, rng):
+        rec = rng.standard_normal(120)
+        cands = [rng.standard_normal(120) for _ in range(2)]
+        flat = metrics.time_pcc_curve(rec, cands, 40.0, 1.0)
+        cols = metrics.time_pcc_curve(rec[:, None],
+                                      [c[:, None] for c in cands], 40.0, 1.0)
+        assert np.array_equal(flat, cols)
+
+    def test_length_mismatch(self, rng):
+        with pytest.raises(LengthMismatch):
+            metrics.time_pcc_curve(rng.standard_normal((40, 2)),
+                                   [rng.standard_normal((39, 2))], 10.0, 1.0)
+
+
+class TestComponentPcc:
+    def test_mean_of_column_pccs(self, rng):
+        a = rng.standard_normal((50, 3))
+        b = rng.standard_normal((50, 3))
+        want = np.mean([metrics.pcc(a[:, i], b[:, i]) for i in range(3)])
+        assert metrics.component_pcc(a, b) == pytest.approx(want, abs=1e-15)
+
+    def test_one_column_is_pcc_exactly(self, rng):
+        a = rng.standard_normal((50, 1))
+        b = rng.standard_normal((50, 1))
+        assert metrics.component_pcc(a, b) == metrics.pcc(a, b)
+
+    def test_column_count_mismatch(self, rng):
+        with pytest.raises(LengthMismatch):
+            metrics.component_pcc(rng.standard_normal((20, 2)),
+                                  rng.standard_normal((20, 3)))
+        with pytest.raises(LengthMismatch):
+            metrics.component_pcc(rng.standard_normal(20),
+                                  rng.standard_normal(20))
+
 
 class TestCrossover:
     def test_synthetic_step(self):
