@@ -1,13 +1,20 @@
 """Command line interface.
 
 Subcommands: synth, convert-dataset, preprocess, envelope, run, ablate,
-track. Commands take flags plus an optional --config JSON file; flags
-override config-file fields. Exit codes: 0 success, 2 configuration
-error, 3 I/O error (synth, envelope), 4 data error, 5 numerical failure.
-Errors go to stderr with a machine-parsable category prefix.
+track. ``run``, ``ablate`` and ``track`` share one front half. Their
+settings (model, protocol, window, grid, seed, channels, folds, jobs, plus
+group_tuning for run and segment for track) each have one flag and one
+field of the optional --config JSON file; a flag overrides the field, and
+a field's value is converted as if it were typed after the flag. What
+neither sets takes its default: seed 0, jobs 1, and for track protocol
+loto, a 30 s window and 1 s segments. --manifest, --out and --layouts are
+flags only. Exit codes: 0 success, 2 configuration error, 3 I/O error
+(synth, envelope), 4 data error, 5 numerical failure. Errors go to stderr
+with a machine-parsable category prefix.
 """
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -17,17 +24,11 @@ import numpy as np
 from . import crossval, dataio, envelope as envmod, preprocess
 from .errors import (
     AadError,
-    BadChannelIndex,
     BadConfig,
     BadProtocolConfig,
-    BadLag,
-    DegenerateClass,
-    DimensionMismatch,
     EmptyGrid,
     InvalidBand,
     IoError,
-    IrrationalRatio,
-    LengthMismatch,
     ManifestError,
     NonConvergence,
     NotSpd,
@@ -39,9 +40,6 @@ from .errors import (
 
 _CONFIG_ERRORS = (BadConfig, BadProtocolConfig, EmptyGrid, InvalidBand,
                   UnknownTask)
-_DATA_ERRORS = (ManifestError, ShapeMismatch, BadChannelIndex, BadLag,
-                DimensionMismatch, LengthMismatch, DegenerateClass,
-                IrrationalRatio, IoError)
 _NUMERIC_ERRORS = (SingularSystem, NonConvergence, NotSpd, SingularScatter)
 
 
@@ -57,76 +55,139 @@ def _classify(exc, io_code=4):
         return _fail("numeric", exc, 5)
     if isinstance(exc, IoError):
         return _fail("io", exc, io_code)
-    if isinstance(exc, _DATA_ERRORS):
-        return _fail("data", exc, 4)
     return _fail("data", exc, 4)
 
 
-def _merge_config(args, keys):
-    """Overlay config-file fields under explicitly passed flags."""
-    if not getattr(args, "config", None):
-        return args
-    try:
-        raw = json.loads(Path(args.config).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise BadConfig(f"config: {exc}") from exc
-    for key, value in raw.items():
-        attr = key.replace("-", "_")
-        if attr not in keys:
-            raise BadConfig(f"{key}: unknown config field")
-        if getattr(args, attr, None) is None:
-            setattr(args, attr, value)
-    return args
+def _switch(text):
+    """Converter of an on/off setting given in a config file."""
+    if text not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {text!r}")
+    return text == "true"
 
 
-def _load_grid(args, model):
-    if getattr(args, "grid", None):
+# setting -> (converter, default); the flags of run, ablate and track and
+# the config fields they accept are both built from this table
+_SETTINGS = {
+    "model": (str, None),
+    "protocol": (str, None),
+    "window": (float, None),
+    "grid": (str, None),
+    "seed": (int, 0),
+    "channels": (str, None),
+    "folds": (int, None),
+    "jobs": (int, 1),
+}
+_COMMAND_SETTINGS = {
+    "run": {**_SETTINGS, "group_tuning": (_switch, False)},
+    "ablate": _SETTINGS,
+    "track": {**_SETTINGS, "protocol": (str, "loto"),
+              "window": (float, 30.0), "segment": (float, 1.0)},
+}
+_HELP = {
+    "grid": "hyperparameter grid JSON",
+    "channels": "layout preset or comma-separated names",
+    "segment": "curve resolution in seconds",
+}
+
+
+def _settings(args):
+    """Fill the settings no flag set from --config, then from the
+    defaults, and check the model, protocol and window."""
+    table = _COMMAND_SETTINGS[args.command]
+    if args.config:
         try:
-            raw = json.loads(Path(args.grid).read_text())
+            raw = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
-            raise BadConfig(f"grid: {exc}") from exc
-        budget = raw.pop("budget", None)
-        gseed = raw.pop("seed", args.seed or 0)
-        for key, values in raw.items():
-            if not isinstance(values, list):
-                raise BadConfig(f"grid: {key} must map to a list")
-        return crossval.HyperGrid(raw, budget=budget, seed=gseed)
-    return crossval.default_grid(model)
-
-
-def _parse_channels(spec):
-    if spec is None:
-        return None
-    if spec in crossval.LAYOUTS:
-        return crossval.LAYOUTS[spec]
-    return tuple(c.strip() for c in spec.split(",") if c.strip())
-
-
-def _prepared_session(args):
-    manifest = args.manifest
-    if isinstance(manifest, (list, tuple)):
-        if len(manifest) != 1:
-            raise BadConfig("manifest: this command takes exactly one manifest")
-        manifest = manifest[0]
-    session = dataio.load_session(manifest)
-    if not session.preprocessed:
-        raise ManifestError(
-            f"{manifest}: session is not preprocessed; run the "
-            "preprocess command first"
-        )
-    channels = _parse_channels(args.channels)
-    if channels:
-        session = crossval.restrict_session(session, channels)
-    return session
-
-
-def _run_defaults(args):
+            raise BadConfig(f"config: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise BadConfig("config: need a JSON object")
+        for key, value in raw.items():
+            name = key.replace("-", "_")
+            if name not in table:
+                raise BadConfig(f"{key}: unknown config field")
+            if getattr(args, name) is not None:
+                continue
+            # convert the value as it would be typed after the flag
+            text = value if isinstance(value, str) else json.dumps(value)
+            try:
+                setattr(args, name, table[name][0](text))
+            except ValueError as exc:
+                raise BadConfig(f"{key}: {exc}") from exc
+    for name, (_, default) in table.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
     if args.model not in crossval.MODEL_KINDS:
         raise BadConfig(f"model: unknown model {args.model!r}")
     if args.protocol not in crossval.PROTOCOLS:
         raise BadConfig(f"protocol: unknown protocol {args.protocol!r}")
     if args.window is None or args.window <= 0:
         raise BadConfig("window: must be positive")
+
+
+def _load_grid(args):
+    if args.grid:
+        try:
+            raw = json.loads(Path(args.grid).read_text())
+        except (OSError, json.JSONDecodeError) as exc:
+            raise BadConfig(f"grid: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise BadConfig("grid: need a JSON object")
+        budget = raw.pop("budget", None)
+        gseed = raw.pop("seed", args.seed)
+        for key, value in (("budget", budget), ("seed", gseed)):
+            # bool is an int subclass; JSON true is not a count or a seed
+            if value is not None and type(value) is not int:
+                raise BadConfig(f"grid: {key} must be an integer")
+        for key, values in raw.items():
+            if not isinstance(values, list):
+                raise BadConfig(f"grid: {key} must map to a list")
+        return crossval.HyperGrid(raw, budget=budget, seed=gseed)
+    return crossval.default_grid(args.model)
+
+
+def _sessions(args, many=False):
+    """Yield the preprocessed --manifest sessions, cut to --channels."""
+    if not many and len(args.manifest) != 1:
+        raise BadConfig("manifest: this command takes exactly one manifest")
+    channels = ()
+    if args.channels in crossval.LAYOUTS:
+        channels = crossval.LAYOUTS[args.channels]
+    elif args.channels:
+        channels = tuple(
+            c.strip() for c in args.channels.split(",") if c.strip()
+        )
+    for manifest in args.manifest:
+        session = dataio.load_session(manifest)
+        if not session.preprocessed:
+            raise ManifestError(
+                f"{manifest}: session is not preprocessed; run the "
+                "preprocess command first"
+            )
+        if channels:
+            session = crossval.restrict_session(session, channels)
+        yield session
+
+
+def _plan_args(args):
+    """``make_folds`` arguments after the trials; within_trial cuts each
+    trial into window-long segments."""
+    within = args.protocol == "within_trial"
+    return dict(protocol=args.protocol, n_folds=args.folds, seed=args.seed,
+                segment_s=args.window if within else None)
+
+
+def _run_like(command):
+    """Resolve the settings, then map the command's errors to exit codes."""
+    @functools.wraps(command)
+    def wrapped(args):
+        try:
+            _settings(args)
+            return command(args)
+        except AadError as exc:
+            return _classify(exc)
+        except OSError as exc:
+            return _fail("io", exc, 4)
+    return wrapped
 
 
 def _summary_line(report):
@@ -145,9 +206,6 @@ def _summary_line(report):
 def cmd_synth(args):
     try:
         cfg = dataio.load_synth_config(args.config)
-    except BadConfig as exc:
-        return _fail("config", exc, 2)
-    try:
         session = dataio.synth_generate(cfg)
         dataio.save_session(session, args.out)
     except BadConfig as exc:
@@ -158,140 +216,90 @@ def cmd_synth(args):
     return 0
 
 
+@_run_like
 def cmd_run(args):
-    try:
-        args = _merge_config(
-            args,
-            {"model", "protocol", "window", "grid", "seed", "channels",
-             "folds", "jobs", "out", "group_tuning", "manifest"},
+    grid = _load_grid(args)
+    if args.group_tuning and len(args.manifest) > 1:
+        sessions = list(_sessions(args, many=True))
+        reports, _ = crossval.run_pipeline_group(
+            sessions, args.model, window_s=args.window, grid=grid,
+            jobs=args.jobs, **_plan_args(args),
         )
-        if args.seed is None:
-            args.seed = 0
-        _run_defaults(args)
-        grid = _load_grid(args, args.model)
-        manifests = args.manifest
-        if args.group_tuning and len(manifests) > 1:
-            sessions = []
-            for m in manifests:
-                a = argparse.Namespace(manifest=m, channels=args.channels)
-                sessions.append(_prepared_session(a))
-            segment_s = args.window if args.protocol == "within_trial" else None
-            reports, _ = crossval.run_pipeline_group(
-                sessions, args.model, args.protocol, args.window, grid,
-                n_folds=args.folds, seed=args.seed, segment_s=segment_s,
-                jobs=args.jobs or 1,
-            )
-            for session, report in zip(sessions, reports):
-                out = Path(args.out) / session.subject
-                dataio.export_results(report, out)
-                print(_summary_line(report))
-            return 0
-        for m in manifests:
-            a = argparse.Namespace(manifest=m, channels=args.channels)
-            session = _prepared_session(a)
-            segment_s = args.window if args.protocol == "within_trial" else None
-            plan = crossval.make_folds(
-                session.trials, args.protocol, args.folds, args.seed,
-                segment_s=segment_s,
-            )
-            report = crossval.run_pipeline(
-                session, args.model, plan, grid, args.window,
-                jobs=args.jobs or 1,
-            )
-            out = Path(args.out)
-            if len(manifests) > 1:
-                out = out / session.subject
-            dataio.export_results(report, out)
+        for session, report in zip(sessions, reports):
+            dataio.export_results(report, Path(args.out) / session.subject)
             print(_summary_line(report))
         return 0
-    except AadError as exc:
-        return _classify(exc)
-    except OSError as exc:
-        return _fail("io", exc, 4)
+    for session in _sessions(args, many=True):
+        plan = crossval.make_folds(session.trials, **_plan_args(args))
+        report = crossval.run_pipeline(
+            session, args.model, plan, grid, args.window, jobs=args.jobs,
+        )
+        out = Path(args.out)
+        if len(args.manifest) > 1:
+            out = out / session.subject
+        dataio.export_results(report, out)
+        print(_summary_line(report))
+    return 0
 
 
+@_run_like
 def cmd_ablate(args):
     try:
-        args = _merge_config(
-            args,
-            {"model", "protocol", "window", "grid", "seed", "channels",
-             "folds", "jobs", "out", "layouts", "manifest"},
-        )
-        if args.seed is None:
-            args.seed = 0
-        _run_defaults(args)
-        try:
-            raw = json.loads(Path(args.layouts).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise BadConfig(f"layouts: {exc}") from exc
-        if isinstance(raw, list):
-            unknown = [n for n in raw if n not in crossval.LAYOUTS]
-            if unknown:
-                raise BadConfig(f"layouts: unknown preset names {unknown}")
-            layouts = {n: crossval.LAYOUTS[n] for n in raw}
-        elif isinstance(raw, dict):
-            layouts = {n: tuple(chs) for n, chs in raw.items()}
-        else:
-            raise BadConfig("layouts: need a list of presets or a mapping")
-        if not layouts:
-            raise BadConfig("layouts: empty")
-        session = _prepared_session(args)
-        grid = _load_grid(args, args.model)
-        segment_s = args.window if args.protocol == "within_trial" else None
-        plan = crossval.make_folds(
-            session.trials, args.protocol, args.folds, args.seed,
-            segment_s=segment_s,
-        )
-        reports = crossval.run_channel_ablation(
-            session, layouts, args.model, plan, grid, args.window,
-            jobs=args.jobs or 1,
-        )
-        for name in layouts:
-            report = reports[name]
-            dataio.export_results(report, Path(args.out) / name)
-            print(f"layout={name} {_summary_line(report)}")
-        return 0
-    except AadError as exc:
-        return _classify(exc)
-    except OSError as exc:
-        return _fail("io", exc, 4)
+        raw = json.loads(Path(args.layouts).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise BadConfig(f"layouts: {exc}") from exc
+    if isinstance(raw, list):
+        unknown = [n for n in raw if n not in crossval.LAYOUTS]
+        if unknown:
+            raise BadConfig(f"layouts: unknown preset names {unknown}")
+        layouts = {n: crossval.LAYOUTS[n] for n in raw}
+    elif isinstance(raw, dict):
+        layouts = {n: tuple(chs) for n, chs in raw.items()}
+    else:
+        raise BadConfig("layouts: need a list of presets or a mapping")
+    if not layouts:
+        raise BadConfig("layouts: empty")
+    [session] = _sessions(args)
+    grid = _load_grid(args)
+    plan = crossval.make_folds(session.trials, **_plan_args(args))
+    reports = crossval.run_channel_ablation(
+        session, layouts, args.model, plan, grid, args.window,
+        jobs=args.jobs,
+    )
+    for name in layouts:
+        report = reports[name]
+        dataio.export_results(report, Path(args.out) / name)
+        print(f"layout={name} {_summary_line(report)}")
+    return 0
 
 
+@_run_like
 def cmd_track(args):
-    try:
-        args = _merge_config(
-            args,
-            {"model", "protocol", "window", "grid", "seed", "channels",
-             "folds", "jobs", "out", "segment", "manifest"},
+    if args.model not in ("wf", "cca"):
+        raise BadConfig(
+            f"model: tracking needs an envelope decoder, got {args.model!r}"
         )
-        if args.seed is None:
-            args.seed = 0
-        if args.model not in ("wf", "cca"):
-            raise BadConfig(
-                f"model: tracking needs an envelope decoder, got {args.model!r}"
-            )
-        args.protocol = args.protocol or "loto"
-        args.window = args.window or 30.0
-        _run_defaults(args)
-        session = _prepared_session(args)
-        grid = _load_grid(args, args.model)
-        plan = crossval.make_folds(
-            session.trials, args.protocol, args.folds, args.seed
+    if args.protocol == "within_trial":
+        # curves are cut from whole test trials only
+        raise BadConfig(
+            "protocol: tracking needs whole-trial test folds, got "
+            "'within_trial'"
         )
-        report = crossval.run_pipeline(
-            session, args.model, plan, grid, args.window,
-            time_pcc_seg_s=args.segment or 1.0, jobs=args.jobs or 1,
-        )
-        dataio.export_results(report, Path(args.out))
-        print(
-            f"model={report.model_kind} trials={len(report.time_pcc)} "
-            f"segment={report.time_pcc_seg_s:g}"
-        )
-        return 0
-    except AadError as exc:
-        return _classify(exc)
-    except OSError as exc:
-        return _fail("io", exc, 4)
+    if args.segment <= 0:
+        raise BadConfig("segment: must be positive")
+    [session] = _sessions(args)
+    grid = _load_grid(args)
+    plan = crossval.make_folds(session.trials, **_plan_args(args))
+    report = crossval.run_pipeline(
+        session, args.model, plan, grid, args.window,
+        time_pcc_seg_s=args.segment, jobs=args.jobs,
+    )
+    dataio.export_results(report, Path(args.out))
+    print(
+        f"model={report.model_kind} trials={len(report.time_pcc)} "
+        f"segment={report.time_pcc_seg_s:g}"
+    )
+    return 0
 
 
 def cmd_preprocess(args):
@@ -320,25 +328,18 @@ def cmd_preprocess(args):
                 eeg, ref_index=ref, band=band, band_order=args.band_order,
                 notch=notch, to_fs=to_fs,
             )
-            speakers = []
+            envs = []
             for sp in trial.speakers:
                 env = preprocess.MultichannelSignal(sp.envelope, sp.fs)
                 if to_fs is not None and sp.fs != to_fs:
                     env = preprocess.resample(env, to_fs)
-                env = preprocess.zscore(env)
-                n = min(env.n_samples, eeg.n_samples)
-                speakers.append(
-                    dataio.SpeakerTrack(
-                        sp.speaker_id, sp.direction_deg,
-                        env.samples[:n, 0], env.fs,
-                    )
-                )
-            n = min(eeg.n_samples, min(s.envelope.shape[0] for s in speakers))
+                envs.append(preprocess.zscore(env))
+            n = min([eeg.n_samples] + [env.n_samples for env in envs])
             eeg = eeg.with_samples(eeg.samples[:n])
             speakers = [
-                dataio.SpeakerTrack(s.speaker_id, s.direction_deg,
-                                    s.envelope[:n], s.fs)
-                for s in speakers
+                dataio.SpeakerTrack(sp.speaker_id, sp.direction_deg,
+                                    env.samples[:n, 0], env.fs)
+                for sp, env in zip(trial.speakers, envs)
             ]
             trials.append(
                 dataio.Trial(
@@ -460,35 +461,26 @@ def build_parser():
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_synth)
 
-    def run_like(name, help_text):
+    def run_like(name, help_text, func):
         q = sub.add_parser(name, help=help_text)
         q.add_argument("--manifest", action="append", required=True)
-        q.add_argument("--model", default=None)
-        q.add_argument("--protocol", default=None)
-        q.add_argument("--window", type=float, default=None)
-        q.add_argument("--grid", default=None, help="hyperparameter grid JSON")
-        q.add_argument("--seed", type=int, default=None)
-        q.add_argument("--channels", default=None,
-                       help="layout preset or comma-separated names")
-        q.add_argument("--folds", type=int, default=None)
-        q.add_argument("--jobs", type=int, default=1)
-        q.add_argument("--config", default=None)
+        for key, (convert, _) in _COMMAND_SETTINGS[name].items():
+            flag = "--" + key.replace("_", "-")
+            if convert is _switch:
+                q.add_argument(flag, action="store_true", default=None)
+            else:
+                q.add_argument(flag, type=convert, help=_HELP.get(key))
+        q.add_argument("--config", default=None,
+                       help="JSON file of settings; flags override it")
         q.add_argument("--out", required=True)
+        q.set_defaults(func=func)
         return q
 
-    p = run_like("run", "train and evaluate under a CV protocol")
-    p.add_argument("--group-tuning", action="store_true", dest="group_tuning")
-    p.set_defaults(func=cmd_run)
-
-    p = run_like("ablate", "re-run with partial channel layouts")
+    run_like("run", "train and evaluate under a CV protocol", cmd_run)
+    p = run_like("ablate", "re-run with partial channel layouts", cmd_ablate)
     p.add_argument("--layouts", required=True,
                    help="JSON list of preset names or name->channels mapping")
-    p.set_defaults(func=cmd_ablate)
-
-    p = run_like("track", "per-trial time-resolved correlation curves")
-    p.add_argument("--segment", type=float, default=1.0,
-                   help="curve resolution in seconds")
-    p.set_defaults(func=cmd_track)
+    run_like("track", "per-trial time-resolved correlation curves", cmd_track)
 
     p = sub.add_parser("preprocess", help="condition a raw session")
     p.add_argument("--manifest", required=True)

@@ -683,22 +683,18 @@ def _report(runner, params_for, jobs):
     else:
         results = [_one(i) for i in indices]
 
-    session = runner.session
     report = MetricsReport(
         model_kind=runner.kind,
         protocol=runner.plan.protocol,
         window_s=runner.window_s,
         time_pcc_seg_s=runner.time_pcc_seg_s,
-        channel_names=list(session.trials[0].eeg.channel_names),
+        channel_names=list(runner.session.trials[0].eeg.channel_names),
     )
     for fold, records, curves, n_excluded in results:
         report.folds.append(fold)
         report.windows.extend(records)
         report.time_pcc.update(curves)
         report.n_excluded += n_excluded
-    report.n_candidates = max(
-        (len(t.speakers) for t in session.trials), default=3
-    )
     return finalize_report(report)
 
 

@@ -202,7 +202,6 @@ class MetricsReport:
     channel_names: list = field(default_factory=list)
     channel_max_abs: Optional[np.ndarray] = None
     channel_mean_sq: Optional[np.ndarray] = None
-    n_candidates: int = 3
 
     def window_accuracy(self):
         """Pooled accuracy over all recorded windows (ties count wrong)."""

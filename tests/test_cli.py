@@ -91,13 +91,21 @@ class TestRun:
         assert r.returncode == 2
         assert r.stderr.startswith("error: config:")
 
-    @pytest.mark.parametrize("budget", [0, -1])
+    @pytest.mark.parametrize("field", [
+        pytest.param({"budget": 0}, id="0"),
+        pytest.param({"budget": -1}, id="-1"),
+        pytest.param({"budget": 2.5}, id="2.5"),
+        pytest.param({"budget": "3"}, id="str3"),
+        pytest.param({"budget": True}, id="True"),
+        pytest.param({"seed": "x"}, id="seed-x"),
+    ])
     def test_grid_budget_below_one_exit_2(self, session_dir, tmp_path,
-                                          budget):
+                                          field):
+        """A grid budget below one, or a budget or seed that is not a JSON
+        integer, is a configuration error."""
         _, sess = session_dir
         grid = tmp_path / "grid.json"
-        grid.write_text(json.dumps({"lam": [0.1, 10.0], "L": [8],
-                                    "budget": budget}))
+        grid.write_text(json.dumps({"lam": [0.1, 10.0], "L": [8], **field}))
         r = run_cli("run", "--manifest", str(sess / "manifest.json"),
                     "--model", "wf", "--protocol", "loto", "--window", "30",
                     "--grid", str(grid), "--out", str(tmp_path / "o"))
@@ -201,6 +209,108 @@ class TestRun:
         assert r.returncode == 0, r.stderr
         assert "protocol=loto" in r.stdout
 
+    def test_config_group_tuning_and_jobs_applied(self, session_dir,
+                                                  tmp_path, monkeypatch):
+        from aadkit import cli, crossval
+
+        calls = []
+
+        def record(sessions, *args, **kwargs):
+            calls.append(kwargs)
+            return [], []
+
+        def per_subject(*args, **kwargs):
+            raise AssertionError("took the per-subject path")
+
+        monkeypatch.setattr(crossval, "run_pipeline_group", record)
+        monkeypatch.setattr(crossval, "run_pipeline", per_subject)
+        _, sess = session_dir
+        conf = tmp_path / "run.json"
+        conf.write_text(json.dumps({
+            "group_tuning": True, "jobs": 2, "model": "wf",
+            "protocol": "loto", "window": 30,
+        }))
+        manifest = str(sess / "manifest.json")
+        code = cli.main(["run", "--manifest", manifest, "--manifest",
+                         manifest, "--config", str(conf),
+                         "--out", str(tmp_path / "o")])
+        assert code == 0
+        assert len(calls) == 1 and calls[0]["jobs"] == 2
+
+    @pytest.mark.parametrize("field", ["out", "manifest"])
+    def test_config_flag_only_field_exit_2(self, session_dir, grid_file,
+                                           tmp_path, capsys, field):
+        from aadkit import cli
+
+        _, sess = session_dir
+        conf = tmp_path / "run.json"
+        conf.write_text(json.dumps({field: str(tmp_path / "x")}))
+        code = cli.main(["run", "--manifest", str(sess / "manifest.json"),
+                         "--model", "wf", "--protocol", "loto",
+                         "--window", "30", "--folds", "2",
+                         "--grid", str(grid_file), "--config", str(conf),
+                         "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: config:")
+
+    @pytest.mark.parametrize("field", [
+        pytest.param({"window": "ten"}, id="window-ten"),
+        pytest.param({"seed": "abc"}, id="seed-abc"),
+        pytest.param({"folds": 2.5}, id="folds-2.5"),
+    ])
+    def test_config_value_not_convertible_exit_2(self, session_dir,
+                                                 tmp_path, field):
+        _, sess = session_dir
+        conf = tmp_path / "run.json"
+        conf.write_text(json.dumps({"model": "wf", "protocol": "loto",
+                                    "window": 30, **field}))
+        r = run_cli("run", "--manifest", str(sess / "manifest.json"),
+                    "--config", str(conf), "--out", str(tmp_path / "o"))
+        assert r.returncode == 2
+        assert r.stderr.startswith(f"error: config: {next(iter(field))}:")
+        assert "Traceback" not in r.stderr
+
+    def test_config_value_converted_like_flag(self, session_dir, grid_file,
+                                              tmp_path):
+        _, sess = session_dir
+        conf = tmp_path / "run.json"
+        conf.write_text(json.dumps({"window": "10", "folds": "5"}))
+        common = ("run", "--manifest", str(sess / "manifest.json"),
+                  "--model", "wf", "--protocol", "loto",
+                  "--grid", str(grid_file))
+        by_flag = run_cli(*common, "--window", "10", "--folds", "5",
+                          "--out", str(tmp_path / "flag"))
+        by_config = run_cli(*common, "--config", str(conf),
+                            "--out", str(tmp_path / "conf"))
+        assert by_flag.returncode == 0, by_flag.stderr
+        assert by_config.returncode == 0, by_config.stderr
+        assert by_config.stdout == by_flag.stdout
+        for name in ("summary.json", "windows.csv"):
+            assert ((tmp_path / "conf" / name).read_bytes()
+                    == (tmp_path / "flag" / name).read_bytes())
+
+
+class TestSettings:
+    @pytest.mark.parametrize("command", ["run", "ablate", "track"])
+    def test_optional_flags_are_config_fields(self, command, tmp_path):
+        """Every optional flag of the command is also a config field, and
+        the required flags are not."""
+        import argparse
+
+        from aadkit import cli
+
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        actions = sub.choices[command]._actions
+        optional = {a.dest for a in actions
+                    if a.option_strings and not a.required}
+        required = {a.dest for a in actions if a.required}
+        assert optional - {"help", "config"} == set(
+            cli._COMMAND_SETTINGS[command]
+        )
+        assert not required & set(cli._COMMAND_SETTINGS[command])
+
 
 class TestAblate:
     def test_layout_directories(self, tmp_path):
@@ -261,6 +371,28 @@ class TestTrack:
         lines = (tmp_path / "tr/time_pcc.csv").read_text().strip().splitlines()
         # 10 trials x 30 one-second segments x 3 speaker candidates
         assert len(lines) == 1 + 10 * 30 * 3
+
+    def test_config_segment_applied(self, session_dir, grid_file, tmp_path):
+        _, sess = session_dir
+        conf = tmp_path / "track.json"
+        conf.write_text(json.dumps({"segment": 2.0}))
+        r = run_cli("track", "--manifest", str(sess / "manifest.json"),
+                    "--model", "wf", "--grid", str(grid_file),
+                    "--folds", "5", "--config", str(conf),
+                    "--out", str(tmp_path / "tr"))
+        assert r.returncode == 0, r.stderr
+        assert "segment=2" in r.stdout
+        lines = (tmp_path / "tr/time_pcc.csv").read_text().strip().splitlines()
+        assert len(lines) == 1 + 10 * 15 * 3
+
+    def test_within_trial_rejected(self, session_dir, tmp_path):
+        _, sess = session_dir
+        r = run_cli("track", "--manifest", str(sess / "manifest.json"),
+                    "--model", "wf", "--protocol", "within_trial",
+                    "--window", "10", "--out", str(tmp_path / "o"))
+        assert r.returncode == 2
+        assert r.stderr.startswith("error: config:")
+        assert "whole-trial" in r.stderr
 
 
 class TestPreprocessEnvelope:
