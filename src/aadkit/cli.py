@@ -8,18 +8,24 @@ field of the optional --config JSON file; a flag overrides the field, and
 a field's value is converted as if it were typed after the flag. What
 neither sets takes its default: seed 0, jobs 1, and for track protocol
 loto, a 30 s window and 1 s segments. --manifest, --out and --layouts are
-flags only. Exit codes: 0 success, 2 configuration error, 3 I/O error
-(synth, envelope), 4 data error, 5 numerical failure. Errors go to stderr
-with a machine-parsable category prefix.
+flags only. Every JSON input file (--config, --grid, --layouts) is read by
+``dataio.read_json``.
+
+Every command runs inside one error shell, ``_command``: an ``AadError``
+exits with its category's code and an ``OSError`` as an I/O error. Exit
+codes: 0 success, 2 configuration error, 3 I/O error for synth and
+envelope (4 for the other commands), 4 data error, 5 numerical failure.
+Errors go to stderr with a machine-parsable category prefix. The readers
+of input files raise typed errors, so a malformed file ends with an exit
+code, not a traceback.
 """
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import crossval, dataio, envelope as envmod, preprocess
 from .errors import (
@@ -48,7 +54,7 @@ def _fail(category, exc, code):
     return code
 
 
-def _classify(exc, io_code=4):
+def _classify(exc, io_code):
     if isinstance(exc, _CONFIG_ERRORS):
         return _fail("config", exc, 2)
     if isinstance(exc, _NUMERIC_ERRORS):
@@ -56,6 +62,22 @@ def _classify(exc, io_code=4):
     if isinstance(exc, IoError):
         return _fail("io", exc, io_code)
     return _fail("data", exc, 4)
+
+
+def _command(io_code=4):
+    """The error shell of every command: an AadError exits with the code
+    of its category, an OSError as an I/O error with ``io_code``."""
+    def decorate(command):
+        @functools.wraps(command)
+        def wrapped(args):
+            try:
+                return command(args)
+            except AadError as exc:
+                return _classify(exc, io_code)
+            except OSError as exc:
+                return _fail("io", exc, io_code)
+        return wrapped
+    return decorate
 
 
 def _switch(text):
@@ -95,13 +117,7 @@ def _settings(args):
     defaults, and check the model, protocol and window."""
     table = _COMMAND_SETTINGS[args.command]
     if args.config:
-        try:
-            raw = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise BadConfig(f"config: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise BadConfig("config: need a JSON object")
-        for key, value in raw.items():
+        for key, value in dataio.read_json(args.config, "config").items():
             name = key.replace("-", "_")
             if name not in table:
                 raise BadConfig(f"{key}: unknown config field")
@@ -109,10 +125,8 @@ def _settings(args):
                 continue
             # convert the value as it would be typed after the flag
             text = value if isinstance(value, str) else json.dumps(value)
-            try:
-                setattr(args, name, table[name][0](text))
-            except ValueError as exc:
-                raise BadConfig(f"{key}: {exc}") from exc
+            convert = table[name][0]
+            setattr(args, name, dataio.convert_field(key, convert, text))
     for name, (_, default) in table.items():
         if getattr(args, name) is None:
             setattr(args, name, default)
@@ -126,12 +140,7 @@ def _settings(args):
 
 def _load_grid(args):
     if args.grid:
-        try:
-            raw = json.loads(Path(args.grid).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise BadConfig(f"grid: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise BadConfig("grid: need a JSON object")
+        raw = dataio.read_json(args.grid, "grid")
         budget = raw.pop("budget", None)
         gseed = raw.pop("seed", args.seed)
         for key, value in (("budget", budget), ("seed", gseed)):
@@ -176,20 +185,6 @@ def _plan_args(args):
                 segment_s=args.window if within else None)
 
 
-def _run_like(command):
-    """Resolve the settings, then map the command's errors to exit codes."""
-    @functools.wraps(command)
-    def wrapped(args):
-        try:
-            _settings(args)
-            return command(args)
-        except AadError as exc:
-            return _classify(exc)
-        except OSError as exc:
-            return _fail("io", exc, 4)
-    return wrapped
-
-
 def _summary_line(report):
     return (
         f"model={report.model_kind} protocol={report.protocol} "
@@ -203,21 +198,17 @@ def _summary_line(report):
 # ---------------------------------------------------------------------------
 
 
+@_command(io_code=3)
 def cmd_synth(args):
-    try:
-        cfg = dataio.load_synth_config(args.config)
-        session = dataio.synth_generate(cfg)
-        dataio.save_session(session, args.out)
-    except BadConfig as exc:
-        return _fail("config", exc, 2)
-    except (OSError, IoError) as exc:
-        return _fail("io", exc, 3)
+    cfg = dataio.load_synth_config(args.config)
+    dataio.save_session(dataio.synth_generate(cfg), args.out)
     print(f"wrote {cfg.n_trials} trials to {args.out}")
     return 0
 
 
-@_run_like
+@_command()
 def cmd_run(args):
+    _settings(args)
     grid = _load_grid(args)
     if args.group_tuning and len(args.manifest) > 1:
         sessions = list(_sessions(args, many=True))
@@ -242,21 +233,22 @@ def cmd_run(args):
     return 0
 
 
-@_run_like
+@_command()
 def cmd_ablate(args):
-    try:
-        raw = json.loads(Path(args.layouts).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise BadConfig(f"layouts: {exc}") from exc
+    _settings(args)
+    raw = dataio.read_json(args.layouts, "layouts",
+                           {list: "a list of presets", dict: "a mapping"})
     if isinstance(raw, list):
-        unknown = [n for n in raw if n not in crossval.LAYOUTS]
+        unknown = [n for n in raw
+                   if not isinstance(n, str) or n not in crossval.LAYOUTS]
         if unknown:
             raise BadConfig(f"layouts: unknown preset names {unknown}")
         layouts = {n: crossval.LAYOUTS[n] for n in raw}
-    elif isinstance(raw, dict):
+    elif all(isinstance(chs, list) and all(isinstance(c, str) for c in chs)
+             for chs in raw.values()):
         layouts = {n: tuple(chs) for n, chs in raw.items()}
     else:
-        raise BadConfig("layouts: need a list of presets or a mapping")
+        raise BadConfig("layouts: a mapping needs lists of channel names")
     if not layouts:
         raise BadConfig("layouts: empty")
     [session] = _sessions(args)
@@ -266,15 +258,15 @@ def cmd_ablate(args):
         session, layouts, args.model, plan, grid, args.window,
         jobs=args.jobs,
     )
-    for name in layouts:
-        report = reports[name]
+    for name, report in reports.items():
         dataio.export_results(report, Path(args.out) / name)
         print(f"layout={name} {_summary_line(report)}")
     return 0
 
 
-@_run_like
+@_command()
 def cmd_track(args):
+    _settings(args)
     if args.model not in ("wf", "cca"):
         raise BadConfig(
             f"model: tracking needs an envelope decoder, got {args.model!r}"
@@ -302,146 +294,83 @@ def cmd_track(args):
     return 0
 
 
+def _frequency_pair(text):
+    """Converter of --band and --notch: "low,high" in Hz; empty skips."""
+    if not text:
+        return None
+    low, high = (float(v) for v in text.split(","))
+    return low, high
+
+
+@_command()
 def cmd_preprocess(args):
-    try:
-        session = dataio.load_session(args.manifest)
-        band = None
-        if args.band:
-            lo, hi = (float(v) for v in args.band.split(","))
-            band = (lo, hi)
-        notch = None
-        if args.notch:
-            lo, hi = (float(v) for v in args.notch.split(","))
-            notch = (lo, hi)
-        to_fs = args.to_fs
-        trials = []
-        for trial in session.trials:
-            eeg = trial.eeg
-            ref = None
-            if args.ref is not None:
-                ref = (
-                    eeg.channel_names.index(args.ref)
-                    if args.ref in eeg.channel_names
-                    else int(args.ref)
-                )
-            eeg = preprocess.standard_chain(
-                eeg, ref_index=ref, band=band, band_order=args.band_order,
-                notch=notch, to_fs=to_fs,
-            )
-            envs = []
-            for sp in trial.speakers:
-                env = preprocess.MultichannelSignal(sp.envelope, sp.fs)
-                if to_fs is not None and sp.fs != to_fs:
-                    env = preprocess.resample(env, to_fs)
-                envs.append(preprocess.zscore(env))
-            n = min([eeg.n_samples] + [env.n_samples for env in envs])
-            eeg = eeg.with_samples(eeg.samples[:n])
-            speakers = [
-                dataio.SpeakerTrack(sp.speaker_id, sp.direction_deg,
-                                    env.samples[:n, 0], env.fs)
-                for sp, env in zip(trial.speakers, envs)
-            ]
-            trials.append(
-                dataio.Trial(
-                    trial_id=trial.trial_id,
-                    task=trial.task,
-                    group=trial.group,
-                    eeg=eeg,
-                    speakers=speakers,
-                    timeline=trial.timeline,
-                )
-            )
-        out = dataio.Session(
-            session.subject, trials[0].eeg.fs if trials else session.fs,
-            trials, preprocessed=True,
+    session = dataio.load_session(args.manifest)
+    trials = []
+    for trial in session.trials:
+        eeg = trial.eeg
+        ref = args.ref
+        if ref in eeg.channel_names:
+            ref = eeg.channel_names.index(ref)
+        elif ref is not None:
+            ref = dataio.convert_field("ref", int, ref)
+        eeg = preprocess.standard_chain(
+            eeg, ref_index=ref, band=args.band, band_order=args.band_order,
+            notch=args.notch, to_fs=args.to_fs,
         )
-        dataio.save_session(out, args.out)
-        print(f"preprocessed {len(trials)} trials to {args.out}")
-        return 0
-    except AadError as exc:
-        return _classify(exc)
-    except (OSError, ValueError) as exc:
-        return _fail("config", exc, 2)
+        envs = []
+        for sp in trial.speakers:
+            env = preprocess.MultichannelSignal(sp.envelope, sp.fs)
+            if args.to_fs is not None and sp.fs != args.to_fs:
+                env = preprocess.resample(env, args.to_fs)
+            envs.append(preprocess.zscore(env))
+        n = min([eeg.n_samples] + [env.n_samples for env in envs])
+        eeg = eeg.with_samples(eeg.samples[:n])
+        speakers = [
+            dataclasses.replace(sp, envelope=env.samples[:n, 0], fs=env.fs)
+            for sp, env in zip(trial.speakers, envs)
+        ]
+        trials.append(dataclasses.replace(
+            trial, eeg=eeg, speakers=speakers,
+            timeline=dataio.clamp_timeline(trial.timeline, n / eeg.fs),
+        ))
+    out = dataio.Session(
+        session.subject, trials[0].eeg.fs if trials else session.fs,
+        trials, preprocessed=True,
+    )
+    dataio.save_session(out, args.out)
+    print(f"preprocessed {len(trials)} trials to {args.out}")
+    return 0
 
 
+@_command(io_code=3)
 def cmd_envelope(args):
-    try:
-        audio = dataio.read_wav(args.audio, speaker_id=args.speaker_id or 0)
-        bank = envmod.gammatone_bank(
-            audio.fs, args.f_low, args.f_high, args.bands
-        )
-        env = envmod.compute_envelope(audio, bank, args.to_fs)
-        dataio.write_array(args.out, env.samples, env.fs)
-        print(f"wrote {env.samples.shape[0]} envelope samples to {args.out}")
-        return 0
-    except AadError as exc:
-        return _classify(exc, io_code=3)
-    except ValueError as exc:
-        return _fail("config", exc, 2)
-    except OSError as exc:
-        return _fail("io", exc, 3)
+    audio = dataio.read_wav(args.audio, speaker_id=args.speaker_id or 0)
+    bank = envmod.gammatone_bank(audio.fs, args.f_low, args.f_high, args.bands)
+    env = envmod.compute_envelope(audio, bank, args.to_fs)
+    dataio.write_array(args.out, env.samples, env.fs)
+    print(f"wrote {env.samples.shape[0]} envelope samples to {args.out}")
+    return 0
 
 
+@_command()
 def cmd_convert_dataset(args):
-    """Convert a directory of per-trial .npz files to the manifest layout.
-
-    Expected keys per file: eeg (T, C), fs_eeg, envelopes (T_env, S),
-    env_fs, speaker_ids (S,), directions_deg (S,), task, attended_sequence
-    and optionally switch_s and channels. Files are processed in sorted
-    order.
-    """
-    try:
-        src = Path(args.src)
-        files = sorted(src.glob("*.npz"))
-        if not files:
-            raise ManifestError(f"no .npz trial files under {src}")
-        trials = []
-        fs = None
-        for i, path in enumerate(files):
-            with np.load(path, allow_pickle=False) as data:
-                eeg = np.asarray(data["eeg"], dtype=np.float64)
-                fs_eeg = float(data["fs_eeg"])
-                envs = np.asarray(data["envelopes"], dtype=np.float64)
-                env_fs = float(data["env_fs"])
-                ids = [int(v) for v in data["speaker_ids"]]
-                dirs = [float(v) for v in data["directions_deg"]]
-                task = int(data["task"])
-                seq = [int(v) for v in data["attended_sequence"]]
-                switch = (
-                    float(data["switch_s"]) if "switch_s" in data else None
-                )
-                names = (
-                    [str(c) for c in data["channels"]]
-                    if "channels" in data
-                    else []
-                )
-            fs = fs or fs_eeg
-            if fs_eeg != fs:
-                raise ShapeMismatch(f"{path}: mixed EEG rates in dataset")
-            speakers = [
-                dataio.SpeakerTrack(ids[s], dirs[s], envs[:, s], env_fs)
-                for s in range(len(ids))
-            ]
-            timeline = dataio.build_timeline(
-                task, eeg.shape[0] / fs_eeg, switch, seq
-            )
-            trial = dataio.Trial(
-                trial_id=f"t{i:03d}",
-                task=task,
-                group=dataio._derive_group({}, ids),
-                eeg=preprocess.MultichannelSignal(eeg, fs_eeg, names),
-                speakers=speakers,
-                timeline=timeline,
-            )
-            trials.append(trial)
-        session = dataio.Session(args.subject, fs, trials, preprocessed=False)
-        dataio.save_session(session, args.out)
-        print(f"converted {len(trials)} trials to {args.out}")
-        return 0
-    except AadError as exc:
-        return _classify(exc)
-    except (OSError, KeyError, ValueError) as exc:
-        return _fail("data", exc, 4)
+    """Convert a directory of per-trial .npz files (see
+    ``dataio.read_npz_trial``) to the manifest layout, in sorted order."""
+    src = Path(args.src)
+    files = sorted(src.glob("*.npz"))
+    if not files:
+        raise ManifestError(f"no .npz trial files under {src}")
+    trials = []
+    for i, path in enumerate(files):
+        trial = dataio.read_npz_trial(path, f"t{i:03d}")
+        if trials and trial.eeg.fs != trials[0].eeg.fs:
+            raise ShapeMismatch(f"{path}: mixed EEG rates in dataset")
+        trials.append(trial)
+    session = dataio.Session(args.subject, trials[0].eeg.fs, trials,
+                             preprocessed=False)
+    dataio.save_session(session, args.out)
+    print(f"converted {len(trials)} trials to {args.out}")
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -486,9 +415,9 @@ def build_parser():
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--to-fs", dest="to_fs", type=float, default=40.0)
-    p.add_argument("--band", default="0.5,62")
+    p.add_argument("--band", type=_frequency_pair, default="0.5,62")
     p.add_argument("--band-order", dest="band_order", type=int, default=8)
-    p.add_argument("--notch", default="48,52")
+    p.add_argument("--notch", type=_frequency_pair, default="48,52")
     p.add_argument("--ref", default=None,
                    help="reference channel name or index")
     p.set_defaults(func=cmd_preprocess)

@@ -36,7 +36,7 @@ trials get their time-PCC curves from the same projections.
 
 import itertools
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -50,7 +50,6 @@ from .errors import (
     EmptyGrid,
 )
 from .metrics import FoldResult, MetricsReport, WindowRecord, finalize_report
-from .preprocess import MultichannelSignal
 
 PROTOCOLS = ("within_trial", "loto", "nested_loto", "loso", "nested_loso")
 MODEL_KINDS = ("wf", "cca", "csp", "rgc")
@@ -775,21 +774,10 @@ def restrict_session(session, channel_names):
             idx = [names.index(c) for c in channel_names]
         except ValueError as exc:
             raise BadChannelIndex(f"unknown channel in subset: {exc}") from exc
-        eeg = MultichannelSignal(
-            trial.eeg.samples[:, idx], trial.eeg.fs, list(channel_names)
-        )
-        trials.append(
-            dataio.Trial(
-                trial_id=trial.trial_id,
-                task=trial.task,
-                group=trial.group,
-                eeg=eeg,
-                speakers=trial.speakers,
-                timeline=trial.timeline,
-            )
-        )
-    return dataio.Session(session.subject, session.fs, trials,
-                          session.preprocessed)
+        eeg = trial.eeg.with_samples(trial.eeg.samples[:, idx],
+                                     channel_names=list(channel_names))
+        trials.append(replace(trial, eeg=eeg))
+    return replace(session, trials=trials)
 
 
 def run_channel_ablation(session, layouts, model_kind, plan, grid, window_s,

@@ -12,7 +12,9 @@ trial at the cue, "ignore" tasks label the post-cue span as unattended).
 import json
 import math
 import struct
+import typing
 import wave
+import zipfile
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import List, Optional
@@ -85,7 +87,32 @@ def read_array(path):
             f"{expected - 32}"
         )
     samples = np.frombuffer(raw[32:], dtype="<f4").reshape(t_len, n_ch)
+    if not np.all(np.isfinite(samples)):
+        raise ShapeMismatch(f"{path}: samples must be finite")
     return samples.astype(np.float64), fs_milli / 1000.0
+
+
+def read_json(path, label, kinds=None):
+    """Parse the JSON file at ``path``. ``kinds`` maps each accepted
+    top-level type to its name in messages (default: an object). Every
+    failure is a BadConfig prefixed with ``label``."""
+    kinds = kinds or {dict: "a JSON object"}
+    try:
+        raw = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise BadConfig(f"{label}: {exc}") from exc
+    if not isinstance(raw, tuple(kinds)):
+        raise BadConfig(f"{label}: need {' or '.join(kinds.values())}")
+    return raw
+
+
+def convert_field(label, convert, text):
+    """``convert(text)``, with a ValueError raised as BadConfig prefixed
+    with ``label``."""
+    try:
+        return convert(text)
+    except ValueError as exc:
+        raise BadConfig(f"{label}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +191,13 @@ def build_timeline(task, duration_s, switch_s, attended_sequence):
     raise UnknownTask(f"task {task} is not one of 1-7")
 
 
+def clamp_timeline(timeline, end_s):
+    """The timeline cut or stretched to end at ``end_s``: spans that start
+    at or after it are dropped and the last span ends there."""
+    spans = [span for span in timeline if span.start_s < end_s]
+    return spans[:-1] + [replace(spans[-1], end_s=end_s)]
+
+
 def _validate_trial(trial):
     ids = trial.speaker_ids()
     if not 2 <= len(ids) <= 3:
@@ -211,13 +245,23 @@ def _derive_group(trial_entry, speaker_ids):
 
 
 def load_session(manifest_path):
-    """Load and validate a session manifest with its arrays."""
+    """Load and validate a session manifest with its arrays. A missing or
+    ill-typed field is a ManifestError."""
     manifest_path = Path(manifest_path)
     try:
         spec = json.loads(manifest_path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ManifestError(f"cannot read manifest: {exc}") from exc
-    base = manifest_path.parent
+    try:
+        return _parse_manifest(spec, manifest_path.parent)
+    except (AttributeError, IndexError, KeyError, TypeError,
+            ValueError) as exc:
+        raise ManifestError(
+            f"malformed manifest {manifest_path}: {type(exc).__name__}: {exc}"
+        ) from exc
+
+
+def _parse_manifest(spec, base):
     for key in ("subject", "fs_eeg", "trials"):
         if key not in spec:
             raise ManifestError(f"manifest missing field {key!r}")
@@ -242,15 +286,9 @@ def load_session(manifest_path):
         speakers = []
         for sp in entry["speakers"]:
             env, env_fs = read_array(base / sp["envelope"])
-            speakers.append(
-                SpeakerTrack(
-                    speaker_id=int(sp["id"]),
-                    direction_deg=float(sp["direction_deg"]),
-                    envelope=env[:, 0],
-                    fs=env_fs,
-                )
-            )
-        duration = eeg_data.shape[0] / fs
+            speakers.append(SpeakerTrack(
+                int(sp["id"]), float(sp["direction_deg"]), env[:, 0], env_fs
+            ))
         if "timeline" in entry:
             timeline = [
                 TimelineSpan(float(s["start_s"]), float(s["end_s"]),
@@ -259,10 +297,8 @@ def load_session(manifest_path):
             ]
         else:
             timeline = build_timeline(
-                int(entry["task"]),
-                duration,
-                entry.get("switch_s"),
-                entry.get("attended_sequence", []),
+                int(entry["task"]), eeg.n_samples / fs,
+                entry.get("switch_s"), entry.get("attended_sequence", []),
             )
         trial = Trial(
             trial_id=str(entry["id"]),
@@ -280,6 +316,32 @@ def load_session(manifest_path):
         trials=trials,
         preprocessed=bool(spec.get("preprocessed", False)),
     )
+
+
+def read_npz_trial(path, trial_id):
+    """One raw trial from a .npz file with the keys eeg (T, C), fs_eeg,
+    envelopes (T_env, S), env_fs, speaker_ids (S,), directions_deg (S,),
+    task, attended_sequence and optionally switch_s and channels. A missing
+    or unreadable key is a ManifestError."""
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            fs = float(data["fs_eeg"])
+            names = data["channels"] if "channels" in data else []
+            eeg = MultichannelSignal(data["eeg"], fs, [str(c) for c in names])
+            envs = np.asarray(data["envelopes"], dtype=np.float64)
+            env_fs = float(data["env_fs"])
+            ids = [int(v) for v in data["speaker_ids"]]
+            dirs = [float(v) for v in data["directions_deg"]]
+            speakers = [SpeakerTrack(ids[s], dirs[s], envs[:, s], env_fs)
+                        for s in range(len(ids))]
+            task = int(data["task"])
+            seq = [int(v) for v in data["attended_sequence"]]
+            switch = float(data["switch_s"]) if "switch_s" in data else None
+    except (EOFError, IndexError, KeyError, TypeError, ValueError,
+            zipfile.BadZipFile) as exc:
+        raise ManifestError(exc) from exc
+    return Trial(trial_id, task, _derive_group({}, ids), eeg, speakers,
+                 build_timeline(task, eeg.n_samples / fs, switch, seq))
 
 
 def save_session(session, out_dir):
@@ -441,15 +503,33 @@ class SynthConfig:
         return self
 
 
+def _json_fits(value, hint):
+    """Whether a JSON value has the type of a SynthConfig field: a bool is
+    not an int, an int is a float, and a list field takes a list or null."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is typing.Union:
+        return any(_json_fits(value, h) for h in args)
+    if typing.get_origin(hint) is list:
+        return isinstance(value, list) and all(
+            _json_fits(v, args[0]) for v in value
+        )
+    if hint is float:
+        return type(value) in (int, float) and math.isfinite(value)
+    return type(value) is hint
+
+
 def load_synth_config(path):
-    try:
-        raw = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise BadConfig(f"config: {exc}") from exc
-    known = {f.name for f in fields(SynthConfig)}
+    raw = read_json(path, "config")
+    hints = {f.name: f.type for f in fields(SynthConfig)}
     for key in raw:
-        if key not in known:
+        if key not in hints:
             raise BadConfig(f"{key}: unknown config field")
+    for key, value in raw.items():
+        hint = hints[key]
+        if not _json_fits(value, hint):
+            name = (hint.__name__ if isinstance(hint, type)
+                    else str(hint).replace("typing.", ""))
+            raise BadConfig(f"{key}: need {name}, got {value!r}")
     return SynthConfig(**raw).validate()
 
 
@@ -631,19 +711,19 @@ def read_wav(path, speaker_id=0):
         raise IoError(f"cannot read wav {path}: {exc}") from exc
     if n_ch != 1:
         raise IoError(f"{path}: only mono wav is supported, got {n_ch} channels")
+    if width not in (2, 3):
+        raise IoError(f"{path}: unsupported sample width {width * 8} bit")
+    if fs < 8000:
+        raise IoError(f"{path}: audio rate {fs} Hz is below 8 kHz")
+    if not frames or len(frames) % width:
+        raise IoError(f"{path}: no whole audio frames")
     if width == 2:
         data = np.frombuffer(frames, dtype="<i2").astype(np.float64) / 32768.0
-    elif width == 3:
-        raw = np.frombuffer(frames, dtype=np.uint8).reshape(-1, 3)
-        ints = (
-            raw[:, 0].astype(np.int32)
-            | (raw[:, 1].astype(np.int32) << 8)
-            | (raw[:, 2].astype(np.int32) << 16)
-        )
-        ints = np.where(ints >= 1 << 23, ints - (1 << 24), ints)
-        data = ints.astype(np.float64) / float(1 << 23)
     else:
-        raise IoError(f"{path}: unsupported sample width {width * 8} bit")
+        # each sample in the top three bytes of a little-endian int32
+        padded = np.zeros((len(frames) // 3, 4), dtype=np.uint8)
+        padded[:, 1:] = np.frombuffer(frames, dtype=np.uint8).reshape(-1, 3)
+        data = padded.view("<i4")[:, 0] / float(1 << 31)
     return AudioTrack(samples=data, fs=float(fs), speaker_id=speaker_id)
 
 

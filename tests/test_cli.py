@@ -1,7 +1,9 @@
 import hashlib
 import json
+import shutil
 import subprocess
 import sys
+import wave
 
 import numpy as np
 import pytest
@@ -17,6 +19,43 @@ def run_cli(*argv, env=None):
         capture_output=True,
         text=True,
         env=e,
+    )
+
+
+def write_wav(path, samples, fs, n_channels=1):
+    """16-bit PCM; ``samples`` in [-1, 1], channels interleaved."""
+    with wave.open(str(path), "wb") as fh:
+        fh.setnchannels(n_channels)
+        fh.setsampwidth(2)
+        fh.setframerate(fs)
+        pcm = np.clip(samples, -1.0, 1.0) * 32767
+        fh.writeframes(pcm.astype("<i2").tobytes())
+
+
+def raw_session(root, lengths, env_fs=125.0):
+    """Save a raw 125 Hz session, one task-1 trial of 3 channels (c0, c1,
+    ref) per EEG length, with white-noise envelopes at ``env_fs`` covering
+    the same time; returns the manifest path."""
+    from aadkit import dataio
+    from aadkit.preprocess import MultichannelSignal
+
+    rng = np.random.default_rng(0)
+    trials = []
+    for i, t_len in enumerate(lengths):
+        n_env = int(t_len * env_fs / 125.0)
+        speakers = [
+            dataio.SpeakerTrack(s + 1, (-60.0, 0.0, 60.0)[s],
+                                np.abs(rng.standard_normal(n_env)), env_fs)
+            for s in range(3)
+        ]
+        trials.append(dataio.Trial(
+            f"t{i:03d}", 1, 1,
+            MultichannelSignal(rng.standard_normal((t_len, 3)), 125.0,
+                               ["c0", "c1", "ref"]),
+            speakers, [dataio.TimelineSpan(0.0, t_len / 125.0, 1)],
+        ))
+    return dataio.save_session(
+        dataio.Session("raw", 125.0, trials, preprocessed=False), root
     )
 
 
@@ -47,13 +86,24 @@ class TestSynth:
         _, out = session_dir
         assert (out / "manifest.json").exists()
 
-    def test_malformed_config_exit_2(self, tmp_path):
+    @pytest.mark.parametrize("config, field", [
+        pytest.param({"n_trials": 2, "snr": -1.0}, "snr", id="snr-negative"),
+        pytest.param({"n_trials": "x"}, "n_trials", id="n_trials-str"),
+        pytest.param({"n_trials": 2.5}, "n_trials", id="n_trials-float"),
+        pytest.param({"tasks": 5}, "tasks", id="tasks-int"),
+        pytest.param({"n_trials": 1, "switch_times": ["x"]}, "switch_times",
+                     id="switch_times-str-item"),
+        pytest.param({"balance_directions": "no"}, "balance_directions",
+                     id="balance_directions-str"),
+        pytest.param([1, 2], "config", id="list"),
+    ])
+    def test_malformed_config_exit_2(self, tmp_path, config, field):
         cfg = tmp_path / "bad.json"
-        cfg.write_text(json.dumps({"n_trials": 2, "snr": -1.0}))
+        cfg.write_text(json.dumps(config))
         r = run_cli("synth", "--config", str(cfg), "--out", str(tmp_path / "o"))
         assert r.returncode == 2
-        assert "snr" in r.stderr
-        assert r.stderr.startswith("error: config:")
+        assert r.stderr.startswith(f"error: config: {field}:")
+        assert "Traceback" not in r.stderr
 
     def test_same_seed_byte_identical(self, session_dir, tmp_path):
         tmp, out = session_dir
@@ -65,6 +115,97 @@ class TestSynth:
             (tmp_path / "again/arrays/t000_eeg.aad").read_bytes()
         )
         assert a.hexdigest() == b.hexdigest()
+
+
+def _copied_session(session_dir, tmp, edit):
+    """Copy of the module session whose manifest dict ``edit`` changes."""
+    _, sess = session_dir
+    shutil.copytree(sess, tmp / "sess")
+    manifest = tmp / "sess/manifest.json"
+    spec = json.loads(manifest.read_text())
+    edit(manifest.parent, spec)
+    manifest.write_text(json.dumps(spec))
+    return manifest
+
+
+def _nan_envelope(root, spec):
+    from aadkit import dataio
+
+    path = root / spec["trials"][1]["speakers"][0]["envelope"]
+    samples, fs = dataio.read_array(path)
+    samples[7] = np.nan
+    dataio.write_array(path, samples, fs)
+
+
+def _synth_invalid_band(tmp, session_dir):
+    cfg = tmp / "cfg.json"
+    cfg.write_text(json.dumps({"fs": 12, "direction_gain": 1}))
+    return ["synth", "--config", cfg, "--out", tmp / "o"]
+
+
+def _preprocess_out_below_file(tmp, session_dir):
+    (tmp / "file").write_text("")
+    return ["preprocess", "--manifest", raw_session(tmp / "raw", [1250]),
+            "--out", tmp / "file/o"]
+
+
+def _run_speaker_without_id(tmp, session_dir):
+    manifest = _copied_session(
+        session_dir, tmp,
+        lambda root, spec: spec["trials"][0]["speakers"][1].pop("id"),
+    )
+    return ["run", "--manifest", manifest, "--model", "wf", "--protocol",
+            "loto", "--window", "30", "--out", tmp / "o"]
+
+
+def _run_nan_envelope(tmp, session_dir):
+    manifest = _copied_session(session_dir, tmp, _nan_envelope)
+    return ["run", "--manifest", manifest, "--model", "wf", "--protocol",
+            "loto", "--window", "30", "--out", tmp / "o"]
+
+
+def _preprocess_nan_envelope(tmp, session_dir):
+    manifest = raw_session(tmp / "raw", [1250, 1250])
+    _nan_envelope(manifest.parent, json.loads(manifest.read_text()))
+    return ["preprocess", "--manifest", manifest, "--out", tmp / "o"]
+
+
+def _envelope_4khz(tmp, session_dir):
+    write_wav(tmp / "a.wav", np.zeros(4000), 4000)
+    return ["envelope", "--audio", tmp / "a.wav", "--out", tmp / "e.aad"]
+
+
+def _envelope_stereo(tmp, session_dir):
+    write_wav(tmp / "a.wav", np.zeros(32000), 16000, n_channels=2)
+    return ["envelope", "--audio", tmp / "a.wav", "--out", tmp / "e.aad"]
+
+
+def _preprocess_band_triple(tmp, session_dir):
+    return ["preprocess", "--manifest", raw_session(tmp / "raw", [1250]),
+            "--band", "1,2,3", "--out", tmp / "o"]
+
+
+@pytest.mark.parametrize("argv, code, category", [
+    pytest.param(_synth_invalid_band, 2, "config", id="synth-invalid-band"),
+    pytest.param(_preprocess_out_below_file, 4, "io",
+                 id="preprocess-out-below-file"),
+    pytest.param(_run_speaker_without_id, 4, "data",
+                 id="run-speaker-without-id"),
+    pytest.param(_run_nan_envelope, 4, "data", id="run-nan-envelope"),
+    pytest.param(_preprocess_nan_envelope, 4, "data",
+                 id="preprocess-nan-envelope"),
+    pytest.param(_envelope_4khz, 3, "io", id="envelope-4khz-wav"),
+    pytest.param(_envelope_stereo, 3, "io", id="envelope-stereo-wav"),
+    pytest.param(_preprocess_band_triple, 2, "argument --band",
+                 id="preprocess-band-triple"),
+])
+def test_exit_code_table(session_dir, tmp_path, argv, code, category):
+    """Malformed input exits with the code and stderr category of its
+    kind, never with a traceback."""
+    r = run_cli(*map(str, argv(tmp_path, session_dir)))
+    assert r.returncode == code, r.stderr
+    assert f"error: {category}:" in r.stderr.splitlines()[-1]
+    assert "Traceback" not in r.stderr
 
 
 class TestRun:
@@ -345,14 +486,23 @@ class TestAblate:
         assert upper["accuracy"]["mean"] >= lower["accuracy"]["mean"]
         assert full["accuracy"]["mean"] >= 0.9
 
-    def test_empty_layouts_exit_2(self, session_dir, tmp_path):
+    @pytest.mark.parametrize("layouts", [
+        pytest.param([], id="empty"),
+        pytest.param({"a": 5}, id="map-int"),
+        pytest.param({"a": "ch00"}, id="map-str"),
+    ])
+    def test_empty_layouts_exit_2(self, session_dir, tmp_path, layouts):
+        """An empty layout list, or a mapping whose value is not a list of
+        channel names, is a configuration error."""
         _, sess = session_dir
-        layouts = tmp_path / "layouts.json"
-        layouts.write_text("[]")
+        path = tmp_path / "layouts.json"
+        path.write_text(json.dumps(layouts))
         r = run_cli("ablate", "--manifest", str(sess / "manifest.json"),
                     "--model", "wf", "--protocol", "loto", "--window", "30",
-                    "--layouts", str(layouts), "--out", str(tmp_path / "o"))
+                    "--layouts", str(path), "--out", str(tmp_path / "o"))
         assert r.returncode == 2
+        assert r.stderr.startswith("error: config: layouts:")
+        assert "Traceback" not in r.stderr
 
 
 class TestTrack:
@@ -431,6 +581,21 @@ class TestPreprocessEnvelope:
         assert prep.fs == 40.0
         assert prep.trials[0].eeg.n_channels == 2  # reference dropped
         assert prep.trials[0].eeg.n_samples == 400
+
+    def test_trial_lengths_off_the_output_grid_reload(self, tmp_path):
+        """Raw trials whose length is not a whole number of 40 Hz samples
+        come out with timelines that end where the trimmed trial ends."""
+        from aadkit import dataio
+
+        manifest = raw_session(tmp_path / "raw", [1250, 1252, 1254],
+                               env_fs=100.0)
+        r = run_cli("preprocess", "--manifest", str(manifest),
+                    "--out", str(tmp_path / "prep"))
+        assert r.returncode == 0, r.stderr
+        prep = dataio.load_session(tmp_path / "prep/manifest.json")
+        assert [t.eeg.n_samples for t in prep.trials] == [400, 401, 402]
+        for trial in prep.trials:
+            assert trial.timeline[-1].end_s == trial.duration_s
 
     def test_raw_chain_preserves_decodability(self, tmp_path):
         """Forward-model EEG at 125 Hz survives the full conditioning
@@ -548,3 +713,58 @@ class TestConvert:
         r = run_cli("convert-dataset", "--src", str(tmp_path / "empty"),
                     "--out", str(tmp_path / "o"))
         assert r.returncode == 4
+
+
+class TestRawDataPath:
+    def test_wav_and_npz_trials_decode(self, tmp_path):
+        """Raw 250 Hz EEG trials in .npz files and 16 kHz WAVs pass through
+        envelope, convert-dataset, preprocess and run, and the attended
+        speaker of a seeded high-SNR forward model is decoded. The last
+        trial is 2 samples longer, so its 40 Hz length rounds up past the
+        raw timeline."""
+        from aadkit import cli, dataio
+
+        rng = np.random.default_rng(2024)
+        n_ch, snr = 6, 3.0
+        kernels = rng.standard_normal((n_ch, 25))  # 100 ms at 250 Hz
+        kernels /= np.linalg.norm(kernels, axis=1, keepdims=True)
+        src = tmp_path / "npz"
+        src.mkdir()
+        for i, t_len in enumerate([3000] * 5 + [3002]):
+            envelopes = []
+            for s in range(3):
+                # noise carrier under a slow, syllable-rate modulation
+                slow = np.convolve(np.abs(rng.standard_normal(t_len)),
+                                   np.hanning(40), mode="same")
+                audio = rng.standard_normal(64 * t_len) * np.repeat(
+                    slow / slow.max(), 64)
+                wav, env = tmp_path / f"{i}_{s}.wav", tmp_path / f"{i}_{s}.aad"
+                write_wav(wav, 0.2 * audio, 16000)
+                assert cli.main(["envelope", "--audio", str(wav), "--out",
+                                 str(env), "--to-fs", "250"]) == 0
+                samples, env_fs = dataio.read_array(env)
+                envelopes.append(samples[:, 0])
+            attended = envelopes[i % 3]
+            z = (attended - attended.mean()) / attended.std()
+            eeg = rng.standard_normal((t_len, n_ch))
+            for c in range(n_ch):
+                eeg[:, c] += snr * np.convolve(z, kernels[c])[:t_len]
+            np.savez(src / f"trial_{i}.npz", eeg=eeg, fs_eeg=250.0,
+                     envelopes=np.column_stack(envelopes), env_fs=env_fs,
+                     speaker_ids=np.array([1, 2, 3]),
+                     directions_deg=np.array([-60.0, 0.0, 60.0]), task=1,
+                     attended_sequence=np.array([i % 3 + 1]))
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"lam": [1.0, 100.0], "L": [6]}))
+        for argv in (
+            ["convert-dataset", "--src", src, "--out", tmp_path / "raw"],
+            ["preprocess", "--manifest", tmp_path / "raw/manifest.json",
+             "--out", tmp_path / "prep"],
+            ["run", "--manifest", tmp_path / "prep/manifest.json",
+             "--model", "wf", "--protocol", "loto", "--window", "6",
+             "--folds", "3", "--grid", grid, "--out", tmp_path / "res"],
+        ):
+            assert cli.main([str(a) for a in argv]) == 0
+        summary = json.loads((tmp_path / "res/summary.json").read_text())
+        assert summary["n_windows"] == 12
+        assert summary["accuracy"]["mean"] >= 0.9

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from aadkit import dataio
-from aadkit.errors import BadConfig, ManifestError, ShapeMismatch, UnknownTask
+from aadkit.errors import (
+    BadConfig,
+    IoError,
+    ManifestError,
+    ShapeMismatch,
+    UnknownTask,
+)
 
 
 class TestArrays:
@@ -29,6 +35,43 @@ class TestArrays:
         path.write_bytes(b"\x00" * 64)
         with pytest.raises(ManifestError):
             dataio.read_array(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_samples_rejected(self, tmp_path, rng, value):
+        data = rng.standard_normal((20, 2))
+        data[7, 1] = value
+        path = tmp_path / "a.aad"
+        dataio.write_array(path, data, 40.0)
+        with pytest.raises(ShapeMismatch, match="finite"):
+            dataio.read_array(path)
+
+
+class TestReadJson:
+    def test_object_by_default(self, tmp_path):
+        path = tmp_path / "x.json"
+        path.write_text("[1]")
+        with pytest.raises(BadConfig, match="^grid: need a JSON object$"):
+            dataio.read_json(path, "grid")
+
+    def test_accepted_kinds_named_in_message(self, tmp_path):
+        path = tmp_path / "x.json"
+        kinds = {list: "a list", dict: "a mapping"}
+        path.write_text("[1]")
+        assert dataio.read_json(path, "layouts", kinds) == [1]
+        path.write_text("5")
+        with pytest.raises(BadConfig,
+                           match="^layouts: need a list or a mapping$"):
+            dataio.read_json(path, "layouts", kinds)
+
+    @pytest.mark.parametrize("raw", [b"{", b"\xff\xfe{}"],
+                             ids=["json", "utf8"])
+    def test_unreadable_file(self, tmp_path, raw):
+        path = tmp_path / "x.json"
+        path.write_bytes(raw)
+        with pytest.raises(BadConfig, match="^config: "):
+            dataio.read_json(path, "config")
+        with pytest.raises(BadConfig, match="^config: "):
+            dataio.read_json(tmp_path / "absent.json", "config")
 
 
 class TestTimeline:
@@ -56,6 +99,18 @@ class TestTimeline:
     def test_unknown_task(self):
         with pytest.raises(UnknownTask):
             dataio.build_timeline(9, 30.0, None, [1])
+
+    @pytest.mark.parametrize("end_s, spans", [
+        (10.025, [(0.0, 5.0, 1), (5.0, 10.025, 3)]),
+        (7.5, [(0.0, 5.0, 1), (5.0, 7.5, 3)]),
+        (5.0, [(0.0, 5.0, 1)]),
+        (4.0, [(0.0, 4.0, 1)]),
+    ])
+    def test_clamp_timeline(self, end_s, spans):
+        tl = dataio.clamp_timeline(
+            dataio.build_timeline(2, 10.0, 5.0, [1, 3]), end_s
+        )
+        assert [(s.start_s, s.end_s, s.attended) for s in tl] == spans
 
 
 class TestSessionRoundtrip:
@@ -105,6 +160,83 @@ class TestSessionRoundtrip:
         path.write_text(json.dumps({"subject": "x", "fs_eeg": 40.0}))
         with pytest.raises(ManifestError):
             dataio.load_session(path)
+
+    @staticmethod
+    def _small_session(root):
+        cfg = dataio.SynthConfig(n_trials=2, duration_s=5.0, n_channels=3,
+                                 seed=0)
+        return dataio.save_session(dataio.synth_generate(cfg), root)
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda m: m["trials"][0]["speakers"][1].pop("id"),
+                     id="speaker-id-missing"),
+        pytest.param(lambda m: m.update(fs_eeg="abc"), id="fs-str"),
+        pytest.param(lambda m: m.update(trials=5), id="trials-int"),
+        pytest.param(lambda m: m["trials"][0].update(eeg=3), id="eeg-int"),
+        pytest.param(lambda m: m["trials"][0]["timeline"][0].update(
+            end_s=None), id="end-null"),
+        pytest.param(lambda m: m["trials"][1].update(speakers=["x"]),
+                     id="speaker-str"),
+    ])
+    def test_ill_typed_field(self, tmp_path, edit):
+        path = self._small_session(tmp_path)
+        manifest = json.loads(path.read_text())
+        edit(manifest)
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ManifestError, match="malformed manifest"):
+            dataio.load_session(path)
+
+    @pytest.mark.parametrize("array", ["eeg", "envelope"])
+    def test_non_finite_samples(self, tmp_path, array):
+        path = self._small_session(tmp_path)
+        entry = json.loads(path.read_text())["trials"][1]
+        rel = entry["eeg"] if array == "eeg" else entry["speakers"][0][
+            "envelope"]
+        samples, fs = dataio.read_array(tmp_path / rel)
+        samples[3, 0] = np.nan
+        dataio.write_array(tmp_path / rel, samples, fs)
+        with pytest.raises(ShapeMismatch, match="finite"):
+            dataio.load_session(path)
+
+
+class TestReadNpzTrial:
+    KEYS = dict(eeg=np.zeros((250, 2)), fs_eeg=125.0,
+                envelopes=np.ones((250, 2)), env_fs=125.0,
+                speaker_ids=np.array([1, 2]),
+                directions_deg=np.array([-60.0, 60.0]), task=2,
+                attended_sequence=np.array([1, 2]), switch_s=1.0)
+
+    def test_trial(self, tmp_path):
+        np.savez(tmp_path / "t.npz", **self.KEYS)
+        trial = dataio.read_npz_trial(tmp_path / "t.npz", "t007")
+        assert trial.trial_id == "t007"
+        assert trial.eeg.channel_names == ["ch0", "ch1"]
+        assert trial.speaker_ids() == [1, 2]
+        assert [(s.start_s, s.end_s, s.attended) for s in trial.timeline] \
+            == [(0.0, 1.0, 1), (1.0, 2.0, 2)]
+
+    @pytest.mark.parametrize("change", [
+        pytest.param({"eeg": None}, id="eeg-missing"),
+        pytest.param({"task": None}, id="task-missing"),
+        pytest.param({"fs_eeg": np.array([1.0, 2.0])}, id="fs-array"),
+        pytest.param({"fs_eeg": np.array("x")}, id="fs-str"),
+        pytest.param({"envelopes": np.ones(250)}, id="envelopes-1d"),
+        pytest.param({"speaker_ids": np.array(1)}, id="ids-scalar"),
+        pytest.param({"eeg": np.full((250, 2), np.nan)}, id="eeg-nan"),
+    ])
+    def test_missing_or_unreadable_key(self, tmp_path, change):
+        keys = {**self.KEYS, **change}
+        np.savez(tmp_path / "t.npz",
+                 **{k: v for k, v in keys.items() if v is not None})
+        with pytest.raises(ManifestError):
+            dataio.read_npz_trial(tmp_path / "t.npz", "t000")
+
+    @pytest.mark.parametrize("raw", [b"", b"not an npz file", b"PK\x03\x04"],
+                             ids=["empty", "garbage", "truncated-zip"])
+    def test_unreadable_file(self, tmp_path, raw):
+        (tmp_path / "t.npz").write_bytes(raw)
+        with pytest.raises(ManifestError):
+            dataio.read_npz_trial(tmp_path / "t.npz", "t000")
 
 
 class TestAttendedStreams:
@@ -234,6 +366,29 @@ class TestSynth:
         with pytest.raises(BadConfig, match="bogus"):
             dataio.load_synth_config(p)
 
+    def test_load_config_accepts_json_types(self, tmp_path):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"n_trials": 2, "duration_s": 10,
+                                 "switch_times": [None, 5], "tasks": None,
+                                 "balance_directions": False}))
+        cfg = dataio.load_synth_config(p)
+        assert cfg.duration_s == 10 and cfg.switch_times == [None, 5]
+        assert cfg.balance_directions is False
+
+    @pytest.mark.parametrize("field", [
+        {"n_trials": True}, {"n_trials": 2.0}, {"seed": "1"},
+        {"snr": "5"}, {"duration_s": float("inf")}, {"subject": 3},
+        {"balance_directions": 1}, {"tasks": [1.0], "n_trials": 1},
+        {"active_channels": "0"}, {"switch_times": [[1.0]], "n_trials": 1},
+    ], ids=lambda field: "{}={}".format(*next(iter(field.items()))))
+    def test_load_config_rejects_wrong_type(self, tmp_path, field):
+        """The first field has the wrong JSON type; the rest are valid."""
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(field))
+        with pytest.raises(BadConfig,
+                           match=f"^{next(iter(field))}: need .*, got "):
+            dataio.load_synth_config(p)
+
 
 class TestSerialization:
     def test_deterministic_model_bytes(self, rng):
@@ -322,3 +477,19 @@ class TestWav:
             fh.writeframes(raw)
         audio = dataio.read_wav(p)
         assert np.allclose(audio.samples, [0.0, 0.5, -0.5])
+
+    @pytest.mark.parametrize("fs, frames, match", [
+        (4000, b"\x00\x01" * 100, "below 8 kHz"),
+        (16000, b"", "no whole audio frames"),
+    ], ids=["4khz", "empty"])
+    def test_unusable_audio_is_io_error(self, tmp_path, fs, frames, match):
+        import wave
+
+        p = tmp_path / "z.wav"
+        with wave.open(str(p), "wb") as fh:
+            fh.setnchannels(1)
+            fh.setsampwidth(2)
+            fh.setframerate(fs)
+            fh.writeframes(frames)
+        with pytest.raises(IoError, match=match):
+            dataio.read_wav(p)
