@@ -9,7 +9,10 @@ a field's value is converted as if it were typed after the flag. What
 neither sets takes its default: seed 0, jobs 1, and for track protocol
 loto, a 30 s window and 1 s segments. --manifest, --out and --layouts are
 flags only. Every JSON input file (--config, --grid, --layouts) is read by
-``dataio.read_json``.
+``dataio.read_json``. A --grid file lists exactly the keys of the model's
+``crossval.default_grid``, each a list of finite numbers >= 0 (integers
+>= 1 for the counts in ``_GRID_COUNTS``). Durations and rates (--window,
+--segment, --to-fs) are finite and positive.
 
 Every command runs inside one error shell, ``_command``: an ``AadError``
 exits with its category's code and an ``OSError`` as an I/O error. Exit
@@ -24,6 +27,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -112,6 +116,12 @@ _HELP = {
 }
 
 
+def _check_positive(name, value):
+    """A duration or a rate: a finite number above zero."""
+    if value is None or not (math.isfinite(value) and value > 0):
+        raise BadConfig(f"{name}: must be a finite positive number")
+
+
 def _settings(args):
     """Fill the settings no flag set from --config, then from the
     defaults, and check the model, protocol and window."""
@@ -134,8 +144,27 @@ def _settings(args):
         raise BadConfig(f"model: unknown model {args.model!r}")
     if args.protocol not in crossval.PROTOCOLS:
         raise BadConfig(f"protocol: unknown protocol {args.protocol!r}")
-    if args.window is None or args.window <= 0:
-        raise BadConfig("window: must be positive")
+    _check_positive("window", args.window)
+
+
+# grid keys that count lags, components or filters; the other keys are
+# nonnegative weights (regularization, shrinkage)
+_GRID_COUNTS = ("L", "L_y", "n_components", "csp_f")
+
+
+def _check_grid_values(key, values):
+    if not isinstance(values, list):
+        raise BadConfig(f"grid: {key} must map to a list")
+    for v in values:
+        # bool is an int subclass; JSON true is not a number here
+        if not (type(v) is int or type(v) is float and math.isfinite(v)):
+            raise BadConfig(f"grid: {key} values must be finite numbers, "
+                            f"got {v!r}")
+        if key in _GRID_COUNTS and (type(v) is not int or v < 1):
+            raise BadConfig(f"grid: {key} values must be integers >= 1, "
+                            f"got {v!r}")
+        if v < 0:
+            raise BadConfig(f"grid: {key} values must be >= 0, got {v!r}")
 
 
 def _load_grid(args):
@@ -147,9 +176,16 @@ def _load_grid(args):
             # bool is an int subclass; JSON true is not a count or a seed
             if value is not None and type(value) is not int:
                 raise BadConfig(f"grid: {key} must be an integer")
+        needed = crossval.default_grid(args.model).params
+        wrong = sorted(set(needed) ^ set(raw))
+        if wrong:
+            key = wrong[0]
+            raise BadConfig(
+                f"grid: {key} {'missing' if key in needed else 'unknown'}; "
+                f"model {args.model} takes {', '.join(needed)}"
+            )
         for key, values in raw.items():
-            if not isinstance(values, list):
-                raise BadConfig(f"grid: {key} must map to a list")
+            _check_grid_values(key, values)
         return crossval.HyperGrid(raw, budget=budget, seed=gseed)
     return crossval.default_grid(args.model)
 
@@ -277,8 +313,7 @@ def cmd_track(args):
             "protocol: tracking needs whole-trial test folds, got "
             "'within_trial'"
         )
-    if args.segment <= 0:
-        raise BadConfig("segment: must be positive")
+    _check_positive("segment", args.segment)
     [session] = _sessions(args)
     grid = _load_grid(args)
     plan = crossval.make_folds(session.trials, **_plan_args(args))
@@ -304,6 +339,7 @@ def _frequency_pair(text):
 
 @_command()
 def cmd_preprocess(args):
+    _check_positive("to-fs", args.to_fs)
     session = dataio.load_session(args.manifest)
     trials = []
     for trial in session.trials:
@@ -320,7 +356,7 @@ def cmd_preprocess(args):
         envs = []
         for sp in trial.speakers:
             env = preprocess.MultichannelSignal(sp.envelope, sp.fs)
-            if args.to_fs is not None and sp.fs != args.to_fs:
+            if sp.fs != args.to_fs:
                 env = preprocess.resample(env, args.to_fs)
             envs.append(preprocess.zscore(env))
         n = min([eeg.n_samples] + [env.n_samples for env in envs])
@@ -344,7 +380,11 @@ def cmd_preprocess(args):
 
 @_command(io_code=3)
 def cmd_envelope(args):
+    _check_positive("to-fs", args.to_fs)
     audio = dataio.read_wav(args.audio, speaker_id=args.speaker_id or 0)
+    if args.to_fs > audio.fs:
+        raise BadConfig(f"to-fs: {args.to_fs:g} Hz is above the audio rate "
+                        f"{audio.fs:g} Hz")
     bank = envmod.gammatone_bank(audio.fs, args.f_low, args.f_high, args.bands)
     env = envmod.compute_envelope(audio, bank, args.to_fs)
     dataio.write_array(args.out, env.samples, env.fs)

@@ -5,10 +5,13 @@ factorization or a sample-by-sample filter recurrence. :mod:`aadkit.numerics`
 builds its solvers on the first three, the filtering and resampling code on
 the last three. Library failures come back as the integer status codes the
 callers already map onto :mod:`aadkit.errors`, never as exceptions.
+
+The filtering kernels import ``scipy.signal`` on first use: it takes about
+a second to import, and the ``wf``, ``cca`` and ``rgc`` decoders never
+filter, so their runs never load it.
 """
 
 import numpy as np
-from scipy import signal as _signal
 from scipy.linalg import lapack as _lapack
 
 
@@ -85,6 +88,8 @@ def sosfilt(sections, x):
     ``sections`` rows are ``(b0, b1, b2, a1, a2)`` with ``a0 = 1``; direct
     form II transposed with zero initial conditions (``scipy.signal.sosfilt``).
     """
+    from scipy import signal as _signal
+
     sos = np.insert(sections, 3, 1.0, axis=1)
     return _signal.sosfilt(sos, x, axis=0)
 
@@ -96,6 +101,8 @@ def resonator_magnitudes(x, poles, gains, n_stages):
     w[t-1]`` (``scipy.signal.lfilter`` per stage); the output column is
     ``gains[b] * |w|``. Returns shape (T, n_bands).
     """
+    from scipy import signal as _signal
+
     out = np.empty((x.shape[0], poles.shape[0]))
     for band, (pole, gain) in enumerate(zip(poles, gains)):
         w = x
@@ -113,6 +120,8 @@ def fir_resample(x, h, up, down, n_out):
     ``(len(h) - 1) // 2``, and returns exactly ``n_out`` rows, zero past the
     end of the filtered signal (``scipy.signal.upfirdn``).
     """
+    from scipy import signal as _signal
+
     delay = (h.shape[0] - 1) // 2
     # leading zeros on h shift the delay onto a multiple of ``down``
     pad = -delay % down

@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy import signal as _scipy_signal
 
 from . import kernels
 from .errors import BadChannelIndex, InvalidBand, IrrationalRatio
@@ -105,7 +104,9 @@ def design_bandpass(low_hz, high_hz, order, fs):
         )
     if order < 2 or order % 2 != 0:
         raise InvalidBand(f"order must be even and >= 2, got {order}")
-    sos = _scipy_signal.butter(
+    from scipy import signal as _signal
+
+    sos = _signal.butter(
         order // 2, [low_hz, high_hz], btype="bandpass", fs=fs, output="sos"
     )
     return _sos_from_scipy(sos, f"bandpass {low_hz}-{high_hz} Hz ord{order}")
@@ -117,7 +118,9 @@ def design_notch(stop_low_hz, stop_high_hz, fs, order=4):
         raise InvalidBand(
             f"stopband ({stop_low_hz}, {stop_high_hz}) invalid for fs={fs}"
         )
-    sos = _scipy_signal.butter(
+    from scipy import signal as _signal
+
+    sos = _signal.butter(
         order // 2,
         [stop_low_hz, stop_high_hz],
         btype="bandstop",

@@ -254,6 +254,39 @@ class TestRun:
         assert r.stderr.startswith("error: config:")
         assert "Traceback" not in r.stderr
 
+    @pytest.mark.parametrize("model, grid, key", [
+        pytest.param("wf", {"lam": ["x"], "L": [6]}, "lam", id="lam-str"),
+        pytest.param("wf", {"lam": [-1], "L": [6]}, "lam", id="lam-negative"),
+        pytest.param("wf", {"lam": [float("inf")], "L": [6]}, "lam",
+                     id="lam-inf"),
+        pytest.param("wf", {"lam": [True], "L": [6]}, "lam", id="lam-bool"),
+        pytest.param("wf", {"L": ["a"], "lam": [1]}, "L", id="L-str"),
+        pytest.param("wf", {"L": [2.5], "lam": [1]}, "L", id="L-float"),
+        pytest.param("wf", {"L": [0], "lam": [1]}, "L", id="L-zero"),
+        pytest.param("wf", {"lam": [1]}, "L", id="L-missing"),
+        pytest.param("wf", {"lam": [1], "L": [6], "lamda": [1, 2]}, "lamda",
+                     id="unknown-key"),
+        pytest.param("cca", {"reg": [1], "L": [6], "n_components": [2]},
+                     "L_y", id="cca-L_y-missing"),
+        pytest.param("cca", {"reg": [-0.5], "L": [6], "L_y": [6],
+                             "n_components": [2]}, "reg",
+                     id="cca-reg-negative"),
+    ])
+    def test_grid_value_rejected_exit_2(self, session_dir, tmp_path, model,
+                                        grid, key):
+        """A grid that lacks a key of the model or has one the model does
+        not take, or holds a value that is not a finite number in the
+        key's range, is a configuration error naming the key."""
+        _, sess = session_dir
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(grid))
+        r = run_cli("run", "--manifest", str(sess / "manifest.json"),
+                    "--model", model, "--protocol", "loto", "--window", "30",
+                    "--grid", str(path), "--out", str(tmp_path / "o"))
+        assert r.returncode == 2
+        assert r.stderr.startswith(f"error: config: grid: {key} ")
+        assert "Traceback" not in r.stderr
+
     def test_missing_manifest_exit_4(self, tmp_path):
         r = run_cli("run", "--manifest", str(tmp_path / "absent.json"),
                     "--model", "wf", "--protocol", "loto", "--window", "30",
@@ -678,6 +711,47 @@ class TestPreprocessEnvelope:
         assert r.returncode == 4
         assert r.stderr.startswith("error: data:")
         assert "Traceback" not in r.stderr
+
+
+class TestNonFiniteFlags:
+    @pytest.mark.parametrize("command, flag, value", [
+        pytest.param("run", "--window", "inf", id="run-window-inf"),
+        pytest.param("run", "--window", "nan", id="run-window-nan"),
+        pytest.param("track", "--segment", "inf", id="track-segment-inf"),
+        pytest.param("preprocess", "--to-fs", "inf", id="preprocess-to-fs-inf"),
+        pytest.param("envelope", "--to-fs", "inf", id="envelope-to-fs-inf"),
+    ])
+    def test_exit_2(self, session_dir, tmp_path, command, flag, value):
+        _, sess = session_dir
+        if command == "run":
+            args = ["--manifest", str(sess / "manifest.json"),
+                    "--model", "wf", "--protocol", "loto"]
+        elif command == "track":
+            args = ["--manifest", str(sess / "manifest.json"),
+                    "--model", "wf"]
+        elif command == "preprocess":
+            args = ["--manifest", str(raw_session(tmp_path / "raw", [1250]))]
+        else:
+            wav = tmp_path / "a.wav"
+            write_wav(wav, np.zeros(16000), 16000)
+            args = ["--audio", str(wav)]
+        r = run_cli(command, *args, flag, value,
+                    "--out", str(tmp_path / "o"))
+        assert r.returncode == 2
+        assert r.stderr.startswith(f"error: config: {flag[2:]}:")
+        assert "Traceback" not in r.stderr
+
+    def test_envelope_rate_above_audio_rate_exit_2(self, tmp_path, rng):
+        """A target rate above the audio rate is refused before the
+        resampler asks for memory (1e9 Hz from 2 s would take 15 GiB)."""
+        wav = tmp_path / "a.wav"
+        write_wav(wav, rng.uniform(-0.4, 0.4, 32000), 16000)
+        r = run_cli("envelope", "--audio", str(wav), "--to-fs", "1e9",
+                    "--out", str(tmp_path / "env.aad"))
+        assert r.returncode == 2
+        assert r.stderr.startswith("error: config: to-fs:")
+        assert "16000" in r.stderr
+        assert not (tmp_path / "env.aad").exists()
 
 
 class TestConvert:

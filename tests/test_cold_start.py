@@ -1,0 +1,98 @@
+"""Commands that never filter a signal never import ``scipy.signal``.
+
+``scipy.signal`` (and the ``scipy.stats`` it pulls in) costs about a second
+to import, so the filtering kernels and filter designs import it on first
+use. Each case runs in a fresh interpreter, whose ``sys.modules`` is then
+the record of what the command loaded.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+LAZY = ("scipy.signal", "scipy.stats")
+
+
+def run_fresh(code):
+    """Run ``code`` in a new interpreter with the package on its path;
+    return the lazily imported modules it ended with and its stdout."""
+    trailer = (
+        "\nimport json as _json, sys as _sys\n"
+        f"print(_json.dumps([m for m in {LAZY!r} if m in _sys.modules]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    r = subprocess.run([sys.executable, "-c", textwrap.dedent(code) + trailer],
+                       capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr
+    *out, loaded = r.stdout.strip().splitlines()
+    return json.loads(loaded), out
+
+
+def cli_call(*argv):
+    return f"""
+        import aadkit.cli
+        assert aadkit.cli.main({[str(a) for a in argv]!r}) == 0
+    """
+
+
+@pytest.fixture(scope="module")
+def session(tmp_path_factory):
+    """A small seeded synthetic session, made by ``synth`` in a fresh
+    interpreter that must not load the lazy modules either."""
+    tmp = tmp_path_factory.mktemp("cold")
+    cfg = tmp / "cfg.json"
+    cfg.write_text(json.dumps({
+        "n_trials": 4, "duration_s": 20.0, "n_channels": 4,
+        "snr": 5.0, "seed": 3,
+    }))
+    loaded, _ = run_fresh(cli_call("synth", "--config", cfg,
+                                   "--out", tmp / "sess"))
+    assert loaded == []
+    return tmp / "sess" / "manifest.json"
+
+
+def test_import_loads_no_filtering():
+    loaded, _ = run_fresh("import aadkit; import aadkit.cli")
+    assert loaded == []
+
+
+@pytest.mark.parametrize("model, window", [
+    ("wf", "20"), ("cca", "20"), ("rgc", "10"),
+])
+def test_run_loads_no_filtering(session, tmp_path, model, window):
+    loaded, _ = run_fresh(cli_call(
+        "run", "--manifest", session, "--model", model, "--protocol", "loto",
+        "--window", window, "--folds", "2", "--out", tmp_path / "o",
+    ))
+    assert loaded == []
+
+
+def test_csp_run_loads_filtering(session, tmp_path):
+    loaded, _ = run_fresh(cli_call(
+        "run", "--manifest", session, "--model", "csp",
+        "--protocol", "within_trial", "--window", "5", "--folds", "3",
+        "--out", tmp_path / "o",
+    ))
+    assert "scipy.signal" in loaded
+
+
+def test_bandpass_design_loads_filtering_with_same_coefficients():
+    loaded, out = run_fresh("""
+        import json
+        from aadkit import preprocess
+        f = preprocess.design_bandpass(0.5, 62, 8, 125)
+        print(json.dumps(f.sections.tolist()))
+    """)
+    assert "scipy.signal" in loaded
+    from scipy import signal
+
+    sos = signal.butter(4, [0.5, 62], btype="bandpass", fs=125, output="sos")
+    expected = np.column_stack([sos[:, 0:3], sos[:, 4:6]])
+    np.testing.assert_array_equal(np.array(json.loads(out[-1])), expected)

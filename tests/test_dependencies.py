@@ -25,3 +25,33 @@ def test_third_party_imports_match_declared_dependencies():
     declared = {re.match(r"[A-Za-z0-9_.-]+", spec).group().lower()
                 for spec in project["dependencies"]}
     assert third_party == declared == {"numpy", "scipy"}
+
+
+def _module_level_imports(tree):
+    """Import statements outside every function body of ``tree``."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def test_scipy_signal_is_imported_on_first_use():
+    """``scipy.signal`` costs about a second to import; only the functions
+    that filter may import it, so decoders that never filter never pay."""
+    offenders = []
+    for path in sorted((ROOT / "src" / "aadkit").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in _module_level_imports(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                names = [node.module or ""] + [f"{node.module}.{a.name}"
+                                               for a in node.names]
+            if any(n == "scipy.signal" or n.startswith("scipy.signal.")
+                   for n in names):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
