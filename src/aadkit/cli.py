@@ -315,6 +315,13 @@ def cmd_track(args):
         )
     _check_positive("segment", args.segment)
     [session] = _sessions(args)
+    seg_len = int(round(args.segment * session.fs))
+    if seg_len < 2:
+        # a segment's PCC needs two samples; refuse before anything is fit
+        raise BadConfig(
+            f"segment: {args.segment:g} s is {seg_len} samples at "
+            f"fs={session.fs:g}; need at least 2"
+        )
     grid = _load_grid(args)
     plan = crossval.make_folds(session.trials, **_plan_args(args))
     report = crossval.run_pipeline(

@@ -2,6 +2,8 @@
 
 The lagged design stacks per-channel blocks of L delayed copies of the
 signal: column c*L + l holds x_c(t - l), zero-padded where t - l < 0.
+It is built as one strided copy: L - 1 zero rows on top of the signal, a
+sliding window of L rows read backwards, reshaped to (T, C*L).
 Covariance statistics are unnormalized sums over training windows; each
 window is lagged with its own zero padding so no samples mix across
 window (or trial) boundaries.
@@ -32,10 +34,15 @@ def build_lagged(x, lags):
     t_len, n_ch = samples.shape
     if lags < 1 or lags > t_len:
         raise BadLag(f"lags={lags} invalid for T={t_len}")
-    out = np.zeros((t_len, lags * n_ch))
-    for c in range(n_ch):
-        for l in range(lags):
-            out[l:, c * lags + l] = samples[: t_len - l, c]
+    padded = np.concatenate([np.zeros((lags - 1, n_ch)), samples])
+    # window t of the view holds x(t - L + 1 .. t); reversed, entry l is
+    # x(t - l), so the (T, C, L) view reshapes to columns c*L + l
+    windows = np.lib.stride_tricks.sliding_window_view(padded, lags, axis=0)
+    # a one-channel reshape can come back as a negative-stride view, and
+    # matmuls on it round differently: always hand out a C-ordered copy
+    out = np.ascontiguousarray(
+        windows[:, :, ::-1].reshape(t_len, n_ch * lags)
+    )
     return LaggedDesign(out, lags, n_ch)
 
 

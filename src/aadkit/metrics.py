@@ -18,13 +18,18 @@ def pcc(a, b):
         raise LengthMismatch(f"lengths differ: {a.shape[0]} vs {b.shape[0]}")
     if a.shape[0] < 2:
         raise LengthMismatch("need at least 2 samples")
-    ac = a - a.mean()
-    bc = b - b.mean()
+    # np.add.reduce(a) / n is a.mean() to the bit for 1-D float64, and
+    # min/max clip like np.clip (NaN stays NaN), both without numpy's
+    # per-call wrapper overhead: scoring calls this once per window,
+    # candidate and component
+    n = a.shape[0]
+    ac = a - np.add.reduce(a) / n
+    bc = b - np.add.reduce(b) / n
     na = math.sqrt(float(ac @ ac))
     nb = math.sqrt(float(bc @ bc))
     if na == 0.0 or nb == 0.0:
         return 0.0
-    return float(np.clip(float(ac @ bc) / (na * nb), -1.0, 1.0))
+    return min(max(float(ac @ bc) / (na * nb), -1.0), 1.0)
 
 
 @dataclass
@@ -104,12 +109,17 @@ def time_pcc_curve(reconstructed, candidates, fs, seg_s):
     ``reconstructed`` and the candidates are 1-D signals or (T, k)
     component arrays, scored with ``component_pcc``. Returns an
     (n_segments, n_candidates) array; an incomplete tail segment is
-    dropped.
+    dropped. A segment shorter than two samples raises LengthMismatch.
     """
     reconstructed = _as_components(reconstructed)
     if seg_s <= 0:
         raise ValueError("seg_s must be positive")
     seg_len = int(round(seg_s * fs))
+    if seg_len < 2:
+        raise LengthMismatch(
+            f"segment of {seg_s:g} s is {seg_len} samples at fs={fs:g}; "
+            "need at least 2"
+        )
     n_seg = reconstructed.shape[0] // seg_len
     cands = [_as_components(c) for c in candidates]
     for c in cands:

@@ -568,6 +568,27 @@ class TestTrack:
         lines = (tmp_path / "tr/time_pcc.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + 10 * 15 * 3
 
+    @pytest.mark.parametrize("segment, n_samples", [
+        pytest.param("0.001", 0, id="rounds-to-0"),
+        pytest.param("0.02", 1, id="rounds-to-1"),
+    ])
+    def test_segment_below_two_samples_exit_2(self, session_dir, tmp_path,
+                                              segment, n_samples):
+        """Refused before anything is fit (the 40 Hz session makes 0.001 s
+        zero samples and 0.02 s one sample)."""
+        _, sess = session_dir
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"lam": [1.0], "L": [4]}))
+        r = run_cli("track", "--manifest", str(sess / "manifest.json"),
+                    "--model", "wf", "--protocol", "loto", "--folds", "2",
+                    "--window", "10", "--grid", str(grid),
+                    "--segment", segment, "--out", str(tmp_path / "o"))
+        assert r.returncode == 2, r.stderr
+        assert r.stderr.startswith("error: config: segment:")
+        assert f"is {n_samples} samples" in r.stderr
+        assert "Traceback" not in r.stderr
+        assert not (tmp_path / "o").exists()
+
     def test_within_trial_rejected(self, session_dir, tmp_path):
         _, sess = session_dir
         r = run_cli("track", "--manifest", str(sess / "manifest.json"),

@@ -1,8 +1,23 @@
 import numpy as np
 import pytest
 
-from aadkit.design import accumulate, build_lagged
+from aadkit.design import LaggedDesign, accumulate, build_lagged
 from aadkit.errors import BadLag, DimensionMismatch
+
+
+def loop_lagged(x, lags):
+    """The documented layout by a zero-filled triple loop: column c*L + l
+    holds x_c(t - l), zero where t - l < 0."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim == 1:
+        x = x[:, None]
+    t_len, n_ch = x.shape
+    out = np.zeros((t_len, n_ch * lags))
+    for t in range(t_len):
+        for c in range(n_ch):
+            for l in range(min(lags, t + 1)):
+                out[t, c * lags + l] = x[t - l, c]
+    return LaggedDesign(out, lags, n_ch)
 
 
 class TestBuildLagged:
@@ -34,10 +49,55 @@ class TestBuildLagged:
             build_lagged(np.zeros((3, 1)), 0)
 
 
+class TestLaggedLayout:
+    """The design is a fresh C-ordered float64 array whatever the input.
+
+    A strided build can hand out a view (one channel reshapes to a
+    negative-stride view), and matmuls on a view round differently from
+    matmuls on a C-ordered copy, so the covariance sums are checked to
+    the bit against a design built by the triple loop.
+    """
+
+    @staticmethod
+    def inputs(rng):
+        wide = rng.standard_normal((40, 16))
+        return {
+            "1-D": rng.standard_normal(40),
+            "(T, 1)": rng.standard_normal((40, 1)),
+            "(T, 8)": rng.standard_normal((40, 8)),
+            "column slice": wide[:, ::2],
+        }
+
+    @pytest.mark.parametrize("lags", [1, 6, 40])
+    def test_fresh_c_ordered_float64(self, rng, lags):
+        for name, x in self.inputs(rng).items():
+            m = build_lagged(x, lags).matrix
+            assert m.dtype == np.float64, name
+            assert m.flags.c_contiguous, name
+            assert not np.shares_memory(m, x), name
+            assert np.array_equal(m, loop_lagged(x, lags).matrix), name
+
+    @pytest.mark.parametrize("n_ch", [1, 8])
+    @pytest.mark.parametrize("lags", [1, 6, 11, 21])
+    def test_accumulate_bit_identical_to_loop(self, n_ch, lags):
+        rng = np.random.default_rng(100 * n_ch + lags)
+        x = rng.standard_normal((300, n_ch))
+        y = rng.standard_normal(300)
+        for fast, slow in (
+            (accumulate([build_lagged(x, lags)], [y]),
+             accumulate([loop_lagged(x, lags)], [y])),
+            (accumulate([build_lagged(x, lags)], [build_lagged(y, lags)]),
+             accumulate([loop_lagged(x, lags)], [loop_lagged(y, lags)])),
+        ):
+            for key in ("rxx", "rxy", "ryy", "rxy_mat"):
+                a, b = getattr(fast, key), getattr(slow, key)
+                assert (a is None) == (b is None), key
+                if a is not None:
+                    assert np.array_equal(a, b), (key, n_ch, lags)
+
+
 class TestAccumulate:
     def test_identity_design(self):
-        from aadkit.design import LaggedDesign
-
         d = LaggedDesign(np.eye(4), 1, 4)
         y = np.array([1.0, 2.0, 3.0, 4.0])
         stats = accumulate([d], [y])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,55 @@ class TestPcc:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             metrics.pcc([1.0, 2.0], [1.0, 2.0, 3.0])
+
+
+def mean_clip_pcc(a, b):
+    """The ``a.mean()``/``np.clip`` formula ``pcc`` must reproduce."""
+    a = np.asarray(a, dtype=np.float64).ravel()
+    b = np.asarray(b, dtype=np.float64).ravel()
+    ac = a - a.mean()
+    bc = b - b.mean()
+    na = math.sqrt(float(ac @ ac))
+    nb = math.sqrt(float(bc @ bc))
+    if na == 0.0 or nb == 0.0:
+        return 0.0
+    return float(np.clip(float(ac @ bc) / (na * nb), -1.0, 1.0))
+
+
+class TestPccBitIdentity:
+    @pytest.mark.parametrize("n", [2, 3, 400, 1200])
+    def test_equals_mean_clip_formula(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(50):
+            a = rng.standard_normal(n) * rng.uniform(0.1, 10.0) + 3.0
+            b = 0.3 * a + rng.standard_normal(n)
+            got = metrics.pcc(a, b)
+            assert type(got) is float
+            assert got == mean_clip_pcc(a, b)
+            # a strided column, as the scorer passes component columns
+            both = np.stack([a, b], axis=1)
+            assert metrics.pcc(both[:, 0], both[:, 1]) == got
+
+    def test_self_negated_constant(self, rng):
+        x = rng.standard_normal(400)
+        assert metrics.pcc(x, x) == 1.0
+        assert metrics.pcc(x, -x) == -1.0
+        assert metrics.pcc(np.full(400, 2.5), x) == 0.0
+        assert metrics.pcc(x, np.zeros(400)) == 0.0
+        for value in (metrics.pcc(x, x), metrics.pcc(np.ones(3), x[:3])):
+            assert type(value) is float
+
+    def test_nan_input_gives_nan(self, rng):
+        x = rng.standard_normal(20)
+        y = x.copy()
+        y[4] = np.nan
+        assert math.isnan(metrics.pcc(x, y))
+        assert math.isnan(metrics.pcc(y, x))
+        assert math.isnan(mean_clip_pcc(x, y))
+
+    def test_too_short(self):
+        with pytest.raises(LengthMismatch):
+            metrics.pcc([1.0], [2.0])
 
 
 class TestDecideWindow:
@@ -145,6 +196,13 @@ class TestTimePcc:
         with pytest.raises(LengthMismatch):
             metrics.time_pcc_curve(rng.standard_normal((40, 2)),
                                    [rng.standard_normal((39, 2))], 10.0, 1.0)
+
+    @pytest.mark.parametrize("seg_s", [0.001, 0.02])
+    def test_segment_below_two_samples(self, rng, seg_s):
+        """0.001 s rounds to 0 samples at 40 Hz, 0.02 s to 1."""
+        rec = rng.standard_normal(80)
+        with pytest.raises(LengthMismatch, match="need at least 2"):
+            metrics.time_pcc_curve(rec, [rec], 40.0, seg_s)
 
 
 class TestComponentPcc:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.linalg import lapack
+from scipy.linalg import cho_solve, lapack
 
 from aadkit import kernels, numerics
 from aadkit.errors import (
@@ -65,8 +65,9 @@ class TestSolveRegularized:
     def test_singular_raises(self):
         v = np.array([1.0, 2.0, 3.0])
         a = np.outer(v, v)  # rank 1
-        with pytest.raises(SingularSystem):
-            numerics.solve_regularized(a, np.ones(3), 0.0)
+        for rhs in (np.ones(3), np.ones((3, 2))):
+            with pytest.raises(SingularSystem):
+                numerics.solve_regularized(a, rhs, 0.0)
         # loading repairs it
         x = numerics.solve_regularized(a, np.ones(3), 1.0)
         assert np.all(np.isfinite(x))
@@ -86,6 +87,24 @@ class TestSolveRegularized:
             lam = np.nan if where == "lam" else np.inf
         with pytest.raises(SingularSystem):
             numerics.solve_regularized(a, b, lam)
+
+    @pytest.mark.parametrize("rhs_shape", [(9,), (9, 4)])
+    def test_equals_cho_solve_formula(self, rhs_shape):
+        """Bit-identical to the package's Cholesky factor solved, plus one
+        refinement step, with ``scipy.linalg.cho_solve``."""
+        rng = np.random.default_rng(len(rhs_shape))
+        for lam in (0.0, 1e-6, 0.3, 100.0):
+            a = random_spd(rng, 9, cond=1e5)
+            b = rng.standard_normal(rhs_shape)
+            m = a + lam * np.eye(9)
+            fac = m.copy()
+            assert kernels.cholesky_inplace(fac, 0.0) == -1
+            want = cho_solve((fac, True), b, check_finite=False)
+            want = want + cho_solve((fac, True), b - m @ want,
+                                    check_finite=False)
+            got = numerics.solve_regularized(a, b, lam)
+            assert got.shape == b.shape
+            assert np.array_equal(got, want)
 
     def test_shrinkage_monotone(self, rng):
         a = random_spd(rng, 6)
