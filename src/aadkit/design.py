@@ -3,7 +3,8 @@
 The lagged design stacks per-channel blocks of L delayed copies of the
 signal: column c*L + l holds x_c(t - l), zero-padded where t - l < 0.
 It is built as one strided copy: L - 1 zero rows on top of the signal, a
-sliding window of L rows read backwards, reshaped to (T, C*L).
+(T, C, L) view of them that reads L rows backwards from each row, reshaped
+to (T, C*L).
 Covariance statistics are unnormalized sums over training windows; each
 window is lagged with its own zero padding so no samples mix across
 window (or trial) boundaries.
@@ -35,14 +36,16 @@ def build_lagged(x, lags):
     if lags < 1 or lags > t_len:
         raise BadLag(f"lags={lags} invalid for T={t_len}")
     padded = np.concatenate([np.zeros((lags - 1, n_ch)), samples])
-    # window t of the view holds x(t - L + 1 .. t); reversed, entry l is
-    # x(t - l), so the (T, C, L) view reshapes to columns c*L + l
-    windows = np.lib.stride_tricks.sliding_window_view(padded, lags, axis=0)
+    # entry (t, c, l) of the view is padded[t + L - 1 - l, c] = x_c(t - l):
+    # start at row L - 1 and step back one row per lag, so the (T, C, L)
+    # view reshapes to columns c*L + l
+    row = padded.strides[0]
+    windows = np.ndarray((t_len, n_ch, lags), padded.dtype, padded,
+                         offset=(lags - 1) * row,
+                         strides=(row, padded.strides[1], -row))
     # a one-channel reshape can come back as a negative-stride view, and
     # matmuls on it round differently: always hand out a C-ordered copy
-    out = np.ascontiguousarray(
-        windows[:, :, ::-1].reshape(t_len, n_ch * lags)
-    )
+    out = np.ascontiguousarray(windows.reshape(t_len, n_ch * lags))
     return LaggedDesign(out, lags, n_ch)
 
 

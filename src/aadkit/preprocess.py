@@ -172,6 +172,36 @@ def _rational_ratio(fs_from, fs_to):
     return frac.numerator, frac.denominator
 
 
+def _resample_stages(fs_from, fs_to):
+    """``(up, down, rate after the stage)`` for each stage of a conversion.
+
+    One stage when the ratio has a rational form with denominator <= 1000.
+    Otherwise the exact ratio ``p/q`` of the two rates is split into
+    ``u/d`` and ``(p/u)/(q/d)``, each denominator <= 1000, with the
+    intermediate rate at or above the lower end rate, so neither stage
+    narrows the band. The split takes the smallest ``max(u, d)``: the first
+    stage is then a short filter, and the second works like the single
+    stage at a lower input rate (e.g. 48 kHz -> 24 kHz -> 40 Hz).
+    """
+    try:
+        up, down = _rational_ratio(fs_from, fs_to)
+        return [(up, down, fs_to)]
+    except IrrationalRatio as exc:
+        error = exc
+    start, end = Fraction(fs_from), Fraction(fs_to)
+    p, q = (end / start).as_integer_ratio()
+    ups = [u for u in range(1, 1001) if p % u == 0]
+    downs = [d for d in range(2, 1001) if q % d == 0 and q // d <= 1000]
+    splits = [(max(u, d), Fraction(u, d)) for d in downs for u in ups
+              if start * u / d >= min(start, end)]
+    if not splits:
+        raise error
+    first = min(splits)[1]
+    second = end / start / first
+    return [(first.numerator, first.denominator, float(start * first)),
+            (second.numerator, second.denominator, fs_to)]
+
+
 def _antialias_fir(fs_from, fs_to, up):
     """Kaiser-windowed linear-phase low-pass at 0.45 x the lower rate.
 
@@ -205,16 +235,23 @@ def resample(x, to_fs):
 
     Output length is ceil(T * to_fs / fs). The anti-alias low-pass sits at
     0.45 x the lower of the two rates, Kaiser-designed for >= 60 dB
-    stopband attenuation.
+    stopband attenuation. A ratio whose denominator exceeds 1000 (40 Hz
+    from 22.05, 44.1 or 48 kHz) runs as two rational stages, each with its
+    own low-pass (see :func:`_resample_stages`).
     """
     if not to_fs > 0:
         raise IrrationalRatio("target rate must be positive")
     if to_fs == x.fs:
         return x.with_samples(x.samples.copy())
-    up, down = _rational_ratio(x.fs, to_fs)
-    h = _antialias_fir(x.fs, to_fs, up)
-    n_out = -(-x.n_samples * up // down)  # ceil in exact integer arithmetic
-    y = kernels.fir_resample(x.samples, h, up, down, n_out)
+    y, fs = x.samples, x.fs
+    num = den = 1
+    for up, down, stage_fs in _resample_stages(x.fs, to_fs):
+        num, den = num * up, den * down
+        # ceil(T * rate ratio so far), in exact integer arithmetic
+        n_out = -(-x.n_samples * num // den)
+        h = _antialias_fir(fs, stage_fs, up)
+        y = kernels.fir_resample(y, h, up, down, n_out)
+        fs = stage_fs
     return x.with_samples(y, fs=to_fs)
 
 

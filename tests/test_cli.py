@@ -717,6 +717,21 @@ class TestPreprocessEnvelope:
         assert env.shape[0] == 40
         assert np.all(env >= 0)
 
+    @pytest.mark.parametrize("fs", [22050, 44100, 48000])
+    def test_wav_to_envelope_at_audio_rate(self, tmp_path, rng, fs):
+        """40 Hz from these rates needs a ratio denominator above 1000."""
+        p = tmp_path / "x.wav"
+        write_wav(p, rng.uniform(-0.4, 0.4, 2 * fs + 5), fs)
+        out = tmp_path / "env.aad"
+        r = run_cli("envelope", "--audio", str(p), "--out", str(out))
+        assert r.returncode == 0, r.stderr
+        from aadkit import dataio
+
+        env, env_fs = dataio.read_array(out)
+        assert env_fs == 40.0
+        assert env.shape[0] == 81
+        assert np.all(env >= 0)
+
     def test_irrational_rate_exit_4(self, tmp_path, rng):
         import wave
 
@@ -862,4 +877,61 @@ class TestRawDataPath:
             assert cli.main([str(a) for a in argv]) == 0
         summary = json.loads((tmp_path / "res/summary.json").read_text())
         assert summary["n_windows"] == 12
+        assert summary["accuracy"]["mean"] >= 0.9
+
+    @pytest.mark.parametrize("audio_fs", [22050, 44100, 48000])
+    def test_audio_rate_wavs_decode(self, tmp_path, audio_fs):
+        """WAVs at 22.05, 44.1 and 48 kHz go to 40 Hz envelopes, a ratio
+        with a denominator above 1000, next to raw 250 Hz EEG driven by
+        those envelopes; convert-dataset, preprocess and run decode the
+        attended speaker."""
+        from aadkit import cli, dataio, preprocess
+
+        rng = np.random.default_rng(audio_fs)
+        n_ch, snr, t_len = 6, 3.0, 3000  # 12 s of EEG at 250 Hz
+        kernels = rng.standard_normal((n_ch, 25))
+        kernels /= np.linalg.norm(kernels, axis=1, keepdims=True)
+        src = tmp_path / "npz"
+        src.mkdir()
+        n_audio = 12 * audio_fs
+        t = np.arange(n_audio) / audio_fs
+        for i in range(4):
+            envelopes = []
+            for s in range(2):
+                # noise carrier under a slow, syllable-rate modulation
+                slow = np.convolve(np.abs(rng.standard_normal(t_len)),
+                                   np.hanning(40), mode="same")
+                mod = np.interp(t, np.arange(t_len) / 250.0, slow)
+                audio = rng.standard_normal(n_audio) * mod / slow.max()
+                wav, env = tmp_path / f"{i}_{s}.wav", tmp_path / f"{i}_{s}.aad"
+                write_wav(wav, 0.2 * audio, audio_fs)
+                assert cli.main(["envelope", "--audio", str(wav), "--out",
+                                 str(env)]) == 0
+                samples, env_fs = dataio.read_array(env)
+                assert env_fs == 40.0 and samples.shape == (480, 1)
+                envelopes.append(samples[:, 0])
+            attended = preprocess.resample(preprocess.MultichannelSignal(
+                envelopes[i % 2], 40.0), 250.0).samples[:, 0]
+            z = (attended - attended.mean()) / attended.std()
+            eeg = rng.standard_normal((t_len, n_ch))
+            for c in range(n_ch):
+                eeg[:, c] += snr * np.convolve(z, kernels[c])[:t_len]
+            np.savez(src / f"trial_{i}.npz", eeg=eeg, fs_eeg=250.0,
+                     envelopes=np.column_stack(envelopes), env_fs=40.0,
+                     speaker_ids=np.array([1, 2]),
+                     directions_deg=np.array([-60.0, 60.0]), task=1,
+                     attended_sequence=np.array([i % 2 + 1]))
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"lam": [1.0, 100.0], "L": [6]}))
+        for argv in (
+            ["convert-dataset", "--src", src, "--out", tmp_path / "raw"],
+            ["preprocess", "--manifest", tmp_path / "raw/manifest.json",
+             "--out", tmp_path / "prep"],
+            ["run", "--manifest", tmp_path / "prep/manifest.json",
+             "--model", "wf", "--protocol", "loto", "--window", "6",
+             "--folds", "2", "--grid", grid, "--out", tmp_path / "res"],
+        ):
+            assert cli.main([str(a) for a in argv]) == 0
+        summary = json.loads((tmp_path / "res/summary.json").read_text())
+        assert summary["n_windows"] == 8
         assert summary["accuracy"]["mean"] >= 0.9

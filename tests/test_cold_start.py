@@ -63,6 +63,16 @@ def test_import_loads_no_filtering():
     assert loaded == []
 
 
+def test_gammatone_design_loads_no_filtering():
+    """Designing the bank is closed-form numpy; only running it through
+    the resonator kernel imports ``scipy.signal``."""
+    loaded, _ = run_fresh("""
+        from aadkit import envelope
+        envelope.gammatone_bank(16000, 50.0, 5000.0, 17)
+    """)
+    assert loaded == []
+
+
 @pytest.mark.parametrize("model, window", [
     ("wf", "20"), ("cca", "20"), ("rgc", "10"),
 ])

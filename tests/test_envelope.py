@@ -86,6 +86,28 @@ class TestEnvelope:
         steady = mags[fs // 4:]
         assert steady.std() / steady.mean() < 0.1
 
+    @pytest.mark.parametrize("fs", [22050, 44100, 48000])
+    def test_audio_rate_matches_16_khz(self, bank, fs):
+        """The same modulated tones sampled at 16 kHz and at a higher audio
+        rate give the same 40 Hz envelope, away from the edges."""
+        def tones(rate):
+            t = np.arange(4 * rate) / rate
+            carrier = (np.sin(2 * np.pi * 440 * t)
+                       + 0.5 * np.sin(2 * np.pi * 1500 * t)
+                       + 0.3 * np.sin(2 * np.pi * 3000 * t))
+            return env.AudioTrack((1 + 0.8 * np.sin(2 * np.pi * 3 * t))
+                                  * carrier, rate)
+
+        ref = env.compute_envelope(tones(16000), bank, 40.0).samples
+        e = env.compute_envelope(
+            tones(fs), env.gammatone_bank(fs, 50, 5000, 17), 40.0)
+        assert e.fs == 40.0
+        assert e.samples.shape == ref.shape == (160,)
+        inner = slice(50, -50)
+        assert np.corrcoef(e.samples[inner], ref[inner])[0, 1] > 0.9999
+        assert (np.max(np.abs(e.samples[inner] - ref[inner]))
+                < 0.01 * np.max(ref))
+
     def test_rate_mismatch(self, bank):
         with pytest.raises(InvalidBand):
             env.band_magnitudes(env.AudioTrack(np.zeros(100), 8000), bank)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from aadkit import kernels, numerics
+from aadkit import envelope, kernels, numerics, preprocess
 
 
 def sosfilt_reference(sections, x):
@@ -80,6 +80,50 @@ def test_resonator_matches_complex_recurrence(rng):
     ref = resonator_reference(x, poles, gains, 4)
     assert m.shape == (200, 3)
     assert np.max(np.abs(m - ref) / np.abs(ref)) < 1e-12
+
+
+def resonator_cascade(x, poles, gains, n_stages):
+    """One ``lfilter`` call per one-pole stage, written column by column."""
+    from scipy import signal
+
+    out = np.empty((x.shape[0], poles.shape[0]))
+    for band, (pole, gain) in enumerate(zip(poles, gains)):
+        w = x
+        for _ in range(n_stages):
+            w = signal.lfilter([1.0], [1.0, -pole], w)
+        out[:, band] = gain * np.abs(w)
+    return out
+
+
+class TestResonatorBitIdentity:
+    """The one-``sosfilt``-per-band kernel reproduces the per-stage
+    ``lfilter`` cascade exactly, including its empty and zero-stage
+    edges."""
+
+    @pytest.mark.parametrize("fs", [8000, 16000, 48000])
+    @pytest.mark.parametrize("n_bands", [1, 3, 17])
+    @pytest.mark.parametrize("n_stages", [0, 1, 2, 4])
+    @pytest.mark.parametrize("t_len", [0, 1, 2, 200, 16000])
+    def test_equals_lfilter_cascade(self, rng, fs, n_bands, n_stages, t_len):
+        bank = envelope.gammatone_bank(fs, 50.0, min(5000.0, 0.4 * fs),
+                                       n_bands)
+        x = rng.standard_normal(t_len)
+        m = kernels.resonator_magnitudes(x, bank.poles, bank.gains, n_stages)
+        assert m.dtype == np.float64 and m.flags.c_contiguous
+        assert m.shape == (t_len, n_bands)
+        assert np.array_equal(
+            m, resonator_cascade(x, bank.poles, bank.gains, n_stages))
+
+    def test_envelope_equals_cascade_formula(self, rng):
+        bank = envelope.gammatone_bank(16000, 50.0, 5000.0, 17)
+        audio = envelope.AudioTrack(0.1 * rng.standard_normal(16000), 16000)
+        mags = resonator_cascade(audio.samples, bank.poles, bank.gains,
+                                 bank.n_stages)
+        summed = np.sum(mags ** 0.6, axis=1)
+        res = preprocess.resample(
+            preprocess.MultichannelSignal(summed[:, None], 16000), 40.0)
+        env = envelope.compute_envelope(audio, bank, 40.0)
+        assert np.array_equal(env.samples, np.maximum(res.samples[:, 0], 0.0))
 
 
 class TestCholesky:

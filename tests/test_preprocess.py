@@ -187,6 +187,50 @@ class TestResample:
         with pytest.raises(IrrationalRatio):
             pp.resample(x, 125 * np.pi / 3.0)
 
+    @pytest.mark.parametrize("fs", [22050, 44100, 48000])
+    def test_audio_rate_to_40_hz(self, fs):
+        """40/fs needs a denominator above 1000 at these rates. The staged
+        conversion keeps a 5 Hz tone and a constant, and removes a 30 Hz
+        tone that would alias onto 10 Hz."""
+        t = np.arange(4 * fs) / fs
+        x = pp.MultichannelSignal(np.column_stack([
+            np.sin(2 * np.pi * 5 * t) + np.sin(2 * np.pi * 30 * t),
+            np.full(t.size, 3.5),
+        ]), fs)
+        y = pp.resample(x, 40.0)
+        assert y.fs == 40.0
+        assert y.samples.shape == (160, 2)
+        inner = slice(50, -50)
+        tone = np.sin(2 * np.pi * 5 * np.arange(160) / 40.0)
+        assert np.max(np.abs(y.samples[inner, 0] - tone[inner])) < 1e-3
+        assert np.max(np.abs(y.samples[inner, 1] - 3.5)) < 1e-6
+
+    @pytest.mark.parametrize("fs, to_fs, stages", [
+        (16000, 40, [(1, 400)]),
+        (44100, 250, [(5, 882)]),
+        (22050, 40, [(1, 3), (4, 735)]),
+        (44100, 40, [(1, 3), (2, 735)]),
+        (48000, 40, [(1, 2), (1, 600)]),
+    ])
+    def test_stages(self, monkeypatch, fs, to_fs, stages):
+        """A ratio with a denominator <= 1000 is one ``fir_resample`` call;
+        a larger one is two, each denominator <= 1000, the first a short
+        decimation. The output keeps ceil(T * to_fs / fs) samples either
+        way."""
+        calls = []
+        fir_resample = pp.kernels.fir_resample
+
+        def spy(x, h, up, down, n_out):
+            calls.append((up, down))
+            return fir_resample(x, h, up, down, n_out)
+
+        monkeypatch.setattr(pp.kernels, "fir_resample", spy)
+        n = 3 * fs + 7
+        y = pp.resample(pp.MultichannelSignal(np.zeros((n, 1)), fs),
+                        float(to_fs))
+        assert calls == stages
+        assert y.n_samples == -(-n * to_fs // fs)
+
 
 class TestZscore:
     def test_mean_zero_unit_std(self, rng):
