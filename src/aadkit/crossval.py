@@ -582,18 +582,20 @@ class _ClassifierRunner(_RunnerBase):
                     out.append((tid, w, a, b, label))
         return out
 
-    def _features(self, segment, front):
+    def _segments(self, rows):
+        return [self.trials[tid].eeg.samples[a:b] for tid, _, a, b, _ in rows]
+
+    def _features(self, segments, front):
         if self.kind == "csp":
-            return spatial.csp_features(segment, front)
-        return spatial.tangent_features(segment, front)
+            return spatial.csp_features(segments, front)
+        return np.stack([spatial.tangent_features(s, front)
+                         for s in segments])
 
     def _fit(self, units, params):
         rows = self._labeled_windows(units)
         if not rows:
             raise DegenerateClass("no labeled training windows")
-        segments = [
-            self.trials[tid].eeg.samples[a:b] for tid, _, a, b, _ in rows
-        ]
+        segments = self._segments(rows)
         labels = [r[4] for r in rows]
         gamma = float(params.get("lda_gamma", spatial.DEFAULT_LDA_GAMMA))
         if self.kind == "csp":
@@ -611,34 +613,35 @@ class _ClassifierRunner(_RunnerBase):
                     params.get("rgc_shrinkage", spatial.DEFAULT_RGC_SHRINKAGE)
                 ),
             )
-        feats = np.stack([self._features(s, front) for s in segments])
-        lda = spatial.lda_fit(feats, labels, gamma=gamma, n_classes=3)
+        lda = spatial.lda_fit(front.train_features, labels, gamma=gamma,
+                              n_classes=3)
         return front, lda
 
     def _eval_units(self, model, params, units, collect=False):
+        """Classify every labeled window of the units with one feature
+        call and one LDA call."""
         front, lda = model
-        records = []
-        preds = []
-        labels = []
-        for tid, w, a, b, label in self._labeled_windows(units):
-            feats = self._features(self.trials[tid].eeg.samples[a:b], front)
-            pred = int(spatial.lda_predict(feats, lda)[0])
-            preds.append(pred)
-            labels.append(label)
-            records.append(
-                WindowRecord(
-                    trial_id=tid,
-                    window_index=w,
-                    predicted=pred,
-                    attended=label,
-                    rhos=None,
-                    correct=pred == label,
-                    tie=False,
-                )
+        rows = self._labeled_windows(units)
+        if rows:
+            preds = spatial.lda_predict(
+                self._features(self._segments(rows), front), lda
             )
-        acc, f1 = metrics.classification_metrics(
-            np.array(preds), np.array(labels), 3
-        )
+        else:
+            preds = np.zeros(0, dtype=int)
+        labels = np.array([r[4] for r in rows], dtype=int)
+        records = [
+            WindowRecord(
+                trial_id=tid,
+                window_index=w,
+                predicted=pred,
+                attended=label,
+                rhos=None,
+                correct=pred == label,
+                tie=False,
+            )
+            for (tid, w, _, _, label), pred in zip(rows, preds.tolist())
+        ]
+        acc, f1 = metrics.classification_metrics(preds, labels, 3)
         return acc, f1, records, {}
 
 

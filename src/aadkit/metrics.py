@@ -72,13 +72,16 @@ def classification_metrics(predictions, labels, n_classes):
     if np.any(labels < 0) or np.any(labels >= n_classes):
         raise ValueError("labels out of range")
     accuracy = float(np.mean(predictions == labels))
-    f1s = []
-    for k in range(n_classes):
-        tp = int(np.sum((predictions == k) & (labels == k)))
-        fp = int(np.sum((predictions == k) & (labels != k)))
-        fn = int(np.sum((predictions != k) & (labels == k)))
-        denom = 2 * tp + fp + fn
-        f1s.append(2.0 * tp / denom if denom > 0 else 0.0)
+    # confusion counts, rows true and columns predicted; an out-of-range
+    # prediction lands in no column but still counts against its label
+    valid = (predictions >= 0) & (predictions < n_classes)
+    confusion = np.bincount(
+        labels[valid] * n_classes + predictions[valid],
+        minlength=n_classes * n_classes,
+    ).reshape(n_classes, n_classes)
+    tp = np.diagonal(confusion)
+    denom = confusion.sum(axis=0) + np.bincount(labels, minlength=n_classes)
+    f1s = np.where(denom > 0, 2.0 * tp / np.maximum(denom, 1), 0.0)
     return accuracy, float(np.mean(f1s))
 
 

@@ -1,15 +1,32 @@
 """Direction classifiers: multiclass filterbank CSP with log-energy
-features, Riemannian tangent-space features, and a shared shrinkage LDA."""
+features, Riemannian tangent-space features, and a shared shrinkage LDA.
+
+CSP filters windows as stacks: the ``n`` windows of one length sit side
+by side as the column blocks of one ``(T, n*C)`` array, so each band costs
+one ``kernels.sosfilt`` call per fit or evaluation instead of one per
+window. The filter runs every column on its own, and window ``i`` comes
+back as the column slice ``[:, i*C:(i+1)*C]`` of its F-ordered output,
+exactly as a window filtered alone would. That slice must not be copied
+to C order: ``mean(axis=0)`` sums a contiguous column pairwise and a
+strided one sequentially, so a copy would move the features and the
+fitted filters by an ulp.
+"""
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from . import kernels, preprocess
 from .errors import DegenerateClass, DimensionMismatch, NotSpd, SingularScatter
-from .numerics import gen_sym_eig, spd_function, sym_eig, symmetrize
+from .numerics import (
+    _as_matrix,
+    gen_sym_eig,
+    spd_function,
+    sym_eig,
+    symmetrize,
+)
 
 # Filter bank at the 40 Hz processing rate. The top band stops just under
 # the 20 Hz Nyquist so the band-pass design stays valid.
@@ -19,19 +36,51 @@ DEFAULT_RGC_SHRINKAGE = 0.1
 DEFAULT_LDA_GAMMA = 1e-3
 
 
+def _windows(segments, n_ch=None):
+    """(T, C) float windows of one channel count from a sequence or an
+    (n, T, C) stack."""
+    windows = [_as_matrix(s, "window") for s in segments]
+    for w in windows:
+        if n_ch is None:
+            n_ch = w.shape[1]
+        if w.shape[1] != n_ch:
+            raise DimensionMismatch(
+                f"window has {w.shape[1]} channels, expected {n_ch}"
+            )
+    return windows
+
+
+def _class_count(labels, n_classes):
+    """``n_classes``, or one more than the largest label; every label must
+    lie in [0, n_classes)."""
+    if labels.size == 0:
+        raise DegenerateClass("no training samples")
+    if n_classes is None:
+        n_classes = int(labels.max()) + 1
+    stray = labels[(labels < 0) | (labels >= n_classes)]
+    if stray.size:
+        raise DegenerateClass(f"label {stray[0]} outside [0, {n_classes})")
+    return n_classes
+
+
 def _center(segment):
-    segment = np.asarray(segment, dtype=np.float64)
     return segment - segment.mean(axis=0)
+
+
+def _covariances(x):
+    """X^T X / (T-1) of each centered window of ``x`` (..., T, C)."""
+    cov = np.swapaxes(x, -1, -2) @ x / (x.shape[-2] - 1)
+    return 0.5 * (cov + np.swapaxes(cov, -1, -2))
 
 
 def segment_covariance(segment, shrinkage=0.0):
     """Channel covariance X^T X / (T-1) of a centered window, optionally
     shrunk toward (trace/C) * I."""
-    x = _center(segment)
+    x = _center(_as_matrix(segment, "window"))
     t_len, n_ch = x.shape
     if t_len < 2:
         raise DimensionMismatch("window too short for covariance")
-    cov = symmetrize(x.T @ x / (t_len - 1))
+    cov = _covariances(x)
     if shrinkage > 0.0:
         cov = (1.0 - shrinkage) * cov + shrinkage * (
             np.trace(cov) / n_ch
@@ -56,6 +105,8 @@ class CspModel:
     class_cov: Dict[Tuple[int, int], np.ndarray] = field(default_factory=dict)
     total_cov: Dict[int, np.ndarray] = field(default_factory=dict)
     eigenvalues: Dict[Tuple[int, int], np.ndarray] = field(default_factory=dict)
+    # csp_features of the training windows, in their order
+    train_features: Optional[np.ndarray] = None
 
 
 @lru_cache(maxsize=32)
@@ -63,10 +114,35 @@ def _band_cascades(bands, fs):
     return [preprocess.design_bandpass(lo, hi, 4, fs) for lo, hi in bands]
 
 
-def _bandpass_window(segment, cascade):
-    return kernels.sosfilt(
-        cascade.sections, np.ascontiguousarray(segment, dtype=np.float64)
-    )
+def _length_groups(windows):
+    """(indices, windows) of each window length, in first-seen order."""
+    groups = {}
+    for i, w in enumerate(windows):
+        groups.setdefault(w.shape[0], []).append(i)
+    return [
+        (np.array(idx), [windows[i] for i in idx]) for idx in groups.values()
+    ]
+
+
+def _filter_stack(windows, sections):
+    """Band-pass and center ``n`` equal-length (T, C) windows in one
+    ``sosfilt`` call; returns them as an (n, T, C) view whose window ``i``
+    is the F-ordered column slice ``y[:, i*C:(i+1)*C]`` of the filtered
+    ``(T, n*C)`` stack ``y`` (see the module docstring)."""
+    t_len, n_ch = windows[0].shape
+    y = kernels.sosfilt(sections, np.concatenate(windows, axis=1))
+    y = _center(y)
+    return y.T.reshape(len(windows), n_ch, t_len).transpose(0, 2, 1)
+
+
+def _log_energies(x, filters):
+    """Log variance of the projections of centered windows ``x`` (n, T, C)
+    on each (C, F) filter; (n, len(filters) * F)."""
+    feats = []
+    for w in filters:
+        var = np.mean((x @ w) ** 2, axis=1)
+        feats.append(np.log(np.maximum(var, 1e-300)))
+    return np.concatenate(feats, axis=1)
 
 
 def csp_fit(segments, labels, fs, bands=DEFAULT_BANDS, f_per=DEFAULT_CSP_FILTERS,
@@ -75,42 +151,56 @@ def csp_fit(segments, labels, fs, bands=DEFAULT_BANDS, f_per=DEFAULT_CSP_FILTERS
 
     For each (band, class), the filters are the top generalized
     eigenvectors of the class ensemble covariance against the all-class
-    ensemble covariance.
+    ensemble covariance. The model also carries the training windows'
+    features, computed from the same filtered windows.
     """
+    windows = _windows(segments)
     labels = np.asarray(labels, dtype=int)
-    if len(segments) != labels.shape[0]:
+    if len(windows) != labels.shape[0]:
         raise DimensionMismatch("one label per segment required")
-    if n_classes is None:
-        n_classes = int(labels.max()) + 1
+    n_classes = _class_count(labels, n_classes)
     present = np.unique(labels)
     if present.size < 2:
         raise DegenerateClass("need at least 2 classes with segments")
-    n_ch = np.asarray(segments[0]).shape[1]
-    if f_per > n_ch:
-        raise DimensionMismatch(f"f_per={f_per} exceeds C={n_ch}")
+    n_ch = windows[0].shape[1]
+    if not 1 <= f_per <= n_ch:
+        raise DimensionMismatch(f"f_per={f_per} outside [1, C={n_ch}]")
     bands = tuple(tuple(b) for b in bands)
     cascades = _band_cascades(bands, fs)
+    groups = _length_groups(windows)
     filters = {}
     class_cov = {}
     total_cov = {}
     eigenvalues = {}
+    width = n_classes * f_per
+    feats = np.empty((len(windows), len(cascades) * width))
+    covs = np.empty((len(windows), n_ch, n_ch))
     for j, cascade in enumerate(cascades):
-        covs = [
-            segment_covariance(_bandpass_window(s, cascade)) for s in segments
-        ]
+        stacks = []
+        for idx, group in groups:
+            x = _filter_stack(group, cascade.sections)
+            if x.shape[1] < 2:
+                raise DimensionMismatch("window too short for covariance")
+            covs[idx] = _covariances(x)
+            stacks.append((idx, x))
         r_all = symmetrize(np.mean(covs, axis=0))
         total_cov[j] = r_all
         for k in range(n_classes):
             idx = np.flatnonzero(labels == k)
             if idx.size == 0:
                 raise DegenerateClass(f"class {k} has no training segments")
-            r_k = symmetrize(np.mean([covs[i] for i in idx], axis=0))
+            r_k = symmetrize(np.mean(covs[idx], axis=0))
             if np.trace(r_k) <= 0:
                 raise DegenerateClass(f"class {k} covariance is rank-0")
             pairs = gen_sym_eig(r_k, r_all)
             filters[(j, k)] = pairs.vectors[:, :f_per]
             class_cov[(j, k)] = r_k
             eigenvalues[(j, k)] = pairs.values[:f_per]
+        band_filters = [filters[(j, k)] for k in range(n_classes)]
+        for idx, x in stacks:
+            feats[idx, j * width:(j + 1) * width] = _log_energies(
+                x, band_filters
+            )
     return CspModel(
         filters=filters,
         bands=tuple(bands),
@@ -121,27 +211,31 @@ def csp_fit(segments, labels, fs, bands=DEFAULT_BANDS, f_per=DEFAULT_CSP_FILTERS
         class_cov=class_cov,
         total_cov=total_cov,
         eigenvalues=eigenvalues,
+        train_features=feats,
     )
 
 
-def csp_features(segment, model):
+def csp_features(segments, model):
     """Log variance of each filtered projection, concatenated over bands
-    then classes; length N_band * N_class * F."""
-    segment = np.asarray(segment, dtype=np.float64)
-    if segment.shape[1] != model.channels:
-        raise DimensionMismatch(
-            f"segment has {segment.shape[1]} channels, model wants "
-            f"{model.channels}"
-        )
+    then classes; length N_band * N_class * F.
+
+    ``segments`` is one (T, C) window array, giving a vector, or a
+    sequence or (n, T, C) stack of windows, giving one row per window.
+    """
+    if isinstance(segments, np.ndarray) and segments.ndim != 3:
+        return csp_features([segments], model)[0]
+    windows = _windows(segments, model.channels)
     cascades = _band_cascades(tuple(tuple(b) for b in model.bands), model.fs)
-    feats = []
+    width = model.n_classes * model.f_per
+    feats = np.empty((len(windows), len(cascades) * width))
+    groups = _length_groups(windows)
     for j, cascade in enumerate(cascades):
-        filtered = _center(_bandpass_window(segment, cascade))
-        for k in range(model.n_classes):
-            proj = filtered @ model.filters[(j, k)]
-            var = np.mean(proj ** 2, axis=0)
-            feats.append(np.log(np.maximum(var, 1e-300)))
-    return np.concatenate(feats)
+        band_filters = [model.filters[(j, k)] for k in range(model.n_classes)]
+        for idx, group in groups:
+            feats[idx, j * width:(j + 1) * width] = _log_energies(
+                _filter_stack(group, cascade.sections), band_filters
+            )
+    return feats
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +248,8 @@ class RgcModel:
     mean: np.ndarray
     mean_inv_sqrt: np.ndarray
     shrinkage: float
+    # tangent_features of the training windows, in their order
+    train_features: Optional[np.ndarray] = None
 
 
 def riemannian_mean(covs):
@@ -166,14 +262,17 @@ def riemannian_mean(covs):
 
 
 def rgc_fit(segments, shrinkage=DEFAULT_RGC_SHRINKAGE):
-    """Reference point for tangent projection from training windows."""
+    """Reference point for tangent projection from training windows; the
+    model also carries the windows' tangent features."""
     covs = [segment_covariance(s, shrinkage) for s in segments]
     mean = riemannian_mean(covs)
-    return RgcModel(
+    model = RgcModel(
         mean=mean,
         mean_inv_sqrt=spd_function(mean, "inv_sqrt"),
         shrinkage=shrinkage,
     )
+    model.train_features = np.stack([_tangent(c, model) for c in covs])
+    return model
 
 
 def tangent_from_cov(cov, model):
@@ -187,13 +286,16 @@ def tangent_from_cov(cov, model):
     return coeff * tn[iu]
 
 
-def tangent_features(segment, model):
-    """Tangent-space feature vector of one window; length C(C+1)/2."""
-    cov = segment_covariance(segment, model.shrinkage)
+def _tangent(cov, model):
     try:
         return tangent_from_cov(cov, model)
     except NotSpd as exc:
         raise NotSpd(f"window covariance not positive definite: {exc}") from exc
+
+
+def tangent_features(segment, model):
+    """Tangent-space feature vector of one window; length C(C+1)/2."""
+    return _tangent(segment_covariance(segment, model.shrinkage), model)
 
 
 # ---------------------------------------------------------------------------
@@ -215,12 +317,9 @@ def lda_fit(features, labels, gamma=DEFAULT_LDA_GAMMA, n_classes=None):
     labels = np.asarray(labels, dtype=int)
     if x.shape[0] != labels.shape[0]:
         raise DimensionMismatch("one label per feature row required")
-    if n_classes is None:
-        n_classes = int(labels.max()) + 1
+    n_classes = _class_count(labels, n_classes)
     n, d = x.shape
     present = np.unique(labels)
-    if present.size < 1:
-        raise DegenerateClass("no training samples")
     if n <= present.size:
         raise DegenerateClass("need more samples than classes")
     means = np.zeros((n_classes, d))

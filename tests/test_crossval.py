@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from aadkit import crossval, dataio, linear, metrics
+from aadkit import crossval, dataio, kernels, linear, metrics, spatial
 from aadkit.design import LaggedDesign, accumulate
 from aadkit.errors import BadChannelIndex, BadProtocolConfig, EmptyGrid
 
@@ -305,6 +305,39 @@ class TestRunPipeline:
         assert report.window_accuracy() > 1 / 3 + 1.96 * np.sqrt(
             (1 / 3) * (2 / 3) / n
         )
+
+    @pytest.mark.parametrize("protocol, csp_f, fits", [
+        # 3 outer loops; one grid point is never scored, two are scored on
+        # loto's test fold before the final fit
+        ("nested_loto", [4], 3),
+        ("loto", [2, 4], 3 * (2 + 1)),
+    ])
+    def test_csp_filters_each_stack_once_per_band(self, monkeypatch,
+                                                  protocol, csp_f, fits):
+        # one sosfilt call per band for each fit's training windows and one
+        # for each evaluation's windows, however many windows there are
+        session = synth(n_trials=6, duration_s=10.0, n_channels=4, seed=3,
+                        direction_gain=1.0)
+        plan = crossval.make_folds(session.trials, protocol, 3, seed=3)
+        calls = {"sosfilt": 0, "fit": 0, "features": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(kernels, "sosfilt",
+                            counted("sosfilt", kernels.sosfilt))
+        monkeypatch.setattr(spatial, "csp_fit",
+                            counted("fit", spatial.csp_fit))
+        monkeypatch.setattr(spatial, "csp_features",
+                            counted("features", spatial.csp_features))
+        grid = crossval.HyperGrid({"csp_f": csp_f, "lda_gamma": [1e-3]})
+        report = crossval.run_pipeline(session, "csp", plan, grid, 5.0)
+        assert report.n_windows == 12
+        assert calls["fit"] == calls["features"] == fits
+        assert calls["sosfilt"] == len(spatial.DEFAULT_BANDS) * 2 * fits
 
     def test_rgc_pipeline_above_chance(self):
         session = synth(n_trials=18, n_channels=6, snr=1.0, seed=10,

@@ -146,6 +146,26 @@ class TestClassificationMetrics:
         acc, _ = metrics.classification_metrics([-1, -1], [0, 1], 3)
         assert acc == 0.0
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_per_class_formula(self, seed):
+        # random predictions with -1 ties; with 5 classes and draws from
+        # at most 3 of them, some classes are absent from both sides
+        r = np.random.default_rng(seed)
+        n = int(r.integers(1, 40))
+        used = r.choice(5, size=3, replace=False)
+        labels = r.choice(used, size=n)
+        preds = r.choice(np.concatenate([used, [-1]]), size=n)
+        want_acc = float(np.mean(preds == labels))
+        f1s = []
+        for k in range(5):
+            tp = int(np.sum((preds == k) & (labels == k)))
+            fp = int(np.sum((preds == k) & (labels != k)))
+            fn = int(np.sum((preds != k) & (labels == k)))
+            denom = 2 * tp + fp + fn
+            f1s.append(2.0 * tp / denom if denom > 0 else 0.0)
+        got = metrics.classification_metrics(preds, labels, 5)
+        assert got == (want_acc, float(np.mean(f1s)))
+
 
 class TestTimePcc:
     def test_segment_count(self, rng):

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from aadkit import spatial
+from aadkit import kernels, spatial
 from aadkit.errors import (
+    AadError,
     DegenerateClass,
     DimensionMismatch,
     NotSpd,
     SingularScatter,
 )
-from aadkit.numerics import spd_function, symmetrize
+from aadkit.numerics import gen_sym_eig, spd_function, symmetrize
 
 
 def spd(rng, n, scale=1.0):
@@ -83,6 +84,30 @@ class TestCsp:
         with pytest.raises(DegenerateClass):
             spatial.csp_fit(segments, [0, 0, 0, 0], 40.0)
 
+    def test_mixed_channel_counts(self, rng):
+        segments = [rng.standard_normal((50, 3)) for _ in range(3)]
+        segments.append(rng.standard_normal((50, 4)))
+        with pytest.raises(DimensionMismatch):
+            spatial.csp_fit(segments, [0, 1, 0, 1], 40.0, f_per=2)
+
+    def test_one_dimensional_window(self, rng):
+        segments = [rng.standard_normal((50, 3)) for _ in range(3)]
+        segments.append(rng.standard_normal(50))
+        with pytest.raises(DimensionMismatch):
+            spatial.csp_fit(segments, [0, 1, 0, 1], 40.0, f_per=2)
+
+    @pytest.mark.parametrize("f_per", [0, -1])
+    def test_f_per_below_one(self, rng, f_per):
+        segments = [rng.standard_normal((50, 3)) for _ in range(4)]
+        with pytest.raises(DimensionMismatch):
+            spatial.csp_fit(segments, [0, 1, 0, 1], 40.0, f_per=f_per)
+
+    @pytest.mark.parametrize("labels", [[0, 1, 2, -1], [0, 1, 2, 3]])
+    def test_label_outside_class_range(self, rng, labels):
+        segments = [rng.standard_normal((50, 3)) for _ in range(4)]
+        with pytest.raises(AadError, match="outside"):
+            spatial.csp_fit(segments, labels, 40.0, f_per=2, n_classes=3)
+
 
 class TestCspFeatures:
     def test_feature_length(self, rng):
@@ -106,6 +131,141 @@ class TestCspFeatures:
                                 n_classes=2)
         with pytest.raises(DimensionMismatch):
             spatial.csp_features(rng.standard_normal((100, 5)), model)
+
+    def test_one_dimensional_window(self, rng):
+        segments = [rng.standard_normal((100, 4)) for _ in range(4)]
+        model = spatial.csp_fit(segments, [0, 1, 0, 1], 40.0, f_per=2,
+                                n_classes=2)
+        with pytest.raises(DimensionMismatch):
+            spatial.csp_features(rng.standard_normal(100), model)
+        with pytest.raises(DimensionMismatch):
+            spatial.csp_features([segments[0], rng.standard_normal(100)],
+                                 model)
+
+
+def per_window_features(window, model):
+    """csp_features of one window, one sosfilt call per band."""
+    feats = []
+    for j, cascade in enumerate(spatial._band_cascades(model.bands,
+                                                       model.fs)):
+        f = kernels.sosfilt(cascade.sections, np.ascontiguousarray(window))
+        f = f - f.mean(axis=0)
+        for k in range(model.n_classes):
+            proj = f @ model.filters[(j, k)]
+            var = np.mean(proj ** 2, axis=0)
+            feats.append(np.log(np.maximum(var, 1e-300)))
+    return np.concatenate(feats)
+
+
+def per_window_fit(windows, labels, fs, f_per, n_classes):
+    """(filters, eigenvalues) of csp_fit, filtering one window at a
+    time."""
+    labels = np.asarray(labels)
+    filters, eigenvalues = {}, {}
+    for j, cascade in enumerate(spatial._band_cascades(spatial.DEFAULT_BANDS,
+                                                       fs)):
+        covs = [
+            spatial.segment_covariance(
+                kernels.sosfilt(cascade.sections, np.ascontiguousarray(w))
+            )
+            for w in windows
+        ]
+        r_all = symmetrize(np.mean(covs, axis=0))
+        for k in range(n_classes):
+            r_k = symmetrize(np.mean([covs[i] for i in np.flatnonzero(
+                labels == k)], axis=0))
+            pairs = gen_sym_eig(r_k, r_all)
+            filters[(j, k)] = pairs.vectors[:, :f_per]
+            eigenvalues[(j, k)] = pairs.values[:f_per]
+    return filters, eigenvalues
+
+
+class TestWindowStacks:
+    """Windows filtered as one stack give the per-window results bit for
+    bit."""
+
+    @staticmethod
+    def fit(rng, t_len, n_ch, n=6):
+        windows = [rng.standard_normal((t_len, n_ch)) for _ in range(n)]
+        labels = [i % 3 for i in range(n)]
+        return spatial.csp_fit(windows, labels, 40.0, f_per=min(2, n_ch))
+
+    @pytest.mark.parametrize("n", [1, 2, 17])
+    @pytest.mark.parametrize("t_len", [2, 3, 200, 401])
+    @pytest.mark.parametrize("n_ch", [1, 4, 8])
+    def test_features_match_per_window(self, rng, n, t_len, n_ch):
+        model = self.fit(rng, 200, n_ch)
+        windows = [rng.standard_normal((t_len, n_ch)) for _ in range(n)]
+        want = np.stack([per_window_features(w, model) for w in windows])
+        assert np.array_equal(spatial.csp_features(windows, model), want)
+        assert np.array_equal(spatial.csp_features(np.stack(windows), model),
+                              want)
+        assert np.array_equal(spatial.csp_features(windows[0], model),
+                              want[0])
+
+    def test_mixed_lengths_keep_their_order(self, rng):
+        model = self.fit(rng, 200, 4)
+        windows = [rng.standard_normal((t, 4)) for t in (200, 80, 200, 3, 80)]
+        want = np.stack([per_window_features(w, model) for w in windows])
+        assert np.array_equal(spatial.csp_features(windows, model), want)
+
+    def test_strided_windows(self, rng):
+        # row slices of one recording, as the pipeline passes them
+        model = self.fit(rng, 200, 4)
+        eeg = rng.standard_normal((1000, 4))
+        windows = [eeg[a:a + 200] for a in range(0, 1000, 200)]
+        want = np.stack([per_window_features(w, model) for w in windows])
+        assert np.array_equal(spatial.csp_features(windows, model), want)
+
+    def test_empty_stack(self, rng):
+        model = self.fit(rng, 200, 4)
+        assert spatial.csp_features([], model).shape == (0, 4 * 3 * 2)
+
+    # the all-class covariance is singular unless n * (T - 1) >= C
+    @pytest.mark.parametrize("n, t_len, n_ch", [
+        (n, t_len, n_ch)
+        for n in (2, 17) for t_len in (2, 3, 200, 401) for n_ch in (1, 4, 8)
+        if n * (t_len - 1) >= n_ch
+    ])
+    def test_fit_matches_per_window(self, rng, n, t_len, n_ch):
+        windows = [rng.standard_normal((t_len, n_ch)) for _ in range(n)]
+        labels = [i % 2 for i in range(n)]
+        f_per = min(3, n_ch)
+        model = spatial.csp_fit(windows, labels, 40.0, f_per=f_per,
+                                n_classes=2)
+        filters, eigenvalues = per_window_fit(windows, labels, 40.0, f_per, 2)
+        for key in filters:
+            assert np.array_equal(model.filters[key], filters[key])
+            assert np.array_equal(model.eigenvalues[key], eigenvalues[key])
+
+    def test_fit_with_mixed_lengths(self, rng):
+        windows = [rng.standard_normal((t, 4))
+                   for t in (120, 40, 120, 120, 40, 7)]
+        labels = [0, 1, 2, 1, 0, 2]
+        model = spatial.csp_fit(windows, labels, 40.0, f_per=2)
+        filters, eigenvalues = per_window_fit(windows, labels, 40.0, 2, 3)
+        for key in filters:
+            assert np.array_equal(model.filters[key], filters[key])
+            assert np.array_equal(model.eigenvalues[key], eigenvalues[key])
+
+    def test_training_features_are_the_features(self, rng):
+        windows = [rng.standard_normal((t, 4))
+                   for t in (120, 40, 120, 120, 40, 7)]
+        model = spatial.csp_fit(windows, [0, 1, 2, 1, 0, 2], 40.0, f_per=2)
+        assert np.array_equal(model.train_features,
+                              spatial.csp_features(windows, model))
+
+    def test_rgc_training_features_are_the_features(self, rng):
+        windows = [rng.standard_normal((t, 4)) for t in (120, 40, 120, 9)]
+        model = spatial.rgc_fit(windows, shrinkage=0.1)
+        want = np.stack([spatial.tangent_features(w, model) for w in windows])
+        assert np.array_equal(model.train_features, want)
+
+
+class TestSegmentCovariance:
+    def test_one_dimensional_window(self, rng):
+        with pytest.raises(DimensionMismatch):
+            spatial.segment_covariance(rng.standard_normal(50))
 
 
 class TestRiemannianMean:
@@ -256,6 +416,18 @@ class TestLda:
         preds = np.argmax(scores, axis=1)
         shifted = np.argmax(scores + 3.14, axis=1)
         assert np.array_equal(preds, shifted)
+
+    @pytest.mark.parametrize("label", [-1, 3])
+    def test_label_outside_class_range(self, rng, label):
+        x = rng.standard_normal((12, 2))
+        y = np.array([0, 1, 2] * 3 + [0, 1, label])
+        with pytest.raises(AadError, match="outside"):
+            spatial.lda_fit(x, y, n_classes=3)
+
+    def test_negative_label_without_class_count(self, rng):
+        x = rng.standard_normal((12, 2))
+        with pytest.raises(AadError, match="outside"):
+            spatial.lda_fit(x, np.array([0, 1, 2] * 3 + [0, 1, -1]))
 
     def test_singular_scatter(self):
         x = np.zeros((10, 3))
