@@ -586,10 +586,9 @@ class _ClassifierRunner(_RunnerBase):
         return [self.trials[tid].eeg.samples[a:b] for tid, _, a, b, _ in rows]
 
     def _features(self, segments, front):
-        if self.kind == "csp":
-            return spatial.csp_features(segments, front)
-        return np.stack([spatial.tangent_features(s, front)
-                         for s in segments])
+        features = (spatial.csp_features if self.kind == "csp"
+                    else spatial.tangent_features)
+        return features(segments, front)
 
     def _fit(self, units, params):
         rows = self._labeled_windows(units)

@@ -19,16 +19,17 @@ import numpy as np
 from scipy.linalg import lapack as _lapack
 
 
-def jacobi_sweep(a, v, tol=None, max_sweeps=None):
-    """Diagonalize symmetric ``a`` in place with LAPACK (``np.linalg.eigh``).
+def jacobi_sweep(a, v):
+    """Diagonalize each symmetric matrix of the stack ``a`` (..., n, n) in
+    place with one LAPACK call (``np.linalg.eigh``); a single matrix is a
+    stack with no leading axes.
 
-    On return ``a`` is ``diag(eigenvalues)`` and ``v`` has been multiplied
-    on the right by the orthonormal eigenvectors, so that the original
-    ``a`` equals ``v @ a @ v.T`` when ``v`` started as the identity.
-    Eigenvalues are ascending. ``tol`` and ``max_sweeps`` are ignored:
-    LAPACK applies its own convergence test.
+    On return each member of ``a`` is ``diag(eigenvalues)`` and the same
+    member of ``v`` has been multiplied on the right by its orthonormal
+    eigenvectors, so that the original member equals ``v @ a @ v.T`` when
+    ``v`` started as the identity. Eigenvalues are ascending.
 
-    Returns 0, or -1 when LAPACK fails to converge or the spectrum is not
+    Returns 0, or -1 when LAPACK fails to converge or a spectrum is not
     finite.
     """
     try:
@@ -37,19 +38,22 @@ def jacobi_sweep(a, v, tol=None, max_sweeps=None):
         return -1
     if not np.all(np.isfinite(values)):
         return -1
-    a[...] = np.diag(values)
+    diag = np.arange(a.shape[-1])
+    a[...] = 0.0
+    a[..., diag, diag] = values
     v[...] = v @ vectors
     return 0
 
 
-def svd_sweep(b, v, tol=None, max_sweeps=None):
-    """Thin SVD of ``b`` (m >= n) in place with LAPACK (``np.linalg.svd``).
+def svd_sweep(b, v):
+    """Thin SVD of each matrix of the stack ``b`` (..., m, n), m >= n, in
+    place with one LAPACK call (``np.linalg.svd``); a single matrix is a
+    stack with no leading axes.
 
-    On return the columns of ``b`` are ``u_j * s_j`` (singular values
-    descending) and ``v`` has been multiplied on the right by the right
-    singular vectors, so that the original ``b`` equals ``b @ v.T`` when
-    ``v`` started as the identity. ``tol`` and ``max_sweeps`` are ignored,
-    as in :func:`jacobi_sweep`.
+    On return the columns of each member of ``b`` are ``u_j * s_j``
+    (singular values descending) and the same member of ``v`` has been
+    multiplied on the right by its right singular vectors, so that the
+    original member equals ``b @ v.T`` when ``v`` started as the identity.
 
     Returns 0, or -1 when LAPACK fails to converge.
     """
@@ -57,8 +61,8 @@ def svd_sweep(b, v, tol=None, max_sweeps=None):
         u, s, vt = np.linalg.svd(b, full_matrices=False)
     except np.linalg.LinAlgError:
         return -1
-    b[...] = u * s
-    v[...] = v @ vt.T
+    b[...] = u * s[..., None, :]
+    v[...] = v @ vt.swapaxes(-1, -2)
     return 0
 
 

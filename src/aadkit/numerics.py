@@ -7,6 +7,14 @@ thin SVD, and regularized solves through a Cholesky factorization
 module adds the package's contracts on top: eigen- and singular values
 in descending order, the SPD tolerance rule, and failures raised as
 :class:`NotSpd`, :class:`SingularSystem` or :class:`NonConvergence`.
+
+:func:`symmetrize`, :func:`spd_tolerance`, :func:`sym_eig`,
+:func:`spd_function` and :func:`gen_sym_eig` take stacks ``(..., n, n)``:
+a single matrix is a stack with no leading axes and goes through the same
+code. A stack costs one ``eigh`` call and one pass of the square,
+symmetry, finiteness and tolerance checks, and each member's result is
+bit-identical to what the member gives alone, because LAPACK and matmul
+run member by member on the same routines.
 """
 
 import math
@@ -36,25 +44,40 @@ def _as_matrix(a, name="matrix"):
     return a
 
 
+def _member(index, shape):
+    """Text naming flat member ``index`` of a stack whose leading axes are
+    ``shape``, such as " (member 1, 3)"; empty for a single matrix."""
+    if not shape:
+        return ""
+    return f" (member {', '.join(map(str, np.unravel_index(index, shape)))})"
+
+
 def _check_square_symmetric(a, name="matrix"):
-    a = _as_matrix(a, name)
-    if a.shape[0] != a.shape[1]:
+    """``a`` as a float64 stack (..., n, n) of exactly symmetric matrices."""
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatch(f"{name} must be square, got shape {a.shape}")
-    if not np.array_equal(a, a.T):
-        raise DimensionMismatch(f"{name} is not symmetric")
+    at = a.swapaxes(-1, -2)
+    if not np.array_equal(a, at):
+        bad = ~np.all(a == at, axis=(-2, -1))
+        where = _member(int(np.argmax(bad)), a.shape[:-2])
+        raise DimensionMismatch(f"{name} is not symmetric{where}")
     return a
 
 
 def symmetrize(a):
-    """Exact symmetrization 0.5 * (a + a^T)."""
-    a = _as_matrix(a)
-    return 0.5 * (a + a.T)
+    """Exact symmetrization 0.5 * (a + a^T) of a matrix or a stack."""
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim < 2:
+        raise DimensionMismatch(f"matrix must be 2-D, got shape {a.shape}")
+    return 0.5 * (a + a.swapaxes(-1, -2))
 
 
 def spd_tolerance(a):
-    """Positivity floor for eigenvalues of ``a``: SPD_RTOL * trace / n."""
-    n = a.shape[0]
-    return SPD_RTOL * abs(float(np.trace(a))) / n
+    """Positivity floor for eigenvalues of ``a``: SPD_RTOL * trace / n, one
+    per member of a stack."""
+    n = a.shape[-1]
+    return SPD_RTOL * np.abs(np.trace(a, axis1=-2, axis2=-1)) / n
 
 
 def solve_regularized(a, b, lam):
@@ -118,43 +141,55 @@ def _cho_solve(fac, rhs):
 
 
 def sym_eig(s):
-    """Eigendecomposition of a symmetric matrix with LAPACK (``eigh``).
+    """Eigendecomposition of a symmetric matrix, or of each member of a
+    stack (..., n, n), with one LAPACK call (``eigh``).
 
     Returns
     -------
     EigPairs
-        ``values`` descending, ``vectors`` with orthonormal columns so that
-        ``s = vectors @ diag(values) @ vectors.T``.
+        ``values`` (..., n) descending, ``vectors`` (..., n, n) with
+        orthonormal columns so that
+        ``s = vectors @ diag(values) @ vectors.T`` for each member.
 
     Raises
     ------
+    DimensionMismatch
+        If a member is not square or not exactly symmetric.
     NonConvergence
         If LAPACK does not converge or the spectrum is not finite; signals
         pathological input.
     """
     s = _check_square_symmetric(s)
-    n = s.shape[0]
     a = s.copy()
-    v = np.eye(n)
+    v = np.broadcast_to(np.eye(s.shape[-1]), s.shape).copy()
     if kernels.jacobi_sweep(a, v) < 0:
         raise NonConvergence("symmetric eigensolver did not converge")
-    values = np.diag(a).copy()
-    order = np.argsort(-values, kind="stable")
-    return EigPairs(values[order], v[:, order])
+    values = np.diagonal(a, axis1=-2, axis2=-1)
+    order = np.argsort(-values, axis=-1, kind="stable")
+    return EigPairs(np.take_along_axis(values, order, axis=-1),
+                    np.take_along_axis(v, order[..., None, :], axis=-1))
 
 
 def gen_sym_eig(a, b):
     """Generalized symmetric eigenproblem a v = lambda b v with SPD ``b``.
 
     Solved by whitening with ``inv_sqrt(b)`` followed by :func:`sym_eig`.
-    Eigenvalues come back descending; eigenvectors are b-orthonormal.
+    ``a`` and ``b`` are matrices or stacks whose leading axes broadcast, so
+    one ``b`` whitens every ``a`` it is paired with. Eigenvalues come back
+    descending; eigenvectors are b-orthonormal.
     """
     a = _check_square_symmetric(a, "a")
-    b = _check_square_symmetric(b, "b")
-    if a.shape != b.shape:
+    b = np.asarray(b, dtype=np.float64)
+    if b.shape[-2:] != a.shape[-2:]:
         raise DimensionMismatch(
             f"operand shapes differ: {a.shape} vs {b.shape}"
         )
+    try:
+        np.broadcast_shapes(a.shape, b.shape)
+    except ValueError:
+        raise DimensionMismatch(
+            f"operand stacks do not broadcast: {a.shape} vs {b.shape}"
+        ) from None
     w = spd_function(b, "inv_sqrt")
     c = symmetrize(w @ a @ w)
     values, u = sym_eig(c)
@@ -187,15 +222,13 @@ def svd(m):
     s = s[order]
     b = b[:, order]
     v = v[:, order]
-    u = np.zeros_like(b)
     scale = s[0] if s.size and s[0] > 0 else 1.0
-    rank_tol = 1e-14 * scale
-    for j in range(n):
-        if s[j] > rank_tol:
-            u[:, j] = b[:, j] / s[j]
-        else:
-            u[:, j] = _orthonormal_completion(u[:, :j])
-            s[j] = 0.0
+    keep = s > 1e-14 * scale
+    u = np.divide(b, s, out=np.zeros_like(b), where=keep)
+    # s is descending, so the dropped columns come last
+    for j in np.flatnonzero(~keep):
+        u[:, j] = _orthonormal_completion(u[:, :j])
+    s[~keep] = 0.0
     if transposed:
         return v, s, u
     return u, s, v
@@ -214,30 +247,44 @@ def _orthonormal_completion(basis):
     raise NonConvergence("failed to complete orthonormal basis")
 
 
+_SPD_FUNCTIONS = {
+    "log": np.log,
+    "sqrt": np.sqrt,
+    "inv_sqrt": lambda values: 1.0 / np.sqrt(values),
+    "exp_of_sym": np.exp,
+}
+
+
 def spd_function(s, fname):
-    """Apply a scalar function to a symmetric matrix through its spectrum.
+    """Apply a scalar function to a symmetric matrix, or to each member of
+    a stack (..., n, n), through its spectrum.
 
     ``fname`` is one of ``log``, ``sqrt``, ``inv_sqrt`` (require SPD input)
     or ``exp_of_sym`` (any symmetric input). The result is
     ``V diag(f(values)) V^T``.
+
+    Raises
+    ------
+    ValueError
+        For an unknown ``fname``, before any decomposition.
+    NotSpd
+        When a member's smallest eigenvalue is at or below
+        :func:`spd_tolerance`; the message names the first such member.
     """
-    s = _check_square_symmetric(s)
+    func = _SPD_FUNCTIONS.get(fname)
+    if func is None:
+        raise ValueError(f"unknown matrix function {fname!r}")
+    s = np.asarray(s, dtype=np.float64)
     values, vec = sym_eig(s)
-    if fname == "exp_of_sym":
-        fvals = np.exp(values)
-    else:
+    if fname != "exp_of_sym":
         floor = spd_tolerance(s)
-        if values[-1] <= floor:
+        low = values[..., -1] <= floor
+        if np.any(low):
+            i = int(np.argmax(low))
             raise NotSpd(
-                f"{fname} requires SPD input "
-                f"(min eigenvalue {values[-1]:.3e}, floor {floor:.3e})"
+                f"{fname} requires SPD input{_member(i, low.shape)} "
+                f"(min eigenvalue {np.ravel(values[..., -1])[i]:.3e}, "
+                f"floor {np.ravel(floor)[i]:.3e})"
             )
-        if fname == "log":
-            fvals = np.log(values)
-        elif fname == "sqrt":
-            fvals = np.sqrt(values)
-        elif fname == "inv_sqrt":
-            fvals = 1.0 / np.sqrt(values)
-        else:
-            raise ValueError(f"unknown matrix function {fname!r}")
-    return symmetrize((vec * fvals) @ vec.T)
+    fvals = func(values)
+    return symmetrize((vec * fvals[..., None, :]) @ vec.swapaxes(-1, -2))

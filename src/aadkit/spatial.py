@@ -10,6 +10,13 @@ exactly as a window filtered alone would. That slice must not be copied
 to C order: ``mean(axis=0)`` sums a contiguous column pairwise and a
 strided one sequentially, so a copy would move the features and the
 fitted filters by an ulp.
+
+The SPD steps run on stacks of covariances too: ``segment_covariance``
+takes a window or a stack, ``riemannian_mean`` takes one stacked log and
+one exp, ``tangent_features`` projects a stack with one ``spd_function``
+call, and ``csp_fit`` solves every (band, class) eigenproblem in one
+``gen_sym_eig`` call that whitens with each band's all-class covariance
+once. Each member comes out bit-identical to the matrix computed alone.
 """
 
 from dataclasses import dataclass, field
@@ -63,8 +70,9 @@ def _class_count(labels, n_classes):
     return n_classes
 
 
-def _center(segment):
-    return segment - segment.mean(axis=0)
+def _center(x):
+    """``x`` (..., T, C) minus its mean over time."""
+    return x - x.mean(axis=-2, keepdims=True)
 
 
 def _covariances(x):
@@ -73,19 +81,37 @@ def _covariances(x):
     return 0.5 * (cov + np.swapaxes(cov, -1, -2))
 
 
-def segment_covariance(segment, shrinkage=0.0):
-    """Channel covariance X^T X / (T-1) of a centered window, optionally
-    shrunk toward (trace/C) * I."""
-    x = _center(_as_matrix(segment, "window"))
-    t_len, n_ch = x.shape
+def _shrunk_covariances(x, shrinkage):
+    """Covariances of the windows ``x`` (..., T, C) after centering, shrunk
+    toward (trace/C) * I."""
+    t_len, n_ch = x.shape[-2:]
     if t_len < 2:
         raise DimensionMismatch("window too short for covariance")
-    cov = _covariances(x)
+    cov = _covariances(_center(x))
     if shrinkage > 0.0:
-        cov = (1.0 - shrinkage) * cov + shrinkage * (
-            np.trace(cov) / n_ch
-        ) * np.eye(n_ch)
+        load = shrinkage * (np.trace(cov, axis1=-2, axis2=-1) / n_ch)
+        cov = (1.0 - shrinkage) * cov + load[..., None, None] * np.eye(n_ch)
     return cov
+
+
+def segment_covariance(segments, shrinkage=0.0):
+    """Channel covariance X^T X / (T-1) of a centered window, optionally
+    shrunk toward (trace/C) * I.
+
+    ``segments`` is one (T, C) window array, giving a (C, C) matrix, or a
+    sequence or (n, T, C) stack of windows of one channel count, giving an
+    (n, C, C) stack; the windows of one length are computed as one stack.
+    """
+    if isinstance(segments, np.ndarray) and segments.ndim != 3:
+        return _shrunk_covariances(_as_matrix(segments, "window"), shrinkage)
+    windows = _windows(segments)
+    if not windows:
+        raise DimensionMismatch("need at least one window")
+    n_ch = windows[0].shape[1]
+    covs = np.empty((len(windows), n_ch, n_ch))
+    for idx, group in _length_groups(windows):
+        covs[idx] = _shrunk_covariances(np.stack(group), shrinkage)
+    return covs
 
 
 # ---------------------------------------------------------------------------
@@ -165,39 +191,46 @@ def csp_fit(segments, labels, fs, bands=DEFAULT_BANDS, f_per=DEFAULT_CSP_FILTERS
     n_ch = windows[0].shape[1]
     if not 1 <= f_per <= n_ch:
         raise DimensionMismatch(f"f_per={f_per} outside [1, C={n_ch}]")
+    members = [np.flatnonzero(labels == k) for k in range(n_classes)]
+    for k, idx in enumerate(members):
+        if idx.size == 0:
+            raise DegenerateClass(f"class {k} has no training segments")
     bands = tuple(tuple(b) for b in bands)
     cascades = _band_cascades(bands, fs)
     groups = _length_groups(windows)
-    filters = {}
-    class_cov = {}
-    total_cov = {}
-    eigenvalues = {}
-    width = n_classes * f_per
-    feats = np.empty((len(windows), len(cascades) * width))
+    n_bands = len(cascades)
+    r_all = np.empty((n_bands, n_ch, n_ch))
+    r_class = np.empty((n_bands, n_classes, n_ch, n_ch))
     covs = np.empty((len(windows), n_ch, n_ch))
+    stacks = []  # per band, (indices, filtered windows) of each length
     for j, cascade in enumerate(cascades):
-        stacks = []
+        band = []
         for idx, group in groups:
             x = _filter_stack(group, cascade.sections)
             if x.shape[1] < 2:
                 raise DimensionMismatch("window too short for covariance")
             covs[idx] = _covariances(x)
-            stacks.append((idx, x))
-        r_all = symmetrize(np.mean(covs, axis=0))
-        total_cov[j] = r_all
-        for k in range(n_classes):
-            idx = np.flatnonzero(labels == k)
-            if idx.size == 0:
-                raise DegenerateClass(f"class {k} has no training segments")
-            r_k = symmetrize(np.mean(covs[idx], axis=0))
-            if np.trace(r_k) <= 0:
+            band.append((idx, x))
+        stacks.append(band)
+        r_all[j] = symmetrize(np.mean(covs, axis=0))
+        for k, idx in enumerate(members):
+            r_class[j, k] = symmetrize(np.mean(covs[idx], axis=0))
+            if np.trace(r_class[j, k]) <= 0:
                 raise DegenerateClass(f"class {k} covariance is rank-0")
-            pairs = gen_sym_eig(r_k, r_all)
-            filters[(j, k)] = pairs.vectors[:, :f_per]
-            class_cov[(j, k)] = r_k
-            eigenvalues[(j, k)] = pairs.values[:f_per]
+    # every (band, class) pair at once, each band whitened once
+    pairs = gen_sym_eig(r_class, r_all[:, None])
+    width = n_classes * f_per
+    feats = np.empty((len(windows), n_bands * width))
+    filters = {}
+    class_cov = {}
+    eigenvalues = {}
+    for j, band in enumerate(stacks):
+        for k in range(n_classes):
+            filters[(j, k)] = pairs.vectors[j, k, :, :f_per]
+            class_cov[(j, k)] = r_class[j, k]
+            eigenvalues[(j, k)] = pairs.values[j, k, :f_per]
         band_filters = [filters[(j, k)] for k in range(n_classes)]
-        for idx, x in stacks:
+        for idx, x in band:
             feats[idx, j * width:(j + 1) * width] = _log_energies(
                 x, band_filters
             )
@@ -209,7 +242,7 @@ def csp_fit(segments, labels, fs, bands=DEFAULT_BANDS, f_per=DEFAULT_CSP_FILTERS
         fs=fs,
         channels=n_ch,
         class_cov=class_cov,
-        total_cov=total_cov,
+        total_cov=dict(enumerate(r_all)),
         eigenvalues=eigenvalues,
         train_features=feats,
     )
@@ -253,37 +286,53 @@ class RgcModel:
 
 
 def riemannian_mean(covs):
-    """Log-Euclidean mean: exp of the average matrix logarithm."""
+    """Log-Euclidean mean: exp of the average matrix logarithm, with one
+    stacked log and one exp."""
     covs = [np.asarray(c, dtype=np.float64) for c in covs]
     if not covs:
         raise DimensionMismatch("need at least one covariance")
-    logs = [spd_function(c, "log") for c in covs]
+    shapes = {c.shape for c in covs}
+    if len(shapes) > 1:
+        raise DimensionMismatch(
+            f"covariances differ in shape: {sorted(shapes)}"
+        )
+    logs = spd_function(np.stack(covs), "log")
     return spd_function(symmetrize(np.mean(logs, axis=0)), "exp_of_sym")
 
 
 def rgc_fit(segments, shrinkage=DEFAULT_RGC_SHRINKAGE):
     """Reference point for tangent projection from training windows; the
     model also carries the windows' tangent features."""
-    covs = [segment_covariance(s, shrinkage) for s in segments]
+    # a list, so that one (T, C) array is not taken for a single window
+    covs = segment_covariance(list(segments), shrinkage)
     mean = riemannian_mean(covs)
     model = RgcModel(
         mean=mean,
         mean_inv_sqrt=spd_function(mean, "inv_sqrt"),
         shrinkage=shrinkage,
     )
-    model.train_features = np.stack([_tangent(c, model) for c in covs])
+    model.train_features = _tangent(covs, model)
     return model
 
 
 def tangent_from_cov(cov, model):
     """Upper-triangle vectorization of log(W cov W), off-diagonals
-    scaled by sqrt(2) so the Euclidean norm matches the Frobenius norm."""
+    scaled by sqrt(2) so the Euclidean norm matches the Frobenius norm.
+
+    ``cov`` is one (C, C) covariance, giving a vector, or an (n, C, C)
+    stack, giving one row per covariance.
+    """
     w = model.mean_inv_sqrt
+    cov = np.asarray(cov, dtype=np.float64)
+    if cov.shape[-2:] != w.shape:
+        raise DimensionMismatch(
+            f"covariance shape {cov.shape} does not match the model's "
+            f"{w.shape}"
+        )
     tn = spd_function(symmetrize(w @ cov @ w), "log")
-    n = tn.shape[0]
-    iu = np.triu_indices(n)
+    iu = np.triu_indices(w.shape[0])
     coeff = np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
-    return coeff * tn[iu]
+    return coeff * tn[..., iu[0], iu[1]]
 
 
 def _tangent(cov, model):
@@ -293,9 +342,13 @@ def _tangent(cov, model):
         raise NotSpd(f"window covariance not positive definite: {exc}") from exc
 
 
-def tangent_features(segment, model):
-    """Tangent-space feature vector of one window; length C(C+1)/2."""
-    return _tangent(segment_covariance(segment, model.shrinkage), model)
+def tangent_features(segments, model):
+    """Tangent-space features; length C(C+1)/2.
+
+    ``segments`` is one (T, C) window array, giving a vector, or a
+    sequence or (n, T, C) stack of windows, giving one row per window.
+    """
+    return _tangent(segment_covariance(segments, model.shrinkage), model)
 
 
 # ---------------------------------------------------------------------------

@@ -162,6 +162,22 @@ def test_jacobi_sweep_diagonalizes(rng):
     assert np.allclose(v.T @ v, np.eye(12), atol=1e-12)
 
 
+def test_kernels_take_stacks(rng):
+    s = rng.standard_normal((3, 5, 5))
+    s = s + np.swapaxes(s, 1, 2)
+    a, v = s.copy(), np.broadcast_to(np.eye(5), s.shape).copy()
+    status = kernels.jacobi_sweep(a, v)
+    assert type(status) is int and status == 0
+    for i in range(3):
+        assert np.array_equal(a[i], np.diag(np.diag(a[i])))
+        assert np.allclose(v[i] @ a[i] @ v[i].T, s[i], atol=1e-12)
+    m = rng.standard_normal((3, 7, 4))
+    b, v = m.copy(), np.broadcast_to(np.eye(4), (3, 4, 4)).copy()
+    status = kernels.svd_sweep(b, v)
+    assert type(status) is int and status == 0
+    assert np.allclose(b @ np.swapaxes(v, 1, 2), m, atol=1e-12)
+
+
 def test_sym_eig_descending(rng):
     s = rng.standard_normal((12, 12))
     s = 0.5 * (s + s.T)
@@ -192,3 +208,26 @@ def test_svd_zero_singular_value(rng, wide):
     assert np.allclose((u * s) @ v.T, m, atol=1e-12)
     assert np.allclose(u.T @ u, np.eye(5), atol=1e-12)
     assert np.allclose(v.T @ v, np.eye(5), atol=1e-12)
+
+
+@pytest.mark.parametrize("rank", [5, 3])
+def test_svd_left_vectors_match_column_loop(rng, rank):
+    # numerics.svd divides the kept columns in one masked division; the
+    # per-column loop it replaced is the reference
+    m = rng.standard_normal((9, rank)) @ rng.standard_normal((rank, 5))
+    uu, ss, vt = np.linalg.svd(m, full_matrices=False)
+    b = uu * ss
+    s = np.sqrt(np.sum(b * b, axis=0))
+    order = np.argsort(-s, kind="stable")
+    b, s = b[:, order], s[order]
+    u, s_out, _ = numerics.svd(m)
+    kept = 0
+    for j in range(5):
+        if s[j] > 1e-14 * s[0]:
+            assert np.array_equal(u[:, j], b[:, j] / s[j])
+            assert s_out[j] == s[j]
+            kept += 1
+        else:
+            assert s_out[j] == 0.0
+    assert kept == rank
+    assert np.allclose(u.T @ u, np.eye(5), atol=1e-12)

@@ -274,6 +274,119 @@ class TestSpdFunction:
         with pytest.raises(NotSpd):
             numerics.spd_function(np.diag([1.0, -2.0]), "inv_sqrt")
 
+    def test_unknown_name_checked_before_decomposing(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(kernels, "jacobi_sweep",
+                            lambda *args: calls.append(args) or 0)
+        with pytest.raises(ValueError, match="bogus"):
+            numerics.spd_function(np.diag([1.0, -1.0]), "bogus")
+        assert calls == []
+
+
+def random_sym(rng, n):
+    s = rng.standard_normal((n, n))
+    return 0.5 * (s + s.T)
+
+
+class TestStacks:
+    """A stack (..., n, n) gives each member's single-matrix result bit for
+    bit, with one eigensolver call for the whole stack."""
+
+    SHAPES = [(7,), (2, 3)]
+
+    @staticmethod
+    def spd_stack(rng, lead, n):
+        mats = [random_spd(rng, n, cond=100.0) for _ in np.ndindex(*lead)]
+        return np.reshape(mats, lead + (n, n))
+
+    @staticmethod
+    def sym_stack(rng, lead, n):
+        mats = [random_sym(rng, n) for _ in np.ndindex(*lead)]
+        return np.reshape(mats, lead + (n, n))
+
+    @pytest.mark.parametrize("lead", SHAPES)
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_sym_eig(self, rng, lead, n):
+        s = self.sym_stack(rng, lead, n)
+        values, vectors = numerics.sym_eig(s)
+        assert values.shape == lead + (n,)
+        assert vectors.shape == lead + (n, n)
+        assert np.all(np.diff(values, axis=-1) <= 0)
+        for i in np.ndindex(*lead):
+            want = numerics.sym_eig(s[i])
+            assert np.array_equal(values[i], want.values)
+            assert np.array_equal(vectors[i], want.vectors)
+
+    @pytest.mark.parametrize("fname", ["log", "sqrt", "inv_sqrt",
+                                       "exp_of_sym"])
+    @pytest.mark.parametrize("lead", SHAPES)
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_spd_function(self, rng, fname, lead, n):
+        s = self.spd_stack(rng, lead, n)
+        if fname == "exp_of_sym":
+            s = s - 2.0 * np.eye(n)  # symmetric with negative eigenvalues
+        out = numerics.spd_function(s, fname)
+        assert out.shape == s.shape
+        for i in np.ndindex(*lead):
+            assert np.array_equal(out[i], numerics.spd_function(s[i], fname))
+
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_gen_sym_eig(self, rng, n):
+        a = self.sym_stack(rng, (2, 3), n)
+        b = self.spd_stack(rng, (2,), n)
+        # each b whitens the three a of its row
+        values, vectors = numerics.gen_sym_eig(a, b[:, None])
+        assert values.shape == (2, 3, n)
+        assert vectors.shape == (2, 3, n, n)
+        assert np.all(np.diff(values, axis=-1) <= 0)
+        for i, j in np.ndindex(2, 3):
+            want = numerics.gen_sym_eig(a[i, j], b[i])
+            assert np.array_equal(values[i, j], want.values)
+            assert np.array_equal(vectors[i, j], want.vectors)
+
+    def test_one_eigensolver_call_per_stack(self, rng, monkeypatch):
+        calls = []
+        sweep = kernels.jacobi_sweep
+        monkeypatch.setattr(kernels, "jacobi_sweep",
+                            lambda a, v: calls.append(a.shape) or sweep(a, v))
+        s = self.spd_stack(rng, (9,), 4)
+        numerics.spd_function(s, "log")
+        numerics.gen_sym_eig(s, s[0])
+        # one for log, one for inv_sqrt of b, one for the whitened stack
+        assert calls == [(9, 4, 4), (4, 4), (9, 4, 4)]
+
+    def test_asymmetric_member_named(self, rng):
+        s = self.spd_stack(rng, (2, 3), 4)
+        s[1, 2, 0, 1] += 1e-9
+        for call in (numerics.sym_eig,
+                     lambda m: numerics.spd_function(m, "log"),
+                     lambda m: numerics.gen_sym_eig(m, np.eye(4))):
+            with pytest.raises(DimensionMismatch, match=r"member 1, 2\)"):
+                call(s)
+
+    def test_not_spd_member_named(self, rng):
+        s = self.spd_stack(rng, (5,), 4)
+        s[3] = np.diag([1.0, 1.0, 1.0, -1.0])
+        with pytest.raises(NotSpd, match=r"member 3\)"):
+            numerics.spd_function(s, "inv_sqrt")
+        with pytest.raises(NotSpd, match=r"member 3\)"):
+            numerics.gen_sym_eig(np.eye(4), s)
+        # a single matrix names no member
+        with pytest.raises(NotSpd) as exc:
+            numerics.spd_function(s[3], "log")
+        assert "member" not in str(exc.value)
+
+    def test_tolerance_per_member(self):
+        s = np.stack([np.diag([4.0, 4.0]), np.diag([1.0, 3.0])])
+        assert np.array_equal(numerics.spd_tolerance(s),
+                              [numerics.spd_tolerance(m) for m in s])
+        assert numerics.spd_tolerance(s[0]) == numerics.SPD_RTOL * 8.0 / 2
+
+    def test_operands_must_broadcast(self, rng):
+        with pytest.raises(DimensionMismatch):
+            numerics.gen_sym_eig(self.spd_stack(rng, (3,), 4),
+                                 self.spd_stack(rng, (2,), 4))
+
 
 class TestLibraryFailures:
     """LAPACK failures surface as the package's numeric errors."""

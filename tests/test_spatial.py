@@ -262,10 +262,105 @@ class TestWindowStacks:
         assert np.array_equal(model.train_features, want)
 
 
+class TestCovarianceStacks:
+    """Stacked segment_covariance and tangent_features equal the results
+    computed one window at a time, bit for bit."""
+
+    @pytest.mark.parametrize("shrinkage", [0.0, 0.1])
+    @pytest.mark.parametrize("n_ch", [1, 4, 8, 16])
+    def test_segment_covariance(self, rng, shrinkage, n_ch):
+        windows = [rng.standard_normal((t, n_ch))
+                   for t in (200, 80, 200, 2, 80, 200)]
+        want = np.stack([spatial.segment_covariance(w, shrinkage)
+                         for w in windows])
+        assert np.array_equal(spatial.segment_covariance(windows, shrinkage),
+                              want)
+        # an (n, T, C) array is a stack of equal-length windows
+        assert np.array_equal(
+            spatial.segment_covariance(np.stack([windows[0], windows[2]]),
+                                       shrinkage),
+            want[[0, 2]],
+        )
+
+    def test_strided_windows(self, rng):
+        eeg = rng.standard_normal((1000, 8))
+        windows = [eeg[a:a + 200] for a in range(0, 1000, 200)]
+        want = np.stack([spatial.segment_covariance(w, 0.1) for w in windows])
+        assert np.array_equal(spatial.segment_covariance(windows, 0.1), want)
+
+    @pytest.mark.parametrize("n_ch", [4, 8, 16])
+    def test_tangent_features(self, rng, n_ch):
+        train = [rng.standard_normal((120, n_ch)) for _ in range(6)]
+        model = spatial.rgc_fit(train, shrinkage=0.1)
+        windows = [rng.standard_normal((t, n_ch))
+                   for t in (120, 40, 120, 300, 40)]
+        want = np.stack([spatial.tangent_features(w, model)
+                         for w in windows])
+        assert want.shape == (5, n_ch * (n_ch + 1) // 2)
+        assert np.array_equal(spatial.tangent_features(windows, model), want)
+        assert np.array_equal(
+            spatial.tangent_features(np.stack([windows[0], windows[2]]),
+                                     model),
+            want[[0, 2]],
+        )
+        covs = spatial.segment_covariance(windows, 0.1)
+        assert np.array_equal(spatial.tangent_from_cov(covs, model), want)
+
+    def test_not_spd_window_named(self, rng):
+        train = [rng.standard_normal((120, 4)) for _ in range(6)]
+        model = spatial.rgc_fit(train, shrinkage=0.0)
+        windows = [rng.standard_normal((120, 4)) for _ in range(4)]
+        windows[2] = np.zeros((120, 4))
+        with pytest.raises(NotSpd, match=r"member 2\)"):
+            spatial.tangent_features(windows, model)
+
+    def test_channel_count_must_match_model(self, rng):
+        model = spatial.rgc_fit([rng.standard_normal((120, 4))
+                                 for _ in range(6)])
+        with pytest.raises(DimensionMismatch):
+            spatial.tangent_features(rng.standard_normal((120, 3)), model)
+        with pytest.raises(DimensionMismatch):
+            spatial.tangent_features([rng.standard_normal((120, 3))], model)
+
+
+@pytest.mark.parametrize("kind", ["rgc", "csp"])
+def test_eigensolver_calls_do_not_grow_with_windows(rng, monkeypatch, kind):
+    """Fit and features make a fixed number of eigensolver calls, however
+    many windows they get."""
+    calls = []
+    sweep = kernels.jacobi_sweep
+    monkeypatch.setattr(kernels, "jacobi_sweep",
+                        lambda a, v: calls.append(1) or sweep(a, v))
+
+    def count(n):
+        windows = [rng.standard_normal((t, 4))
+                   for t in (200, 120) * (n // 2)]
+        calls.clear()
+        if kind == "rgc":
+            model = spatial.rgc_fit(windows, shrinkage=0.1)
+            spatial.tangent_features(windows, model)
+        else:
+            model = spatial.csp_fit(windows, [i % 3 for i in range(n)], 40.0,
+                                    f_per=2)
+            spatial.csp_features(windows, model)
+        return len(calls)
+
+    assert count(6) == count(60) > 0
+
+
 class TestSegmentCovariance:
     def test_one_dimensional_window(self, rng):
         with pytest.raises(DimensionMismatch):
             spatial.segment_covariance(rng.standard_normal(50))
+
+    def test_stack_rejects_mixed_channel_counts(self, rng):
+        with pytest.raises(DimensionMismatch):
+            spatial.segment_covariance([rng.standard_normal((50, 4)),
+                                        rng.standard_normal((50, 3))])
+
+    def test_empty_stack(self):
+        with pytest.raises(DimensionMismatch):
+            spatial.segment_covariance([])
 
 
 class TestRiemannianMean:
@@ -306,6 +401,14 @@ class TestRiemannianMean:
     def test_rejects_non_spd(self):
         with pytest.raises(NotSpd):
             spatial.riemannian_mean([np.diag([1.0, -1.0])])
+
+    def test_rejects_mixed_sizes(self):
+        with pytest.raises(DimensionMismatch):
+            spatial.riemannian_mean([np.eye(2), np.eye(3)])
+
+    def test_rejects_empty(self):
+        with pytest.raises(DimensionMismatch):
+            spatial.riemannian_mean([])
 
 
 class TestTangentFeatures:
