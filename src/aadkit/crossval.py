@@ -343,7 +343,9 @@ class _RunnerBase:
     """One session's fold bookkeeping. Subclasses provide
     ``_fit(units, params)`` and ``_eval_units(model, params, units,
     collect)``, which returns (accuracy, macro-F1, window records,
-    per-trial time-PCC curves) over the units' valid windows."""
+    per-trial time-PCC curves) over the units' valid windows. Without
+    ``collect`` only the accuracy is needed (``score``), and a runner may
+    return None, [] and {} for the rest."""
 
     def __init__(self, session, plan, window_s, kind, time_pcc_seg_s=1.0):
         self.session = session
@@ -521,9 +523,14 @@ class _LinearRunner(_RunnerBase):
                     )
             if collect and unit == tid:
                 curves[tid] = self._trial_curves(model, px, trial)
-        acc, f1 = metrics.classification_metrics(
-            np.array(preds), np.zeros(len(preds), dtype=int), 3
-        )
+        if collect:
+            acc, f1 = metrics.classification_metrics(
+                np.array(preds), np.zeros(len(preds), dtype=int), 3
+            )
+        else:
+            # correct windows / windows is classification_metrics' accuracy
+            # to the bit, and grid scoring reads nothing else
+            acc, f1 = (preds.count(0) / len(preds) if preds else 0.0), None
         return acc, f1, records, curves
 
     def _trial_curves(self, model, px, trial):

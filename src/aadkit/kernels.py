@@ -10,13 +10,15 @@ The gammatone resonator is one complex ``sosfilt`` call per band: the
 band's identical one-pole stages become that many complex sections, so the
 cascade runs in a single pass over the audio.
 
-The filtering kernels import ``scipy.signal`` on first use: it takes about
-a second to import, and the ``wf``, ``cca`` and ``rgc`` decoders never
-filter, so their runs never load it.
+SciPy is imported on first use, never at module level. The filtering
+kernels import ``scipy.signal`` (about a second, and it pulls in
+``scipy.linalg``), which the ``wf``, ``cca`` and ``rgc`` decoders never
+need. :func:`cholesky_inplace` imports ``scipy.linalg.lapack`` (about 0.3 s),
+which only a Wiener-filter solve needs. A run of a decoder that neither
+filters nor solves a Cholesky system loads no SciPy module at all.
 """
 
 import numpy as np
-from scipy.linalg import lapack as _lapack
 
 
 def jacobi_sweep(a, v):
@@ -79,6 +81,8 @@ def cholesky_inplace(a, tol):
     # dpotrf on the transposed (Fortran-ordered) view of a C-ordered ``a``
     # factors in place: its upper factor U = L^T lands on the lower triangle
     # of ``a``. The copy back below only moves data for other layouts.
+    from scipy.linalg import lapack as _lapack
+
     factor, info = _lapack.dpotrf(a.T, lower=0, clean=0, overwrite_a=1)
     if info < 0:
         raise ValueError(f"dpotrf: illegal argument {-info}")

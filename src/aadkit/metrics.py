@@ -45,14 +45,20 @@ def decide_window(rhos, attended_index):
     The window counts as correct only when the attended candidate strictly
     beats every other one; a tie at the maximum is incorrect, with the
     predicted index reported as the lowest index among the maxima.
+
+    Plain Python on the sequence ``rhos``: scoring calls this once per
+    window, with two or three candidates. A non-finite correlation raises
+    ValueError naming its index.
     """
-    rhos = np.asarray(rhos, dtype=np.float64).ravel()
-    if rhos.shape[0] < 2:
+    rhos = [float(r) for r in rhos]
+    if len(rhos) < 2:
         raise LengthMismatch("need at least 2 candidates")
-    top = float(np.max(rhos))
-    maxima = np.flatnonzero(rhos == top)
-    predicted = int(maxima[0])
-    tie = maxima.size > 1
+    for i, r in enumerate(rhos):
+        if not math.isfinite(r):
+            raise ValueError(f"correlation {i} is not finite ({r})")
+    top = max(rhos)
+    predicted = rhos.index(top)
+    tie = rhos.count(top) > 1
     correct = (not tie) and predicted == attended_index
     return DecideResult(predicted=predicted, correct=correct, tie=tie)
 

@@ -15,13 +15,18 @@ code. A stack costs one ``eigh`` call and one pass of the square,
 symmetry, finiteness and tolerance checks, and each member's result is
 bit-identical to what the member gives alone, because LAPACK and matmul
 run member by member on the same routines.
+
+Only the Cholesky path needs SciPy (``dpotrf``/``dpotrs`` from
+``scipy.linalg.lapack``), and it imports it on first use, so the ``cca``,
+``csp`` and ``rgc`` decoders, which never call :func:`solve_regularized`,
+never pay its 0.3 s import; eigen- and singular value problems run on
+``numpy.linalg``.
 """
 
 import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import lapack as _lapack
 
 from . import kernels
 from .errors import DimensionMismatch, NonConvergence, NotSpd, SingularSystem
@@ -134,6 +139,8 @@ def _cho_solve(fac, rhs):
     """Solve with the lower Cholesky factor ``fac`` by LAPACK ``dpotrs``:
     the routine ``scipy.linalg.cho_solve`` ends in, without its argument
     checks, which cost more than the solve at these sizes."""
+    from scipy.linalg import lapack as _lapack
+
     x, info = _lapack.dpotrs(fac, rhs, lower=1)
     if info != 0:
         raise ValueError(f"dpotrs: illegal argument {-info}")

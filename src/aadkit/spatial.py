@@ -9,7 +9,9 @@ back as the column slice ``[:, i*C:(i+1)*C]`` of its F-ordered output,
 exactly as a window filtered alone would. That slice must not be copied
 to C order: ``mean(axis=0)`` sums a contiguous column pairwise and a
 strided one sequentially, so a copy would move the features and the
-fitted filters by an ulp.
+fitted filters by an ulp. The reductions are batched only in layouts that
+keep each member's summation order: one ``mean`` per class over every
+band's covariances, and one over every filter's projections of a stack.
 
 The SPD steps run on stacks of covariances too: ``segment_covariance``
 takes a window or a stack, ``riemannian_mean`` takes one stacked log and
@@ -164,11 +166,12 @@ def _filter_stack(windows, sections):
 def _log_energies(x, filters):
     """Log variance of the projections of centered windows ``x`` (n, T, C)
     on each (C, F) filter; (n, len(filters) * F)."""
-    feats = []
-    for w in filters:
-        var = np.mean((x @ w) ** 2, axis=1)
-        feats.append(np.log(np.maximum(var, 1e-300)))
-    return np.concatenate(feats, axis=1)
+    # one product per filter, because the rounding of ``x @ w`` with F = 1
+    # depends on the strides of ``w``; then one reduction for all of them,
+    # which sums each (window, filter) block in the same order as alone
+    p = np.stack([x @ w for w in filters], axis=1)
+    var = np.mean(p ** 2, axis=2)
+    return np.log(np.maximum(var, 1e-300)).reshape(x.shape[0], -1)
 
 
 def csp_fit(segments, labels, fs, bands=DEFAULT_BANDS, f_per=DEFAULT_CSP_FILTERS,
@@ -199,9 +202,7 @@ def csp_fit(segments, labels, fs, bands=DEFAULT_BANDS, f_per=DEFAULT_CSP_FILTERS
     cascades = _band_cascades(bands, fs)
     groups = _length_groups(windows)
     n_bands = len(cascades)
-    r_all = np.empty((n_bands, n_ch, n_ch))
-    r_class = np.empty((n_bands, n_classes, n_ch, n_ch))
-    covs = np.empty((len(windows), n_ch, n_ch))
+    covs = np.empty((n_bands, len(windows), n_ch, n_ch))
     stacks = []  # per band, (indices, filtered windows) of each length
     for j, cascade in enumerate(cascades):
         band = []
@@ -209,14 +210,19 @@ def csp_fit(segments, labels, fs, bands=DEFAULT_BANDS, f_per=DEFAULT_CSP_FILTERS
             x = _filter_stack(group, cascade.sections)
             if x.shape[1] < 2:
                 raise DimensionMismatch("window too short for covariance")
-            covs[idx] = _covariances(x)
+            covs[j, idx] = _covariances(x)
             band.append((idx, x))
         stacks.append(band)
-        r_all[j] = symmetrize(np.mean(covs, axis=0))
-        for k, idx in enumerate(members):
-            r_class[j, k] = symmetrize(np.mean(covs[idx], axis=0))
-            if np.trace(r_class[j, k]) <= 0:
-                raise DegenerateClass(f"class {k} covariance is rank-0")
+    # one reduction per class for all bands. Each band's sum runs in the
+    # order of a reduction over that band alone as long as the stack is
+    # C-ordered, which ``take`` gives and ``covs[:, idx]`` does not.
+    r_all = symmetrize(np.mean(covs, axis=1))
+    r_class = symmetrize(np.stack(
+        [np.mean(covs.take(idx, axis=1), axis=1) for idx in members], axis=1
+    ))
+    rank0 = np.argwhere(np.trace(r_class, axis1=-2, axis2=-1) <= 0)
+    if rank0.size:
+        raise DegenerateClass(f"class {rank0[0, 1]} covariance is rank-0")
     # every (band, class) pair at once, each band whitened once
     pairs = gen_sym_eig(r_class, r_all[:, None])
     width = n_classes * f_per

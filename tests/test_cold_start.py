@@ -1,9 +1,11 @@
-"""Commands that never filter a signal never import ``scipy.signal``.
+"""Commands load only the SciPy modules their work needs.
 
 ``scipy.signal`` (and the ``scipy.stats`` it pulls in) costs about a second
-to import, so the filtering kernels and filter designs import it on first
-use. Each case runs in a fresh interpreter, whose ``sys.modules`` is then
-the record of what the command loaded.
+to import and ``scipy.linalg`` about 0.3 s, so the filtering kernels and
+filter designs import ``scipy.signal`` on first use, and the Cholesky solve
+of a Wiener-filter fit imports ``scipy.linalg.lapack`` on first use. Each
+case runs in a fresh interpreter, whose ``sys.modules`` is then the record
+of what the command loaded.
 """
 
 import json
@@ -17,15 +19,15 @@ import numpy as np
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-LAZY = ("scipy.signal", "scipy.stats")
 
 
 def run_fresh(code):
     """Run ``code`` in a new interpreter with the package on its path;
-    return the lazily imported modules it ended with and its stdout."""
+    return the SciPy modules it ended with, sorted, and its stdout."""
     trailer = (
         "\nimport json as _json, sys as _sys\n"
-        f"print(_json.dumps([m for m in {LAZY!r} if m in _sys.modules]))\n"
+        "print(_json.dumps(sorted(m for m in _sys.modules\n"
+        "                         if m.split('.')[0] == 'scipy')))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC))
     r = subprocess.run([sys.executable, "-c", textwrap.dedent(code) + trailer],
@@ -45,7 +47,7 @@ def cli_call(*argv):
 @pytest.fixture(scope="module")
 def session(tmp_path_factory):
     """A small seeded synthetic session, made by ``synth`` in a fresh
-    interpreter that must not load the lazy modules either."""
+    interpreter that must not load SciPy either."""
     tmp = tmp_path_factory.mktemp("cold")
     cfg = tmp / "cfg.json"
     cfg.write_text(json.dumps({
@@ -77,11 +79,53 @@ def test_gammatone_design_loads_no_filtering():
     ("wf", "20"), ("cca", "20"), ("rgc", "10"),
 ])
 def test_run_loads_no_filtering(session, tmp_path, model, window):
+    """Of the three, only the Wiener filter solves a Cholesky system, and
+    it loads ``scipy.linalg`` alone."""
     loaded, _ = run_fresh(cli_call(
         "run", "--manifest", session, "--model", model, "--protocol", "loto",
         "--window", window, "--folds", "2", "--out", tmp_path / "o",
     ))
+    if model == "wf":
+        assert "scipy.linalg" in loaded and "scipy.signal" not in loaded
+    else:
+        assert loaded == []
+
+
+def test_track_loads_no_scipy(session, tmp_path):
+    loaded, _ = run_fresh(cli_call(
+        "track", "--manifest", session, "--model", "cca", "--window", "20",
+        "--folds", "2", "--out", tmp_path / "o",
+    ))
     assert loaded == []
+
+
+def test_wf_run_loads_linalg_only_and_exports_the_same_files(session,
+                                                              tmp_path):
+    """The Cholesky solve imports ``scipy.linalg`` on first use, also from
+    the worker threads of ``--jobs 2``, and the exports match a run in
+    this process, where SciPy is loaded before the run starts."""
+    args = ["run", "--manifest", session, "--model", "wf", "--protocol",
+            "nested_loto", "--window", "20", "--folds", "3"]
+    outs = {}
+    for jobs in ("1", "2"):
+        outs[jobs] = tmp_path / f"jobs{jobs}"
+        loaded, _ = run_fresh(cli_call(*args, "--jobs", jobs,
+                                       "--out", outs[jobs]))
+        assert "scipy.linalg" in loaded and "scipy.signal" not in loaded
+    import scipy.linalg  # noqa: F401
+    from aadkit import cli
+
+    outs["eager"] = tmp_path / "eager"
+    argv = [str(a) for a in args] + ["--out", str(outs["eager"])]
+    assert cli.main(argv) == 0
+    files = {name: sorted(p.relative_to(out) for p in out.rglob("*"))
+             for name, out in outs.items()}
+    assert files["1"] and files["1"] == files["2"] == files["eager"]
+    for rel in files["1"]:
+        if (outs["1"] / rel).is_file():
+            want = (outs["1"] / rel).read_bytes()
+            assert (outs["2"] / rel).read_bytes() == want, rel
+            assert (outs["eager"] / rel).read_bytes() == want, rel
 
 
 def test_csp_run_loads_filtering(session, tmp_path):

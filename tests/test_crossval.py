@@ -597,3 +597,35 @@ class TestLinearWindowRhos:
         assert report.n_excluded > 0
         for key, rhos in want.items():
             assert np.allclose(got[key], rhos, rtol=0, atol=1e-10), key
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("wf", {"lam": 1.0, "L": 6}),
+    ("cca", {"reg": 1.0, "L": 6, "L_y": 4, "n_components": 2}),
+])
+def test_score_is_accuracy_of_collected_evaluation(kind, params):
+    """Grid scoring counts correct windows without records; the count
+    gives the accuracy of the full evaluation to the bit, ties included."""
+    # three 5 s windows per trial, so accuracies are not dyadic fractions
+    session = synth(n_trials=6, n_channels=3, snr=1.0, seed=21,
+                    duration_s=15.0)
+    # every speaker of the first trial carries one envelope, so each of
+    # its windows ties exactly
+    tied = session.trials[0]
+    for s in tied.speakers:
+        s.envelope = tied.speakers[0].envelope.copy()
+    plan = crossval.make_folds(session.trials, "loto", 3, seed=0)
+    runner = crossval._make_runner(session, kind, plan, 5.0, 1.0)
+    accuracies = []
+    for loop in plan.outer:
+        model = runner._fit(loop.fit, params)
+        acc, _, records, _ = runner._eval_units(model, params, loop.test,
+                                                collect=True)
+        score = runner.score(params, loop.fit, loop.test)
+        assert score == acc
+        assert acc == np.mean([r.correct for r in records])
+        accuracies.append(acc)
+        if tied.trial_id in loop.test:
+            ties = [r for r in records if r.trial_id == tied.trial_id]
+            assert ties and all(r.tie and not r.correct for r in ties)
+    assert 0.0 < max(accuracies) and min(accuracies) < 1.0

@@ -39,9 +39,10 @@ def _module_level_imports(tree):
         stack.extend(ast.iter_child_nodes(node))
 
 
-def test_scipy_signal_is_imported_on_first_use():
-    """``scipy.signal`` costs about a second to import; only the functions
-    that filter may import it, so decoders that never filter never pay."""
+def test_scipy_is_imported_on_first_use():
+    """``scipy.signal`` costs about a second to import and ``scipy.linalg``
+    about 0.3 s; only the functions that filter or solve a Cholesky system
+    may import them, so commands that do neither load no SciPy module."""
     offenders = []
     for path in sorted((ROOT / "src" / "aadkit").glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
@@ -49,9 +50,7 @@ def test_scipy_signal_is_imported_on_first_use():
             if isinstance(node, ast.Import):
                 names = [a.name for a in node.names]
             else:
-                names = [node.module or ""] + [f"{node.module}.{a.name}"
-                                               for a in node.names]
-            if any(n == "scipy.signal" or n.startswith("scipy.signal.")
-                   for n in names):
+                names = [node.module or ""]
+            if any(n.split(".")[0] == "scipy" for n in names):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []

@@ -111,6 +111,20 @@ class TestDecideWindow:
         assert correct == [want for _, _, want in cases]
         assert np.mean(correct) == pytest.approx(6 / 12)
 
+    @pytest.mark.parametrize("rhos", [[0.4], []])
+    def test_fewer_than_two_candidates(self, rhos):
+        with pytest.raises(LengthMismatch, match="2 candidates"):
+            metrics.decide_window(rhos, 0)
+
+    @pytest.mark.parametrize("rhos, bad", [
+        ([np.nan, 0.1, 0.2], 0),
+        ([0.1, 0.2, np.nan], 2),
+        ((0.1, np.inf, 0.2), 1),
+    ])
+    def test_non_finite_correlation_named(self, rhos, bad):
+        with pytest.raises(ValueError, match=f"correlation {bad} is not"):
+            metrics.decide_window(rhos, 0)
+
     def test_monotone_transform_invariance(self, rng):
         rhos = rng.uniform(-1, 1, size=3)
         base = metrics.decide_window(rhos, 1)

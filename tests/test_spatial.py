@@ -84,6 +84,12 @@ class TestCsp:
         with pytest.raises(DegenerateClass):
             spatial.csp_fit(segments, [0, 0, 0, 0], 40.0)
 
+    def test_rank_zero_class_named(self, rng):
+        segments = [rng.standard_normal((50, 3)) for _ in range(4)]
+        segments += [np.zeros((50, 3)), np.zeros((50, 3))]
+        with pytest.raises(DegenerateClass, match="class 2 covariance"):
+            spatial.csp_fit(segments, [0, 1, 0, 1, 2, 2], 40.0, f_per=2)
+
     def test_mixed_channel_counts(self, rng):
         segments = [rng.standard_normal((50, 3)) for _ in range(3)]
         segments.append(rng.standard_normal((50, 4)))
@@ -247,6 +253,23 @@ class TestWindowStacks:
         for key in filters:
             assert np.array_equal(model.filters[key], filters[key])
             assert np.array_equal(model.eigenvalues[key], eigenvalues[key])
+
+    # classes of 15 windows, past numpy's 8-wide pairwise blocks; one
+    # channel, whose class means sum pairwise rather than in order; and
+    # f_per = 1, whose products depend on the filter's strides
+    @pytest.mark.parametrize("n_ch, f_per", [(1, 1), (3, 1), (4, 4), (8, 2)])
+    def test_reductions_over_bands_and_classes(self, rng, n_ch, f_per):
+        windows = [rng.standard_normal((t, n_ch))
+                   for t in [80] * 40 + [33] * 5]
+        labels = [i % 3 for i in range(45)]
+        model = spatial.csp_fit(windows, labels, 40.0, f_per=f_per,
+                                n_classes=3)
+        filters, eigenvalues = per_window_fit(windows, labels, 40.0, f_per, 3)
+        for key in filters:
+            assert np.array_equal(model.filters[key], filters[key])
+            assert np.array_equal(model.eigenvalues[key], eigenvalues[key])
+        want = np.stack([per_window_features(w, model) for w in windows])
+        assert np.array_equal(model.train_features, want)
 
     def test_training_features_are_the_features(self, rng):
         windows = [rng.standard_normal((t, 4))
