@@ -169,6 +169,9 @@ def make_folds(trials, protocol, n_folds=None, seed=0, segment_s=None):
             raise BadProtocolConfig(
                 f"n_folds={n_folds} invalid for {len(trials)} trials"
             )
+        if protocol == "nested_loto" and n_folds < 3:
+            # an inner loop trains on the folds other than test and val
+            raise BadProtocolConfig("nested_loto needs >= 3 folds")
         folds = _stratified_trial_folds(trials, n_folds, rng)
         outer = []
         for i, test in enumerate(folds):

@@ -7,16 +7,19 @@ It is built as one strided copy: L - 1 zero rows on top of the signal, a
 to (T, C*L).
 Covariance statistics are unnormalized sums over training windows; each
 window is lagged with its own zero padding so no samples mix across
-window (or trial) boundaries.
+window (or trial) boundaries. A statistics object decomposes its
+auto-covariances at most once, on first use, so every regularized fit on
+the same training set shares one pair of eigendecompositions.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .errors import BadLag, DimensionMismatch
-from .numerics import symmetrize
+from .numerics import sym_eig, symmetrize
 
 
 @dataclass
@@ -55,6 +58,10 @@ class CovStats:
 
     ``rxy`` is present for vector targets, ``ryy``/``rxy_mat`` for lagged
     targets. ``n_rows`` counts the samples the sums ran over.
+
+    ``rxx_eig`` and ``ryy_eig`` are the :func:`~aadkit.numerics.sym_eig`
+    pairs of ``rxx`` and ``ryy``, computed on first access and kept, so
+    the arrays must not be modified after that.
     """
 
     rxx: np.ndarray
@@ -65,6 +72,14 @@ class CovStats:
     lags: int = 0
     channels: int = 0
     target_lags: int = 0
+
+    @cached_property
+    def rxx_eig(self):
+        return sym_eig(self.rxx)
+
+    @cached_property
+    def ryy_eig(self):
+        return sym_eig(self.ryy)
 
     def __add__(self, other):
         if self.rxx.shape != other.rxx.shape:

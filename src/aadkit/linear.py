@@ -15,7 +15,7 @@ import numpy as np
 
 from .design import build_lagged
 from .errors import DimensionMismatch
-from .numerics import solve_regularized, spd_function, svd
+from .numerics import EigPairs, solve_regularized, spd_function, svd
 
 
 @dataclass
@@ -51,6 +51,11 @@ def cca_fit(stats, reg, n_components):
     Both auto-covariances receive ``reg`` on the diagonal before the
     inverse square root; singular vectors are mapped back through the
     whitening transforms and singular values clipped into [0, 1].
+    The inverse square roots come from the eigenpairs ``stats`` keeps
+    (``rxx_eig``, ``ryy_eig``) shifted by ``reg``, so fits of one
+    statistics object at any number of ``reg`` values decompose each
+    auto-covariance once; at ``reg = 0`` the fit is bit-identical to
+    whitening ``rxx`` and ``ryy`` directly.
     """
     if stats.ryy is None or stats.rxy_mat is None:
         raise DimensionMismatch("stats carry no lagged-target covariances")
@@ -61,8 +66,9 @@ def cca_fit(stats, reg, n_components):
         raise DimensionMismatch(
             f"n_components={n_components} out of range for ({dx}, {dy})"
         )
-    wxw = spd_function(stats.rxx + reg * np.eye(dx), "inv_sqrt")
-    wyw = spd_function(stats.ryy + reg * np.eye(dy), "inv_sqrt")
+    ex, ey = stats.rxx_eig, stats.ryy_eig
+    wxw = spd_function(EigPairs(ex.values + reg, ex.vectors), "inv_sqrt")
+    wyw = spd_function(EigPairs(ey.values + reg, ey.vectors), "inv_sqrt")
     u, s, v = svd(wxw @ stats.rxy_mat @ wyw)
     wx = wxw @ u[:, :n_components]
     wy = wyw @ v[:, :n_components]

@@ -16,6 +16,12 @@ symmetry, finiteness and tolerance checks, and each member's result is
 bit-identical to what the member gives alone, because LAPACK and matmul
 run member by member on the same routines.
 
+:func:`spd_function` and :func:`spd_tolerance` also take the
+:class:`EigPairs` of a matrix instead of the matrix. Since ``s + reg * I``
+has the eigenvalues ``values + reg`` on the same eigenvectors, a caller
+that loads one matrix with many ``reg`` values decomposes it once and
+passes ``EigPairs(values + reg, vectors)`` for each.
+
 Only the Cholesky path needs SciPy (``dpotrf``/``dpotrs`` from
 ``scipy.linalg.lapack``), and it imports it on first use, so the ``cca``,
 ``csp`` and ``rgc`` decoders, which never call :func:`solve_regularized`,
@@ -80,9 +86,15 @@ def symmetrize(a):
 
 def spd_tolerance(a):
     """Positivity floor for eigenvalues of ``a``: SPD_RTOL * trace / n, one
-    per member of a stack."""
-    n = a.shape[-1]
-    return SPD_RTOL * np.abs(np.trace(a, axis1=-2, axis2=-1)) / n
+    per member of a stack. ``a`` may also be the :class:`EigPairs` of a
+    matrix or a stack, whose trace is the sum of its eigenvalues."""
+    if isinstance(a, EigPairs):
+        n = a.values.shape[-1]
+        trace = np.sum(a.values, axis=-1)
+    else:
+        n = a.shape[-1]
+        trace = np.trace(a, axis1=-2, axis2=-1)
+    return SPD_RTOL * np.abs(trace) / n
 
 
 def solve_regularized(a, b, lam):
@@ -270,6 +282,12 @@ def spd_function(s, fname):
     or ``exp_of_sym`` (any symmetric input). The result is
     ``V diag(f(values)) V^T``.
 
+    ``s`` may also be the :class:`EigPairs` that :func:`sym_eig` returned
+    for a matrix or a stack; then no decomposition runs, and the result is
+    bit-identical to passing the matrix. Pairs with shifted values,
+    ``EigPairs(values + reg, vectors)``, give the function of
+    ``s + reg * I``, so one decomposition serves every diagonal loading.
+
     Raises
     ------
     ValueError
@@ -281,8 +299,11 @@ def spd_function(s, fname):
     func = _SPD_FUNCTIONS.get(fname)
     if func is None:
         raise ValueError(f"unknown matrix function {fname!r}")
-    s = np.asarray(s, dtype=np.float64)
-    values, vec = sym_eig(s)
+    if isinstance(s, EigPairs):
+        values, vec = s
+    else:
+        s = np.asarray(s, dtype=np.float64)
+        values, vec = sym_eig(s)
     if fname != "exp_of_sym":
         floor = spd_tolerance(s)
         low = values[..., -1] <= floor

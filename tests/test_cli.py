@@ -343,6 +343,25 @@ class TestRun:
         assert code == 5
         assert capsys.readouterr().err.startswith("error: numeric:")
 
+    def test_rank_deficient_cca_exit_5(self, tmp_path, capsys):
+        from aadkit import cli, dataio
+
+        session = dataio.synth_generate(dataio.SynthConfig(
+            n_trials=4, duration_s=10.0, n_channels=3, snr=5.0, seed=9))
+        for trial in session.trials:
+            trial.eeg.samples[:, 2] = trial.eeg.samples[:, 0]
+        manifest = dataio.save_session(session, tmp_path / "sess")
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"reg": [0.0, 1.0], "L": [4],
+                                    "L_y": [5], "n_components": [1]}))
+        code = cli.main(["run", "--manifest", str(manifest),
+                         "--model", "cca", "--protocol", "loto",
+                         "--window", "10", "--folds", "2",
+                         "--grid", str(grid), "--out", str(tmp_path / "o")])
+        assert code == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error: numeric: inv_sqrt requires SPD input")
+
     def test_group_tuning_two_subjects(self, tmp_path, grid_file):
         manifests = []
         for s, seed in (("a", 21), ("b", 22)):
@@ -370,6 +389,20 @@ class TestRun:
         assert [f["params"] for f in sa["folds"]] == [
             f["params"] for f in sb["folds"]
         ]
+
+    @pytest.mark.parametrize("model", ["wf", "cca"])
+    def test_nested_loto_two_folds_exit_2(self, session_dir, tmp_path,
+                                          capsys, model):
+        from aadkit import cli
+
+        _, sess = session_dir
+        code = cli.main(["run", "--manifest", str(sess / "manifest.json"),
+                         "--model", model, "--protocol", "nested_loto",
+                         "--window", "30", "--folds", "2",
+                         "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "error: config: nested_loto needs >= 3 folds")
 
     def test_config_file_flag_hybrid(self, session_dir, grid_file, tmp_path):
         tmp, sess = session_dir

@@ -1,4 +1,5 @@
 import hashlib
+import sys
 
 import numpy as np
 import pytest
@@ -70,6 +71,16 @@ class TestMakeFolds:
         units = [u for f in plan.folds for u in f]
         assert len(units) == 4 * 3
         assert all(isinstance(u, tuple) for u in units)
+
+    def test_nested_loto_needs_three_folds(self):
+        # with two folds every inner assignment would train on nothing
+        session = synth(n_trials=4, n_channels=2, duration_s=5.0)
+        with pytest.raises(BadProtocolConfig,
+                           match="nested_loto needs >= 3 folds"):
+            crossval.make_folds(session.trials, "nested_loto", 2)
+        assert len(crossval.make_folds(session.trials, "loto", 2).outer) == 2
+        plan = crossval.make_folds(session.trials, "nested_loto", 3)
+        assert all(a.train for loop in plan.outer for a in loop.inner)
 
     def test_unknown_protocol(self):
         session = synth(n_trials=4, n_channels=2, duration_s=5.0)
@@ -236,15 +247,51 @@ class TestRunPipeline:
         ]
         assert [w.rhos for w in r1.windows] == [w.rhos for w in r2.windows]
 
-    def test_jobs_parallel_same_result(self):
+    @pytest.mark.parametrize("model,grid", [
+        pytest.param("wf", {"lam": [0.1, 10.0], "L": [6]}, id="wf"),
+        # the worker threads share each training set's cached spectra
+        pytest.param("cca", {"reg": [0.0, 1.0], "L": [6], "L_y": [11],
+                             "n_components": [2]}, id="cca"),
+    ])
+    def test_jobs_parallel_same_result(self, model, grid):
         session = synth(n_trials=8, n_channels=3, seed=6)
         plan = crossval.make_folds(session.trials, "nested_loto", 4, seed=1)
-        grid = crossval.HyperGrid({"lam": [0.1, 10.0], "L": [6]})
-        r1 = crossval.run_pipeline(session, "wf", plan, grid, 10.0, jobs=1)
-        r2 = crossval.run_pipeline(session, "wf", plan, grid, 10.0, jobs=3)
+        grid = crossval.HyperGrid(grid)
+        r1 = crossval.run_pipeline(session, model, plan, grid, 10.0, jobs=1)
+        # switch threads often, so that they race for the shared caches
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            r2 = crossval.run_pipeline(session, model, plan, grid, 10.0,
+                                       jobs=3)
+        finally:
+            sys.setswitchinterval(interval)
         assert [f.model_bytes for f in r1.folds] == [
             f.model_bytes for f in r2.folds
         ]
+
+    @pytest.mark.parametrize("regs", [
+        pytest.param([0.0], id="one-reg"),
+        pytest.param(list(np.logspace(-2, 2, 6)), id="six-regs"),
+    ])
+    def test_cca_eigensolves_independent_of_reg_count(self, regs,
+                                                      monkeypatch):
+        """Every reg value fits from the same two spectra per training
+        set, so a run makes two eigensolver calls per distinct training
+        set however many reg values the grid has."""
+        calls = []
+        sweep = kernels.jacobi_sweep
+        monkeypatch.setattr(kernels, "jacobi_sweep",
+                            lambda a, v: calls.append(a.shape) or sweep(a, v))
+        session = synth(n_trials=8, n_channels=2, seed=6, duration_s=10.0)
+        plan = crossval.make_folds(session.trials, "nested_loto", 4, seed=1)
+        # two points even with one reg value, so every grid is scored
+        grid = crossval.HyperGrid({"reg": regs, "L": [4], "L_y": [5],
+                                   "n_components": [1, 2]})
+        crossval.run_pipeline(session, "cca", plan, grid, 10.0)
+        train_sets = {a.train for loop in plan.outer for a in loop.inner}
+        train_sets |= {loop.fit for loop in plan.outer}
+        assert len(calls) == 2 * len(train_sets) == 20
 
     @pytest.mark.parametrize("protocol,kw", [
         ("loto", {}),

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from aadkit import linear
+from aadkit import kernels, linear
 from aadkit.design import accumulate, build_lagged
-from aadkit.errors import DimensionMismatch
+from aadkit.errors import DimensionMismatch, NotSpd
 from aadkit.metrics import component_pcc, pcc
+from aadkit.numerics import spd_function, svd
 
 
 def lag_matrix_oracle(x, lags):
@@ -170,6 +171,38 @@ class TestCcaFit:
         eig = np.sort(np.real(np.linalg.eigvals(prod)))[::-1]
         ref = np.sqrt(np.clip(eig[:5], 0, None))
         assert np.max(np.abs(model.correlations - ref)) < 1e-8
+
+    def test_reg_grid_shares_one_decomposition(self, rng, monkeypatch):
+        stats, _, _ = cca_stats(rng, 500, 3, 4, 6)
+        direct = []
+        for reg in (0.0, 0.01, 1.0, 100.0):
+            wxw = spd_function(stats.rxx + reg * np.eye(12), "inv_sqrt")
+            wyw = spd_function(stats.ryy + reg * np.eye(6), "inv_sqrt")
+            u, s, v = svd(wxw @ stats.rxy_mat @ wyw)
+            direct.append((wxw @ u[:, :2], np.clip(s[:2], 0.0, 1.0)))
+        calls = []
+        sweep = kernels.jacobi_sweep
+        monkeypatch.setattr(kernels, "jacobi_sweep",
+                            lambda a, v: calls.append(a.shape) or sweep(a, v))
+        for reg, (wx, corr) in zip((0.0, 0.01, 1.0, 100.0), direct):
+            model = linear.cca_fit(stats, reg, 2)
+            if reg == 0.0:
+                assert np.array_equal(model.wx, wx)
+                assert np.array_equal(model.correlations, corr)
+            assert np.allclose(model.wx, wx, rtol=0,
+                               atol=1e-12 * np.abs(wx).max())
+            assert np.allclose(model.correlations, corr, rtol=0, atol=1e-12)
+        # rxx and ryy, each once, for all four fits
+        assert calls == [(12, 12), (6, 6)]
+
+    def test_rank_deficient_rxx_not_spd_at_reg_zero(self, rng):
+        x = rng.standard_normal((400, 2))
+        x = np.column_stack([x, x[:, 0]])  # a duplicated channel
+        y = rng.standard_normal(400)
+        stats = accumulate([build_lagged(x, 3)], [build_lagged(y, 4)])
+        with pytest.raises(NotSpd):
+            linear.cca_fit(stats, 0.0, 2)
+        assert linear.cca_fit(stats, 1.0, 2).wx.shape == (9, 2)
 
     def test_invariant_to_channel_mixing(self, rng):
         t_len, n_ch = 500, 3

@@ -388,6 +388,62 @@ class TestStacks:
                                  self.spd_stack(rng, (2,), 4))
 
 
+class TestSpdFunctionOnEigPairs:
+    """``spd_function`` on the pairs ``sym_eig`` returned, unshifted or
+    with every eigenvalue shifted by a diagonal loading."""
+
+    FNAMES = ["log", "sqrt", "inv_sqrt", "exp_of_sym"]
+
+    @pytest.mark.parametrize("fname", FNAMES)
+    @pytest.mark.parametrize("lead", [(), (7,), (2, 3)])
+    def test_bit_identical_to_matrix(self, rng, fname, lead):
+        s = TestStacks.spd_stack(rng, lead, 6)
+        if fname == "exp_of_sym":
+            s = s - 2.0 * np.eye(6)
+        out = numerics.spd_function(numerics.sym_eig(s), fname)
+        assert np.array_equal(out, numerics.spd_function(s, fname))
+
+    @pytest.mark.parametrize("reg", [1e-2, 1.0, 100.0])
+    @pytest.mark.parametrize("lead", [(), (4,)])
+    def test_shifted_spectrum_is_loaded_matrix(self, rng, reg, lead):
+        s = TestStacks.spd_stack(rng, lead, 8)
+        values, vectors = numerics.sym_eig(s)
+        got = numerics.spd_function(
+            numerics.EigPairs(values + reg, vectors), "inv_sqrt")
+        want = numerics.spd_function(s + reg * np.eye(8), "inv_sqrt")
+        err = np.linalg.norm(got - want, axis=(-2, -1))
+        assert np.all(err <= 1e-12 * np.linalg.norm(want, axis=(-2, -1)))
+
+    def test_tolerance_is_the_matrix_tolerance(self, rng):
+        s = TestStacks.spd_stack(rng, (5,), 6)
+        assert np.allclose(numerics.spd_tolerance(numerics.sym_eig(s)),
+                           numerics.spd_tolerance(s), rtol=1e-13, atol=0)
+
+    def test_not_spd_member_named(self, rng):
+        s = TestStacks.spd_stack(rng, (5,), 4)
+        s[3] = np.diag([1.0, 1.0, 1.0, -1.0])
+        pairs = numerics.sym_eig(s)
+        with pytest.raises(NotSpd, match=r"member 3\)"):
+            numerics.spd_function(pairs, "inv_sqrt")
+        # a shift that reaches below zero fails like the loaded matrix
+        values, vectors = numerics.sym_eig(s[0])
+        shift = -values[-1]
+        with pytest.raises(NotSpd) as exc:
+            numerics.spd_function(
+                numerics.EigPairs(values + shift, vectors), "log")
+        assert "member" not in str(exc.value)
+
+    def test_no_decomposition(self, rng, monkeypatch):
+        pairs = numerics.sym_eig(random_spd(rng, 5))
+        calls = []
+        monkeypatch.setattr(kernels, "jacobi_sweep",
+                            lambda *args: calls.append(args) or 0)
+        with pytest.raises(ValueError, match="bogus"):
+            numerics.spd_function(pairs, "bogus")
+        numerics.spd_function(pairs, "inv_sqrt")
+        assert calls == []
+
+
 class TestLibraryFailures:
     """LAPACK failures surface as the package's numeric errors."""
 
