@@ -108,7 +108,7 @@ class Envelope:
 def compute_envelope(audio, bank, to_fs):
     """Full envelope: |band|^0.6 per band, summed, resampled, clamped."""
     mags = band_magnitudes(audio, bank)
-    summed = np.sum(mags ** 0.6, axis=1)
+    summed = np.sum(np.power(mags, 0.6, out=mags), axis=1)
     sig = preprocess.MultichannelSignal(summed[:, None], audio.fs, ["env"])
     res = preprocess.resample(sig, to_fs)
     return Envelope(np.maximum(res.samples[:, 0], 0.0), to_fs)

@@ -1,21 +1,27 @@
-"""Hot numeric kernels, each one LAPACK or scipy.signal call.
+"""Hot numeric kernels, each built on LAPACK, BLAS or one scipy.signal call.
 
 These six functions are the only places where the package runs a dense
-factorization or a sample-by-sample filter recurrence. :mod:`aadkit.numerics`
-builds its solvers on the first three, the filtering and resampling code on
-the last three. Library failures come back as the integer status codes the
-callers already map onto :mod:`aadkit.errors`, never as exceptions.
+factorization, a sample-by-sample filter recurrence or a resampling
+filter. :mod:`aadkit.numerics` builds its solvers on the first three, the
+filtering and resampling code on the last three. Library failures come
+back as the integer status codes the callers already map onto
+:mod:`aadkit.errors`, never as exceptions.
 
 The gammatone resonator is one complex ``sosfilt`` call per band: the
 band's identical one-pole stages become that many complex sections, so the
 cascade runs in a single pass over the audio.
 
+Polyphase resampling is a matrix product: the input, cut into rows of a
+multiple of the decimation factor, times one table of the filter's taps,
+one BLAS call per block of rows (see :func:`fir_resample`).
+
 SciPy is imported on first use, never at module level. The filtering
 kernels import ``scipy.signal`` (about a second, and it pulls in
 ``scipy.linalg``), which the ``wf``, ``cca`` and ``rgc`` decoders never
-need. :func:`cholesky_inplace` imports ``scipy.linalg.lapack`` (about 0.3 s),
-which only a Wiener-filter solve needs. A run of a decoder that neither
-filters nor solves a Cholesky system loads no SciPy module at all.
+need; resampling needs no SciPy. :func:`cholesky_inplace` imports
+``scipy.linalg.lapack`` (about 0.3 s), which only a Wiener-filter solve
+needs. A run of a decoder that neither filters nor solves a Cholesky
+system loads no SciPy module at all.
 """
 
 import numpy as np
@@ -127,8 +133,18 @@ def resonator_magnitudes(x, poles, gains, n_stages):
     out = np.empty((poles.shape[0], x.shape[0]))
     for band, (pole, gain) in enumerate(zip(poles, gains)):
         sos[:, 4] = -pole
-        out[band] = gain * np.abs(_signal.sosfilt(sos, xc))
+        row = out[band]
+        np.abs(_signal.sosfilt(sos, xc), out=row)
+        row *= gain
     return np.ascontiguousarray(out.T)
+
+
+# Rows of the resampling product hold a multiple of ``down`` samples, at
+# least this many: shorter rows leave BLAS a short inner dimension and more
+# shifted slices to add, longer ones multiply more zero taps.
+_MIN_ROW = 50
+# bytes of product computed at a time, so that it stays in a core's L2 cache
+_BLOCK_BYTES = 1 << 20
 
 
 def fir_resample(x, h, up, down, n_out):
@@ -137,17 +153,66 @@ def fir_resample(x, h, up, down, n_out):
     Zero-stuffs by ``up``, filters with ``h`` (odd length), keeps every
     ``down``-th sample starting at the filter's group delay
     ``(len(h) - 1) // 2``, and returns exactly ``n_out`` rows, zero past the
-    end of the filtered signal (``scipy.signal.upfirdn``).
-    """
-    from scipy import signal as _signal
+    end of the filtered signal.
 
-    delay = (h.shape[0] - 1) // 2
-    # leading zeros on h shift the delay onto a multiple of ``down``
-    pad = -delay % down
-    full = _signal.upfirdn(np.concatenate([np.zeros(pad), h]), x, up, down,
-                           axis=0)
-    start = (delay + pad) // down
-    y = np.zeros((n_out, x.shape[1]))
-    kept = full[start : start + n_out]
-    y[: kept.shape[0]] = kept
+    Only kept outputs are computed: output ``k`` is
+    ``sum_s h[k*down + delay - up*s] * x[s]``. With ``U = m*up`` and
+    ``D = m*down`` for a row multiple ``m``, output ``k = U*a + b`` and
+    input ``s = D*(a + j) + r`` (``0 <= b < U``, ``0 <= r < D``) meet
+    through tap ``h[b*down + delay - up*(D*j + r)]``, which does not depend
+    on ``a`` (polyphase decimation; Crochiere & Rabiner 1983, *Multirate
+    DSP*, ch. 3). So the zero-padded input, cut into rows of ``D`` samples,
+    is multiplied by one ``(n_c*U, D)`` tap table, one BLAS product per
+    block of rows, and output row ``a`` sums, over the ``n_c`` values of
+    ``j``, the ``U`` columns of slot ``j`` in the product of input row
+    ``a + j``.
+    """
+    n_in, n_ch = x.shape
+    taps = h.shape[0]
+    delay = (taps - 1) // 2
+    y = np.zeros((n_out, n_ch))
+    # outputs whose window lies past the last input sample stay zero
+    n_live = min(n_out, max(0, ((n_in - 1) * up + taps - 1 - delay) // down
+                            + 1))
+    if n_live == 0:
+        return y
+    m = -(-_MIN_ROW // down)
+    big_up, big_down = m * up, m * down
+    # the slots j whose taps fall inside h for some (r, b)
+    j_lo = -((up * (big_down - 1) + taps - 1 - delay) // (up * big_down))
+    j_hi = ((big_up - 1) * down + delay) // (up * big_down)
+    n_c = j_hi - j_lo + 1
+    idx = (np.arange(big_up)[:, None] * down + delay
+           - up * (big_down * np.arange(j_lo, j_hi + 1)[:, None, None]
+                   + np.arange(big_down)))
+    table = np.where((idx >= 0) & (idx < taps), h.take(idx, mode="clip"),
+                     0.0).reshape(n_c * big_up, big_down)
+
+    # input row q holds samples [big_down*(q + j_lo), big_down*(q + j_lo + 1))
+    n_a = -(-n_live // big_up)
+    rows = n_a + n_c - 1
+    acc = np.zeros((big_up, n_a, n_ch))
+    step = min(rows, max(1, _BLOCK_BYTES // (8 * n_c * big_up * n_ch)))
+    buf = np.empty(n_c * big_up * step * n_ch)
+    for q0 in range(0, rows, step):
+        q1 = min(q0 + step, rows)
+        s0, s1 = (q0 + j_lo) * big_down, (q1 + j_lo) * big_down
+        if 0 <= s0 and s1 <= n_in:
+            part = x[s0:s1]
+        else:
+            part = np.zeros((s1 - s0, n_ch))
+            lo, hi = max(s0, 0), min(s1, n_in)
+            if lo < hi:
+                part[lo - s0 : hi - s0] = x[lo:hi]
+        cols = (q1 - q0) * n_ch
+        block = part.reshape(q1 - q0, big_down, n_ch).transpose(1, 0, 2)
+        prod = np.matmul(table, block.reshape(big_down, cols),
+                         out=buf[: n_c * big_up * cols].reshape(-1, cols))
+        prod = prod.reshape(n_c, big_up, q1 - q0, n_ch)
+        # slot i (j = j_lo + i) of input row q belongs to output row q - i
+        for i in range(n_c):
+            lo, hi = max(q0 - i, 0), min(q1 - i, n_a)
+            if lo < hi:
+                acc[:, lo:hi] += prod[i, :, lo + i - q0 : hi + i - q0]
+    y[:n_live] = acc.transpose(1, 0, 2).reshape(n_a * big_up, n_ch)[:n_live]
     return y

@@ -6,6 +6,7 @@ the chain stays usable online; this is documented behaviour and makes the
 whole chain deterministic.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -88,15 +89,20 @@ class IirCascade:
 def _sos_from_scipy(sos, label):
     if not np.allclose(sos[:, 3], 1.0):
         sos = sos / sos[:, 3:4]
-    return IirCascade(np.column_stack([sos[:, 0:3], sos[:, 4:6]]), label)
+    cascade = IirCascade(np.column_stack([sos[:, 0:3], sos[:, 4:6]]), label)
+    # designs are cached and shared between callers
+    cascade.sections.flags.writeable = False
+    return cascade
 
 
+@functools.lru_cache(maxsize=64)
 def design_bandpass(low_hz, high_hz, order, fs):
     """Butterworth band-pass of the given total order (even, >= 2).
 
     Uses the bilinear transform with frequency pre-warping; the returned
     cascade has unity gain (within 1 dB) at the geometric mean of the band
-    edges.
+    edges. Designed once per argument tuple; the cached cascade is shared
+    and its sections are read-only.
     """
     if not (0 < low_hz < high_hz < fs / 2):
         raise InvalidBand(
@@ -112,12 +118,17 @@ def design_bandpass(low_hz, high_hz, order, fs):
     return _sos_from_scipy(sos, f"bandpass {low_hz}-{high_hz} Hz ord{order}")
 
 
+@functools.lru_cache(maxsize=64)
 def design_notch(stop_low_hz, stop_high_hz, fs, order=4):
-    """Butterworth band-stop covering [stop_low_hz, stop_high_hz]."""
+    """Butterworth band-stop covering [stop_low_hz, stop_high_hz], of the
+    given total order (even, >= 2). Cached and read-only like
+    :func:`design_bandpass`."""
     if not (0 < stop_low_hz < stop_high_hz < fs / 2):
         raise InvalidBand(
             f"stopband ({stop_low_hz}, {stop_high_hz}) invalid for fs={fs}"
         )
+    if order < 2 or order % 2 != 0:
+        raise InvalidBand(f"order must be even and >= 2, got {order}")
     from scipy import signal as _signal
 
     sos = _signal.butter(
@@ -154,9 +165,6 @@ def rereference(x, ref_index, drop_ref=False):
         out = out[:, keep]
         names = [names[c] for c in keep]
     return x.with_samples(out, channel_names=names)
-
-
-_FIR_CACHE = {}
 
 
 def _rational_ratio(fs_from, fs_to):
@@ -202,15 +210,14 @@ def _resample_stages(fs_from, fs_to):
             (second.numerator, second.denominator, fs_to)]
 
 
+@functools.lru_cache(maxsize=64)
 def _antialias_fir(fs_from, fs_to, up):
     """Kaiser-windowed linear-phase low-pass at 0.45 x the lower rate.
 
     Each polyphase branch is normalized to unit DC gain so constants pass
-    through exactly.
+    through exactly. Designed once per ``(fs_from, fs_to, up)``; the cached
+    taps are shared and read-only.
     """
-    key = (round(fs_from, 9), round(fs_to, 9))
-    if key in _FIR_CACHE:
-        return _FIR_CACHE[key]
     fs_up = fs_from * up
     fmin = min(fs_from, fs_to)
     cutoff = 0.45 * fmin / fs_up  # cycles per sample at the upsampled rate
@@ -226,7 +233,7 @@ def _antialias_fir(fs_from, fs_to, up):
     for phase in range(up):
         branch = h[phase::up]
         h[phase::up] = branch / branch.sum()
-    _FIR_CACHE[key] = h
+    h.flags.writeable = False
     return h
 
 
@@ -237,7 +244,10 @@ def resample(x, to_fs):
     0.45 x the lower of the two rates, Kaiser-designed for >= 60 dB
     stopband attenuation. A ratio whose denominator exceeds 1000 (40 Hz
     from 22.05, 44.1 or 48 kHz) runs as two rational stages, each with its
-    own low-pass (see :func:`_resample_stages`).
+    own low-pass (see :func:`_resample_stages`). Each stage computes only
+    the kept output samples, as BLAS products of the input with a table of
+    the low-pass taps (see :func:`aadkit.kernels.fir_resample`); the
+    low-pass of each stage is designed once per process.
     """
     if not to_fs > 0:
         raise IrrationalRatio("target rate must be positive")
@@ -270,16 +280,41 @@ def zscore(x):
     return x.with_samples(out)
 
 
+@functools.lru_cache(maxsize=64)
+def _conditioning_cascade(band, band_order, notch, fs):
+    """The band-pass then the notch of :func:`standard_chain` as one
+    read-only cascade; ``band`` and ``notch`` are edge pairs or None, and
+    None comes back when both are."""
+    designs = []
+    if band is not None:
+        designs.append(design_bandpass(band[0], band[1], band_order, fs))
+    if notch is not None:
+        designs.append(design_notch(notch[0], notch[1], fs))
+    if not designs:
+        return None
+    cascade = IirCascade(np.vstack([d.sections for d in designs]),
+                         " + ".join(d.design_label for d in designs))
+    cascade.sections.flags.writeable = False
+    return cascade
+
+
 def standard_chain(x, ref_index=None, band=(0.5, 62.0), band_order=8,
                    notch=(48.0, 52.0), to_fs=40.0):
     """Re-reference, band-pass, notch, resample, z-score. Any stage can be
-    skipped by passing None for its parameter."""
+    skipped by passing None for its parameter.
+
+    The band-pass and notch sections run as one cascade in one
+    :func:`filter_apply` pass; ``sosfilt`` runs sections in order, so this
+    equals a pass per filter bit for bit.
+    """
     if ref_index is not None:
         x = rereference(x, ref_index, drop_ref=True)
-    if band is not None:
-        x = filter_apply(x, design_bandpass(band[0], band[1], band_order, x.fs))
-    if notch is not None:
-        x = filter_apply(x, design_notch(notch[0], notch[1], x.fs))
+    cascade = _conditioning_cascade(
+        None if band is None else tuple(band), band_order,
+        None if notch is None else tuple(notch), x.fs,
+    )
+    if cascade is not None:
+        x = filter_apply(x, cascade)
     if to_fs is not None:
         x = resample(x, to_fs)
     return zscore(x)

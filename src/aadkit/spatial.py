@@ -22,7 +22,6 @@ once. Each member comes out bit-identical to the matrix computed alone.
 """
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -137,7 +136,6 @@ class CspModel:
     train_features: Optional[np.ndarray] = None
 
 
-@lru_cache(maxsize=32)
 def _band_cascades(bands, fs):
     return [preprocess.design_bandpass(lo, hi, 4, fs) for lo, hi in bands]
 
@@ -264,7 +262,7 @@ def csp_features(segments, model):
     if isinstance(segments, np.ndarray) and segments.ndim != 3:
         return csp_features([segments], model)[0]
     windows = _windows(segments, model.channels)
-    cascades = _band_cascades(tuple(tuple(b) for b in model.bands), model.fs)
+    cascades = _band_cascades(model.bands, model.fs)
     width = model.n_classes * model.f_per
     feats = np.empty((len(windows), len(cascades) * width))
     groups = _length_groups(windows)

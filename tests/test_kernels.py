@@ -58,18 +58,52 @@ def test_sosfilt_bit_identical_to_loop(rng):
     assert np.array_equal(kernels.sosfilt(sos, x), sosfilt_reference(sos, x))
 
 
-@pytest.mark.parametrize("up, down", [(8, 25), (25, 4), (1, 2)])
-def test_fir_resample_matches_convolution(rng, up, down):
-    x = rng.standard_normal((125, 2))
-    h = np.kaiser(31, 5.0) * np.sinc(0.3 * (np.arange(31) - 15))
-    n_out = math.ceil(125 * up / down)
-    # past the last input sample the output must run out into zeros
-    for n in (n_out, n_out + 40):
-        y = kernels.fir_resample(x, h, up, down, n)
-        ref = fir_resample_reference(x, h, up, down, n)
-        assert y.shape == (n, 2)
-        assert np.allclose(y, ref, rtol=0, atol=1e-12)
-    assert np.all(y[n_out + 20 :] == 0.0)
+def _stage_cases(rate_pairs):
+    """One case per stage that ``preprocess.resample`` runs for each pair
+    of rates, with that stage's anti-alias taps."""
+    cases = []
+    for fs_from, fs_to in rate_pairs:
+        fs = fs_from
+        for up, down, stage_fs in preprocess._resample_stages(fs_from, fs_to):
+            cases.append(pytest.param(up, down, (fs, stage_fs),
+                                      id=f"{fs:g}-{stage_fs:g}Hz"))
+            fs = stage_fs
+    return cases
+
+
+@pytest.mark.parametrize("up, down, rates", [
+    pytest.param(8, 25, None, id="8-25"),
+    pytest.param(25, 4, None, id="25-4"),
+    pytest.param(1, 2, None, id="1-2"),
+] + _stage_cases([
+    (250, 40), (500, 40), (1000, 40),  # EEG
+    (8000, 40), (16000, 40), (22050, 40), (44100, 40), (48000, 40),  # audio
+    (40, 250),
+]))
+def test_fir_resample_matches_convolution(rng, monkeypatch, up, down, rates):
+    """Short toy taps, and the real taps of every resampling stage from
+    EEG and audio rates to 40 Hz and from 40 to 250 Hz: on an input longer
+    than the filter, one shorter, and a single sample; computed in one
+    block and one input row at a time."""
+    if rates is None:
+        h = np.kaiser(31, 5.0) * np.sinc(0.3 * (np.arange(31) - 15))
+    else:
+        h = preprocess._antialias_fir(*rates, up)
+    delay = (h.size - 1) // 2
+    for n_in in (max(125, -(-h.size // up) + 2 * down),
+                 h.size // (3 * up) + 1, 1):
+        x = rng.standard_normal((n_in, 2))
+        n_out = math.ceil(n_in * up / down)
+        # from this output on, the filter window lies past the last input
+        n_live = ((n_in - 1) * up + h.size - 1 - delay) // down + 1
+        ref = fir_resample_reference(x, h, up, down, n_live + 40)
+        for n in (n_out, n_live + 40):
+            for block_bytes in (kernels._BLOCK_BYTES, 1):
+                monkeypatch.setattr(kernels, "_BLOCK_BYTES", block_bytes)
+                y = kernels.fir_resample(x, h, up, down, n)
+                assert y.shape == (n, 2)
+                assert np.allclose(y, ref[:n], rtol=0, atol=1e-12)
+                assert np.all(y[n_live:] == 0.0)
 
 
 def test_resonator_matches_complex_recurrence(rng):

@@ -58,6 +58,38 @@ class TestNotch:
         with pytest.raises(InvalidBand):
             pp.design_notch(52, 48, 125)
 
+    @pytest.mark.parametrize("order", [-2, 0, 1, 3])
+    def test_invalid_order(self, order):
+        """Orders 0 and 1 used to give a pass-through "notch" with unit
+        gain at 50 Hz, and order 3 an order-2 band-stop."""
+        with pytest.raises(InvalidBand):
+            pp.design_notch(48, 52, 125, order)
+
+
+class TestCachedDesigns:
+    """Each filter is designed once per argument tuple and shared, so its
+    arrays are read-only."""
+
+    @pytest.mark.parametrize("design", [
+        lambda: pp.design_bandpass(0.5, 62.0, 8, 250.0).sections,
+        lambda: pp.design_notch(48.0, 52.0, 250.0).sections,
+        lambda: pp._antialias_fir(250.0, 40.0, 4),
+    ], ids=["bandpass", "notch", "antialias"])
+    def test_shared_and_read_only(self, design):
+        first = design()
+        assert design() is first
+        with pytest.raises(ValueError):
+            first[0] = 0.0
+
+    def test_antialias_key_includes_up(self):
+        """(250, 40, 8) after (250, 40, 4) used to return the up=4 filter."""
+        h4 = pp._antialias_fir(250, 40, 4)
+        h8 = pp._antialias_fir(250, 40, 8)
+        assert (h4.size, h8.size) == (1813, 3625)
+        for up, h in ((4, h4), (8, h8)):
+            branch_sums = [h[phase::up].sum() for phase in range(up)]
+            assert np.allclose(branch_sums, 1.0, rtol=0, atol=1e-12)
+
 
 class TestFilterApply:
     def test_zero_in_zero_out(self):
@@ -258,3 +290,32 @@ def test_full_chain_deterministic(rng):
         x = pp.MultichannelSignal(data.copy(), 125)
         return pp.standard_chain(x, ref_index=3).samples
     assert np.array_equal(chain(), chain())
+
+
+@pytest.mark.parametrize("band, notch", [
+    ((0.5, 62.0), (48.0, 52.0)),
+    (None, (48.0, 52.0)),
+    ((0.5, 62.0), None),
+    (None, None),
+])
+def test_chain_filters_in_one_pass(rng, monkeypatch, band, notch):
+    """The band-pass and notch sections run in one ``filter_apply`` call,
+    bit for bit equal to one pass per filter."""
+    x = pp.MultichannelSignal(rng.standard_normal((2000, 5)), 250.0)
+    want = pp.rereference(x, 0, drop_ref=True)
+    if band is not None:
+        want = pp.filter_apply(want, pp.design_bandpass(*band, 8, 250.0))
+    if notch is not None:
+        want = pp.filter_apply(want, pp.design_notch(*notch, 250.0))
+    want = pp.zscore(pp.resample(want, 40.0))
+    passes = []
+    filter_apply = pp.filter_apply
+
+    def spy(signal, cascade):
+        passes.append(cascade)
+        return filter_apply(signal, cascade)
+
+    monkeypatch.setattr(pp, "filter_apply", spy)
+    got = pp.standard_chain(x, ref_index=0, band=band, notch=notch)
+    assert len(passes) == (band is not None or notch is not None)
+    assert np.array_equal(got.samples, want.samples)
