@@ -12,7 +12,8 @@ flags only. Every JSON input file (--config, --grid, --layouts) is read by
 ``dataio.read_json``. A --grid file lists exactly the keys of the model's
 ``crossval.default_grid``, each a list of finite numbers >= 0 (integers
 >= 1 for the counts in ``_GRID_COUNTS``). Durations and rates (--window,
---segment, --to-fs) are finite and positive.
+--segment, --to-fs) are finite and positive. --channels names a preset or
+distinct channels, at least one.
 
 Every command runs inside one error shell, ``_command``: an ``AadError``
 exits with its category's code and an ``OSError`` as an I/O error. Exit
@@ -36,6 +37,7 @@ from .errors import (
     AadError,
     BadConfig,
     BadProtocolConfig,
+    DegenerateClass,
     EmptyGrid,
     InvalidBand,
     IoError,
@@ -197,10 +199,12 @@ def _sessions(args, many=False):
     channels = ()
     if args.channels in crossval.LAYOUTS:
         channels = crossval.LAYOUTS[args.channels]
-    elif args.channels:
+    elif args.channels is not None:
         channels = tuple(
             c.strip() for c in args.channels.split(",") if c.strip()
         )
+        if not channels:
+            raise BadConfig(f"channels: {args.channels!r} names no channel")
     for manifest in args.manifest:
         session = dataio.load_session(manifest)
         if not session.preprocessed:
@@ -219,6 +223,17 @@ def _plan_args(args):
     within = args.protocol == "within_trial"
     return dict(protocol=args.protocol, n_folds=args.folds, seed=args.seed,
                 segment_s=args.window if within else None)
+
+
+def _check_scored(report):
+    """``run`` and ``ablate`` report decision windows; ``track`` alone
+    may export a run that scored none."""
+    if report.n_windows == 0:
+        raise DegenerateClass(
+            f"no valid {report.window_s:g} s decision window in any test "
+            "fold; trials shorter than the window, or every window "
+            "excluded"
+        )
 
 
 def _summary_line(report):
@@ -252,6 +267,8 @@ def cmd_run(args):
             sessions, args.model, window_s=args.window, grid=grid,
             jobs=args.jobs, **_plan_args(args),
         )
+        for report in reports:
+            _check_scored(report)
         for session, report in zip(sessions, reports):
             dataio.export_results(report, Path(args.out) / session.subject)
             print(_summary_line(report))
@@ -261,6 +278,7 @@ def cmd_run(args):
         report = crossval.run_pipeline(
             session, args.model, plan, grid, args.window, jobs=args.jobs,
         )
+        _check_scored(report)
         out = Path(args.out)
         if len(args.manifest) > 1:
             out = out / session.subject
@@ -294,6 +312,8 @@ def cmd_ablate(args):
         session, layouts, args.model, plan, grid, args.window,
         jobs=args.jobs,
     )
+    for report in reports.values():
+        _check_scored(report)
     for name, report in reports.items():
         dataio.export_results(report, Path(args.out) / name)
         print(f"layout={name} {_summary_line(report)}")

@@ -4,8 +4,9 @@ train/tune/evaluate pipeline for all supported protocols.
 Protocols
 ---------
 within_trial
-    Every trial is cut into segments which are shuffled into folds; one
-    fold is tested per outer loop while the next fold in cyclic order
+    Every trial is cut into segments of one whole decision window each (a
+    tail shorter than a window is dropped), which are shuffled into folds;
+    one fold is tested per outer loop while the next fold in cyclic order
     serves as validation.
 loto / nested_loto
     Trial-level folds, stratified by task. The nested variant runs one
@@ -15,6 +16,13 @@ loto / nested_loto
 loso / nested_loso
     Trials whose speakers belong to group 1 always train; group-2 trials
     form the validation/test folds.
+
+``make_folds`` deals each protocol's folds, then builds every outer loop
+the same way from the folds, a fixed training block (the group-1 trials
+of the speaker protocols) and a validation rule (the next fold, every
+other fold, or none). A runner tabulates once per session each unit's
+trial, rows and decision windows; a window's label is the class it is
+scored against, or None when it is excluded from scoring.
 
 Hyperparameters are searched on a deterministic grid (optionally a seeded
 random subset), maximizing mean validation accuracy with ties broken by
@@ -37,7 +45,7 @@ trials get their time-PCC curves from the same projections.
 import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -122,13 +130,16 @@ def make_folds(trials, protocol, n_folds=None, seed=0, segment_s=None):
     """Build a cross-validation plan over the given trials.
 
     ``segment_s`` is required for the within_trial protocol and sets the
-    segment (= decision window) length.
+    segment (= decision window) length. An assignment trains on the fixed
+    block when there is one, else on every fold that is neither tested
+    nor validated.
     """
     if protocol not in PROTOCOLS:
         raise BadProtocolConfig(f"unknown protocol {protocol!r}")
     if not trials:
         raise BadProtocolConfig("no trials")
     rng = np.random.default_rng([seed, 77])
+    fixed = ()
 
     if protocol == "within_trial":
         if segment_s is None or segment_s <= 0:
@@ -136,34 +147,17 @@ def make_folds(trials, protocol, n_folds=None, seed=0, segment_s=None):
         n_folds = n_folds or 3
         if n_folds < 3:
             raise BadProtocolConfig("within_trial needs >= 3 folds")
-        units = []
-        for t in trials:
-            n_seg = int(t.duration_s / segment_s + 1e-9)
-            units.extend((t.trial_id, k) for k in range(n_seg))
+        # a segment is one whole decision window; a shorter tail is dropped
+        units = [
+            (t.trial_id, k) for t in trials
+            for k in range(t.eeg.n_samples // _window_len(segment_s, t.eeg.fs))
+        ]
         if len(units) < n_folds:
             raise BadProtocolConfig("fewer segments than folds")
         perm = rng.permutation(len(units))
-        folds = [[] for _ in range(n_folds)]
-        for pos, idx in enumerate(perm):
-            folds[pos % n_folds].append(units[idx])
-        folds = [tuple(f) for f in folds]
-        outer = []
-        for i in range(n_folds):
-            test = folds[i]
-            val = folds[(i + 1) % n_folds]
-            train = tuple(
-                u for j, f in enumerate(folds) if j not in (i, (i + 1) % n_folds)
-                for u in f
-            )
-            fit = tuple(u for j, f in enumerate(folds) if j != i for u in f)
-            outer.append(
-                OuterLoop(i, test, fit, [Assignment(train, val, test)])
-            )
-        return _check_plan(
-            CvPlan(protocol, folds, outer, seed, segment_s=segment_s)
-        )
-
-    if protocol in ("loto", "nested_loto"):
+        folds = [tuple(units[idx] for idx in perm[i::n_folds])
+                 for i in range(n_folds)]
+    elif protocol in ("loto", "nested_loto"):
         n_folds = n_folds or min(9, len(trials))
         if n_folds < 2 or n_folds > len(trials):
             raise BadProtocolConfig(
@@ -173,52 +167,44 @@ def make_folds(trials, protocol, n_folds=None, seed=0, segment_s=None):
             # an inner loop trains on the folds other than test and val
             raise BadProtocolConfig("nested_loto needs >= 3 folds")
         folds = _stratified_trial_folds(trials, n_folds, rng)
-        outer = []
-        for i, test in enumerate(folds):
-            fit = tuple(u for j, f in enumerate(folds) if j != i for u in f)
-            inner = []
-            if protocol == "nested_loto":
-                for j, val in enumerate(folds):
-                    if j == i:
-                        continue
-                    train = tuple(
-                        u
-                        for k, f in enumerate(folds)
-                        if k not in (i, j)
-                        for u in f
-                    )
-                    inner.append(Assignment(train, val, test))
-            outer.append(OuterLoop(i, test, fit, inner))
-        return _check_plan(CvPlan(protocol, folds, outer, seed))
+    else:
+        group1 = [t for t in trials if t.group == 1]
+        group2 = [t for t in trials if t.group == 2]
+        if not group1 or not group2:
+            raise BadProtocolConfig(
+                "leave-one-speaker-out needs trials in both speaker groups"
+            )
+        if any(t.group not in (1, 2) for t in trials):
+            raise BadProtocolConfig("trial without a speaker group label")
+        n_folds = n_folds or min(3, len(group2))
+        if n_folds < 1 or n_folds > len(group2):
+            raise BadProtocolConfig(
+                f"n_folds={n_folds} invalid for {len(group2)} held-out trials"
+            )
+        if protocol == "nested_loso" and n_folds < 2:
+            raise BadProtocolConfig("nested_loso needs >= 2 held-out folds")
+        fixed = tuple(sorted(t.trial_id for t in group1))
+        folds = _stratified_trial_folds(group2, n_folds, rng)
 
-    # speaker-group protocols
-    group1 = [t for t in trials if t.group == 1]
-    group2 = [t for t in trials if t.group == 2]
-    if not group1 or not group2:
-        raise BadProtocolConfig(
-            "leave-one-speaker-out needs trials in both speaker groups"
+    def train(*skip):
+        return fixed or tuple(
+            u for j, f in enumerate(folds) if j not in skip for u in f
         )
-    if any(t.group not in (1, 2) for t in trials):
-        raise BadProtocolConfig("trial without a speaker group label")
-    n_folds = n_folds or min(3, len(group2))
-    if n_folds < 1 or n_folds > len(group2):
-        raise BadProtocolConfig(
-            f"n_folds={n_folds} invalid for {len(group2)} held-out trials"
-        )
-    if protocol == "nested_loso" and n_folds < 2:
-        raise BadProtocolConfig("nested_loso needs >= 2 held-out folds")
-    train_block = tuple(sorted(t.trial_id for t in group1))
-    g2_folds = _stratified_trial_folds(group2, n_folds, rng)
-    folds = [train_block] + g2_folds
+
     outer = []
-    for i, test in enumerate(g2_folds):
-        inner = []
-        if protocol == "nested_loso":
-            for j, val in enumerate(g2_folds):
-                if j != i:
-                    inner.append(Assignment(train_block, val, test))
-        outer.append(OuterLoop(i, test, train_block, inner))
-    return _check_plan(CvPlan(protocol, folds, outer, seed))
+    for i, test in enumerate(folds):
+        if protocol == "within_trial":
+            val_folds = [(i + 1) % len(folds)]
+        elif protocol.startswith("nested_"):
+            val_folds = [j for j in range(len(folds)) if j != i]
+        else:
+            val_folds = []
+        inner = [Assignment(train(i, j), folds[j], test) for j in val_folds]
+        outer.append(OuterLoop(i, test, train(i), inner))
+    return _check_plan(CvPlan(
+        protocol, [fixed] + folds if fixed else folds, outer, seed,
+        segment_s=segment_s if protocol == "within_trial" else None,
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -342,11 +328,28 @@ def _window_len(window_s, fs):
     return w
 
 
+class _Window(NamedTuple):
+    trial_id: str
+    index: int
+    lo: int
+    hi: int
+    label: Optional[int]  # None: the window is excluded from scoring
+
+
+class _Unit(NamedTuple):
+    trial_id: str
+    lo: int
+    hi: int
+    windows: tuple  # of _Window
+
+
 class _RunnerBase:
-    """One session's fold bookkeeping. Subclasses provide
-    ``_fit(units, params)`` and ``_eval_units(model, params, units,
-    collect)``, which returns (accuracy, macro-F1, window records,
-    per-trial time-PCC curves) over the units' valid windows. Without
+    """One session's fold bookkeeping. ``units`` maps every unit of the
+    plan to its trial, row range and decision windows, each labeled by
+    the subclass's ``_window_label(trial_id, lo, hi)``. Subclasses also
+    provide ``_fit(units, params)`` and ``_eval_units(model, params,
+    units, collect)``, which returns (accuracy, macro-F1, window records,
+    per-trial time-PCC curves) over the units' labeled windows. Without
     ``collect`` only the accuracy is needed (``score``), and a runner may
     return None, [] and {} for the rest."""
 
@@ -375,27 +378,25 @@ class _RunnerBase:
             raise BadProtocolConfig(
                 "within_trial segments must match the decision window"
             )
+        self.units = {
+            unit: self._unit(unit) for fold in plan.folds for unit in fold
+        }
 
-    # unit address -> (eeg rows, stream slice bounds)
-    def _unit_bounds(self, unit):
+    def _unit(self, unit):
+        """A within_trial segment ``(trial_id, k)`` is the k-th decision
+        window of its trial; a whole trial holds all its whole windows."""
         if isinstance(unit, tuple):
             tid, seg = unit
             lo = seg * self.win
             hi = min(lo + self.win, self.trials[tid].eeg.n_samples)
-            return tid, lo, hi
-        t = self.trials[unit]
-        return unit, 0, t.eeg.n_samples
-
-    def _windows(self, unit):
-        """Yield (trial_id, window_index, row_lo, row_hi) for every
-        decision window of a unit, valid or not."""
-        tid, lo, hi = self._unit_bounds(unit)
-        if isinstance(unit, tuple):
-            yield tid, unit[1], lo, hi
-            return
-        for w in range((hi - lo) // self.win):
-            a = lo + w * self.win
-            yield tid, w, a, a + self.win
+            spans = [(seg, lo, hi)]
+        else:
+            tid, lo, hi = unit, 0, self.trials[unit].eeg.n_samples
+            spans = [(w, w * self.win, (w + 1) * self.win)
+                     for w in range(hi // self.win)]
+        windows = tuple(_Window(tid, w, a, b, self._window_label(tid, a, b))
+                        for w, a, b in spans)
+        return _Unit(tid, lo, hi, windows)
 
     def _channel_stats(self, model, params):
         return {}
@@ -429,8 +430,9 @@ class _RunnerBase:
             model_bytes=dataio.serialize_model(model),
             **self._channel_stats(model, params),
         )
-        n_all = sum(1 for unit in loop.test for _ in self._windows(unit))
-        return fold, records, curves, n_all - len(records)
+        n_excluded = sum(w.label is None for unit in loop.test
+                         for w in self.units[unit].windows)
+        return fold, records, curves, n_excluded
 
 
 class _LinearRunner(_RunnerBase):
@@ -442,13 +444,18 @@ class _LinearRunner(_RunnerBase):
         self._unit_stats = {}
         self._sum_cache = {}
 
+    def _window_label(self, tid, lo, hi):
+        """0 (the attended stream) when it is defined throughout the
+        window, else None."""
+        return 0 if self.streams[tid].mask[lo:hi].all() else None
+
     # -- training statistics ------------------------------------------------
 
     def _stats_for_unit(self, unit, lags, target_lags):
         key = (unit, lags, target_lags)
         if key in self._unit_stats:
             return self._unit_stats[key]
-        tid, lo, hi = self._unit_bounds(unit)
+        tid, lo, hi, _ = self.units[unit]
         streams = self.streams[tid]
         x = build_lagged(self.trials[tid].eeg.samples[lo:hi], lags)
         y = streams.attended[lo:hi]
@@ -492,16 +499,16 @@ class _LinearRunner(_RunnerBase):
         records = []
         curves = {}
         preds = []
-        for unit in sorted(units, key=lambda u: self._unit_bounds(u)[0]):
-            tid, lo, hi = self._unit_bounds(unit)
+        for unit in sorted(units, key=lambda u: self.units[u].trial_id):
+            tid, lo, hi, windows = self.units[unit]
             trial = self.trials[tid]
             streams = self.streams[tid]
             cands = [streams.attended] + streams.unattended
             px = linear.eeg_components(
                 model, build_lagged(trial.eeg.samples[lo:hi], lags)
             )
-            for _, w, a, b in self._windows(unit):
-                if not streams.mask[a:b].all():
+            for _, w, a, b, label in windows:
+                if label is None:
                     continue
                 rhos = tuple(
                     metrics.component_pcc(
@@ -559,16 +566,9 @@ class _ClassifierRunner(_RunnerBase):
     """Filterbank-CSP and Riemannian classifier pipeline; a window is
     evaluated when it sits inside one attended span."""
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._label_cache = {}
-
     def _window_label(self, tid, lo, hi):
         """Direction class when the window sits inside one attended span,
         else None."""
-        key = (tid, lo, hi)
-        if key in self._label_cache:
-            return self._label_cache[key]
         trial = self.trials[tid]
         label = None
         for span in trial.timeline:
@@ -580,17 +580,11 @@ class _ClassifierRunner(_RunnerBase):
                         if s.speaker_id == span.attended:
                             label = dataio.direction_class(s.direction_deg)
                 break
-        self._label_cache[key] = label
         return label
 
     def _labeled_windows(self, units):
-        out = []
-        for unit in units:
-            for tid, w, a, b in self._windows(unit):
-                label = self._window_label(tid, a, b)
-                if label is not None:
-                    out.append((tid, w, a, b, label))
-        return out
+        return [w for unit in units for w in self.units[unit].windows
+                if w.label is not None]
 
     def _segments(self, rows):
         return [self.trials[tid].eeg.samples[a:b] for tid, _, a, b, _ in rows]
@@ -605,7 +599,7 @@ class _ClassifierRunner(_RunnerBase):
         if not rows:
             raise DegenerateClass("no labeled training windows")
         segments = self._segments(rows)
-        labels = [r[4] for r in rows]
+        labels = [r.label for r in rows]
         gamma = float(params.get("lda_gamma", spatial.DEFAULT_LDA_GAMMA))
         if self.kind == "csp":
             front = spatial.csp_fit(
@@ -637,7 +631,7 @@ class _ClassifierRunner(_RunnerBase):
             )
         else:
             preds = np.zeros(0, dtype=int)
-        labels = np.array([r[4] for r in rows], dtype=int)
+        labels = np.array([r.label for r in rows], dtype=int)
         records = [
             WindowRecord(
                 trial_id=tid,
@@ -779,6 +773,9 @@ def restrict_session(session, channel_names):
     order."""
     if not channel_names:
         raise BadChannelIndex("empty channel subset")
+    repeated = sorted({c for c in channel_names if channel_names.count(c) > 1})
+    if repeated:
+        raise BadChannelIndex(f"channels named twice in subset: {repeated}")
     trials = []
     for trial in session.trials:
         names = trial.eeg.channel_names

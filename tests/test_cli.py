@@ -497,6 +497,110 @@ class TestRun:
                     == (tmp_path / "flag" / name).read_bytes())
 
 
+class TestChannels:
+    """A --channels subset names at least one channel and no channel
+    twice; run and ablate share the check."""
+
+    @pytest.mark.parametrize("channels", [
+        pytest.param(",", id="comma"),
+        pytest.param(" , ", id="spaced-comma"),
+        pytest.param("", id="empty"),
+    ])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_no_channel_named_exit_2(self, session_dir, grid_file, tmp_path,
+                                     channels, source):
+        _, sess = session_dir
+        argv = ["run", "--manifest", str(sess / "manifest.json"),
+                "--model", "wf", "--protocol", "loto", "--window", "30",
+                "--folds", "2", "--grid", str(grid_file),
+                "--out", str(tmp_path / "o")]
+        if source == "flag":
+            argv += ["--channels", channels]
+        else:
+            conf = tmp_path / "conf.json"
+            conf.write_text(json.dumps({"channels": channels}))
+            argv += ["--config", str(conf)]
+        r = run_cli(*argv)
+        assert r.returncode == 2, r.stderr
+        assert r.stderr.startswith("error: config: channels:")
+        assert not (tmp_path / "o").exists()
+
+    def test_duplicate_channel_exit_4(self, session_dir, grid_file,
+                                      tmp_path):
+        _, sess = session_dir
+        r = run_cli("run", "--manifest", str(sess / "manifest.json"),
+                    "--model", "wf", "--protocol", "loto", "--window", "30",
+                    "--folds", "2", "--grid", str(grid_file),
+                    "--channels", "ch00,ch00,ch01",
+                    "--out", str(tmp_path / "o"))
+        assert r.returncode == 4, r.stderr
+        assert r.stderr.startswith("error: data:")
+        assert "ch00" in r.stderr
+        assert not (tmp_path / "o").exists()
+
+    def test_duplicate_layout_channel_exit_4(self, session_dir, tmp_path):
+        """At reg 0 the repeated channel used to reach CCA as a singular
+        covariance and exit 5."""
+        _, sess = session_dir
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps(
+            {"reg": [0.0], "L": [4], "L_y": [4], "n_components": [2]}
+        ))
+        layouts = tmp_path / "layouts.json"
+        layouts.write_text(json.dumps({"a": ["ch00", "ch00"]}))
+        r = run_cli("ablate", "--manifest", str(sess / "manifest.json"),
+                    "--model", "cca", "--protocol", "loto", "--window", "30",
+                    "--folds", "2", "--grid", str(grid),
+                    "--layouts", str(layouts), "--out", str(tmp_path / "o"))
+        assert r.returncode == 4, r.stderr
+        assert r.stderr.startswith("error: data:")
+        assert "ch00" in r.stderr
+
+
+@pytest.fixture(scope="module")
+def short_session(tmp_path_factory):
+    """Four 20 s trials: no 30 s decision window fits in any of them."""
+    tmp = tmp_path_factory.mktemp("short")
+    cfg = tmp / "cfg.json"
+    cfg.write_text(json.dumps({
+        "n_trials": 4, "duration_s": 20.0, "n_channels": 2, "seed": 5,
+    }))
+    assert run_cli("synth", "--config", str(cfg),
+                   "--out", str(tmp / "sess")).returncode == 0
+    grid = tmp / "grid.json"
+    grid.write_text(json.dumps({"lam": [0.1, 10.0], "L": [4]}))
+    return tmp / "sess" / "manifest.json", grid
+
+
+class TestNoDecisionWindow:
+    @pytest.mark.parametrize("command", ["run", "ablate"])
+    def test_exit_4_before_export(self, short_session, tmp_path, command):
+        manifest, grid = short_session
+        argv = [command, "--manifest", str(manifest), "--model", "wf",
+                "--protocol", "loto", "--window", "30", "--folds", "2",
+                "--grid", str(grid), "--out", str(tmp_path / "o")]
+        if command == "ablate":
+            layouts = tmp_path / "layouts.json"
+            layouts.write_text(json.dumps({"one": ["ch00"]}))
+            argv += ["--layouts", str(layouts)]
+        r = run_cli(*argv)
+        assert r.returncode == 4, r.stderr
+        assert r.stderr.startswith("error: data:")
+        assert "30 s" in r.stderr
+        assert "Traceback" not in r.stderr
+        assert not (tmp_path / "o").exists()
+
+    def test_track_exports_curves(self, short_session, tmp_path):
+        manifest, grid = short_session
+        r = run_cli("track", "--manifest", str(manifest), "--model", "wf",
+                    "--folds", "2", "--grid", str(grid),
+                    "--out", str(tmp_path / "tr"))
+        assert r.returncode == 0, r.stderr
+        lines = (tmp_path / "tr/time_pcc.csv").read_text().strip().splitlines()
+        # 4 trials x 20 one-second segments x 3 speaker candidates
+        assert len(lines) == 1 + 4 * 20 * 3
+
+
 class TestSettings:
     @pytest.mark.parametrize("command", ["run", "ablate", "track"])
     def test_optional_flags_are_config_fields(self, command, tmp_path):

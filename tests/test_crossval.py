@@ -72,6 +72,83 @@ class TestMakeFolds:
         assert len(units) == 4 * 3
         assert all(isinstance(u, tuple) for u in units)
 
+    def test_within_trial_segments_are_whole_windows(self):
+        """106 samples at 10 Hz with 1.06 s (11-sample) windows hold nine
+        whole windows; the 7-sample tail is no segment and is not scored."""
+        session = synth(n_trials=3, n_channels=2, duration_s=10.6, fs=10.0)
+        plan = crossval.make_folds(session.trials, "within_trial", 3, seed=0,
+                                   segment_s=1.06)
+        units = sorted(u for f in plan.folds for u in f)
+        assert units == [(t.trial_id, k) for t in session.trials
+                         for k in range(9)]
+        report = crossval.run_pipeline(session, "wf", plan, None, 1.06,
+                                       fixed_params={"lam": 1.0, "L": 4})
+        assert report.n_windows + report.n_excluded == 27
+
+    def test_plans_pinned(self):
+        """The full plan of every protocol on one small seeded session:
+        folds, each outer loop's test and fit, and its inner (train, val)
+        assignments in order."""
+        cfg = dataio.SynthConfig(
+            n_trials=6, duration_s=2.0, n_channels=1, fs=10.0,
+            tasks=[1, 2, 4, 1, 2, 4], group_b_every=2, seed=3,
+        )
+        trials = dataio.synth_generate(cfg).trials
+
+        def t(*ids):
+            return tuple(f"t{i:03d}" for i in ids)
+
+        def seg(*pairs):
+            return tuple((f"t{i:03d}", k) for i, k in pairs)
+
+        w0 = seg((0, 0), (1, 1), (5, 0), (3, 1))
+        w1 = seg((4, 0), (2, 0), (3, 0), (5, 1))
+        w2 = seg((1, 0), (4, 1), (0, 1), (2, 1))
+        f0, f1, f2 = t(0, 4), t(3, 2), t(1, 5)
+        g1 = t(0, 2, 4)
+        # protocol -> (folds, [(test, fit, [(train, val), ...]), ...])
+        want = {
+            "within_trial": ([w0, w1, w2], [
+                (w0, w1 + w2, [(w2, w1)]),
+                (w1, w0 + w2, [(w0, w2)]),
+                (w2, w0 + w1, [(w1, w0)]),
+            ]),
+            "loto": ([f0, f1, f2], [
+                (f0, f1 + f2, []),
+                (f1, f0 + f2, []),
+                (f2, f0 + f1, []),
+            ]),
+            "nested_loto": ([f0, f1, f2], [
+                (f0, f1 + f2, [(f2, f1), (f1, f2)]),
+                (f1, f0 + f2, [(f2, f0), (f0, f2)]),
+                (f2, f0 + f1, [(f1, f0), (f0, f1)]),
+            ]),
+            "loso": ([g1, t(3), t(1), t(5)], [
+                (t(3), g1, []),
+                (t(1), g1, []),
+                (t(5), g1, []),
+            ]),
+            "nested_loso": ([g1, t(3), t(1), t(5)], [
+                (t(3), g1, [(g1, t(1)), (g1, t(5))]),
+                (t(1), g1, [(g1, t(3)), (g1, t(5))]),
+                (t(5), g1, [(g1, t(3)), (g1, t(1))]),
+            ]),
+        }
+        for protocol, (folds, loops) in want.items():
+            segment_s = 1.0 if protocol == "within_trial" else None
+            plan = crossval.make_folds(trials, protocol, 3, seed=5,
+                                       segment_s=segment_s)
+            assert plan.folds == folds, protocol
+            got = [
+                (loop.test, loop.fit, [(a.train, a.val) for a in loop.inner])
+                for loop in plan.outer
+            ]
+            assert got == loops, protocol
+            assert [loop.index for loop in plan.outer] == [0, 1, 2]
+            assert all(a.test == loop.test
+                       for loop in plan.outer for a in loop.inner)
+            assert plan.segment_s == segment_s
+
     def test_nested_loto_needs_three_folds(self):
         # with two folds every inner assignment would train on nothing
         session = synth(n_trials=4, n_channels=2, duration_s=5.0)
@@ -521,6 +598,11 @@ class TestAblation:
         session = synth(n_trials=4, n_channels=4, seed=16)
         with pytest.raises(BadChannelIndex):
             crossval.restrict_session(session, ("L1",))
+
+    def test_duplicate_channel_rejected(self):
+        session = synth(n_trials=4, n_channels=4, seed=16)
+        with pytest.raises(BadChannelIndex, match="ch00"):
+            crossval.restrict_session(session, ("ch00", "ch00", "ch01"))
 
     def test_hash_of_reports_differ_between_layouts(self):
         session = synth(n_trials=8, n_channels=16, seed=17)
