@@ -372,9 +372,8 @@ class _RunnerBase:
                     f"trial {t.trial_id}: envelope and EEG lengths differ; "
                     "run preprocessing first"
                 )
-        if plan.protocol == "within_trial" and not np.isclose(
-            plan.segment_s, window_s
-        ):
+        if (plan.protocol == "within_trial"
+                and _window_len(plan.segment_s, self.fs) != self.win):
             raise BadProtocolConfig(
                 "within_trial segments must match the decision window"
             )
@@ -572,8 +571,7 @@ class _ClassifierRunner(_RunnerBase):
         trial = self.trials[tid]
         label = None
         for span in trial.timeline:
-            a = int(round(span.start_s * self.fs))
-            b = int(round(span.end_s * self.fs))
+            a, b = dataio.span_rows(span, self.fs, trial.eeg.n_samples)
             if a <= lo and hi <= b:
                 if span.attended is not None:
                     for s in trial.speakers:
@@ -768,24 +766,31 @@ LAYOUTS = {
 }
 
 
-def restrict_session(session, channel_names):
-    """Copy of the session keeping only the named channels, in the given
-    order."""
+def _channel_columns(session, channel_names):
+    """Per trial, the EEG columns of the named channels in the given
+    order; raises BadChannelIndex for an empty subset, a repeated name or
+    a name some trial lacks."""
     if not channel_names:
         raise BadChannelIndex("empty channel subset")
     repeated = sorted({c for c in channel_names if channel_names.count(c) > 1})
     if repeated:
         raise BadChannelIndex(f"channels named twice in subset: {repeated}")
-    trials = []
-    for trial in session.trials:
-        names = trial.eeg.channel_names
-        try:
-            idx = [names.index(c) for c in channel_names]
-        except ValueError as exc:
-            raise BadChannelIndex(f"unknown channel in subset: {exc}") from exc
-        eeg = trial.eeg.with_samples(trial.eeg.samples[:, idx],
-                                     channel_names=list(channel_names))
-        trials.append(replace(trial, eeg=eeg))
+    try:
+        return [[trial.eeg.channel_names.index(c) for c in channel_names]
+                for trial in session.trials]
+    except ValueError as exc:
+        raise BadChannelIndex(f"unknown channel in subset: {exc}") from exc
+
+
+def restrict_session(session, channel_names):
+    """Copy of the session keeping only the named channels, in the given
+    order."""
+    columns = _channel_columns(session, channel_names)
+    trials = [
+        replace(trial, eeg=trial.eeg.with_samples(
+            trial.eeg.samples[:, idx], channel_names=list(channel_names)))
+        for trial, idx in zip(session.trials, columns)
+    ]
     return replace(session, trials=trials)
 
 
@@ -793,12 +798,15 @@ def run_channel_ablation(session, layouts, model_kind, plan, grid, window_s,
                          **kwargs):
     """Re-run the pipeline on channel subsets.
 
+    Every layout's channel names are checked before anything is fitted.
     The session's own channel set is searched first; every other layout
     reuses those selected hyperparameters. A layout equal to the full
     channel set reproduces the plain run exactly.
     """
     if isinstance(layouts, (list, tuple)):
         layouts = {name: LAYOUTS[name] for name in layouts}
+    for channels in layouts.values():
+        _channel_columns(session, channels)
     full_names = tuple(session.trials[0].eeg.channel_names)
     full_report = run_pipeline(session, model_kind, plan, grid, window_s,
                                **kwargs)

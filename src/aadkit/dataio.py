@@ -198,6 +198,14 @@ def clamp_timeline(timeline, end_s):
     return spans[:-1] + [replace(spans[-1], end_s=end_s)]
 
 
+def span_rows(span, fs, n_samples):
+    """Rows ``[lo, hi)`` of a signal with ``n_samples`` rows at ``fs`` that
+    a timeline span covers: both ends rounded to the nearest sample, the
+    end clamped to the signal, so ``hi <= lo`` when it covers none."""
+    return (int(round(span.start_s * fs)),
+            min(int(round(span.end_s * fs)), n_samples))
+
+
 def _validate_trial(trial):
     ids = trial.speaker_ids()
     if not 2 <= len(ids) <= 3:
@@ -322,7 +330,8 @@ def read_npz_trial(path, trial_id):
     """One raw trial from a .npz file with the keys eeg (T, C), fs_eeg,
     envelopes (T_env, S), env_fs, speaker_ids (S,), directions_deg (S,),
     task, attended_sequence and optionally switch_s and channels. A missing
-    or unreadable key is a ManifestError."""
+    or unreadable key is a ManifestError, and the trial passes the checks
+    that :func:`load_session` makes of every trial."""
     try:
         with np.load(path, allow_pickle=False) as data:
             fs = float(data["fs_eeg"])
@@ -340,8 +349,10 @@ def read_npz_trial(path, trial_id):
     except (EOFError, IndexError, KeyError, TypeError, ValueError,
             zipfile.BadZipFile) as exc:
         raise ManifestError(exc) from exc
-    return Trial(trial_id, task, _derive_group({}, ids), eeg, speakers,
-                 build_timeline(task, eeg.n_samples / fs, switch, seq))
+    trial = Trial(trial_id, task, _derive_group({}, ids), eeg, speakers,
+                  build_timeline(task, eeg.n_samples / fs, switch, seq))
+    _validate_trial(trial)
+    return trial
 
 
 def save_session(session, out_dir):
@@ -425,8 +436,7 @@ def build_attended_streams(trial):
     unattended = [np.zeros(t_len) for _ in range(n_unatt)]
     mask = np.zeros(t_len, dtype=bool)
     for span in trial.timeline:
-        lo = int(round(span.start_s * fs))
-        hi = min(int(round(span.end_s * fs)), t_len)
+        lo, hi = span_rows(span, fs, t_len)
         if hi <= lo:
             continue
         if span.attended is None:
@@ -631,8 +641,7 @@ def synth_generate(cfg):
         att = np.zeros(t_len)
         unatt = np.zeros(t_len)
         for span in timeline:
-            lo = int(round(span.start_s * cfg.fs))
-            hi = min(int(round(span.end_s * cfg.fs)), t_len)
+            lo, hi = span_rows(span, cfg.fs, t_len)
             for p in range(n_spk):
                 if span.attended == ids[p]:
                     att[lo:hi] = centered[p][lo:hi]
@@ -656,8 +665,7 @@ def synth_generate(cfg):
                 if span.attended is None:
                     continue
                 klass = direction_class(dirs[ids.index(span.attended)])
-                lo = int(round(span.start_s * cfg.fs))
-                hi = min(int(round(span.end_s * cfg.fs)), t_len)
+                lo, hi = span_rows(span, cfg.fs, t_len)
                 eeg[lo:hi] += cfg.direction_gain * np.outer(
                     carrier[lo:hi], patterns[:, klass]
                 )

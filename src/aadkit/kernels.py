@@ -1,11 +1,18 @@
 """Hot numeric kernels, each built on LAPACK, BLAS or one scipy.signal call.
 
-These six functions are the only places where the package runs a dense
-factorization, a sample-by-sample filter recurrence or a resampling
-filter. :mod:`aadkit.numerics` builds its solvers on the first three, the
-filtering and resampling code on the last three. Library failures come
-back as the integer status codes the callers already map onto
+The decoders run every dense factorization in the first three of these
+six functions, and the package runs every sample-by-sample filter
+recurrence and resampling filter in the last three; the one other
+factorization is the QR call that draws the synthetic generator's spatial
+patterns. :mod:`aadkit.numerics` builds its solvers on the first three,
+the filtering and resampling code on the last three. Library failures
+come back as the integer status codes the callers already map onto
 :mod:`aadkit.errors`, never as exceptions.
+
+The eigen and SVD kernels pass LAPACK's factors on as they come, in the
+list their caller hands them: eigenvalues ascending, singular values
+descending. The package's own order and tolerance rules are
+:mod:`aadkit.numerics`' business.
 
 The gammatone resonator is one complex ``sosfilt`` call per band: the
 band's identical one-pole stages become that many complex sections, so the
@@ -27,50 +34,41 @@ system loads no SciPy module at all.
 import numpy as np
 
 
-def jacobi_sweep(a, v):
-    """Diagonalize each symmetric matrix of the stack ``a`` (..., n, n) in
-    place with one LAPACK call (``np.linalg.eigh``); a single matrix is a
-    stack with no leading axes.
+def jacobi_sweep(a, out):
+    """Eigendecomposition of each symmetric matrix of the stack ``a``
+    (..., n, n) with one LAPACK call (``np.linalg.eigh``); a single matrix
+    is a stack with no leading axes. ``a`` is left as it was.
 
-    On return each member of ``a`` is ``diag(eigenvalues)`` and the same
-    member of ``v`` has been multiplied on the right by its orthonormal
-    eigenvectors, so that the original member equals ``v @ a @ v.T`` when
-    ``v`` started as the identity. Eigenvalues are ascending.
+    On success the list ``out`` holds eigh's ``[values, vectors]``: values
+    (..., n) ascending, and vectors (..., n, n) whose orthonormal columns
+    are the matching eigenvectors.
 
     Returns 0, or -1 when LAPACK fails to converge or a spectrum is not
     finite.
     """
     try:
-        values, vectors = np.linalg.eigh(a)
+        out[:] = np.linalg.eigh(a)
     except np.linalg.LinAlgError:
         return -1
-    if not np.all(np.isfinite(values)):
-        return -1
-    diag = np.arange(a.shape[-1])
-    a[...] = 0.0
-    a[..., diag, diag] = values
-    v[...] = v @ vectors
-    return 0
+    return 0 if np.all(np.isfinite(out[0])) else -1
 
 
-def svd_sweep(b, v):
-    """Thin SVD of each matrix of the stack ``b`` (..., m, n), m >= n, in
-    place with one LAPACK call (``np.linalg.svd``); a single matrix is a
-    stack with no leading axes.
+def svd_sweep(b, out):
+    """Thin SVD of each matrix of the stack ``b`` (..., m, n) with one
+    LAPACK call (``np.linalg.svd``); a single matrix is a stack with no
+    leading axes, and it may be tall or wide. ``b`` is left as it was.
 
-    On return the columns of each member of ``b`` are ``u_j * s_j``
-    (singular values descending) and the same member of ``v`` has been
-    multiplied on the right by its right singular vectors, so that the
-    original member equals ``b @ v.T`` when ``v`` started as the identity.
+    On success the list ``out`` holds svd's ``[u, s, vt]`` with
+    ``k = min(m, n)``: ``u`` (..., m, k) and ``vt`` (..., k, n) with
+    orthonormal columns and rows, ``s`` (..., k) descending, so that each
+    member equals ``(u * s) @ vt``.
 
     Returns 0, or -1 when LAPACK fails to converge.
     """
     try:
-        u, s, vt = np.linalg.svd(b, full_matrices=False)
+        out[:] = np.linalg.svd(b, full_matrices=False)
     except np.linalg.LinAlgError:
         return -1
-    b[...] = u * s[..., None, :]
-    v[...] = v @ vt.swapaxes(-1, -2)
     return 0
 
 

@@ -3,10 +3,13 @@
 Everything here operates on float64 arrays and runs on LAPACK through the
 kernels in :mod:`aadkit.kernels`: symmetric eigendecomposition (``eigh``),
 thin SVD, and regularized solves through a Cholesky factorization
-(``dpotrf``/``dpotrs``) with one step of iterative refinement. This
-module adds the package's contracts on top: eigen- and singular values
-in descending order, the SPD tolerance rule, and failures raised as
-:class:`NotSpd`, :class:`SingularSystem` or :class:`NonConvergence`.
+(``dpotrf``/``dpotrs``) with one step of iterative refinement. The eigen
+and SVD kernels hand back LAPACK's factors unchanged, and this module
+adds only the package's contracts on top: eigenvalues in descending
+order (a stable sort, so tied pairs keep LAPACK's order), singular values
+at or below ``1e-14 * s[0]`` set to zero, the SPD tolerance rule, and
+failures raised as :class:`NotSpd`, :class:`SingularSystem` or
+:class:`NonConvergence`.
 
 :func:`symmetrize`, :func:`spd_tolerance`, :func:`sym_eig`,
 :func:`spd_function` and :func:`gen_sym_eig` take stacks ``(..., n, n)``:
@@ -166,8 +169,9 @@ def sym_eig(s):
     Returns
     -------
     EigPairs
-        ``values`` (..., n) descending, ``vectors`` (..., n, n) with
-        orthonormal columns so that
+        LAPACK's pairs reordered by a stable sort: ``values`` (..., n)
+        descending, tied values in LAPACK's order, and ``vectors``
+        (..., n, n) with orthonormal columns so that
         ``s = vectors @ diag(values) @ vectors.T`` for each member.
 
     Raises
@@ -179,14 +183,13 @@ def sym_eig(s):
         pathological input.
     """
     s = _check_square_symmetric(s)
-    a = s.copy()
-    v = np.broadcast_to(np.eye(s.shape[-1]), s.shape).copy()
-    if kernels.jacobi_sweep(a, v) < 0:
+    factors = []
+    if kernels.jacobi_sweep(s, factors) < 0:
         raise NonConvergence("symmetric eigensolver did not converge")
-    values = np.diagonal(a, axis1=-2, axis2=-1)
+    values, vectors = factors
     order = np.argsort(-values, axis=-1, kind="stable")
     return EigPairs(np.take_along_axis(values, order, axis=-1),
-                    np.take_along_axis(v, order[..., None, :], axis=-1))
+                    np.take_along_axis(vectors, order[..., None, :], axis=-1))
 
 
 def gen_sym_eig(a, b):
@@ -219,8 +222,9 @@ def svd(m):
     """Thin singular value decomposition with LAPACK (``np.linalg.svd``).
 
     Returns (u, s, v) with compact shapes: ``m = u @ diag(s) @ v.T``,
-    ``s`` nonnegative descending, ``u`` and ``v`` column-orthonormal.
-    Singular values at or below ``1e-14 * s[0]`` are set to exactly zero.
+    ``s`` nonnegative descending, ``u`` and ``v`` column-orthonormal, all
+    as LAPACK computes them, except that singular values at or below
+    ``1e-14 * s[0]`` are set to exactly zero.
 
     Raises
     ------
@@ -230,40 +234,13 @@ def svd(m):
     m = _as_matrix(m)
     if not np.all(np.isfinite(m)):
         raise ValueError("svd input must be finite")
-    transposed = m.shape[0] < m.shape[1]
-    b = (m.T if transposed else m).copy()
-    n = b.shape[1]
-    v = np.eye(n)
-    if kernels.svd_sweep(b, v) < 0:
+    factors = []
+    if kernels.svd_sweep(m, factors) < 0:
         raise NonConvergence("SVD did not converge")
-    s = np.sqrt(np.sum(b * b, axis=0))
-    order = np.argsort(-s, kind="stable")
-    s = s[order]
-    b = b[:, order]
-    v = v[:, order]
-    scale = s[0] if s.size and s[0] > 0 else 1.0
-    keep = s > 1e-14 * scale
-    u = np.divide(b, s, out=np.zeros_like(b), where=keep)
-    # s is descending, so the dropped columns come last
-    for j in np.flatnonzero(~keep):
-        u[:, j] = _orthonormal_completion(u[:, :j])
-    s[~keep] = 0.0
-    if transposed:
-        return v, s, u
-    return u, s, v
-
-
-def _orthonormal_completion(basis):
-    """One unit vector orthogonal to the given orthonormal columns."""
-    m = basis.shape[0]
-    for i in range(m):
-        cand = np.zeros(m)
-        cand[i] = 1.0
-        cand -= basis @ (basis.T @ cand)
-        norm = float(np.sqrt(cand @ cand))
-        if norm > 0.5:
-            return cand / norm
-    raise NonConvergence("failed to complete orthonormal basis")
+    u, s, vt = factors
+    if s.size:
+        s[s <= 1e-14 * s[0]] = 0.0
+    return u, s, vt.T
 
 
 _SPD_FUNCTIONS = {

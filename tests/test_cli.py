@@ -955,6 +955,24 @@ class TestConvert:
         assert not sess.preprocessed
         assert sess.trials[0].timeline[1].attended == 3
 
+    def test_duplicate_speaker_ids_exit_4(self, tmp_path, rng):
+        """A trial that load_session would reject is rejected at conversion,
+        before anything is written."""
+        src = tmp_path / "src"
+        src.mkdir()
+        t_len = 250
+        np.savez(src / "trial_0.npz",
+                 eeg=rng.standard_normal((t_len, 2)), fs_eeg=125.0,
+                 envelopes=np.abs(rng.standard_normal((t_len, 3))),
+                 env_fs=125.0, speaker_ids=np.array([1, 1, 2]),
+                 directions_deg=np.array([-60.0, 0.0, 60.0]), task=1,
+                 attended_sequence=np.array([1]))
+        r = run_cli("convert-dataset", "--src", str(src),
+                    "--out", str(tmp_path / "conv"))
+        assert r.returncode == 4, r.stderr
+        assert "duplicate speaker ids" in r.stderr
+        assert not (tmp_path / "conv").exists()
+
     def test_empty_source_exit_4(self, tmp_path):
         (tmp_path / "empty").mkdir()
         r = run_cli("convert-dataset", "--src", str(tmp_path / "empty"),

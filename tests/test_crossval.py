@@ -85,6 +85,21 @@ class TestMakeFolds:
                                        fixed_params={"lam": 1.0, "L": 4})
         assert report.n_windows + report.n_excluded == 27
 
+    def test_within_trial_segment_and_window_agree_in_samples(self):
+        """1.05 s is 10 samples at 10 Hz and 1.0500001 s is 11, so the plan
+        and the runner would cut different units: rejected, although the
+        two lengths differ by only 1e-7 s."""
+        session = synth(n_trials=3, n_channels=2, duration_s=10.6, fs=10.0)
+        plan = crossval.make_folds(session.trials, "within_trial", 3, seed=0,
+                                   segment_s=1.05)
+        with pytest.raises(BadProtocolConfig, match="decision window"):
+            crossval.run_pipeline(session, "wf", plan, None, 1.0500001,
+                                  fixed_params={"lam": 1.0, "L": 4})
+        # a window of the same sample count is accepted
+        report = crossval.run_pipeline(session, "wf", plan, None, 1.04,
+                                       fixed_params={"lam": 1.0, "L": 4})
+        assert report.n_windows + report.n_excluded == 30
+
     def test_plans_pinned(self):
         """The full plan of every protocol on one small seeded session:
         folds, each outer loop's test and fit, and its inner (train, val)
@@ -603,6 +618,21 @@ class TestAblation:
         session = synth(n_trials=4, n_channels=4, seed=16)
         with pytest.raises(BadChannelIndex, match="ch00"):
             crossval.restrict_session(session, ("ch00", "ch00", "ch01"))
+
+    @pytest.mark.parametrize("bad", [["ch00", "ch00"], ["ch00", "L1"]],
+                             ids=["repeated", "unknown"])
+    def test_layouts_checked_before_any_fit(self, monkeypatch, bad):
+        session = synth(n_trials=4, n_channels=4, seed=16)
+        plan = crossval.make_folds(session.trials, "loto", 2, seed=0)
+        calls = []
+        run = crossval.run_pipeline
+        monkeypatch.setattr(crossval, "run_pipeline",
+                            lambda *a, **k: calls.append(1) or run(*a, **k))
+        with pytest.raises(BadChannelIndex):
+            crossval.run_channel_ablation(
+                session, {"ok": ["ch01"], "bad": bad}, "wf", plan,
+                SMALL_GRID, 10.0)
+        assert calls == []
 
     def test_hash_of_reports_differ_between_layouts(self):
         session = synth(n_trials=8, n_channels=16, seed=17)

@@ -238,6 +238,19 @@ class TestReadNpzTrial:
         with pytest.raises(ManifestError):
             dataio.read_npz_trial(tmp_path / "t.npz", "t000")
 
+    def test_duplicate_speaker_ids_rejected(self, tmp_path):
+        np.savez(tmp_path / "t.npz",
+                 **{**self.KEYS, "speaker_ids": np.array([1, 1])})
+        with pytest.raises(ManifestError, match="duplicate speaker ids"):
+            dataio.read_npz_trial(tmp_path / "t.npz", "t000")
+
+
+def test_span_rows_round_and_clamp():
+    span = dataio.TimelineSpan
+    assert dataio.span_rows(span(0.26, 5.04, 1), 10.0, 100) == (3, 50)
+    assert dataio.span_rows(span(0.26, 12.0, 1), 10.0, 100) == (3, 100)
+    assert dataio.span_rows(span(10.0, 12.0, None), 10.0, 100) == (100, 100)
+
 
 class TestAttendedStreams:
     def test_single_span_verbatim(self):

@@ -1,4 +1,6 @@
-"""The six kernels against small literal references written as plain loops."""
+"""The six kernels against small literal references written as plain loops;
+the eigen and SVD kernels against the numpy.linalg calls whose factors they
+pass on, and numerics' rules on top of them."""
 
 import math
 
@@ -187,29 +189,35 @@ class TestCholesky:
 
 
 def test_jacobi_sweep_diagonalizes(rng):
+    """The kernel passes on eigh's pairs as they come and leaves its input
+    as it was."""
     s = rng.standard_normal((12, 12))
     s = 0.5 * (s + s.T)
-    a, v = s.copy(), np.eye(12)
-    assert kernels.jacobi_sweep(a, v) == 0
-    assert np.array_equal(a, np.diag(np.diag(a)))
-    assert np.allclose(v @ a @ v.T, s, atol=1e-12)
-    assert np.allclose(v.T @ v, np.eye(12), atol=1e-12)
+    a, out = s.copy(), []
+    assert kernels.jacobi_sweep(a, out) == 0
+    assert np.array_equal(a, s)
+    values, vectors = out
+    want_values, want_vectors = np.linalg.eigh(s)
+    assert np.array_equal(values, want_values)
+    assert np.array_equal(vectors, want_vectors)
+    assert np.all(np.diff(values) >= 0)
+    assert np.allclose(vectors.T @ s @ vectors, np.diag(values), atol=1e-12)
 
 
 def test_kernels_take_stacks(rng):
     s = rng.standard_normal((3, 5, 5))
     s = s + np.swapaxes(s, 1, 2)
-    a, v = s.copy(), np.broadcast_to(np.eye(5), s.shape).copy()
-    status = kernels.jacobi_sweep(a, v)
+    out = []
+    status = kernels.jacobi_sweep(s, out)
     assert type(status) is int and status == 0
-    for i in range(3):
-        assert np.array_equal(a[i], np.diag(np.diag(a[i])))
-        assert np.allclose(v[i] @ a[i] @ v[i].T, s[i], atol=1e-12)
+    for got, want in zip(out, np.linalg.eigh(s)):
+        assert np.array_equal(got, want)
     m = rng.standard_normal((3, 7, 4))
-    b, v = m.copy(), np.broadcast_to(np.eye(4), (3, 4, 4)).copy()
-    status = kernels.svd_sweep(b, v)
+    out = []
+    status = kernels.svd_sweep(m, out)
     assert type(status) is int and status == 0
-    assert np.allclose(b @ np.swapaxes(v, 1, 2), m, atol=1e-12)
+    for got, want in zip(out, np.linalg.svd(m, full_matrices=False)):
+        assert np.array_equal(got, want)
 
 
 def test_sym_eig_descending(rng):
@@ -221,13 +229,20 @@ def test_sym_eig_descending(rng):
 
 
 def test_svd_sweep_factors(rng):
-    m = rng.standard_normal((9, 5))
-    b, v = m.copy(), np.eye(5)
-    assert kernels.svd_sweep(b, v) == 0
-    assert np.allclose(b @ v.T, m, atol=1e-12)
-    s = np.linalg.norm(b, axis=0)
-    assert np.all(np.diff(s) <= 0)
-    assert np.allclose(b.T @ b, np.diag(s**2), atol=1e-12)
+    """Tall or wide, the kernel passes on svd's thin factors as they come
+    and leaves its input as it was."""
+    for shape in [(9, 5), (4, 9)]:
+        m = rng.standard_normal(shape)
+        b, out = m.copy(), []
+        assert kernels.svd_sweep(b, out) == 0
+        assert np.array_equal(b, m)
+        u, s, vt = out
+        want_u, want_s, want_vt = np.linalg.svd(m, full_matrices=False)
+        assert np.array_equal(u, want_u)
+        assert np.array_equal(s, want_s)
+        assert np.array_equal(vt, want_vt)
+        assert np.all(np.diff(s) <= 0)
+        assert np.allclose((u * s) @ vt, m, atol=1e-12)
 
 
 @pytest.mark.parametrize("wide", [False, True])
@@ -244,24 +259,50 @@ def test_svd_zero_singular_value(rng, wide):
     assert np.allclose(v.T @ v, np.eye(5), atol=1e-12)
 
 
-@pytest.mark.parametrize("rank", [5, 3])
-def test_svd_left_vectors_match_column_loop(rng, rank):
-    # numerics.svd divides the kept columns in one masked division; the
-    # per-column loop it replaced is the reference
-    m = rng.standard_normal((9, rank)) @ rng.standard_normal((rank, 5))
-    uu, ss, vt = np.linalg.svd(m, full_matrices=False)
-    b = uu * ss
-    s = np.sqrt(np.sum(b * b, axis=0))
-    order = np.argsort(-s, kind="stable")
-    b, s = b[:, order], s[order]
-    u, s_out, _ = numerics.svd(m)
-    kept = 0
-    for j in range(5):
-        if s[j] > 1e-14 * s[0]:
-            assert np.array_equal(u[:, j], b[:, j] / s[j])
-            assert s_out[j] == s[j]
-            kept += 1
-        else:
-            assert s_out[j] == 0.0
-    assert kept == rank
-    assert np.allclose(u.T @ u, np.eye(5), atol=1e-12)
+@pytest.mark.parametrize("shape, rank", [((9, 5), 5), ((4, 9), 4),
+                                         ((9, 5), 3)],
+                         ids=["tall", "wide", "rank-deficient"])
+def test_svd_values_are_lapack_values(rng, shape, rank):
+    """numerics.svd's singular values are LAPACK's to the bit, except that
+    those at or below 1e-14 * s[0] are exactly zero; u stays orthonormal
+    where they are."""
+    m = rng.standard_normal((shape[0], rank)) @ rng.standard_normal(
+        (rank, shape[1]))
+    k = min(shape)
+    u, s, v = numerics.svd(m)
+    lapack_s = np.linalg.svd(m, full_matrices=False)[1]
+    tiny = lapack_s <= 1e-14 * lapack_s[0]
+    assert np.array_equal(s, np.where(tiny, 0.0, lapack_s))
+    assert np.count_nonzero(s == 0.0) == k - rank
+    assert u.shape == (shape[0], k) and v.shape == (shape[1], k)
+    assert np.allclose(u.T @ u, np.eye(k), atol=1e-12)
+    assert np.allclose(v.T @ v, np.eye(k), atol=1e-12)
+    assert np.allclose((u * s) @ v.T, m, atol=1e-12)
+
+
+def _stable_descending(values, vectors):
+    """LAPACK's pairs by descending value, tied pairs in LAPACK's order,
+    sorted by Python's stable sort."""
+    order = sorted(range(values.shape[0]), key=lambda j: -values[j])
+    return values[order], vectors[:, order]
+
+
+def test_sym_eig_reorders_ties_stably(rng):
+    """Tied eigenvalues keep LAPACK's order, so reversing LAPACK's
+    ascending order (which flips each tie) is not the rule."""
+    s = rng.standard_normal((4, 4))
+    stack = np.stack([np.diag([2.0, 1.0, 2.0, 1.0]),
+                      np.diag([1.0, 1.0, 3.0, 1.0]),
+                      s + s.T])
+    for a in (stack[0], stack):
+        values, vectors = numerics.sym_eig(a)
+        lapack = np.linalg.eigh(a)
+        for i in np.ndindex(a.shape[:-2]):
+            want_values, want_vectors = _stable_descending(
+                lapack.eigenvalues[i], lapack.eigenvectors[i])
+            assert np.array_equal(values[i], want_values)
+            assert np.array_equal(vectors[i], want_vectors)
+    # the ties make the rule observable
+    lapack_vectors = np.linalg.eigh(stack[0]).eigenvectors
+    assert not np.array_equal(numerics.sym_eig(stack[0]).vectors,
+                              lapack_vectors[:, ::-1])
