@@ -7,21 +7,23 @@ group_tuning for run and segment for track) each have one flag and one
 field of the optional --config JSON file; a flag overrides the field, and
 a field's value is converted as if it were typed after the flag. What
 neither sets takes its default: seed 0, jobs 1, and for track protocol
-loto, a 30 s window and 1 s segments. --manifest, --out and --layouts are
-flags only. Every JSON input file (--config, --grid, --layouts) is read by
+loto, a 30 s window and 1 s segments. A seed, also a --grid file's, is
+>= 0, and jobs is >= 1. --manifest, --out and --layouts are flags only.
+Every JSON input file (--config, --grid, --layouts) is read by
 ``dataio.read_json``. A --grid file lists exactly the keys of the model's
 ``crossval.default_grid``, each a list of finite numbers >= 0 (integers
 >= 1 for the counts in ``_GRID_COUNTS``). Durations and rates (--window,
 --segment, --to-fs) are finite and positive. --channels names a preset or
 distinct channels, at least one.
 
-Every command runs inside one error shell, ``_command``: an ``AadError``
-exits with its category's code and an ``OSError`` as an I/O error. Exit
-codes: 0 success, 2 configuration error, 3 I/O error for synth and
-envelope (4 for the other commands), 4 data error, 5 numerical failure.
-Errors go to stderr with a machine-parsable category prefix. The readers
-of input files raise typed errors, so a malformed file ends with an exit
-code, not a traceback.
+Every command runs inside one error shell, ``_command``. Each error class
+declares its category and exit code (see ``aadkit.errors``); the shell
+prints the category and exits with that code, and an ``OSError`` exits as
+an I/O error. Exit codes: 0 success, 2 configuration error, 3 I/O error
+for synth and envelope (4 for the other commands), 4 data error, 5
+numerical failure. Errors go to stderr with a machine-parsable category
+prefix. The readers of input files raise typed errors, so a malformed file
+ends with an exit code, not a traceback.
 """
 
 import argparse
@@ -36,52 +38,28 @@ from . import crossval, dataio, envelope as envmod, preprocess
 from .errors import (
     AadError,
     BadConfig,
-    BadProtocolConfig,
     DegenerateClass,
-    EmptyGrid,
-    InvalidBand,
     IoError,
     ManifestError,
-    NonConvergence,
-    NotSpd,
     ShapeMismatch,
-    SingularScatter,
-    SingularSystem,
-    UnknownTask,
 )
-
-_CONFIG_ERRORS = (BadConfig, BadProtocolConfig, EmptyGrid, InvalidBand,
-                  UnknownTask)
-_NUMERIC_ERRORS = (SingularSystem, NonConvergence, NotSpd, SingularScatter)
-
-
-def _fail(category, exc, code):
-    print(f"error: {category}: {exc}", file=sys.stderr)
-    return code
-
-
-def _classify(exc, io_code):
-    if isinstance(exc, _CONFIG_ERRORS):
-        return _fail("config", exc, 2)
-    if isinstance(exc, _NUMERIC_ERRORS):
-        return _fail("numeric", exc, 5)
-    if isinstance(exc, IoError):
-        return _fail("io", exc, io_code)
-    return _fail("data", exc, 4)
 
 
 def _command(io_code=4):
-    """The error shell of every command: an AadError exits with the code
-    of its category, an OSError as an I/O error with ``io_code``."""
+    """The error shell of every command: an AadError exits with the
+    category and code its class declares, an OSError as an I/O error;
+    an I/O error's code is ``io_code``."""
     def decorate(command):
         @functools.wraps(command)
         def wrapped(args):
             try:
                 return command(args)
             except AadError as exc:
-                return _classify(exc, io_code)
+                error = exc
             except OSError as exc:
-                return _fail("io", exc, io_code)
+                error = IoError(exc)
+            print(f"error: {error.category}: {error}", file=sys.stderr)
+            return error.exit_code or io_code
         return wrapped
     return decorate
 
@@ -147,6 +125,10 @@ def _settings(args):
     if args.protocol not in crossval.PROTOCOLS:
         raise BadConfig(f"protocol: unknown protocol {args.protocol!r}")
     _check_positive("window", args.window)
+    if args.seed < 0:
+        raise BadConfig("seed: must be >= 0")
+    if args.jobs < 1:
+        raise BadConfig("jobs: must be >= 1")
 
 
 # grid keys that count lags, components or filters; the other keys are
@@ -178,6 +160,8 @@ def _load_grid(args):
             # bool is an int subclass; JSON true is not a count or a seed
             if value is not None and type(value) is not int:
                 raise BadConfig(f"grid: {key} must be an integer")
+        if gseed < 0:
+            raise BadConfig("grid: seed must be >= 0")
         needed = crossval.default_grid(args.model).params
         wrong = sorted(set(needed) ^ set(raw))
         if wrong:
@@ -290,21 +274,12 @@ def cmd_run(args):
 @_command()
 def cmd_ablate(args):
     _settings(args)
-    raw = dataio.read_json(args.layouts, "layouts",
-                           {list: "a list of presets", dict: "a mapping"})
-    if isinstance(raw, list):
-        unknown = [n for n in raw
-                   if not isinstance(n, str) or n not in crossval.LAYOUTS]
-        if unknown:
-            raise BadConfig(f"layouts: unknown preset names {unknown}")
-        layouts = {n: crossval.LAYOUTS[n] for n in raw}
-    elif all(isinstance(chs, list) and all(isinstance(c, str) for c in chs)
-             for chs in raw.values()):
-        layouts = {n: tuple(chs) for n, chs in raw.items()}
-    else:
+    layouts = dataio.read_json(args.layouts, "layouts",
+                               {list: "a list of presets", dict: "a mapping"})
+    if isinstance(layouts, dict) and not all(
+            isinstance(chs, list) and all(isinstance(c, str) for c in chs)
+            for chs in layouts.values()):
         raise BadConfig("layouts: a mapping needs lists of channel names")
-    if not layouts:
-        raise BadConfig("layouts: empty")
     [session] = _sessions(args)
     grid = _load_grid(args)
     plan = crossval.make_folds(session.trials, **_plan_args(args))

@@ -53,6 +53,7 @@ from . import dataio, linear, metrics, spatial
 from .design import LaggedDesign, accumulate, build_lagged
 from .errors import (
     BadChannelIndex,
+    BadConfig,
     BadProtocolConfig,
     DegenerateClass,
     EmptyGrid,
@@ -129,10 +130,11 @@ def _stratified_trial_folds(trials, n_folds, rng):
 def make_folds(trials, protocol, n_folds=None, seed=0, segment_s=None):
     """Build a cross-validation plan over the given trials.
 
-    ``segment_s`` is required for the within_trial protocol and sets the
-    segment (= decision window) length. An assignment trains on the fixed
-    block when there is one, else on every fold that is neither tested
-    nor validated.
+    ``n_folds`` None takes the protocol's default fold count; any number
+    is checked against the protocol's range. ``segment_s`` is required
+    for the within_trial protocol and sets the segment (= decision
+    window) length. An assignment trains on the fixed block when there
+    is one, else on every fold that is neither tested nor validated.
     """
     if protocol not in PROTOCOLS:
         raise BadProtocolConfig(f"unknown protocol {protocol!r}")
@@ -144,7 +146,7 @@ def make_folds(trials, protocol, n_folds=None, seed=0, segment_s=None):
     if protocol == "within_trial":
         if segment_s is None or segment_s <= 0:
             raise BadProtocolConfig("within_trial needs a positive segment_s")
-        n_folds = n_folds or 3
+        n_folds = 3 if n_folds is None else n_folds
         if n_folds < 3:
             raise BadProtocolConfig("within_trial needs >= 3 folds")
         # a segment is one whole decision window; a shorter tail is dropped
@@ -158,7 +160,7 @@ def make_folds(trials, protocol, n_folds=None, seed=0, segment_s=None):
         folds = [tuple(units[idx] for idx in perm[i::n_folds])
                  for i in range(n_folds)]
     elif protocol in ("loto", "nested_loto"):
-        n_folds = n_folds or min(9, len(trials))
+        n_folds = min(9, len(trials)) if n_folds is None else n_folds
         if n_folds < 2 or n_folds > len(trials):
             raise BadProtocolConfig(
                 f"n_folds={n_folds} invalid for {len(trials)} trials"
@@ -176,7 +178,7 @@ def make_folds(trials, protocol, n_folds=None, seed=0, segment_s=None):
             )
         if any(t.group not in (1, 2) for t in trials):
             raise BadProtocolConfig("trial without a speaker group label")
-        n_folds = n_folds or min(3, len(group2))
+        n_folds = min(3, len(group2)) if n_folds is None else n_folds
         if n_folds < 1 or n_folds > len(group2):
             raise BadProtocolConfig(
                 f"n_folds={n_folds} invalid for {len(group2)} held-out trials"
@@ -798,13 +800,22 @@ def run_channel_ablation(session, layouts, model_kind, plan, grid, window_s,
                          **kwargs):
     """Re-run the pipeline on channel subsets.
 
-    Every layout's channel names are checked before anything is fitted.
+    ``layouts`` maps names to channel lists, or lists ``LAYOUTS`` preset
+    names; no layout, or a list entry that is not a preset name, raises
+    BadConfig. Every layout's channel names are checked before anything
+    is fitted.
     The session's own channel set is searched first; every other layout
     reuses those selected hyperparameters. A layout equal to the full
     channel set reproduces the plain run exactly.
     """
     if isinstance(layouts, (list, tuple)):
+        unknown = [n for n in layouts
+                   if not isinstance(n, str) or n not in LAYOUTS]
+        if unknown:
+            raise BadConfig(f"layouts: unknown preset names {unknown}")
         layouts = {name: LAYOUTS[name] for name in layouts}
+    if not layouts:
+        raise BadConfig("layouts: empty")
     for channels in layouts.values():
         _channel_columns(session, channels)
     full_names = tuple(session.trials[0].eeg.channel_names)

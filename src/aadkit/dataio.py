@@ -510,6 +510,8 @@ class SynthConfig:
                     raise BadConfig("active_channels: index out of range")
         if self.group_b_every < 0:
             raise BadConfig("group_b_every: must be >= 0")
+        if self.seed < 0:
+            raise BadConfig("seed: must be >= 0")
         return self
 
 

@@ -1,8 +1,35 @@
-"""Exception hierarchy shared by all aadkit modules."""
+"""Exception hierarchy shared by all aadkit modules.
+
+Each class declares the category the command line prints for it
+(``error: <category>: ...``) and the code it exits with:
+
+- ``config`` (2): a setting, grid, protocol or band that cannot be run;
+  the classes under ``ConfigError``.
+- ``io`` (3 for synth and envelope, 4 for the other commands): a file
+  that cannot be read or written; ``IoError``, whose ``exit_code`` is
+  None because the command sets it.
+- ``data`` (4): input that is read but unfit for its use; ``AadError``
+  and every class that declares nothing else.
+- ``numeric`` (5): a solver that fails on its input; the classes under
+  ``NumericError``.
+"""
 
 
 class AadError(Exception):
     """Base class for all aadkit errors."""
+
+    category = "data"
+    exit_code = 4
+
+
+class ConfigError(AadError):
+    category = "config"
+    exit_code = 2
+
+
+class NumericError(AadError):
+    category = "numeric"
+    exit_code = 5
 
 
 class DimensionMismatch(AadError):
@@ -13,19 +40,19 @@ class LengthMismatch(DimensionMismatch):
     pass
 
 
-class SingularSystem(AadError):
+class SingularSystem(NumericError):
     pass
 
 
-class NonConvergence(AadError):
+class NonConvergence(NumericError):
     pass
 
 
-class NotSpd(AadError):
+class NotSpd(NumericError):
     pass
 
 
-class InvalidBand(AadError):
+class InvalidBand(ConfigError):
     pass
 
 
@@ -45,15 +72,15 @@ class DegenerateClass(AadError):
     pass
 
 
-class SingularScatter(AadError):
+class SingularScatter(NumericError):
     pass
 
 
-class BadProtocolConfig(AadError):
+class BadProtocolConfig(ConfigError):
     pass
 
 
-class EmptyGrid(AadError):
+class EmptyGrid(ConfigError):
     pass
 
 
@@ -65,13 +92,14 @@ class ShapeMismatch(AadError):
     pass
 
 
-class UnknownTask(AadError):
+class UnknownTask(ConfigError):
     pass
 
 
-class BadConfig(AadError):
+class BadConfig(ConfigError):
     pass
 
 
 class IoError(AadError):
-    pass
+    category = "io"
+    exit_code = None

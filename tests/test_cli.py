@@ -96,6 +96,7 @@ class TestSynth:
         pytest.param({"balance_directions": "no"}, "balance_directions",
                      id="balance_directions-str"),
         pytest.param([1, 2], "config", id="list"),
+        pytest.param({"n_trials": 2, "seed": -1}, "seed", id="seed-negative"),
     ])
     def test_malformed_config_exit_2(self, tmp_path, config, field):
         cfg = tmp_path / "bad.json"
@@ -239,11 +240,12 @@ class TestRun:
         pytest.param({"budget": "3"}, id="str3"),
         pytest.param({"budget": True}, id="True"),
         pytest.param({"seed": "x"}, id="seed-x"),
+        pytest.param({"budget": 2, "seed": -5}, id="seed-negative"),
     ])
     def test_grid_budget_below_one_exit_2(self, session_dir, tmp_path,
                                           field):
-        """A grid budget below one, or a budget or seed that is not a JSON
-        integer, is a configuration error."""
+        """A grid budget below one, a budget or seed that is not a JSON
+        integer, or a seed below zero, is a configuration error."""
         _, sess = session_dir
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps({"lam": [0.1, 10.0], "L": [8], **field}))
@@ -622,6 +624,30 @@ class TestSettings:
         )
         assert not required & set(cli._COMMAND_SETTINGS[command])
 
+    @pytest.mark.parametrize("argv, config, field", [
+        pytest.param(["--seed", "-1"], {}, "seed", id="seed-flag"),
+        pytest.param([], {"seed": -1}, "seed", id="seed-field"),
+        pytest.param(["--jobs", "0"], {}, "jobs", id="jobs-flag-0"),
+        pytest.param(["--jobs", "-2"], {}, "jobs", id="jobs-flag-minus-2"),
+        pytest.param([], {"jobs": 0}, "jobs", id="jobs-field"),
+    ])
+    def test_negative_seed_or_jobs_below_one_exit_2(
+            self, session_dir, grid_file, tmp_path, capsys, argv, config,
+            field):
+        from aadkit import cli
+
+        _, sess = session_dir
+        conf = tmp_path / "run.json"
+        conf.write_text(json.dumps(config))
+        code = cli.main(["run", "--manifest", str(sess / "manifest.json"),
+                         "--model", "wf", "--protocol", "loto",
+                         "--window", "30", "--folds", "2",
+                         "--grid", str(grid_file), "--config", str(conf),
+                         "--out", str(tmp_path / "o"), *argv])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: config: {field}: must be >= ")
+
 
 class TestAblate:
     def test_layout_directories(self, tmp_path):
@@ -660,10 +686,13 @@ class TestAblate:
         pytest.param([], id="empty"),
         pytest.param({"a": 5}, id="map-int"),
         pytest.param({"a": "ch00"}, id="map-str"),
+        pytest.param(["nope"], id="unknown-preset"),
+        pytest.param([5], id="int-preset"),
     ])
     def test_empty_layouts_exit_2(self, session_dir, tmp_path, layouts):
-        """An empty layout list, or a mapping whose value is not a list of
-        channel names, is a configuration error."""
+        """An empty layout list, a list entry that is not a preset name,
+        or a mapping whose value is not a list of channel names, is a
+        configuration error."""
         _, sess = session_dir
         path = tmp_path / "layouts.json"
         path.write_text(json.dumps(layouts))

@@ -6,7 +6,12 @@ import pytest
 
 from aadkit import crossval, dataio, kernels, linear, metrics, spatial
 from aadkit.design import LaggedDesign, accumulate
-from aadkit.errors import BadChannelIndex, BadProtocolConfig, EmptyGrid
+from aadkit.errors import (
+    BadChannelIndex,
+    BadConfig,
+    BadProtocolConfig,
+    EmptyGrid,
+)
 
 
 def synth(n_trials=12, n_channels=4, snr=5.0, seed=0, duration_s=30.0, **kw):
@@ -173,6 +178,16 @@ class TestMakeFolds:
         assert len(crossval.make_folds(session.trials, "loto", 2).outer) == 2
         plan = crossval.make_folds(session.trials, "nested_loto", 3)
         assert all(a.train for loop in plan.outer for a in loop.inner)
+
+    @pytest.mark.parametrize("protocol", crossval.PROTOCOLS)
+    def test_zero_folds_rejected(self, protocol):
+        """``n_folds=0`` is checked like any count, not taken as the
+        default."""
+        session = synth(n_trials=6, n_channels=2, duration_s=10.0,
+                        group_b_every=3)
+        with pytest.raises(BadProtocolConfig):
+            crossval.make_folds(session.trials, protocol, 0, seed=0,
+                                segment_s=5.0)
 
     def test_unknown_protocol(self):
         session = synth(n_trials=4, n_channels=2, duration_s=5.0)
@@ -618,6 +633,21 @@ class TestAblation:
         session = synth(n_trials=4, n_channels=4, seed=16)
         with pytest.raises(BadChannelIndex, match="ch00"):
             crossval.restrict_session(session, ("ch00", "ch00", "ch01"))
+
+    @pytest.mark.parametrize("layouts, message", [
+        (["full", "nope"], "unknown preset names"),
+        (["full", 5], "unknown preset names"),
+        ([["upper"]], "unknown preset names"),
+        ([], "empty"),
+        ({}, "empty"),
+    ], ids=["unknown", "int", "list", "empty-list", "empty-map"])
+    def test_bad_layouts_are_bad_config(self, monkeypatch, layouts, message):
+        session = synth(n_trials=4, n_channels=4, seed=16)
+        plan = crossval.make_folds(session.trials, "loto", 2, seed=0)
+        monkeypatch.setattr(crossval, "run_pipeline", None)
+        with pytest.raises(BadConfig, match=f"^layouts: {message}"):
+            crossval.run_channel_ablation(session, layouts, "wf", plan,
+                                          SMALL_GRID, 10.0)
 
     @pytest.mark.parametrize("bad", [["ch00", "ch00"], ["ch00", "L1"]],
                              ids=["repeated", "unknown"])

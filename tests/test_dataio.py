@@ -372,6 +372,8 @@ class TestSynth:
             dataio.SynthConfig(n_trials=2, switch_times=[1.0]).validate()
         with pytest.raises(BadConfig, match="n_speakers"):
             dataio.SynthConfig(n_speakers=5).validate()
+        with pytest.raises(BadConfig, match="seed"):
+            dataio.SynthConfig(seed=-1).validate()
 
     def test_load_config_rejects_unknown_field(self, tmp_path):
         p = tmp_path / "cfg.json"
