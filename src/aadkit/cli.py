@@ -243,29 +243,34 @@ def cmd_synth(args):
 
 @_command()
 def cmd_run(args):
+    """One manifest exports to --out; several export to one directory per
+    subject under it, each subject checked before anything is fitted."""
     _settings(args)
     grid = _load_grid(args)
-    if args.group_tuning and len(args.manifest) > 1:
-        sessions = list(_sessions(args, many=True))
+    sessions = list(_sessions(args, many=True))
+    outs = [Path(args.out)]
+    if len(sessions) > 1:
+        for session in sessions:
+            dataio.check_path_component("subject", session.subject,
+                                        ManifestError)
+        outs = [Path(args.out) / session.subject for session in sessions]
+    if args.group_tuning and len(sessions) > 1:
         reports, _ = crossval.run_pipeline_group(
             sessions, args.model, window_s=args.window, grid=grid,
             jobs=args.jobs, **_plan_args(args),
         )
-        for report in reports:
-            _check_scored(report)
-        for session, report in zip(sessions, reports):
-            dataio.export_results(report, Path(args.out) / session.subject)
-            print(_summary_line(report))
-        return 0
-    for session in _sessions(args, many=True):
-        plan = crossval.make_folds(session.trials, **_plan_args(args))
-        report = crossval.run_pipeline(
-            session, args.model, plan, grid, args.window, jobs=args.jobs,
-        )
+    else:
+        reports = [
+            crossval.run_pipeline(
+                session, args.model,
+                crossval.make_folds(session.trials, **_plan_args(args)),
+                grid, args.window, jobs=args.jobs,
+            )
+            for session in sessions
+        ]
+    for report in reports:
         _check_scored(report)
-        out = Path(args.out)
-        if len(args.manifest) > 1:
-            out = out / session.subject
+    for out, report in zip(outs, reports):
         dataio.export_results(report, out)
         print(_summary_line(report))
     return 0

@@ -31,7 +31,10 @@ path: ``score_grid`` builds the table of mean validation scores and
 ``pick_best`` takes the winner, in ``search_hyperparams``,
 ``run_pipeline`` and ``run_pipeline_group`` alike; the group path scores a
 point by the unweighted mean over sessions of each session's mean. Both
-pipelines take a one-point grid as is, without any validation fit.
+pipelines take a one-point grid as is, without any validation fit, and
+check every grid point or fixed selection before the first fit: ``L`` at
+most the shortest unit and, for CCA, ``L_y`` at most a decision window
+(BadConfig).
 
 The two envelope decoders share one evaluation path, the Wiener filter
 being CCA's one-component case. Each test unit (a whole trial, or a
@@ -402,6 +405,10 @@ class _RunnerBase:
     def _channel_stats(self, model, params):
         return {}
 
+    def check_params(self, points):
+        """Raise BadConfig for a parameter point the session's data cannot
+        take, before anything is fitted."""
+
     def tuning_assignments(self, loop_index):
         loop = self.plan.outer[loop_index]
         if loop.inner:
@@ -449,6 +456,19 @@ class _LinearRunner(_RunnerBase):
         """0 (the attended stream) when it is defined throughout the
         window, else None."""
         return 0 if self.streams[tid].mask[lo:hi].all() else None
+
+    def check_params(self, points):
+        """Each unit is lagged by ``L`` on its own, and CCA lags each
+        window's candidates by ``L_y``."""
+        limits = {"L": (min(u.hi - u.lo for u in self.units.values()),
+                        "the shortest trial or segment")}
+        if self.kind == "cca":
+            limits["L_y"] = (self.win, "the decision window")
+        for params in points:
+            for key, (limit, what) in limits.items():
+                if int(params[key]) > limit:
+                    raise BadConfig(f"{key}: {int(params[key])} lags exceed "
+                                    f"{what}, {limit} samples")
 
     # -- training statistics ------------------------------------------------
 
@@ -715,10 +735,12 @@ def run_pipeline(session, model_kind, plan, grid, window_s, *,
     runner = _make_runner(session, model_kind, plan, window_s, time_pcc_seg_s)
     if fixed_params is None:
         points = grid.points()
+        runner.check_params(points)
         return _report(runner, lambda i: _loop_params(points, [runner], i),
                        jobs)
     if isinstance(fixed_params, dict):
         fixed_params = [fixed_params] * len(plan.outer)
+    runner.check_params(fixed_params)
     return _report(runner, lambda i: dict(fixed_params[i]), jobs)
 
 
@@ -744,6 +766,8 @@ def run_pipeline_group(sessions, model_kind, protocol, window_s, grid, *,
         for s, p in zip(sessions, plans)
     ]
     points = grid.points()
+    for runner in runners:
+        runner.check_params(points)
     selected = [
         _loop_params(points, runners, i) for i in range(n_outer.pop())
     ]
@@ -801,9 +825,10 @@ def run_channel_ablation(session, layouts, model_kind, plan, grid, window_s,
     """Re-run the pipeline on channel subsets.
 
     ``layouts`` maps names to channel lists, or lists ``LAYOUTS`` preset
-    names; no layout, or a list entry that is not a preset name, raises
-    BadConfig. Every layout's channel names are checked before anything
-    is fitted.
+    names; no layout, a list entry that is not a preset name, or a name
+    that cannot name a directory (``dataio.check_path_component``) raises
+    BadConfig. Every layout's name and channel names are checked before
+    anything is fitted.
     The session's own channel set is searched first; every other layout
     reuses those selected hyperparameters. A layout equal to the full
     channel set reproduces the plain run exactly.
@@ -816,7 +841,8 @@ def run_channel_ablation(session, layouts, model_kind, plan, grid, window_s,
         layouts = {name: LAYOUTS[name] for name in layouts}
     if not layouts:
         raise BadConfig("layouts: empty")
-    for channels in layouts.values():
+    for name, channels in layouts.items():
+        dataio.check_path_component("layouts", name, BadConfig)
         _channel_columns(session, channels)
     full_names = tuple(session.trials[0].eeg.channel_names)
     full_report = run_pipeline(session, model_kind, plan, grid, window_s,

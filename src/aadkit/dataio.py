@@ -7,8 +7,13 @@ T, C, fs in millihertz, three reserved zeros) followed by float32 samples,
 time-major. Trials carry 2-3 speaker envelopes, spatial directions and an
 attention timeline built from the task description (switch tasks split the
 trial at the cue, "ignore" tasks label the post-cue span as unattended).
+
+A name that becomes one path component of an output (trial id, subject,
+layout name) must pass ``check_path_component``. The CSV exports use
+standard quoting, so a field holding a comma or a quote keeps its column.
 """
 
+import csv
 import json
 import math
 import struct
@@ -104,6 +109,14 @@ def read_json(path, label, kinds=None):
     if not isinstance(raw, tuple(kinds)):
         raise BadConfig(f"{label}: need {' or '.join(kinds.values())}")
     return raw
+
+
+def check_path_component(label, name, error):
+    """Raise ``error`` prefixed with ``label`` unless ``name`` can be one
+    path component under an output directory: non-empty, not ``.`` or
+    ``..``, and without ``/``, ``\\`` or NUL."""
+    if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+        raise error(f"{label}: {name!r} is not a file name")
 
 
 def convert_field(label, convert, text):
@@ -357,7 +370,10 @@ def read_npz_trial(path, trial_id):
 
 def save_session(session, out_dir):
     """Write a session as manifest.json plus .aad arrays; returns the
-    manifest path."""
+    manifest path. Every trial id must name a file (ManifestError), checked
+    before anything is written."""
+    for trial in session.trials:
+        check_path_component("trial id", trial.trial_id, ManifestError)
     out_dir = Path(out_dir)
     arrays = out_dir / "arrays"
     arrays.mkdir(parents=True, exist_ok=True)
@@ -787,12 +803,13 @@ def serialize_model(model):
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x):
-    if x is None:
-        return ""
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
+def _write_csv(path, header, rows):
+    """A header row, then the rows, as standard CSV with ``\\n`` line ends.
+    ``None`` is written as an empty field and a float as its ``repr``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def export_results(report, out_dir):
@@ -801,30 +818,17 @@ def export_results(report, out_dir):
     out_dir = Path(out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        paths = []
+        paths = [out_dir / name for name in (
+            "windows.csv", "summary.json", "time_pcc.csv", "channel_stats.csv")]
+        wpath, spath, tpath, cpath = paths
 
-        wpath = out_dir / "windows.csv"
-        lines = ["trial_id,window_index,predicted,attended,tie,"
-                 "rho_attended,rho_unattended1,rho_unattended2"]
-        for w in report.windows:
-            rhos = list(w.rhos) if w.rhos is not None else []
-            rhos += [None] * (3 - len(rhos))
-            lines.append(
-                ",".join(
-                    [
-                        w.trial_id,
-                        str(w.window_index),
-                        str(w.predicted),
-                        str(w.attended),
-                        str(int(w.tie)),
-                        _fmt(rhos[0]),
-                        _fmt(rhos[1]),
-                        _fmt(rhos[2]),
-                    ]
-                )
-            )
-        wpath.write_text("\n".join(lines) + "\n")
-        paths.append(wpath)
+        _write_csv(wpath, ["trial_id", "window_index", "predicted",
+                           "attended", "tie", "rho_attended",
+                           "rho_unattended1", "rho_unattended2"], (
+            # fewer than three candidates leave the last rho fields empty
+            [w.trial_id, w.window_index, w.predicted, w.attended, int(w.tie),
+             *(list(w.rhos or ()) + [None] * 3)[:3]]
+            for w in report.windows))
 
         summary = {
             "model": report.model_kind,
@@ -852,33 +856,19 @@ def export_results(report, out_dir):
                 for f in report.folds
             ],
         }
-        spath = out_dir / "summary.json"
         spath.write_text(json.dumps(summary, indent=2, sort_keys=True))
-        paths.append(spath)
 
-        tpath = out_dir / "time_pcc.csv"
-        tlines = ["trial_id,segment_index,candidate,pcc"]
-        for trial_id in sorted(report.time_pcc):
-            labels, curve = report.time_pcc[trial_id]
-            for seg in range(curve.shape[0]):
-                for cand in range(curve.shape[1]):
-                    tlines.append(
-                        f"{trial_id},{seg},{labels[cand]},"
-                        f"{_fmt(float(curve[seg, cand]))}"
-                    )
-        tpath.write_text("\n".join(tlines) + "\n")
-        paths.append(tpath)
+        _write_csv(tpath, ["trial_id", "segment_index", "candidate", "pcc"], (
+            [trial_id, seg, label, value]
+            for trial_id, (labels, curve) in sorted(report.time_pcc.items())
+            for seg, values in enumerate(curve.tolist())
+            for label, value in zip(labels, values)))
 
-        cpath = out_dir / "channel_stats.csv"
-        clines = ["channel,max_abs,mean_sq"]
+        stats = []
         if report.channel_max_abs is not None:
-            for i, name in enumerate(report.channel_names):
-                clines.append(
-                    f"{name},{_fmt(float(report.channel_max_abs[i]))},"
-                    f"{_fmt(float(report.channel_mean_sq[i]))}"
-                )
-        cpath.write_text("\n".join(clines) + "\n")
-        paths.append(cpath)
+            stats = zip(report.channel_names, report.channel_max_abs.tolist(),
+                        report.channel_mean_sq.tolist())
+        _write_csv(cpath, ["channel", "max_abs", "mean_sq"], stats)
 
         models_dir = out_dir / "models"
         models_dir.mkdir(exist_ok=True)

@@ -406,6 +406,25 @@ class TestRun:
         assert capsys.readouterr().err.startswith(
             "error: config: nested_loto needs >= 3 folds")
 
+    @pytest.mark.parametrize("model, protocol, folds, window, message", [
+        ("cca", "loto", "2", "0.2", "L_y: 11 lags exceed the decision "
+                                    "window, 8 samples"),
+        ("wf", "within_trial", "3", "0.4", "L: 21 lags exceed the shortest "
+                                           "trial or segment, 16 samples"),
+    ], ids=["cca-L_y-over-window", "wf-L-over-unit"])
+    def test_lags_over_limit_exit_2(self, ten_second_session, tmp_path,
+                                    capsys, model, protocol, folds, window,
+                                    message):
+        from aadkit import cli
+
+        code = cli.main(["run", "--manifest", ten_second_session(),
+                         "--model", model, "--protocol", protocol,
+                         "--folds", folds, "--window", window,
+                         "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: config: {message}")
+        assert not (tmp_path / "o").exists()
+
     def test_config_file_flag_hybrid(self, session_dir, grid_file, tmp_path):
         tmp, sess = session_dir
         conf = tmp_path / "run.json"
@@ -702,6 +721,72 @@ class TestAblate:
         assert r.returncode == 2
         assert r.stderr.startswith("error: config: layouts:")
         assert "Traceback" not in r.stderr
+
+
+@pytest.fixture(scope="module")
+def ten_second_session(tmp_path_factory):
+    """Four 10 s trials of three channels at 40 Hz; returns a factory of
+    manifests, one per subject."""
+    from aadkit import dataio
+
+    root = tmp_path_factory.mktemp("ten")
+    made = {}
+
+    def manifest(subject="synth"):
+        if subject not in made:
+            cfg = dataio.SynthConfig(n_trials=4, duration_s=10.0,
+                                     n_channels=3, seed=len(made),
+                                     subject=subject)
+            made[subject] = dataio.save_session(
+                dataio.synth_generate(cfg), root / f"s{len(made)}")
+        return str(made[subject])
+
+    return manifest
+
+
+class TestOutputNames:
+    """A name read from an input file that becomes one path component of
+    an output is refused before anything is written."""
+
+    def test_preprocess_trial_id(self, tmp_path):
+        manifest = raw_session(tmp_path / "raw", [1250])
+        spec = json.loads(manifest.read_text())
+        spec["trials"][0]["id"] = "../../escaped"
+        manifest.write_text(json.dumps(spec))
+        r = run_cli("preprocess", "--manifest", str(manifest),
+                    "--out", str(tmp_path / "p/deep/out"))
+        assert r.returncode == 4, r.stderr
+        assert r.stderr.startswith(
+            "error: data: trial id: '../../escaped' is not a file name")
+        assert not (tmp_path / "p").exists()
+
+    def test_ablate_layout_name(self, ten_second_session, tmp_path):
+        layouts = tmp_path / "layouts.json"
+        layouts.write_text(json.dumps(
+            {"../../ablate_escaped": ["ch00", "ch01"]}))
+        r = run_cli("ablate", "--manifest", ten_second_session(),
+                    "--model", "wf", "--protocol", "loto", "--window", "5",
+                    "--folds", "2", "--layouts", str(layouts),
+                    "--out", str(tmp_path / "o/deep/out"))
+        assert r.returncode == 2, r.stderr
+        assert r.stderr.startswith("error: config: layouts: "
+                                   "'../../ablate_escaped' is not a file name")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("group", [False, True],
+                             ids=["per-subject", "group-tuning"])
+    def test_run_subject(self, ten_second_session, tmp_path, capsys, group):
+        from aadkit import cli
+
+        argv = ["run", "--manifest", ten_second_session("suba"),
+                "--manifest", ten_second_session("../../run_escaped"),
+                "--model", "wf", "--protocol", "loto", "--window", "5",
+                "--folds", "2", "--out", str(tmp_path / "r/deep/out")]
+        code = cli.main(argv + ["--group-tuning"] * group)
+        assert code == 4
+        assert capsys.readouterr().err.startswith(
+            "error: data: subject: '../../run_escaped' is not a file name")
+        assert not (tmp_path / "r").exists()
 
 
 class TestTrack:

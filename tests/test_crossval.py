@@ -597,6 +597,53 @@ class TestRunPipeline:
         assert selected == [f.params for f in report.folds]
 
 
+# (model, protocol, folds, window_s, fixed params, the key over its limit,
+# its value, the limit in samples): a 0.2 s window is 8 samples at 40 Hz,
+# fewer than cca's default L_y; a within_trial unit of 0.4 s is 16 samples,
+# fewer than the largest L of wf's default grid
+_LAGS_OVER_LIMIT = [
+    pytest.param("cca", "loto", 2, 0.2,
+                 {"reg": 0.1, "L": 6, "L_y": 11, "n_components": 2},
+                 "L_y", 11, 8, id="cca-L_y-over-window"),
+    pytest.param("wf", "within_trial", 3, 0.4, {"lam": 1.0, "L": 21},
+                 "L", 21, 16, id="wf-L-over-unit"),
+]
+
+
+class TestLagLimits:
+    @pytest.mark.parametrize("entry", ["grid", "fixed", "group"])
+    @pytest.mark.parametrize(
+        "kind, protocol, folds, window_s, fixed, key, value, limit",
+        _LAGS_OVER_LIMIT)
+    def test_lags_over_limit_are_bad_config_before_any_fit(
+            self, monkeypatch, entry, kind, protocol, folds, window_s,
+            fixed, key, value, limit):
+        """A lag count longer than a decision window (L_y) or than the
+        shortest unit (L) is refused before the first fit."""
+        session = synth(n_trials=4, n_channels=3, duration_s=10.0, seed=3)
+        calls = []
+        for name in ("wf_fit", "cca_fit"):
+            fit = getattr(linear, name)
+            monkeypatch.setattr(
+                linear, name,
+                lambda *a, fit=fit, **k: calls.append(1) or fit(*a, **k))
+        grid = crossval.default_grid(kind)
+        segment_s = window_s if protocol == "within_trial" else None
+        with pytest.raises(BadConfig,
+                           match=f"^{key}: {value} lags .* {limit} samples"):
+            if entry == "group":
+                crossval.run_pipeline_group(
+                    [session, session], kind, protocol, window_s, grid,
+                    n_folds=folds, segment_s=segment_s)
+            else:
+                plan = crossval.make_folds(session.trials, protocol, folds,
+                                           segment_s=segment_s)
+                crossval.run_pipeline(
+                    session, kind, plan, grid, window_s,
+                    fixed_params=fixed if entry == "fixed" else None)
+        assert calls == []
+
+
 class TestAblation:
     def test_full_layout_equals_plain_run(self):
         session = synth(n_trials=8, n_channels=16, seed=14)
@@ -640,7 +687,11 @@ class TestAblation:
         ([["upper"]], "unknown preset names"),
         ([], "empty"),
         ({}, "empty"),
-    ], ids=["unknown", "int", "list", "empty-list", "empty-map"])
+        ({"../../escaped": ["ch00"]}, "'../../escaped' is not a file name"),
+        ({"..": ["ch00"]}, "'..' is not a file name"),
+        ({"": ["ch00"]}, "'' is not a file name"),
+    ], ids=["unknown", "int", "list", "empty-list", "empty-map",
+            "name-escapes", "name-dot-dot", "name-empty"])
     def test_bad_layouts_are_bad_config(self, monkeypatch, layouts, message):
         session = synth(n_trials=4, n_channels=4, seed=16)
         plan = crossval.make_folds(session.trials, "loto", 2, seed=0)

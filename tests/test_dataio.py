@@ -1,4 +1,6 @@
+import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -185,6 +187,28 @@ class TestSessionRoundtrip:
         path.write_text(json.dumps(manifest))
         with pytest.raises(ManifestError, match="malformed manifest"):
             dataio.load_session(path)
+
+    @pytest.mark.parametrize("trial_id", [
+        "", ".", "..", "../../escaped", "a/b", "a\\b", "a\0b",
+    ], ids=["empty", "dot", "dot-dot", "escapes", "slash", "backslash",
+            "nul"])
+    def test_trial_id_not_a_file_name(self, tmp_path, trial_id):
+        """A trial id names the trial's array files, so one that is not a
+        single path component is refused before anything is written."""
+        cfg = dataio.SynthConfig(n_trials=2, duration_s=5.0, n_channels=2)
+        session = dataio.synth_generate(cfg)
+        session.trials[1] = replace(session.trials[1], trial_id=trial_id)
+        with pytest.raises(ManifestError, match="^trial id: "):
+            dataio.save_session(session, tmp_path / "deep/out")
+        assert not (tmp_path / "deep").exists()
+
+    def test_trial_ids_that_are_file_names_roundtrip(self, tmp_path):
+        cfg = dataio.SynthConfig(n_trials=2, duration_s=5.0, n_channels=2)
+        session = dataio.synth_generate(cfg)
+        for trial, trial_id in zip(session.trials, ('a,"b', "..a")):
+            trial.trial_id = trial_id
+        back = dataio.load_session(dataio.save_session(session, tmp_path))
+        assert [t.trial_id for t in back.trials] == ['a,"b', "..a"]
 
     @pytest.mark.parametrize("array", ["eeg", "envelope"])
     def test_non_finite_samples(self, tmp_path, array):
@@ -421,7 +445,7 @@ class TestSerialization:
 
 
 class TestExport:
-    def _report(self, rng):
+    def _report(self, rng, trial_id="t000"):
         from aadkit import metrics
 
         report = metrics.MetricsReport("wf", "loto", 30.0)
@@ -429,14 +453,14 @@ class TestExport:
             rhos = tuple(rng.uniform(-1, 1, 3))
             d = metrics.decide_window(rhos, 0)
             report.windows.append(
-                metrics.WindowRecord("t000", i, d.predicted, 0, rhos,
+                metrics.WindowRecord(trial_id, i, d.predicted, 0, rhos,
                                      d.correct, d.tie)
             )
         report.folds.append(
-            metrics.FoldResult(0, ("t000",), {"lam": 1.0, "L": 8}, 0.8, 0.5,
-                               5, b"modelbytes")
+            metrics.FoldResult(0, (trial_id,), {"lam": 1.0, "L": 8}, 0.8,
+                               0.5, 5, b"modelbytes")
         )
-        report.time_pcc["t000"] = (
+        report.time_pcc[trial_id] = (
             ("spk1", "spk2"),
             rng.uniform(-1, 1, (6, 2)),
         )
@@ -460,6 +484,29 @@ class TestExport:
         assert len(lines) == 1 + 5
         tlines = (tmp_path / "time_pcc.csv").read_text().strip().splitlines()
         assert len(tlines) == 1 + 6 * 2
+
+    def test_names_with_commas_and_quotes_keep_their_columns(self, tmp_path,
+                                                             rng):
+        """Standard CSV quoting: a trial id or channel name holding a comma
+        or a quote reads back whole, in its own column."""
+        report = self._report(rng, trial_id='a,"b')
+        report.channel_names = ["c,0", "c1"]
+        report.channel_max_abs = np.array([0.5, 0.25])
+        report.channel_mean_sq = np.array([0.125, 1.0])
+        dataio.export_results(report, tmp_path)
+        rows = {}
+        for name, width in (("windows.csv", 8), ("time_pcc.csv", 4),
+                            ("channel_stats.csv", 3)):
+            with open(tmp_path / name, newline="") as fh:
+                rows[name] = list(csv.reader(fh))
+            assert {len(row) for row in rows[name]} == {width}
+        assert len(rows["windows.csv"]) == 1 + 5
+        assert len(rows["time_pcc.csv"]) == 1 + 6 * 2
+        for name in ("windows.csv", "time_pcc.csv"):
+            assert {row[0] for row in rows[name][1:]} == {'a,"b'}
+        assert rows["time_pcc.csv"][1][2] == "spk1"
+        assert rows["channel_stats.csv"][1:] == [["c,0", "0.5", "0.125"],
+                                                 ["c1", "0.25", "1.0"]]
 
 
 class TestWav:
