@@ -244,16 +244,19 @@ def cmd_synth(args):
 @_command()
 def cmd_run(args):
     """One manifest exports to --out; several export to one directory per
-    subject under it, each subject checked before anything is fitted."""
+    subject under it, each subject checked to be a file name and not
+    repeated before anything is fitted."""
     _settings(args)
     grid = _load_grid(args)
     sessions = list(_sessions(args, many=True))
     outs = [Path(args.out)]
     if len(sessions) > 1:
-        for session in sessions:
-            dataio.check_path_component("subject", session.subject,
-                                        ManifestError)
-        outs = [Path(args.out) / session.subject for session in sessions]
+        subjects = [session.subject for session in sessions]
+        for i, subject in enumerate(subjects):
+            dataio.check_path_component("subject", subject, ManifestError)
+            if subject in subjects[:i]:
+                raise ManifestError(f"subject: {subject!r} is repeated")
+        outs = [Path(args.out) / subject for subject in subjects]
     if args.group_tuning and len(sessions) > 1:
         reports, _ = crossval.run_pipeline_group(
             sessions, args.model, window_s=args.window, grid=grid,

@@ -607,7 +607,9 @@ class _ClassifierRunner(_RunnerBase):
                 if w.label is not None]
 
     def _segments(self, rows):
-        return [self.trials[tid].eeg.samples[a:b] for tid, _, a, b, _ in rows]
+        """The rows' whole windows as one (n, T, C) stack."""
+        return np.stack([self.trials[tid].eeg.samples[a:b]
+                         for tid, _, a, b, _ in rows])
 
     def _features(self, segments, front):
         features = (spatial.csp_features if self.kind == "csp"

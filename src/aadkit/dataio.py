@@ -10,7 +10,9 @@ trial at the cue, "ignore" tasks label the post-cue span as unattended).
 
 A name that becomes one path component of an output (trial id, subject,
 layout name) must pass ``check_path_component``. The CSV exports use
-standard quoting, so a field holding a comma or a quote keeps its column.
+standard quoting, so a field holding a comma or a quote keeps its column;
+a trial id or channel name may hold no control character, which would
+split or merge rows, and the trial ids of a session must differ.
 """
 
 import csv
@@ -219,7 +221,27 @@ def span_rows(span, fs, n_samples):
             min(int(round(span.end_s * fs)), n_samples))
 
 
+def _check_trial_ids(trials):
+    """ManifestError naming the first trial id that repeats."""
+    seen = set()
+    for trial in trials:
+        if trial.trial_id in seen:
+            raise ManifestError(f"trial id {trial.trial_id!r} repeats")
+        seen.add(trial.trial_id)
+
+
+def _check_names(trial):
+    """ManifestError unless the trial id and channel names are free of
+    control characters, which would split or merge rows of the CSV
+    exports."""
+    for label, name in [("trial id", trial.trial_id)] + [
+            ("channel name", str(c)) for c in trial.eeg.channel_names]:
+        if any(ord(c) < 0x20 or c == "\x7f" for c in name):
+            raise ManifestError(f"{label} {name!r}: control character")
+
+
 def _validate_trial(trial):
+    _check_names(trial)
     ids = trial.speaker_ids()
     if not 2 <= len(ids) <= 3:
         raise ManifestError(
@@ -331,6 +353,7 @@ def _parse_manifest(spec, base):
         )
         _validate_trial(trial)
         trials.append(trial)
+    _check_trial_ids(trials)
     return Session(
         subject=str(spec["subject"]),
         fs=fs,
@@ -346,7 +369,8 @@ def read_npz_trial(path, trial_id):
     or unreadable key is a ManifestError, and the trial passes the checks
     that :func:`load_session` makes of every trial."""
     try:
-        with np.load(path, allow_pickle=False) as data:
+        # np.load leaves a file it opened itself open when the zip is bad
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
             fs = float(data["fs_eeg"])
             names = data["channels"] if "channels" in data else []
             eeg = MultichannelSignal(data["eeg"], fs, [str(c) for c in names])
@@ -370,10 +394,13 @@ def read_npz_trial(path, trial_id):
 
 def save_session(session, out_dir):
     """Write a session as manifest.json plus .aad arrays; returns the
-    manifest path. Every trial id must name a file (ManifestError), checked
-    before anything is written."""
+    manifest path. Every trial id must name a file and appear once, and
+    no name may hold a control character (ManifestError), checked before
+    anything is written."""
     for trial in session.trials:
         check_path_component("trial id", trial.trial_id, ManifestError)
+        _check_names(trial)
+    _check_trial_ids(session.trials)
     out_dir = Path(out_dir)
     arrays = out_dir / "arrays"
     arrays.mkdir(parents=True, exist_ok=True)

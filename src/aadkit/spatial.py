@@ -1,24 +1,33 @@
 """Direction classifiers: multiclass filterbank CSP with log-energy
 features, Riemannian tangent-space features, and a shared shrinkage LDA.
 
-CSP filters windows as stacks: the ``n`` windows of one length sit side
-by side as the column blocks of one ``(T, n*C)`` array, so each band costs
-one ``kernels.sosfilt`` call per fit or evaluation instead of one per
-window. The filter runs every column on its own, and window ``i`` comes
-back as the column slice ``[:, i*C:(i+1)*C]`` of its F-ordered output,
-exactly as a window filtered alone would. That slice must not be copied
-to C order: ``mean(axis=0)`` sums a contiguous column pairwise and a
-strided one sequentially, so a copy would move the features and the
-fitted filters by an ulp. The reductions are batched only in layouts that
-keep each member's summation order: one ``mean`` per class over every
-band's covariances, and one over every filter's projections of a stack.
+Windows come in one array form, the way ``numerics`` takes (..., n, n)
+matrix stacks: one float array whose last two axes are (T, C), either a
+single (T, C) window or an (n, T, C) stack. So the windows of one call
+share one length. A nested list is taken only when its windows share a
+shape; ragged windows are a ``DimensionMismatch``. Fits take a stack;
+feature calls give a vector for a window and one row per window of a
+stack.
+
+CSP filters a stack at once: its ``n`` windows sit side by side as the
+column blocks of one ``(T, n*C)`` array, so each band costs one
+``kernels.sosfilt`` call per fit or evaluation instead of one per window.
+The filter runs every column on its own, and window ``i`` comes back as
+the column slice ``[:, i*C:(i+1)*C]`` of its F-ordered output, exactly
+as a window filtered alone would. That slice must not be copied to C
+order: ``mean(axis=0)`` sums a contiguous column pairwise and a strided
+one sequentially, so a copy would move the features and the fitted
+filters by an ulp. The reductions are batched only in layouts that keep
+each member's summation order: one ``mean`` per class over every band's
+covariances, and one over every filter's projections of a stack.
 
 The SPD steps run on stacks of covariances too: ``segment_covariance``
-takes a window or a stack, ``riemannian_mean`` takes one stacked log and
-one exp, ``tangent_features`` projects a stack with one ``spd_function``
-call, and ``csp_fit`` solves every (band, class) eigenproblem in one
-``gen_sym_eig`` call that whitens with each band's all-class covariance
-once. Each member comes out bit-identical to the matrix computed alone.
+gives one covariance per window of a stack, ``riemannian_mean`` takes
+one stacked log and one exp, ``tangent_features`` projects a stack with
+one ``spd_function`` call, and ``csp_fit`` solves every (band, class)
+eigenproblem in one ``gen_sym_eig`` call that whitens with each band's
+all-class covariance once. Each member comes out bit-identical to the
+matrix computed alone.
 """
 
 from dataclasses import dataclass, field
@@ -28,13 +37,7 @@ import numpy as np
 
 from . import kernels, preprocess
 from .errors import DegenerateClass, DimensionMismatch, NotSpd, SingularScatter
-from .numerics import (
-    _as_matrix,
-    gen_sym_eig,
-    spd_function,
-    sym_eig,
-    symmetrize,
-)
+from .numerics import gen_sym_eig, spd_function, sym_eig, symmetrize
 
 # Filter bank at the 40 Hz processing rate. The top band stops just under
 # the 20 Hz Nyquist so the band-pass design stays valid.
@@ -44,18 +47,29 @@ DEFAULT_RGC_SHRINKAGE = 0.1
 DEFAULT_LDA_GAMMA = 1e-3
 
 
-def _windows(segments, n_ch=None):
-    """(T, C) float windows of one channel count from a sequence or an
-    (n, T, C) stack."""
-    windows = [_as_matrix(s, "window") for s in segments]
-    for w in windows:
-        if n_ch is None:
-            n_ch = w.shape[1]
-        if w.shape[1] != n_ch:
-            raise DimensionMismatch(
-                f"window has {w.shape[1]} channels, expected {n_ch}"
-            )
-    return windows
+def _float_array(a, what):
+    """``a`` as a float64 array; members of different shapes are a
+    DimensionMismatch rather than numpy's ValueError."""
+    try:
+        return np.asarray(a, dtype=np.float64)
+    except ValueError as exc:
+        raise DimensionMismatch(f"{what} differ in shape: {exc}") from exc
+
+
+def _windows(segments, n_ch=None, stack=False):
+    """``segments`` as a (T, C) window or an (n, T, C) stack, only a stack
+    when ``stack``; ``n_ch`` is the required channel count."""
+    x = _float_array(segments, "windows")
+    if x.ndim != 3 and (stack or x.ndim != 2):
+        form = "an" if stack else "a (T, C) window or an"
+        raise DimensionMismatch(
+            f"need {form} (n, T, C) window stack, got shape {x.shape}"
+        )
+    if n_ch is not None and x.shape[-1] != n_ch:
+        raise DimensionMismatch(
+            f"window has {x.shape[-1]} channels, expected {n_ch}"
+        )
+    return x
 
 
 def _class_count(labels, n_classes):
@@ -82,37 +96,23 @@ def _covariances(x):
     return 0.5 * (cov + np.swapaxes(cov, -1, -2))
 
 
-def _shrunk_covariances(x, shrinkage):
-    """Covariances of the windows ``x`` (..., T, C) after centering, shrunk
-    toward (trace/C) * I."""
-    t_len, n_ch = x.shape[-2:]
-    if t_len < 2:
+def _check_length(x):
+    if x.shape[-2] < 2:
         raise DimensionMismatch("window too short for covariance")
-    cov = _covariances(_center(x))
-    if shrinkage > 0.0:
-        load = shrinkage * (np.trace(cov, axis1=-2, axis2=-1) / n_ch)
-        cov = (1.0 - shrinkage) * cov + load[..., None, None] * np.eye(n_ch)
-    return cov
 
 
 def segment_covariance(segments, shrinkage=0.0):
-    """Channel covariance X^T X / (T-1) of a centered window, optionally
-    shrunk toward (trace/C) * I.
-
-    ``segments`` is one (T, C) window array, giving a (C, C) matrix, or a
-    sequence or (n, T, C) stack of windows of one channel count, giving an
-    (n, C, C) stack; the windows of one length are computed as one stack.
-    """
-    if isinstance(segments, np.ndarray) and segments.ndim != 3:
-        return _shrunk_covariances(_as_matrix(segments, "window"), shrinkage)
-    windows = _windows(segments)
-    if not windows:
-        raise DimensionMismatch("need at least one window")
-    n_ch = windows[0].shape[1]
-    covs = np.empty((len(windows), n_ch, n_ch))
-    for idx, group in _length_groups(windows):
-        covs[idx] = _shrunk_covariances(np.stack(group), shrinkage)
-    return covs
+    """Channel covariance X^T X / (T-1) of each centered window, optionally
+    shrunk toward (trace/C) * I: (C, C) for a (T, C) window, (n, C, C) for
+    an (n, T, C) stack."""
+    x = _windows(segments)
+    _check_length(x)
+    cov = _covariances(_center(x))
+    if shrinkage > 0.0:
+        n_ch = x.shape[-1]
+        load = shrinkage * (np.trace(cov, axis1=-2, axis2=-1) / n_ch)
+        cov = (1.0 - shrinkage) * cov + load[..., None, None] * np.eye(n_ch)
+    return cov
 
 
 # ---------------------------------------------------------------------------
@@ -140,48 +140,47 @@ def _band_cascades(bands, fs):
     return [preprocess.design_bandpass(lo, hi, 4, fs) for lo, hi in bands]
 
 
-def _length_groups(windows):
-    """(indices, windows) of each window length, in first-seen order."""
-    groups = {}
-    for i, w in enumerate(windows):
-        groups.setdefault(w.shape[0], []).append(i)
-    return [
-        (np.array(idx), [windows[i] for i in idx]) for idx in groups.values()
-    ]
+def _filter_bands(x, bands, fs):
+    """Band-pass and center the windows of the stack ``x`` (n, T, C) in one
+    ``sosfilt`` call per band. Each band gives an (n, T, C) view whose
+    window ``i`` is the F-ordered column slice ``y[:, i*C:(i+1)*C]`` of the
+    filtered ``(T, n*C)`` stack ``y`` (see the module docstring)."""
+    n, t_len, n_ch = x.shape
+    columns = x.transpose(1, 0, 2).reshape(t_len, n * n_ch)
+    out = []
+    for cascade in _band_cascades(bands, fs):
+        y = _center(kernels.sosfilt(cascade.sections, columns))
+        out.append(y.T.reshape(n, n_ch, t_len).transpose(0, 2, 1))
+    return out
 
 
-def _filter_stack(windows, sections):
-    """Band-pass and center ``n`` equal-length (T, C) windows in one
-    ``sosfilt`` call; returns them as an (n, T, C) view whose window ``i``
-    is the F-ordered column slice ``y[:, i*C:(i+1)*C]`` of the filtered
-    ``(T, n*C)`` stack ``y`` (see the module docstring)."""
-    t_len, n_ch = windows[0].shape
-    y = kernels.sosfilt(sections, np.concatenate(windows, axis=1))
-    y = _center(y)
-    return y.T.reshape(len(windows), n_ch, t_len).transpose(0, 2, 1)
-
-
-def _log_energies(x, filters):
-    """Log variance of the projections of centered windows ``x`` (n, T, C)
-    on each (C, F) filter; (n, len(filters) * F)."""
-    # one product per filter, because the rounding of ``x @ w`` with F = 1
-    # depends on the strides of ``w``; then one reduction for all of them,
-    # which sums each (window, filter) block in the same order as alone
-    p = np.stack([x @ w for w in filters], axis=1)
-    var = np.mean(p ** 2, axis=2)
-    return np.log(np.maximum(var, 1e-300)).reshape(x.shape[0], -1)
+def _log_energies(filtered, filters, n_classes):
+    """Log variance of the projections of each band's centered windows
+    (n, T, C) on that band's (C, F) filters; (n, bands * classes * F)."""
+    feats = []
+    for j, x in enumerate(filtered):
+        # one product per filter, because the rounding of ``x @ w`` with
+        # F = 1 depends on the strides of ``w``; then one reduction for
+        # all of them, which sums each (window, filter) block in the same
+        # order as alone
+        p = np.stack([x @ filters[(j, k)] for k in range(n_classes)], axis=1)
+        var = np.mean(p ** 2, axis=2)
+        n, k, f = var.shape
+        feats.append(np.log(np.maximum(var, 1e-300)).reshape(n, k * f))
+    return np.concatenate(feats, axis=1)
 
 
 def csp_fit(segments, labels, fs, bands=DEFAULT_BANDS, f_per=DEFAULT_CSP_FILTERS,
             n_classes=None):
-    """Fit one-vs-rest spatial filters per frequency band.
+    """Fit one-vs-rest spatial filters per frequency band on an (n, T, C)
+    stack of windows.
 
     For each (band, class), the filters are the top generalized
     eigenvectors of the class ensemble covariance against the all-class
     ensemble covariance. The model also carries the training windows'
     features, computed from the same filtered windows.
     """
-    windows = _windows(segments)
+    windows = _windows(segments, stack=True)
     labels = np.asarray(labels, dtype=int)
     if len(windows) != labels.shape[0]:
         raise DimensionMismatch("one label per segment required")
@@ -189,28 +188,17 @@ def csp_fit(segments, labels, fs, bands=DEFAULT_BANDS, f_per=DEFAULT_CSP_FILTERS
     present = np.unique(labels)
     if present.size < 2:
         raise DegenerateClass("need at least 2 classes with segments")
-    n_ch = windows[0].shape[1]
+    n_ch = windows.shape[2]
     if not 1 <= f_per <= n_ch:
         raise DimensionMismatch(f"f_per={f_per} outside [1, C={n_ch}]")
+    _check_length(windows)
     members = [np.flatnonzero(labels == k) for k in range(n_classes)]
     for k, idx in enumerate(members):
         if idx.size == 0:
             raise DegenerateClass(f"class {k} has no training segments")
     bands = tuple(tuple(b) for b in bands)
-    cascades = _band_cascades(bands, fs)
-    groups = _length_groups(windows)
-    n_bands = len(cascades)
-    covs = np.empty((n_bands, len(windows), n_ch, n_ch))
-    stacks = []  # per band, (indices, filtered windows) of each length
-    for j, cascade in enumerate(cascades):
-        band = []
-        for idx, group in groups:
-            x = _filter_stack(group, cascade.sections)
-            if x.shape[1] < 2:
-                raise DimensionMismatch("window too short for covariance")
-            covs[j, idx] = _covariances(x)
-            band.append((idx, x))
-        stacks.append(band)
+    filtered = _filter_bands(windows, bands, fs)
+    covs = np.stack([_covariances(x) for x in filtered])
     # one reduction per class for all bands. Each band's sum runs in the
     # order of a reduction over that band alone as long as the stack is
     # C-ordered, which ``take`` gives and ``covs[:, idx]`` does not.
@@ -223,32 +211,19 @@ def csp_fit(segments, labels, fs, bands=DEFAULT_BANDS, f_per=DEFAULT_CSP_FILTERS
         raise DegenerateClass(f"class {rank0[0, 1]} covariance is rank-0")
     # every (band, class) pair at once, each band whitened once
     pairs = gen_sym_eig(r_class, r_all[:, None])
-    width = n_classes * f_per
-    feats = np.empty((len(windows), n_bands * width))
-    filters = {}
-    class_cov = {}
-    eigenvalues = {}
-    for j, band in enumerate(stacks):
-        for k in range(n_classes):
-            filters[(j, k)] = pairs.vectors[j, k, :, :f_per]
-            class_cov[(j, k)] = r_class[j, k]
-            eigenvalues[(j, k)] = pairs.values[j, k, :f_per]
-        band_filters = [filters[(j, k)] for k in range(n_classes)]
-        for idx, x in band:
-            feats[idx, j * width:(j + 1) * width] = _log_energies(
-                x, band_filters
-            )
+    keys = [(j, k) for j in range(len(bands)) for k in range(n_classes)]
+    filters = {key: pairs.vectors[key][:, :f_per] for key in keys}
     return CspModel(
         filters=filters,
-        bands=tuple(bands),
+        bands=bands,
         n_classes=n_classes,
         f_per=f_per,
         fs=fs,
         channels=n_ch,
-        class_cov=class_cov,
+        class_cov={key: r_class[key] for key in keys},
         total_cov=dict(enumerate(r_all)),
-        eigenvalues=eigenvalues,
-        train_features=feats,
+        eigenvalues={key: pairs.values[key][:f_per] for key in keys},
+        train_features=_log_energies(filtered, filters, n_classes),
     )
 
 
@@ -256,23 +231,14 @@ def csp_features(segments, model):
     """Log variance of each filtered projection, concatenated over bands
     then classes; length N_band * N_class * F.
 
-    ``segments`` is one (T, C) window array, giving a vector, or a
-    sequence or (n, T, C) stack of windows, giving one row per window.
+    ``segments`` is a (T, C) window, giving a vector, or an (n, T, C)
+    stack, giving one row per window.
     """
-    if isinstance(segments, np.ndarray) and segments.ndim != 3:
-        return csp_features([segments], model)[0]
     windows = _windows(segments, model.channels)
-    cascades = _band_cascades(model.bands, model.fs)
-    width = model.n_classes * model.f_per
-    feats = np.empty((len(windows), len(cascades) * width))
-    groups = _length_groups(windows)
-    for j, cascade in enumerate(cascades):
-        band_filters = [model.filters[(j, k)] for k in range(model.n_classes)]
-        for idx, group in groups:
-            feats[idx, j * width:(j + 1) * width] = _log_energies(
-                _filter_stack(group, cascade.sections), band_filters
-            )
-    return feats
+    stack = windows if windows.ndim == 3 else windows[None]
+    feats = _log_energies(_filter_bands(stack, model.bands, model.fs),
+                          model.filters, model.n_classes)
+    return feats if windows.ndim == 3 else feats[0]
 
 
 # ---------------------------------------------------------------------------
@@ -290,25 +256,22 @@ class RgcModel:
 
 
 def riemannian_mean(covs):
-    """Log-Euclidean mean: exp of the average matrix logarithm, with one
-    stacked log and one exp."""
-    covs = [np.asarray(c, dtype=np.float64) for c in covs]
-    if not covs:
-        raise DimensionMismatch("need at least one covariance")
-    shapes = {c.shape for c in covs}
-    if len(shapes) > 1:
+    """Log-Euclidean mean of an (n, C, C) stack of covariances: exp of the
+    average matrix logarithm, with one stacked log and one exp."""
+    covs = _float_array(covs, "covariances")
+    if covs.ndim != 3 or len(covs) == 0:
         raise DimensionMismatch(
-            f"covariances differ in shape: {sorted(shapes)}"
+            f"need an (n, C, C) stack of covariances, got shape {covs.shape}"
         )
-    logs = spd_function(np.stack(covs), "log")
+    logs = spd_function(covs, "log")
     return spd_function(symmetrize(np.mean(logs, axis=0)), "exp_of_sym")
 
 
 def rgc_fit(segments, shrinkage=DEFAULT_RGC_SHRINKAGE):
-    """Reference point for tangent projection from training windows; the
-    model also carries the windows' tangent features."""
-    # a list, so that one (T, C) array is not taken for a single window
-    covs = segment_covariance(list(segments), shrinkage)
+    """Reference point for tangent projection from an (n, T, C) stack of
+    training windows; the model also carries the windows' tangent
+    features."""
+    covs = segment_covariance(_windows(segments, stack=True), shrinkage)
     mean = riemannian_mean(covs)
     model = RgcModel(
         mean=mean,
@@ -349,8 +312,8 @@ def _tangent(cov, model):
 def tangent_features(segments, model):
     """Tangent-space features; length C(C+1)/2.
 
-    ``segments`` is one (T, C) window array, giving a vector, or a
-    sequence or (n, T, C) stack of windows, giving one row per window.
+    ``segments`` is a (T, C) window, giving a vector, or an (n, T, C)
+    stack, giving one row per window.
     """
     return _tangent(segment_covariance(segments, model.shrinkage), model)
 

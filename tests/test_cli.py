@@ -165,6 +165,17 @@ def _run_nan_envelope(tmp, session_dir):
             "loto", "--window", "30", "--out", tmp / "o"]
 
 
+def _run_duplicate_trial_id(tmp, session_dir):
+    # every fold plan would put t000 in two folds
+    manifest = _copied_session(
+        session_dir, tmp,
+        lambda root, spec: spec["trials"][1].update(
+            id=spec["trials"][0]["id"]),
+    )
+    return ["run", "--manifest", manifest, "--model", "wf", "--protocol",
+            "loto", "--window", "30", "--out", tmp / "o"]
+
+
 def _preprocess_nan_envelope(tmp, session_dir):
     manifest = raw_session(tmp / "raw", [1250, 1250])
     _nan_envelope(manifest.parent, json.loads(manifest.read_text()))
@@ -193,6 +204,8 @@ def _preprocess_band_triple(tmp, session_dir):
     pytest.param(_run_speaker_without_id, 4, "data",
                  id="run-speaker-without-id"),
     pytest.param(_run_nan_envelope, 4, "data", id="run-nan-envelope"),
+    pytest.param(_run_duplicate_trial_id, 4, "data",
+                 id="run-duplicate-trial-id"),
     pytest.param(_preprocess_nan_envelope, 4, "data",
                  id="preprocess-nan-envelope"),
     pytest.param(_envelope_4khz, 3, "io", id="envelope-4khz-wav"),
@@ -439,7 +452,7 @@ class TestRun:
 
     def test_config_group_tuning_and_jobs_applied(self, session_dir,
                                                   tmp_path, monkeypatch):
-        from aadkit import cli, crossval
+        from aadkit import cli, crossval, dataio
 
         calls = []
 
@@ -459,8 +472,12 @@ class TestRun:
             "protocol": "loto", "window": 30,
         }))
         manifest = str(sess / "manifest.json")
+        # a second subject, since two manifests may not share one
+        other = dataio.load_session(manifest)
+        other.subject = "other"
+        other = dataio.save_session(other, tmp_path / "other")
         code = cli.main(["run", "--manifest", manifest, "--manifest",
-                         manifest, "--config", str(conf),
+                         str(other), "--config", str(conf),
                          "--out", str(tmp_path / "o")])
         assert code == 0
         assert len(calls) == 1 and calls[0]["jobs"] == 2
@@ -786,6 +803,28 @@ class TestOutputNames:
         assert code == 4
         assert capsys.readouterr().err.startswith(
             "error: data: subject: '../../run_escaped' is not a file name")
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("group", [False, True],
+                             ids=["per-subject", "group-tuning"])
+    def test_run_duplicate_subject(self, ten_second_session, tmp_path,
+                                   capsys, monkeypatch, group):
+        # both sessions would export to --out/synth
+        from aadkit import cli, dataio, linear
+
+        copy = dataio.save_session(
+            dataio.load_session(ten_second_session()), tmp_path / "copy")
+        fits = []
+        monkeypatch.setattr(linear, "wf_fit", lambda *a: fits.append(a))
+        argv = ["run", "--manifest", ten_second_session(),
+                "--manifest", str(copy), "--model", "wf",
+                "--protocol", "loto", "--window", "5", "--folds", "2",
+                "--out", str(tmp_path / "r/out")]
+        code = cli.main(argv + ["--group-tuning"] * group)
+        assert code == 4
+        assert capsys.readouterr().err.startswith(
+            "error: data: subject: 'synth' is repeated")
+        assert not fits
         assert not (tmp_path / "r").exists()
 
 

@@ -493,6 +493,41 @@ class TestRunPipeline:
         assert calls["fit"] == calls["features"] == fits
         assert calls["sosfilt"] == len(spatial.DEFAULT_BANDS) * 2 * fits
 
+    @pytest.mark.parametrize("kind, names, grid", [
+        ("csp", ("csp_fit", "csp_features"),
+         {"csp_f": [2], "lda_gamma": [1e-3]}),
+        ("rgc", ("rgc_fit", "tangent_features"),
+         {"rgc_shrinkage": [0.1], "lda_gamma": [1e-3]}),
+    ], ids=["csp", "rgc"])
+    def test_classifier_passes_one_window_stack(self, monkeypatch, kind,
+                                                names, grid):
+        # every fit and every evaluation gets its windows as one float
+        # (n, T, C) array of whole 5 s windows
+        session = synth(n_trials=6, duration_s=10.0, n_channels=4, seed=3,
+                        direction_gain=1.0)
+        plan = crossval.make_folds(session.trials, "loto", 3, seed=3)
+        seen = {name: [] for name in names}
+
+        def recorded(name, fn):
+            def wrapper(segments, *args, **kwargs):
+                seen[name].append(segments)
+                return fn(segments, *args, **kwargs)
+            return wrapper
+
+        for name in names:
+            monkeypatch.setattr(spatial, name,
+                                recorded(name, getattr(spatial, name)))
+        crossval.run_pipeline(session, kind, plan, crossval.HyperGrid(grid),
+                              5.0)
+        win = int(round(5.0 * session.fs))
+        for name in names:
+            assert seen[name]
+            for segments in seen[name]:
+                assert type(segments) is np.ndarray
+                assert segments.dtype == np.float64
+                assert segments.ndim == 3
+                assert segments.shape[1:] == (win, 4)
+
     def test_rgc_pipeline_above_chance(self):
         session = synth(n_trials=18, n_channels=6, snr=1.0, seed=10,
                         direction_gain=2.0)

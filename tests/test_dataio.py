@@ -210,6 +210,63 @@ class TestSessionRoundtrip:
         back = dataio.load_session(dataio.save_session(session, tmp_path))
         assert [t.trial_id for t in back.trials] == ['a,"b', "..a"]
 
+    def test_duplicate_trial_id_not_saved(self, tmp_path):
+        cfg = dataio.SynthConfig(n_trials=3, duration_s=5.0, n_channels=2)
+        session = dataio.synth_generate(cfg)
+        session.trials[2].trial_id = session.trials[0].trial_id
+        with pytest.raises(ManifestError, match="trial id 't000' repeats"):
+            dataio.save_session(session, tmp_path / "deep/out")
+        assert not (tmp_path / "deep").exists()
+
+    def test_duplicate_trial_id_not_loaded(self, tmp_path):
+        path = self._small_session(tmp_path)
+        manifest = json.loads(path.read_text())
+        manifest["trials"][1]["id"] = manifest["trials"][0]["id"]
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ManifestError, match="trial id 't000' repeats"):
+            dataio.load_session(path)
+
+    @pytest.mark.parametrize("char", ["\0", "\t", "\n", "\r", "\x1f", "\x7f"],
+                             ids=["nul", "tab", "lf", "cr", "us", "del"])
+    @pytest.mark.parametrize("field", ["id", "channels"])
+    def test_control_character_in_name(self, tmp_path, field, char):
+        """A control character in a name that the CSV exports write would
+        split or merge their rows."""
+        path = self._small_session(tmp_path)
+        manifest = json.loads(path.read_text())
+        entry = manifest["trials"][1]
+        if field == "id":
+            entry["id"] = f"a{char}b"
+        else:
+            entry["channels"][2] = f"a{char}b"
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ManifestError, match="control character"):
+            dataio.load_session(path)
+
+    @pytest.mark.parametrize("field", ["id", "channel"])
+    def test_control_character_not_saved(self, tmp_path, field):
+        cfg = dataio.SynthConfig(n_trials=2, duration_s=5.0, n_channels=2)
+        session = dataio.synth_generate(cfg)
+        trial = session.trials[1]
+        if field == "id":
+            trial.trial_id = "a\rb"
+        else:
+            trial.eeg.channel_names[0] = "a\rb"
+        with pytest.raises(ManifestError, match="control character"):
+            dataio.save_session(session, tmp_path / "deep/out")
+        assert not (tmp_path / "deep").exists()
+
+    def test_printable_names_load(self, tmp_path):
+        # the rule covers U+0000-U+001F and U+007F only
+        path = self._small_session(tmp_path)
+        manifest = json.loads(path.read_text())
+        manifest["trials"][1]["id"] = "a b\u00e9\u0085"
+        manifest["trials"][1]["channels"][0] = 'T7 "left", ~'
+        path.write_text(json.dumps(manifest))
+        back = dataio.load_session(path)
+        assert back.trials[1].trial_id == "a b\u00e9\u0085"
+        assert back.trials[1].eeg.channel_names[0] == 'T7 "left", ~'
+
     @pytest.mark.parametrize("array", ["eeg", "envelope"])
     def test_non_finite_samples(self, tmp_path, array):
         path = self._small_session(tmp_path)
@@ -260,6 +317,12 @@ class TestReadNpzTrial:
     def test_unreadable_file(self, tmp_path, raw):
         (tmp_path / "t.npz").write_bytes(raw)
         with pytest.raises(ManifestError):
+            dataio.read_npz_trial(tmp_path / "t.npz", "t000")
+
+    def test_control_character_in_channel_name(self, tmp_path):
+        np.savez(tmp_path / "t.npz",
+                 **{**self.KEYS, "channels": np.array(["c\r1", "c2"])})
+        with pytest.raises(ManifestError, match="control character"):
             dataio.read_npz_trial(tmp_path / "t.npz", "t000")
 
     def test_duplicate_speaker_ids_rejected(self, tmp_path):

@@ -209,12 +209,6 @@ class TestWindowStacks:
         assert np.array_equal(spatial.csp_features(windows[0], model),
                               want[0])
 
-    def test_mixed_lengths_keep_their_order(self, rng):
-        model = self.fit(rng, 200, 4)
-        windows = [rng.standard_normal((t, 4)) for t in (200, 80, 200, 3, 80)]
-        want = np.stack([per_window_features(w, model) for w in windows])
-        assert np.array_equal(spatial.csp_features(windows, model), want)
-
     def test_strided_windows(self, rng):
         # row slices of one recording, as the pipeline passes them
         model = self.fit(rng, 200, 4)
@@ -225,7 +219,8 @@ class TestWindowStacks:
 
     def test_empty_stack(self, rng):
         model = self.fit(rng, 200, 4)
-        assert spatial.csp_features([], model).shape == (0, 4 * 3 * 2)
+        empty = np.empty((0, 200, 4))
+        assert spatial.csp_features(empty, model).shape == (0, 4 * 3 * 2)
 
     # the all-class covariance is singular unless n * (T - 1) >= C
     @pytest.mark.parametrize("n, t_len, n_ch", [
@@ -244,23 +239,12 @@ class TestWindowStacks:
             assert np.array_equal(model.filters[key], filters[key])
             assert np.array_equal(model.eigenvalues[key], eigenvalues[key])
 
-    def test_fit_with_mixed_lengths(self, rng):
-        windows = [rng.standard_normal((t, 4))
-                   for t in (120, 40, 120, 120, 40, 7)]
-        labels = [0, 1, 2, 1, 0, 2]
-        model = spatial.csp_fit(windows, labels, 40.0, f_per=2)
-        filters, eigenvalues = per_window_fit(windows, labels, 40.0, 2, 3)
-        for key in filters:
-            assert np.array_equal(model.filters[key], filters[key])
-            assert np.array_equal(model.eigenvalues[key], eigenvalues[key])
-
     # classes of 15 windows, past numpy's 8-wide pairwise blocks; one
     # channel, whose class means sum pairwise rather than in order; and
     # f_per = 1, whose products depend on the filter's strides
     @pytest.mark.parametrize("n_ch, f_per", [(1, 1), (3, 1), (4, 4), (8, 2)])
     def test_reductions_over_bands_and_classes(self, rng, n_ch, f_per):
-        windows = [rng.standard_normal((t, n_ch))
-                   for t in [80] * 40 + [33] * 5]
+        windows = [rng.standard_normal((80, n_ch)) for _ in range(45)]
         labels = [i % 3 for i in range(45)]
         model = spatial.csp_fit(windows, labels, 40.0, f_per=f_per,
                                 n_classes=3)
@@ -272,14 +256,13 @@ class TestWindowStacks:
         assert np.array_equal(model.train_features, want)
 
     def test_training_features_are_the_features(self, rng):
-        windows = [rng.standard_normal((t, 4))
-                   for t in (120, 40, 120, 120, 40, 7)]
+        windows = rng.standard_normal((6, 120, 4))
         model = spatial.csp_fit(windows, [0, 1, 2, 1, 0, 2], 40.0, f_per=2)
         assert np.array_equal(model.train_features,
                               spatial.csp_features(windows, model))
 
     def test_rgc_training_features_are_the_features(self, rng):
-        windows = [rng.standard_normal((t, 4)) for t in (120, 40, 120, 9)]
+        windows = rng.standard_normal((4, 120, 4))
         model = spatial.rgc_fit(windows, shrinkage=0.1)
         want = np.stack([spatial.tangent_features(w, model) for w in windows])
         assert np.array_equal(model.train_features, want)
@@ -292,18 +275,17 @@ class TestCovarianceStacks:
     @pytest.mark.parametrize("shrinkage", [0.0, 0.1])
     @pytest.mark.parametrize("n_ch", [1, 4, 8, 16])
     def test_segment_covariance(self, rng, shrinkage, n_ch):
-        windows = [rng.standard_normal((t, n_ch))
-                   for t in (200, 80, 200, 2, 80, 200)]
-        want = np.stack([spatial.segment_covariance(w, shrinkage)
-                         for w in windows])
-        assert np.array_equal(spatial.segment_covariance(windows, shrinkage),
-                              want)
-        # an (n, T, C) array is a stack of equal-length windows
-        assert np.array_equal(
-            spatial.segment_covariance(np.stack([windows[0], windows[2]]),
-                                       shrinkage),
-            want[[0, 2]],
-        )
+        for t_len in (2, 80, 200):
+            windows = [rng.standard_normal((t_len, n_ch)) for _ in range(6)]
+            want = np.stack([spatial.segment_covariance(w, shrinkage)
+                             for w in windows])
+            assert np.array_equal(
+                spatial.segment_covariance(windows, shrinkage), want
+            )
+            assert np.array_equal(
+                spatial.segment_covariance(np.stack(windows[::2]), shrinkage),
+                want[::2],
+            )
 
     def test_strided_windows(self, rng):
         eeg = rng.standard_normal((1000, 8))
@@ -315,16 +297,14 @@ class TestCovarianceStacks:
     def test_tangent_features(self, rng, n_ch):
         train = [rng.standard_normal((120, n_ch)) for _ in range(6)]
         model = spatial.rgc_fit(train, shrinkage=0.1)
-        windows = [rng.standard_normal((t, n_ch))
-                   for t in (120, 40, 120, 300, 40)]
+        windows = [rng.standard_normal((120, n_ch)) for _ in range(5)]
         want = np.stack([spatial.tangent_features(w, model)
                          for w in windows])
         assert want.shape == (5, n_ch * (n_ch + 1) // 2)
         assert np.array_equal(spatial.tangent_features(windows, model), want)
         assert np.array_equal(
-            spatial.tangent_features(np.stack([windows[0], windows[2]]),
-                                     model),
-            want[[0, 2]],
+            spatial.tangent_features(np.stack(windows[::2]), model),
+            want[::2],
         )
         covs = spatial.segment_covariance(windows, 0.1)
         assert np.array_equal(spatial.tangent_from_cov(covs, model), want)
@@ -356,8 +336,7 @@ def test_eigensolver_calls_do_not_grow_with_windows(rng, monkeypatch, kind):
                         lambda a, v: calls.append(1) or sweep(a, v))
 
     def count(n):
-        windows = [rng.standard_normal((t, 4))
-                   for t in (200, 120) * (n // 2)]
+        windows = rng.standard_normal((n, 200, 4))
         calls.clear()
         if kind == "rgc":
             model = spatial.rgc_fit(windows, shrinkage=0.1)
@@ -369,6 +348,52 @@ def test_eigensolver_calls_do_not_grow_with_windows(rng, monkeypatch, kind):
         return len(calls)
 
     assert count(6) == count(60) > 0
+
+
+class TestWindowArrays:
+    """A window input is one (T, C) window or one (n, T, C) stack; a list
+    of windows of different shapes is a DimensionMismatch, not numpy's
+    ValueError."""
+
+    @staticmethod
+    def entry_points(rng):
+        train = rng.standard_normal((6, 100, 4))
+        csp = spatial.csp_fit(train, [0, 1, 2] * 2, 40.0, f_per=2)
+        rgc = spatial.rgc_fit(train)
+        return {
+            "csp_fit": lambda w: spatial.csp_fit(w, [0, 1], 40.0, f_per=2),
+            "csp_features": lambda w: spatial.csp_features(w, csp),
+            "rgc_fit": spatial.rgc_fit,
+            "tangent_features": lambda w: spatial.tangent_features(w, rgc),
+            "segment_covariance": spatial.segment_covariance,
+        }
+
+    @pytest.mark.parametrize("entry", [
+        "csp_fit", "csp_features", "rgc_fit", "tangent_features",
+        "segment_covariance",
+    ])
+    @pytest.mark.parametrize("second", [(80, 4), (100, 3)],
+                             ids=["lengths", "channels"])
+    def test_ragged_windows(self, rng, entry, second):
+        windows = [rng.standard_normal((100, 4)), rng.standard_normal(second)]
+        with pytest.raises(DimensionMismatch, match="differ in shape"):
+            self.entry_points(rng)[entry](windows)
+
+    @pytest.mark.parametrize("entry", ["csp_fit", "rgc_fit"])
+    def test_fits_take_a_stack(self, rng, entry):
+        with pytest.raises(DimensionMismatch, match=r"\(n, T, C\)"):
+            self.entry_points(rng)[entry](rng.standard_normal((100, 4)))
+
+    def test_non_contiguous_stack(self, rng):
+        # channel slices of wider windows, as strided views
+        model = spatial.csp_fit(rng.standard_normal((6, 100, 4)),
+                                [0, 1, 2] * 2, 40.0, f_per=2)
+        wide = rng.standard_normal((5, 100, 7))
+        view = wide[:, :, 1:5]
+        assert np.array_equal(
+            spatial.csp_features(view, model),
+            spatial.csp_features(np.ascontiguousarray(view), model),
+        )
 
 
 class TestSegmentCovariance:
@@ -432,6 +457,10 @@ class TestRiemannianMean:
     def test_rejects_empty(self):
         with pytest.raises(DimensionMismatch):
             spatial.riemannian_mean([])
+
+    def test_rejects_single_matrix(self, rng):
+        with pytest.raises(DimensionMismatch, match=r"\(n, C, C\)"):
+            spatial.riemannian_mean(spd(rng, 3))
 
 
 class TestTangentFeatures:
