@@ -499,6 +499,12 @@ def build_attended_streams(trial):
 # ---------------------------------------------------------------------------
 
 
+def _direction_band(fs):
+    """Edges of the direction carrier's band-pass: 6-14 Hz, its top
+    edge held below Nyquist."""
+    return 6.0, min(14.0, 0.45 * fs)
+
+
 @dataclass
 class SynthConfig:
     n_trials: int = 20
@@ -521,20 +527,30 @@ class SynthConfig:
     def validate(self):
         if self.n_trials < 1:
             raise BadConfig("n_trials: must be >= 1")
-        if self.duration_s <= 0:
-            raise BadConfig("duration_s: must be positive")
+        if not (math.isfinite(self.duration_s) and self.duration_s > 0):
+            raise BadConfig("duration_s: must be positive and finite")
         if self.n_channels < 1:
             raise BadConfig("n_channels: must be >= 1")
-        if self.fs <= 0:
-            raise BadConfig("fs: must be positive")
+        if not (math.isfinite(self.fs) and self.fs > 0):
+            raise BadConfig("fs: must be positive and finite")
         if self.n_speakers not in (2, 3):
             raise BadConfig("n_speakers: must be 2 or 3")
         if self.kernel_lags < 1:
             raise BadConfig("kernel_lags: must be >= 1")
-        if not self.snr > 0:
-            raise BadConfig("snr: must be positive")
-        if self.interference_gain < 0:
-            raise BadConfig("interference_gain: must be >= 0")
+        if not (math.isfinite(self.snr) and self.snr > 0):
+            raise BadConfig("snr: must be positive and finite")
+        if not (math.isfinite(self.interference_gain)
+                and self.interference_gain >= 0):
+            raise BadConfig("interference_gain: must be finite and >= 0")
+        if not (math.isfinite(self.direction_gain)
+                and self.direction_gain >= 0):
+            raise BadConfig("direction_gain: must be finite and >= 0")
+        low, high = _direction_band(self.fs)
+        if self.direction_gain > 0 and not low < high:
+            raise BadConfig(
+                f"direction_gain: its {low:g}-14 Hz carrier band needs fs "
+                f"above {low / 0.45:.2f} Hz, got fs={self.fs:g}"
+            )
         if self.switch_times is not None:
             if len(self.switch_times) != self.n_trials:
                 raise BadConfig("switch_times: need one entry per trial")
@@ -630,9 +646,8 @@ def synth_generate(cfg):
     patterns = np.linalg.qr(rng_k.standard_normal((cfg.n_channels, 3)))[0][:, :3]
     band_sos = None
     if cfg.direction_gain > 0:
-        band_sos = preprocess.design_bandpass(
-            6.0, min(14.0, 0.45 * cfg.fs), 4, cfg.fs
-        ).sections
+        band_sos = preprocess.design_bandpass(*_direction_band(cfg.fs), 4,
+                                              cfg.fs).sections
     tasks = _trial_tasks(cfg)
     switch_times = cfg.switch_times or [None] * cfg.n_trials
 

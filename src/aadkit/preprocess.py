@@ -3,7 +3,9 @@ rational resampling, and per-channel z-scoring.
 
 Filtering is causal (zero initial conditions, no forward-backward pass) so
 the chain stays usable online; this is documented behaviour and makes the
-whole chain deterministic.
+whole chain deterministic. The Butterworth designs and the filtering are
+numpy (:func:`_butterworth`, :func:`aadkit.kernels.sosfilt`), so the chain
+loads no SciPy module.
 """
 
 import functools
@@ -86,10 +88,88 @@ class IirCascade:
         return h
 
 
-def _sos_from_scipy(sos, label):
-    if not np.allclose(sos[:, 3], 1.0):
-        sos = sos / sos[:, 3:4]
-    cascade = IirCascade(np.column_stack([sos[:, 0:3], sos[:, 4:6]]), label)
+def _conjugate_halves(values):
+    """The upper member of each conjugate pair, averaged with its partner,
+    then the real values: ``scipy.signal``'s ``_cplxreal`` order."""
+    values = values[np.lexsort((abs(values.imag), values.real))]
+    real = abs(values.imag) <= 100 * np.finfo(np.float64).eps * abs(values)
+    upper = values[~real & (values.imag > 0)]
+    lower = values[~real & (values.imag < 0)]
+    return np.concatenate(((upper + lower.conj()) / 2, values[real].real))
+
+
+def _butterworth(order, edges, fs, stop):
+    """Sections ``(b0, b1, b2, a1, a2)`` of a digital Butterworth band-pass
+    (or, with ``stop``, band-stop) of the given even total order.
+
+    The analog prototype's poles go through the band transform at the
+    pre-warped edges and the bilinear map (Oppenheim & Schafer,
+    *Discrete-Time Signal Processing*, 3rd ed., section 7.1), and are
+    paired into sections with their nearest zeros, the poles nearest the
+    unit circle last, with the gain on the first section. Every step is
+    the arithmetic of ``scipy.signal.butter(order // 2, edges, btype,
+    fs=fs, output="sos")``, so the coefficients are its own, bit for bit.
+    """
+    n = int(order) // 2
+    proto = -np.exp(1j * np.pi * np.arange(-n + 1, n, 2.0) / (2 * n))
+    # the analog design runs at a rate of 2, with the edges in half-cycles
+    # per sample pre-warped so that the bilinear map returns them in place
+    rate = 2.0
+    edges = np.asarray(edges, dtype=np.float64) / (fs / 2)
+    warped = 2 * rate * np.tan(np.pi * edges / rate)
+    width = float(warped[1] - warped[0])
+    center = float(np.sqrt(warped[0] * warped[1]))
+    if stop:
+        shifted = (width / 2) / proto
+        zeros = np.concatenate((np.full(n, 1j * center),
+                                np.full(n, -1j * center)))
+        gain = np.real(1 / np.prod(-proto))
+    else:
+        shifted = proto * width / 2
+        zeros = np.zeros(n, dtype=np.complex128)
+        gain = width ** n
+    root = np.sqrt(shifted ** 2 - center ** 2)
+    poles = np.concatenate((shifted + root, shifted - root))
+    # the bilinear map z = (c + s) / (c - s); zeros at infinity land on
+    # Nyquist
+    c = 2 * rate
+    gain = gain * np.real(np.prod(c - zeros) / np.prod(c - poles))
+    zeros = np.concatenate(((c + zeros) / (c - zeros),
+                            -np.ones(poles.size - zeros.size)))
+    z, p = _conjugate_halves(zeros), _conjugate_halves((c + poles)
+                                                       / (c - poles))
+    sections = np.zeros((n, 5))
+    for row in range(n - 1, -1, -1):
+        i = np.argmin(np.abs(1 - np.abs(p)))
+        p1, p = p[i], np.delete(p, i)
+        if np.isreal(p1):
+            reals = np.flatnonzero(np.isreal(p))
+            i = reals[np.argmin(np.abs(1 - np.abs(p[reals])))]
+            pair, p = [p1, p[i]], np.delete(p, i)
+        else:
+            pair = [p1, p1.conj()]
+        nearest = np.argsort(np.abs(z - p1))
+        z1, z = z[nearest[0]], np.delete(z, nearest[0])
+        if np.isreal(z1):
+            nearest = np.argsort(np.abs(z - p1))
+            i = nearest[np.isreal(z[nearest])][0]
+            zz, z = [z1, z[i]], np.delete(z, i)
+        else:
+            zz = [z1, z1.conj()]
+        sections[row, :3] = np.poly(zz)
+        sections[row, 3:] = np.poly(pair)[1:]
+    sections[0, :3] *= gain
+    return sections
+
+
+def _design(low_hz, high_hz, order, fs, stop, label):
+    what = "stopband" if stop else "band edges"
+    if not (math.isfinite(fs) and 0 < low_hz < high_hz < fs / 2):
+        raise InvalidBand(f"{what} ({low_hz}, {high_hz}) invalid for fs={fs}")
+    if order < 2 or order % 2 != 0:
+        raise InvalidBand(f"order must be even and >= 2, got {order}")
+    cascade = IirCascade(_butterworth(order, (low_hz, high_hz), fs, stop),
+                         label)
     # designs are cached and shared between callers
     cascade.sections.flags.writeable = False
     return cascade
@@ -99,23 +179,14 @@ def _sos_from_scipy(sos, label):
 def design_bandpass(low_hz, high_hz, order, fs):
     """Butterworth band-pass of the given total order (even, >= 2).
 
-    Uses the bilinear transform with frequency pre-warping; the returned
-    cascade has unity gain (within 1 dB) at the geometric mean of the band
-    edges. Designed once per argument tuple; the cached cascade is shared
-    and its sections are read-only.
+    Uses the bilinear transform with frequency pre-warping (see
+    :func:`_butterworth`); the returned cascade has unity gain (within
+    1 dB) at the geometric mean of the band edges. Designed once per
+    argument tuple; the cached cascade is shared and its sections are
+    read-only.
     """
-    if not (0 < low_hz < high_hz < fs / 2):
-        raise InvalidBand(
-            f"band edges ({low_hz}, {high_hz}) invalid for fs={fs}"
-        )
-    if order < 2 or order % 2 != 0:
-        raise InvalidBand(f"order must be even and >= 2, got {order}")
-    from scipy import signal as _signal
-
-    sos = _signal.butter(
-        order // 2, [low_hz, high_hz], btype="bandpass", fs=fs, output="sos"
-    )
-    return _sos_from_scipy(sos, f"bandpass {low_hz}-{high_hz} Hz ord{order}")
+    return _design(low_hz, high_hz, order, fs, False,
+                   f"bandpass {low_hz}-{high_hz} Hz ord{order}")
 
 
 @functools.lru_cache(maxsize=64)
@@ -123,26 +194,13 @@ def design_notch(stop_low_hz, stop_high_hz, fs, order=4):
     """Butterworth band-stop covering [stop_low_hz, stop_high_hz], of the
     given total order (even, >= 2). Cached and read-only like
     :func:`design_bandpass`."""
-    if not (0 < stop_low_hz < stop_high_hz < fs / 2):
-        raise InvalidBand(
-            f"stopband ({stop_low_hz}, {stop_high_hz}) invalid for fs={fs}"
-        )
-    if order < 2 or order % 2 != 0:
-        raise InvalidBand(f"order must be even and >= 2, got {order}")
-    from scipy import signal as _signal
-
-    sos = _signal.butter(
-        order // 2,
-        [stop_low_hz, stop_high_hz],
-        btype="bandstop",
-        fs=fs,
-        output="sos",
-    )
-    return _sos_from_scipy(sos, f"notch {stop_low_hz}-{stop_high_hz} Hz")
+    return _design(stop_low_hz, stop_high_hz, order, fs, True,
+                   f"notch {stop_low_hz}-{stop_high_hz} Hz")
 
 
 def filter_apply(x, cascade):
-    """Causal per-channel filtering with zero initial conditions."""
+    """Causal per-channel filtering with zero initial conditions (see
+    :func:`aadkit.kernels.sosfilt`)."""
     y = kernels.sosfilt(cascade.sections, x.samples)
     return x.with_samples(y)
 
@@ -304,8 +362,8 @@ def standard_chain(x, ref_index=None, band=(0.5, 62.0), band_order=8,
     skipped by passing None for its parameter.
 
     The band-pass and notch sections run as one cascade in one
-    :func:`filter_apply` pass; ``sosfilt`` runs sections in order, so this
-    equals a pass per filter bit for bit.
+    :func:`filter_apply` pass; ``sosfilt`` runs one section at a time, so
+    this equals a pass per filter bit for bit.
     """
     if ref_index is not None:
         x = rereference(x, ref_index, drop_ref=True)

@@ -12,8 +12,9 @@ stack.
 CSP filters a stack at once: its ``n`` windows sit side by side as the
 column blocks of one ``(T, n*C)`` array, so each band costs one
 ``kernels.sosfilt`` call per fit or evaluation instead of one per window.
-The filter runs every column on its own, and window ``i`` comes back as
-the column slice ``[:, i*C:(i+1)*C]`` of its F-ordered output, exactly
+The kernel runs every column on its own, with one matrix product per
+column, and window ``i`` comes back as the column slice
+``[:, i*C:(i+1)*C]`` of its output, whose columns are contiguous, exactly
 as a window filtered alone would. That slice must not be copied to C
 order: ``mean(axis=0)`` sums a contiguous column pairwise and a strided
 one sequentially, so a copy would move the features and the fitted
@@ -143,8 +144,9 @@ def _band_cascades(bands, fs):
 def _filter_bands(x, bands, fs):
     """Band-pass and center the windows of the stack ``x`` (n, T, C) in one
     ``sosfilt`` call per band. Each band gives an (n, T, C) view whose
-    window ``i`` is the F-ordered column slice ``y[:, i*C:(i+1)*C]`` of the
-    filtered ``(T, n*C)`` stack ``y`` (see the module docstring)."""
+    window ``i`` is the column slice ``y[:, i*C:(i+1)*C]``, contiguous
+    columns, of the filtered ``(T, n*C)`` stack ``y`` (see the module
+    docstring)."""
     n, t_len, n_ch = x.shape
     columns = x.transpose(1, 0, 2).reshape(t_len, n * n_ch)
     out = []

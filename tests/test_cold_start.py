@@ -1,11 +1,12 @@
 """Commands load only the SciPy modules their work needs.
 
 ``scipy.signal`` (and the ``scipy.stats`` it pulls in) costs about a second
-to import and ``scipy.linalg`` about 0.3 s, so the filtering kernels and
-filter designs import ``scipy.signal`` on first use, and the Cholesky solve
-of a Wiener-filter fit imports ``scipy.linalg.lapack`` on first use. Each
-case runs in a fresh interpreter, whose ``sys.modules`` is then the record
-of what the command loaded.
+to import and ``scipy.linalg`` about 0.3 s. The filter designs and the IIR
+kernel are numpy, so synthesis, conditioning and CSP load neither; only
+the gammatone resonators of ``envelope`` import ``scipy.signal``, and the
+Cholesky solve of a Wiener-filter fit ``scipy.linalg.lapack``, each on
+first use. Each case runs in a fresh interpreter, whose ``sys.modules`` is
+then the record of what the command loaded.
 """
 
 import json
@@ -128,23 +129,61 @@ def test_wf_run_loads_linalg_only_and_exports_the_same_files(session,
             assert (outs["eager"] / rel).read_bytes() == want, rel
 
 
-def test_csp_run_loads_filtering(session, tmp_path):
+def test_csp_run_loads_no_scipy(session, tmp_path):
     loaded, _ = run_fresh(cli_call(
         "run", "--manifest", session, "--model", "csp",
         "--protocol", "within_trial", "--window", "5", "--folds", "3",
         "--out", tmp_path / "o",
     ))
+    assert loaded == []
+
+
+def test_synth_with_direction_gain_loads_no_scipy(tmp_path):
+    """The direction carrier is band-passed through the numpy design and
+    kernel."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "n_trials": 2, "duration_s": 10.0, "n_channels": 4,
+        "direction_gain": 1.0, "seed": 3,
+    }))
+    loaded, _ = run_fresh(cli_call("synth", "--config", cfg,
+                                   "--out", tmp_path / "sess"))
+    assert loaded == []
+
+
+def test_preprocess_loads_no_scipy(tmp_path):
+    """The default chain: band-pass, notch, resampling and z-score."""
+    from aadkit import dataio
+
+    session = dataio.synth_generate(dataio.SynthConfig(
+        n_trials=2, duration_s=10.0, n_channels=4, fs=250.0, seed=3))
+    manifest = dataio.save_session(session, tmp_path / "raw")
+    loaded, _ = run_fresh(cli_call("preprocess", "--manifest", manifest,
+                                   "--ref", "0", "--out", tmp_path / "prep"))
+    assert loaded == []
+
+
+def test_envelope_loads_filtering():
+    """The positive control: the resonator kernel is the one user of
+    ``scipy.signal``."""
+    loaded, _ = run_fresh("""
+        import numpy as np
+        from aadkit import envelope
+        bank = envelope.gammatone_bank(16000, 50.0, 5000.0, 17)
+        audio = envelope.AudioTrack(np.ones(1600), 16000)
+        envelope.compute_envelope(audio, bank, 40.0)
+    """)
     assert "scipy.signal" in loaded
 
 
-def test_bandpass_design_loads_filtering_with_same_coefficients():
+def test_bandpass_design_loads_no_scipy_with_same_coefficients():
     loaded, out = run_fresh("""
         import json
         from aadkit import preprocess
         f = preprocess.design_bandpass(0.5, 62, 8, 125)
         print(json.dumps(f.sections.tolist()))
     """)
-    assert "scipy.signal" in loaded
+    assert loaded == []
     from scipy import signal
 
     sos = signal.butter(4, [0.5, 62], btype="bandpass", fs=125, output="sos")

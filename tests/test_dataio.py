@@ -462,6 +462,37 @@ class TestSynth:
         with pytest.raises(BadConfig, match="seed"):
             dataio.SynthConfig(seed=-1).validate()
 
+    @pytest.mark.parametrize("field, settings", [
+        ("direction_gain", {"fs": 10.0, "direction_gain": 1.0}),
+        ("direction_gain", {"fs": 13.3, "direction_gain": 0.1}),
+        ("direction_gain", {"direction_gain": -1.0}),
+        ("direction_gain", {"direction_gain": float("nan")}),
+        ("direction_gain", {"direction_gain": float("inf")}),
+        ("fs", {"fs": float("inf")}),
+        ("fs", {"fs": float("nan")}),
+        ("duration_s", {"duration_s": float("inf")}),
+        ("duration_s", {"duration_s": float("nan")}),
+        ("snr", {"snr": float("inf")}),
+        ("interference_gain", {"interference_gain": float("nan")}),
+    ])
+    def test_generate_rejects_bad_config(self, field, settings):
+        """Each of these used to pass validation and then fail inside the
+        generator (band edges the user never set, a bare ValueError or
+        OverflowError), or, for a negative or NaN gain, be ignored."""
+        cfg = dataio.SynthConfig(**{"n_trials": 1, "duration_s": 5.0,
+                                    "n_channels": 2, **settings})
+        with pytest.raises(BadConfig, match=f"^{field}: "):
+            dataio.synth_generate(cfg)
+
+    def test_direction_gain_at_lowest_rate(self):
+        """At 14 Hz the carrier band is 6-6.3 Hz."""
+        cfg = dataio.SynthConfig(n_trials=1, duration_s=5.0, n_channels=2,
+                                 fs=14.0, direction_gain=1.0, seed=2)
+        plain = dataio.synth_generate(replace(cfg, direction_gain=0.0))
+        coded = dataio.synth_generate(cfg)
+        assert not np.array_equal(coded.trials[0].eeg.samples,
+                                  plain.trials[0].eeg.samples)
+
     def test_load_config_rejects_unknown_field(self, tmp_path):
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps({"n_trials": 2, "bogus": 1}))

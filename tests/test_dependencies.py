@@ -54,3 +54,37 @@ def test_scipy_is_imported_on_first_use():
             if any(n.split(".")[0] == "scipy" for n in names):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def _scipy_subpackages(node):
+    """The ``scipy.<name>`` subpackages one import statement loads."""
+    if isinstance(node, ast.Import):
+        names = [a.name for a in node.names]
+    elif node.level == 0 and node.module.split(".")[0] == "scipy":
+        names = ([node.module] if "." in node.module
+                 else [f"scipy.{a.name}" for a in node.names])
+    else:
+        names = []
+    return {".".join(n.split(".")[:2]) for n in names
+            if n.split(".")[0] == "scipy"}
+
+
+def test_only_the_resonator_and_cholesky_path_import_scipy():
+    """The gammatone resonators are the one user of ``scipy.signal``; the
+    Cholesky factor and solve of the Wiener filter the users of
+    ``scipy.linalg``. Filter designs and IIR filtering are numpy."""
+    users = {}
+    for path in sorted((ROOT / "src" / "aadkit").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    for sub in _scipy_subpackages(node):
+                        users.setdefault(sub, set()).add(
+                            f"{path.stem}.{fn.name}")
+    assert users == {
+        "scipy.signal": {"kernels.resonator_magnitudes"},
+        "scipy.linalg": {"kernels.cholesky_inplace", "numerics._cho_solve"},
+    }

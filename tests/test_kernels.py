@@ -7,23 +7,22 @@ import math
 import numpy as np
 import pytest
 
-from aadkit import envelope, kernels, numerics, preprocess
+from aadkit import envelope, kernels, numerics, preprocess, spatial
 
 
 def sosfilt_reference(sections, x):
     """Direct form II transposed, zero initial conditions, one sample at a
-    time."""
-    y = x.copy()
-    for c in range(x.shape[1]):
-        for b0, b1, b2, a1, a2 in sections:
-            z0 = z1 = 0.0
-            for t in range(x.shape[0]):
-                xt = y[t, c]
-                yt = b0 * xt + z0
-                z0 = b1 * xt - a1 * yt + z1
-                z1 = b2 * xt - a2 * yt
-                y[t, c] = yt
-    return y
+    time (all columns at once), in long double."""
+    y = x.T.astype(np.longdouble)
+    for b0, b1, b2, a1, a2 in np.asarray(sections, dtype=np.longdouble):
+        z0 = np.zeros(y.shape[0], dtype=np.longdouble)
+        z1 = z0.copy()
+        for t in range(y.shape[1]):
+            xt = y[:, t].copy()
+            y[:, t] = yt = b0 * xt + z0
+            z0 = b1 * xt - a1 * yt + z1
+            z1 = b2 * xt - a2 * yt
+    return y.T
 
 
 def fir_resample_reference(x, h, up, down, n_out):
@@ -54,10 +53,66 @@ def resonator_reference(x, poles, gains, n_stages):
     return out
 
 
-def test_sosfilt_bit_identical_to_loop(rng):
-    sos = np.array([[0.2, 0.1, 0.05, -0.3, 0.2], [0.5, 0.0, -0.5, 0.1, 0.05]])
-    x = rng.standard_normal((64, 3))
-    assert np.array_equal(kernels.sosfilt(sos, x), sosfilt_reference(sos, x))
+def _package_designs():
+    """Every filter the package runs: the conditioning chain's band-pass
+    and notch, alone and as the one cascade ``standard_chain`` runs, at
+    125 and 250 Hz; the four CSP bands and synth's direction band, at
+    40 Hz."""
+    designs = {}
+    for fs in (125.0, 250.0):
+        designs[f"bandpass-{fs:g}"] = preprocess.design_bandpass(
+            0.5, 62.0, 8, fs)
+        designs[f"notch-{fs:g}"] = preprocess.design_notch(48.0, 52.0, fs)
+        designs[f"chain-{fs:g}"] = preprocess._conditioning_cascade(
+            (0.5, 62.0), 8, (48.0, 52.0), fs)
+    for (lo, hi), cascade in zip(spatial.DEFAULT_BANDS,
+                                 spatial._band_cascades(spatial.DEFAULT_BANDS,
+                                                        40.0)):
+        designs[f"csp-{lo:g}-{hi:g}"] = cascade
+    designs["synth-6-14"] = preprocess.design_bandpass(6.0, 14.0, 4, 40.0)
+    return {name: d.sections for name, d in designs.items()}
+
+
+DESIGNS = _package_designs()
+
+
+def _peak_error(got, want):
+    """Largest error relative to the reference's peak."""
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("name", sorted(DESIGNS))
+def test_sosfilt_matches_long_double_df2t(rng, name):
+    """Each design within 1e-12 of the output's peak on 7,500 samples
+    (30 s at 250 Hz), several groups of blocks long."""
+    x = rng.standard_normal((7500, 3))
+    y = kernels.sosfilt(DESIGNS[name], x)
+    assert y.shape == x.shape and y.dtype == np.float64
+    assert _peak_error(y, sosfilt_reference(DESIGNS[name], x)) < 1e-12
+
+
+def _edge_lengths():
+    n, group = kernels._IIR_BLOCK, kernels._IIR_BLOCK * kernels._IIR_GROUP
+    return sorted({1, n - 1, n, n + 1, group - 1, group, group + 1,
+                   2 * group + 1})
+
+
+@pytest.mark.parametrize("t_len", _edge_lengths())
+def test_sosfilt_block_edges(rng, t_len):
+    """Lengths around one block and one group of blocks."""
+    sections = DESIGNS["chain-250"]
+    x = rng.standard_normal((t_len, 2))
+    y = kernels.sosfilt(sections, x)
+    assert y.shape == (t_len, 2)
+    assert _peak_error(y, sosfilt_reference(sections, x)) < 1e-12
+
+
+def test_sosfilt_empty_input_and_no_sections(rng):
+    y = kernels.sosfilt(DESIGNS["chain-250"], np.empty((0, 3)))
+    assert y.shape == (0, 3)
+    x = rng.standard_normal((50, 3))
+    y = kernels.sosfilt(np.empty((0, 5)), x)
+    assert np.array_equal(y, x) and not np.shares_memory(y, x)
 
 
 def _stage_cases(rate_pairs):

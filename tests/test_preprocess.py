@@ -19,6 +19,45 @@ def db(x):
     return 20 * np.log10(max(x, 1e-300))
 
 
+# (low, high, total order, fs, band-stop): the designs the package uses,
+# then odd prototype orders, a band wide enough for real poles, and edges
+# near DC and Nyquist
+BUTTERWORTH_CASES = [
+    (0.5, 62.0, 8, 125.0, False), (0.5, 62.0, 8, 250.0, False),
+    (48.0, 52.0, 4, 250.0, True), (48.0, 52.0, 4, 125.0, True),
+    (1.0, 4.0, 4, 40.0, False), (4.0, 8.0, 4, 40.0, False),
+    (8.0, 14.0, 4, 40.0, False), (14.0, 19.5, 4, 40.0, False),
+    (6.0, 14.0, 4, 40.0, False),
+    (1.0, 20.0, 2, 125.0, False), (0.3, 45.0, 6, 100.0, False),
+    (2.0, 30.0, 10, 256.0, True), (0.01, 499.0, 12, 1000.0, False),
+    (0.2, 40.0, 6, 125.0, True),
+]
+
+
+@pytest.mark.parametrize("low, high, order, fs, stop", BUTTERWORTH_CASES)
+def test_designs_equal_scipy_butter(low, high, order, fs, stop):
+    """The numpy designs give ``scipy.signal.butter``'s sections bit for
+    bit; SciPy is the oracle here and is not used by the package."""
+    from scipy import signal
+
+    if stop:
+        got = pp.design_notch(low, high, fs, order)
+    else:
+        got = pp.design_bandpass(low, high, order, fs)
+    sos = signal.butter(order // 2, [low, high], fs=fs, output="sos",
+                        btype="bandstop" if stop else "bandpass")
+    assert np.array_equal(got.sections,
+                          np.column_stack([sos[:, :3], sos[:, 4:]]))
+
+
+@pytest.mark.parametrize("fs", [np.inf, -np.inf, np.nan])
+def test_designs_reject_non_finite_rate(fs):
+    with pytest.raises(InvalidBand, match="invalid for fs"):
+        pp.design_bandpass(0.5, 62, 8, fs)
+    with pytest.raises(InvalidBand, match="invalid for fs"):
+        pp.design_notch(48, 52, fs)
+
+
 class TestBandpass:
     def test_passband_and_stopband(self):
         f = pp.design_bandpass(0.5, 62, 8, 125)
