@@ -13,7 +13,6 @@ from .crossval import (  # noqa: F401
     make_folds,
     run_channel_ablation,
     run_pipeline,
-    search_hyperparams,
 )
 from .dataio import (  # noqa: F401
     Session,

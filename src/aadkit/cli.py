@@ -7,14 +7,15 @@ group_tuning for run and segment for track) each have one flag and one
 field of the optional --config JSON file; a flag overrides the field, and
 a field's value is converted as if it were typed after the flag. What
 neither sets takes its default: seed 0, jobs 1, and for track protocol
-loto, a 30 s window and 1 s segments. A seed, also a --grid file's, is
->= 0, and jobs is >= 1. --manifest, --out and --layouts are flags only.
-Every JSON input file (--config, --grid, --layouts) is read by
+loto, a 30 s window and 1 s segments. The seed, which deals the folds,
+is >= 0, and jobs is >= 1. --manifest, --out and --layouts are flags
+only. Every JSON input file (--config, --grid, --layouts) is read by
 ``dataio.read_json``. A --grid file lists exactly the keys of the model's
 ``crossval.default_grid``, each a list of finite numbers >= 0 (integers
->= 1 for the counts in ``_GRID_COUNTS``). Durations and rates (--window,
---segment, --to-fs) are finite and positive. --channels names a preset or
-distinct channels, at least one.
+>= 1 for the counts in ``_GRID_COUNTS``), and every point of it is
+searched. Durations and rates (--window, --segment, --to-fs) are finite
+and positive. --channels names a preset or distinct channels, at least
+one.
 
 Every command runs inside one error shell, ``_command``. Each error class
 declares its category and exit code (see ``aadkit.errors``); the shell
@@ -154,14 +155,6 @@ def _check_grid_values(key, values):
 def _load_grid(args):
     if args.grid:
         raw = dataio.read_json(args.grid, "grid")
-        budget = raw.pop("budget", None)
-        gseed = raw.pop("seed", args.seed)
-        for key, value in (("budget", budget), ("seed", gseed)):
-            # bool is an int subclass; JSON true is not a count or a seed
-            if value is not None and type(value) is not int:
-                raise BadConfig(f"grid: {key} must be an integer")
-        if gseed < 0:
-            raise BadConfig("grid: seed must be >= 0")
         needed = crossval.default_grid(args.model).params
         wrong = sorted(set(needed) ^ set(raw))
         if wrong:
@@ -172,7 +165,7 @@ def _load_grid(args):
             )
         for key, values in raw.items():
             _check_grid_values(key, values)
-        return crossval.HyperGrid(raw, budget=budget, seed=gseed)
+        return crossval.HyperGrid(raw)
     return crossval.default_grid(args.model)
 
 

@@ -24,13 +24,13 @@ other fold, or none). A runner tabulates once per session each unit's
 trial, rows and decision windows; a window's label is the class it is
 scored against, or None when it is excluded from scoring.
 
-Hyperparameters are searched on a deterministic grid (optionally a seeded
-random subset), maximizing mean validation accuracy with ties broken by
-the smaller regularizer, then the smaller lag count. There is one tuning
-path: ``score_grid`` builds the table of mean validation scores and
-``pick_best`` takes the winner, in ``search_hyperparams``,
-``run_pipeline`` and ``run_pipeline_group`` alike; the group path scores a
-point by the unweighted mean over sessions of each session's mean. Both
+Hyperparameters are searched over every point of a deterministic grid,
+maximizing mean validation accuracy with ties broken by the smaller
+regularizer, then the smaller lag count. There is one tuning path:
+``score_grid`` asks each runner to score every point on its tuning
+assignments and ``pick_best`` takes the winner, in ``run_pipeline`` and
+``run_pipeline_group`` alike; the group path scores a point by the
+unweighted mean over sessions of each session's mean. Both
 pipelines take a one-point grid as is, without any validation fit, and
 check every grid point or fixed selection before the first fit: ``L`` at
 most the shortest unit and, for CCA, ``L_y`` at most a decision window
@@ -223,27 +223,18 @@ _PARAM_ORDER = ("lam", "reg", "L", "L_y", "n_components")
 @dataclass
 class HyperGrid:
     params: Dict[str, list]
-    budget: Optional[int] = None
-    seed: int = 0
 
     def points(self):
         if not self.params:
             raise EmptyGrid("no parameters to search")
         keys = sorted(self.params)
         for k in keys:
-            if not self.params[k]:
+            if len(self.params[k]) == 0:
                 raise EmptyGrid(f"parameter {k!r} has no values")
-        pts = [
+        return [
             dict(zip(keys, combo))
             for combo in itertools.product(*(self.params[k] for k in keys))
         ]
-        if self.budget is not None and self.budget < 1:
-            raise EmptyGrid(f"budget={self.budget} selects no grid points")
-        if self.budget is not None and self.budget < len(pts):
-            rng = np.random.default_rng([self.seed, 99])
-            idx = np.sort(rng.choice(len(pts), size=self.budget, replace=False))
-            pts = [pts[i] for i in idx]
-        return pts
 
 
 def default_grid(model_kind):
@@ -283,42 +274,22 @@ def pick_best(scored):
     return best[1], best[2]
 
 
-def score_grid(points, tuning):
+def score_grid(points, runners, loop_index):
     """Validation score table ``[(params, score)]`` in grid order.
 
-    ``tuning`` holds one ``(objective, assignments)`` pair per session,
-    where ``objective(params, train_units, val_units)`` returns the score
-    to maximize. A point's score is the unweighted mean over sessions of
-    its mean score over that session's assignments.
+    A point's score is the unweighted mean over runners (one per session)
+    of its mean ``runner.score`` over that runner's tuning assignments of
+    outer loop ``loop_index``.
     """
+    tuning = [(r, r.tuning_assignments(loop_index)) for r in runners]
     table = []
     for params in points:
         per_session = [
-            float(np.mean([objective(params, a.train, a.val)
-                           for a in assignments]))
-            for objective, assignments in tuning
+            np.mean([r.score(params, a.train, a.val) for a in assignments])
+            for r, assignments in tuning
         ]
         table.append((params, float(np.mean(per_session))))
     return table
-
-
-def search_hyperparams(plan, grid, objective):
-    """Grid search per outer loop on the plan's validation assignments.
-
-    ``objective(params, train_units, val_units)`` must return a score to
-    maximize (decoding accuracy in the pipeline). Requires a plan with
-    inner assignments (a nested protocol or within_trial).
-    """
-    pts = grid.points()
-    results = []
-    for loop in plan.outer:
-        if not loop.inner:
-            raise BadProtocolConfig(
-                f"outer loop {loop.index} has no validation assignments; "
-                "use a nested protocol"
-            )
-        results.append(pick_best(score_grid(pts, [(objective, loop.inner)])))
-    return results
 
 
 # ---------------------------------------------------------------------------
@@ -693,8 +664,7 @@ def _loop_params(points, runners, loop_index):
     assignments; a one-point grid is returned without scoring."""
     if len(points) == 1:
         return dict(points[0])
-    tuning = [(r.score, r.tuning_assignments(loop_index)) for r in runners]
-    return dict(pick_best(score_grid(points, tuning))[0])
+    return dict(pick_best(score_grid(points, runners, loop_index))[0])
 
 
 def _report(runner, params_for, jobs):
@@ -742,6 +712,11 @@ def run_pipeline(session, model_kind, plan, grid, window_s, *,
                        jobs)
     if isinstance(fixed_params, dict):
         fixed_params = [fixed_params] * len(plan.outer)
+    if len(fixed_params) != len(plan.outer):
+        raise BadConfig(
+            f"fixed_params: {len(fixed_params)} entries for "
+            f"{len(plan.outer)} outer loops"
+        )
     runner.check_params(fixed_params)
     return _report(runner, lambda i: dict(fixed_params[i]), jobs)
 

@@ -551,11 +551,15 @@ class SynthConfig:
                 f"direction_gain: its {low:g}-14 Hz carrier band needs fs "
                 f"above {low / 0.45:.2f} Hz, got fs={self.fs:g}"
             )
+        # a trial lasts its EEG's samples, duration_s * fs rounded
+        n_samples = int(round(self.duration_s * self.fs))
+        if n_samples < 1:
+            raise BadConfig(f"duration_s: no whole sample at fs={self.fs:g}")
         if self.switch_times is not None:
             if len(self.switch_times) != self.n_trials:
                 raise BadConfig("switch_times: need one entry per trial")
             for sw in self.switch_times:
-                if sw is not None and not 0 < sw < self.duration_s:
+                if sw is not None and not 0 < sw < n_samples / self.fs:
                     raise BadConfig("switch_times: cue outside the trial")
         if self.tasks is not None:
             if len(self.tasks) != self.n_trials:
@@ -692,7 +696,7 @@ def synth_generate(cfg):
             second = (att_pos + 1) % n_spk
             seq = [ids[att_pos], ids[second]]
             switch = switch if switch is not None else cfg.duration_s / 2
-        timeline = build_timeline(task, cfg.duration_s, switch, seq)
+        timeline = build_timeline(task, t_len / cfg.fs, switch, seq)
 
         centered = []
         for env in envelopes:

@@ -246,28 +246,19 @@ class TestRun:
         assert r.returncode == 2
         assert r.stderr.startswith("error: config:")
 
-    @pytest.mark.parametrize("field", [
-        pytest.param({"budget": 0}, id="0"),
-        pytest.param({"budget": -1}, id="-1"),
-        pytest.param({"budget": 2.5}, id="2.5"),
-        pytest.param({"budget": "3"}, id="str3"),
-        pytest.param({"budget": True}, id="True"),
-        pytest.param({"seed": "x"}, id="seed-x"),
-        pytest.param({"budget": 2, "seed": -5}, id="seed-negative"),
-    ])
-    def test_grid_budget_below_one_exit_2(self, session_dir, tmp_path,
-                                          field):
-        """A grid budget below one, a budget or seed that is not a JSON
-        integer, or a seed below zero, is a configuration error."""
+    def test_grid_budget_unknown_exit_2(self, session_dir, tmp_path):
+        """Every point of a grid is searched, so a grid file's ``budget``
+        is an unknown key, a configuration error."""
         _, sess = session_dir
         grid = tmp_path / "grid.json"
-        grid.write_text(json.dumps({"lam": [0.1, 10.0], "L": [8], **field}))
+        grid.write_text(json.dumps({"lam": [0.1, 10.0], "L": [8],
+                                    "budget": 1}))
         r = run_cli("run", "--manifest", str(sess / "manifest.json"),
                     "--model", "wf", "--protocol", "loto", "--window", "30",
                     "--grid", str(grid), "--out", str(tmp_path / "o"))
         assert r.returncode == 2
-        assert r.stderr.startswith("error: config:")
-        assert "Traceback" not in r.stderr
+        assert r.stderr.startswith("error: config: grid: budget unknown")
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("model, grid, key", [
         pytest.param("wf", {"lam": ["x"], "L": [6]}, "lam", id="lam-str"),

@@ -24,6 +24,47 @@ def synth(n_trials=12, n_channels=4, snr=5.0, seed=0, duration_s=30.0, **kw):
 
 SMALL_GRID = crossval.HyperGrid({"lam": [1.0], "L": [8]})
 
+# two values per decoder, so every outer loop makes a selection
+LEAK_GRIDS = {
+    "wf": crossval.HyperGrid({"lam": [1e-2, 1e2], "L": [6, 11]}),
+    "cca": crossval.HyperGrid({"reg": [0.0, 10.0], "L": [6, 11],
+                               "L_y": [11], "n_components": [2]}),
+    "csp": crossval.HyperGrid({"csp_f": [2, 4], "lda_gamma": [1e-3]}),
+    "rgc": crossval.HyperGrid({"rgc_shrinkage": [0.01, 0.5],
+                               "lda_gamma": [1e-3]}),
+}
+
+
+@pytest.fixture(scope="module")
+def leak_session():
+    """A hard session (snr 0.1, direction gain 0.5), so that grid points
+    score differently; every fourth trial is held out by the speaker
+    protocols, which leaves all three direction classes in training."""
+    return synth(n_trials=12, n_channels=4, duration_s=20.0, snr=0.1, seed=2,
+                 direction_gain=0.5, group_b_every=4)
+
+
+def _noise_test_fold(session, plan, loop_index, window_s):
+    """The session with the EEG of one outer loop's test units (trials, or
+    within_trial segments) replaced by seeded white noise."""
+    rng = np.random.default_rng(loop_index)
+    win = int(round(window_s * session.fs))
+    test = plan.outer[loop_index].test
+    trials = []
+    for t in session.trials:
+        if plan.protocol == "within_trial":
+            rows = [slice(k * win, (k + 1) * win)
+                    for tid, k in test if tid == t.trial_id]
+        else:
+            rows = [slice(None)] if t.trial_id in test else []
+        samples = t.eeg.samples.copy()
+        for r in rows:
+            samples[r] = rng.standard_normal(samples[r].shape)
+        trials.append(dataio.Trial(t.trial_id, t.task, t.group,
+                                   t.eeg.with_samples(samples), t.speakers,
+                                   t.timeline))
+    return dataio.Session(session.subject, session.fs, trials, True)
+
 
 class TestMakeFolds:
     def test_nested_9x8_structure(self):
@@ -217,36 +258,47 @@ class TestHyperGrid:
         assert g.points() == g.points()
         assert len(g.points()) == 4
 
-    def test_budget_subset_seeded(self):
-        g = crossval.HyperGrid({"lam": list(range(20))}, budget=5, seed=3)
-        pts = g.points()
-        assert len(pts) == 5
-        assert pts == crossval.HyperGrid(
-            {"lam": list(range(20))}, budget=5, seed=3
-        ).points()
-
-    @pytest.mark.parametrize("budget", [0, -1])
-    def test_budget_below_one(self, budget):
-        g = crossval.HyperGrid({"lam": [0.1, 1.0], "L": [4]}, budget=budget)
-        with pytest.raises(EmptyGrid):
-            g.points()
-
     def test_empty_grid(self):
         with pytest.raises(EmptyGrid):
             crossval.HyperGrid({}).points()
         with pytest.raises(EmptyGrid):
             crossval.HyperGrid({"lam": []}).points()
 
+    def test_numpy_values(self):
+        """A parameter may list its values as a numpy array; an empty array
+        is an empty grid, not numpy's ambiguous-truth error."""
+        lams = np.logspace(-6, 3, 10)
+        pts = crossval.HyperGrid({"lam": lams, "L": [6]}).points()
+        assert pts == [{"L": 6, "lam": lam} for lam in lams]
+        with pytest.raises(EmptyGrid):
+            crossval.HyperGrid({"lam": np.array([]), "L": [6]}).points()
+
+
+class _Runner:
+    """A runner stand-in: tunes on the plan's inner assignments and scores
+    a point with ``score(params, train, val)``."""
+
+    def __init__(self, plan, score):
+        self.plan = plan
+        self.score = score
+
+    def tuning_assignments(self, loop_index):
+        return self.plan.outer[loop_index].inner
+
+
+def _selections(plan, grid, objective):
+    runner = _Runner(plan, objective)
+    return [crossval.pick_best(crossval.score_grid(grid.points(), [runner], i))
+            for i in range(len(plan.outer))]
+
 
 class TestSearch:
     def test_size_one_grid_returned(self):
         session = synth(n_trials=8, n_channels=2, duration_s=5.0)
         plan = crossval.make_folds(session.trials, "nested_loto", 4, seed=0)
-        got = crossval.search_hyperparams(
-            plan, crossval.HyperGrid({"lam": [0.25]}),
-            lambda p, tr, va: 0.5,
-        )
-        assert all(p == {"lam": 0.25} for p, _ in got)
+        got = _selections(plan, crossval.HyperGrid({"lam": [0.25]}),
+                          lambda p, tr, va: 0.5)
+        assert got == [({"lam": 0.25}, 0.5)] * 4
 
     def test_planted_optimum(self):
         session = synth(n_trials=8, n_channels=2, duration_s=5.0)
@@ -256,23 +308,44 @@ class TestSearch:
         def objective(params, train, val):
             return 1.0 if (params["lam"], params["L"]) == (1.0, 8) else 0.0
 
-        got = crossval.search_hyperparams(plan, grid, objective)
+        got = _selections(plan, grid, objective)
         assert all(p == {"lam": 1.0, "L": 8} for p, _ in got)
 
     def test_tie_breaks_smaller_lam_then_l(self):
         session = synth(n_trials=8, n_channels=2, duration_s=5.0)
         plan = crossval.make_folds(session.trials, "nested_loto", 4, seed=0)
         grid = crossval.HyperGrid({"lam": [10.0, 0.1], "L": [8, 4]})
-        got = crossval.search_hyperparams(plan, grid, lambda p, t, v: 0.7)
+        got = _selections(plan, grid, lambda p, t, v: 0.7)
         assert all(p == {"lam": 0.1, "L": 4} for p, _ in got)
 
-    def test_non_nested_plan_rejected(self):
-        session = synth(n_trials=8, n_channels=2, duration_s=5.0)
-        plan = crossval.make_folds(session.trials, "loto", 4, seed=0)
-        with pytest.raises(BadProtocolConfig):
-            crossval.search_hyperparams(
-                plan, crossval.HyperGrid({"lam": [1.0]}), lambda p, t, v: 0.0
-            )
+    def test_scores_points_then_sessions_then_assignments(self):
+        """A point's score is the unweighted mean over sessions of each
+        session's mean over its assignments, and every runner sees its
+        calls in grid order."""
+        session = synth(n_trials=6, n_channels=2, duration_s=5.0)
+        plans = [crossval.make_folds(session.trials, "nested_loto", n,
+                                     seed=0) for n in (3, 6)]
+        calls = []
+
+        def objective(tag, value):
+            def score(params, train, val):
+                calls.append((params["lam"], tag, val))
+                return value(params, val)
+            return score
+
+        runners = [
+            _Runner(plans[0], objective("a", lambda p, v: p["lam"])),
+            _Runner(plans[1], objective(
+                "b", lambda p, v: float(v == plans[1].folds[2]))),
+        ]
+        table = crossval.score_grid(crossval.HyperGrid(
+            {"lam": [0.0, 1.0]}).points(), runners, 0)
+        expect = [(lam, tag, a.val) for lam in (0.0, 1.0)
+                  for tag, r in zip("ab", runners)
+                  for a in r.tuning_assignments(0)]
+        assert calls == expect
+        assert table == [({"lam": 0.0}, 0.5 * (0.0 + 1 / 5)),
+                         ({"lam": 1.0}, 0.5 * (1.0 + 1 / 5))]
 
     def test_recovers_planted_ridge_optimum(self):
         """Planted linear-Gaussian problem with known ridge optimum
@@ -312,6 +385,45 @@ class TestSearch:
             sel = crossval.pick_best(scored)[0]["lam"]
             hits += abs(np.log10(sel) - np.log10(lam_star)) <= 1.0 + 1e-9
         assert hits >= 8
+
+    def test_score_tables_pinned(self, monkeypatch):
+        """Every score table that default-grid ``wf`` and ``cca`` runs and
+        a two-session group run hand to ``pick_best`` on small seeded
+        sessions, pinned by the selections and a digest of the tables."""
+        tables = []
+        pick_best = crossval.pick_best
+
+        def record(scored):
+            tables.append(list(scored))
+            return pick_best(scored)
+
+        monkeypatch.setattr(crossval, "pick_best", record)
+        sessions = [synth(n_trials=6, n_channels=3, duration_s=20.0,
+                          snr=0.1, seed=s) for s in (4, 5)]
+        selected = []
+        for kind in ("wf", "cca"):
+            plan = crossval.make_folds(sessions[0].trials, "nested_loto", 3,
+                                       seed=1)
+            report = crossval.run_pipeline(sessions[0], kind, plan,
+                                           crossval.default_grid(kind), 10.0)
+            selected.append([f.params for f in report.folds])
+        selected.append(crossval.run_pipeline_group(
+            sessions, "wf", "nested_loto", 10.0, crossval.default_grid("wf"),
+            n_folds=3, seed=1,
+        )[1])
+        cca = {"L_y": 11, "n_components": 2}
+        assert selected == [
+            [{"L": 6, "lam": 1e-06}, {"L": 6, "lam": 1000.0},
+             {"L": 6, "lam": 1e-06}],
+            [{"L": 6, "reg": 0.01, **cca}, {"L": 11, "reg": 0.0, **cca},
+             {"L": 11, "reg": 10.0, **cca}],
+            [{"L": 6, "lam": 1e-06}, {"L": 6, "lam": 1000.0},
+             {"L": 11, "lam": 1e-06}],
+        ]
+        assert [len(t) for t in tables] == [30] * 3 + [12] * 3 + [30] * 3
+        assert hashlib.sha256(repr(tables).encode()).hexdigest() == (
+            "815e057e91fa620b42393cb5cc198149263591146bbdb29dc1b91bf5ea051768"
+        )
 
 
 class TestRunPipeline:
@@ -400,6 +512,22 @@ class TestRunPipeline:
         train_sets |= {loop.fit for loop in plan.outer}
         assert len(calls) == 2 * len(train_sets) == 20
 
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_fixed_params_count_checked(self, monkeypatch, n):
+        """A fixed_params list holds one entry per outer loop; a list of
+        any other length is a BadConfig naming both counts, raised before
+        any fit."""
+        session = synth(n_trials=6, n_channels=2, duration_s=10.0)
+        plan = crossval.make_folds(session.trials, "loto", 3, seed=0)
+
+        def no_fit(*args):
+            raise AssertionError("fitted before the check")
+
+        monkeypatch.setattr(linear, "wf_fit", no_fit)
+        with pytest.raises(BadConfig, match=f"{n} .*3 outer loops"):
+            crossval.run_pipeline(session, "wf", plan, SMALL_GRID, 5.0,
+                                  fixed_params=[{"lam": 1.0, "L": 4}] * n)
+
     @pytest.mark.parametrize("protocol,kw", [
         ("loto", {}),
         ("nested_loto", {}),
@@ -438,6 +566,32 @@ class TestRunPipeline:
         assert plan2.outer[0].test == plan.outer[0].test
         again = crossval.run_pipeline(mutated, "wf", plan2, SMALL_GRID, 10.0)
         assert base.folds[0].model_bytes == again.folds[0].model_bytes
+
+    @pytest.mark.parametrize("kind", crossval.MODEL_KINDS)
+    @pytest.mark.parametrize("protocol", ["nested_loto", "nested_loso",
+                                          "within_trial", "loto"])
+    def test_selection_leakage(self, leak_session, protocol, kind):
+        """Replacing one outer loop's test-fold EEG with noise leaves that
+        loop's selected params and model bytes unchanged under every
+        protocol that tunes on validation folds. loto tunes on the test
+        fold and is the positive control: on this seeded session the
+        noise moves some loop's selection for each decoder."""
+        n_folds = 4 if protocol.endswith("loto") else None
+        plan = crossval.make_folds(leak_session.trials, protocol, n_folds,
+                                   seed=1, segment_s=5.0)
+        grid = LEAK_GRIDS[kind]
+        base = crossval.run_pipeline(leak_session, kind, plan, grid, 5.0)
+        moved = []
+        for i in range(len(plan.outer)):
+            noised = _noise_test_fold(leak_session, plan, i, 5.0)
+            again = crossval.run_pipeline(noised, kind, plan, grid, 5.0)
+            before, after = base.folds[i], again.folds[i]
+            moved.append((before.params != after.params,
+                          before.model_bytes != after.model_bytes))
+        if protocol == "loto":
+            assert any(params for params, _ in moved)
+        else:
+            assert not any(any(m) for m in moved)
 
     def test_cca_pipeline_decodes(self):
         session = synth(n_trials=10, n_channels=4, snr=5.0, seed=9)

@@ -452,6 +452,38 @@ class TestSynth:
         assert all(i in (1, 2, 3) for i in ids[0])
         assert all(i in (4, 5, 6) for i in ids[2])
 
+    @pytest.mark.parametrize("fs, duration_s", [(40.0, 10.01),
+                                                (13.34, 30.0)])
+    def test_duration_not_whole_samples(self, tmp_path, fs, duration_s):
+        """A trial whose duration is not a whole number of samples lasts
+        its EEG's round(duration_s * fs) samples, and so does its
+        timeline; the session saves and loads back."""
+        cfg = dataio.SynthConfig(n_trials=3, duration_s=duration_s, fs=fs,
+                                 n_channels=2, seed=1,
+                                 switch_times=[None, 4.0, None],
+                                 tasks=[1, 2, 4])
+        session = dataio.synth_generate(cfg)
+        n = round(duration_s * fs)
+        for trial in session.trials:
+            assert trial.eeg.n_samples == n
+            assert trial.timeline[-1].end_s == trial.duration_s == n / fs
+        back = dataio.load_session(dataio.save_session(session, tmp_path))
+        assert [t.timeline for t in back.trials] == [
+            t.timeline for t in session.trials
+        ]
+
+    def test_switch_checked_against_samples(self):
+        """A cue is checked against the samples a trial has: at 40 Hz a
+        10.01 s trial holds 400 samples, so a cue at 10.005 s is after
+        its end, and a 0.01 s trial holds none."""
+        dataio.SynthConfig(n_trials=1, duration_s=10.01,
+                           switch_times=[9.99]).validate()
+        with pytest.raises(BadConfig, match="switch_times"):
+            dataio.SynthConfig(n_trials=1, duration_s=10.01,
+                               switch_times=[10.005]).validate()
+        with pytest.raises(BadConfig, match="duration_s"):
+            dataio.SynthConfig(duration_s=0.01).validate()
+
     def test_config_validation_names_field(self):
         with pytest.raises(BadConfig, match="snr"):
             dataio.SynthConfig(snr=0.0).validate()
