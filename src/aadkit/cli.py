@@ -10,12 +10,10 @@ neither sets takes its default: seed 0, jobs 1, and for track protocol
 loto, a 30 s window and 1 s segments. The seed, which deals the folds,
 is >= 0, and jobs is >= 1. --manifest, --out and --layouts are flags
 only. Every JSON input file (--config, --grid, --layouts) is read by
-``dataio.read_json``. A --grid file lists exactly the keys of the model's
-``crossval.default_grid``, each a list of finite numbers >= 0 (integers
->= 1 for the counts in ``_GRID_COUNTS``), and every point of it is
-searched. Durations and rates (--window, --segment, --to-fs) are finite
-and positive. --channels names a preset or distinct channels, at least
-one.
+``dataio.read_json``. ``crossval`` checks a --grid file like any grid,
+and every point of it is searched. Durations and rates (--window,
+--segment, --to-fs) are finite and positive. --channels names a preset
+or distinct channels, at least one.
 
 Every command runs inside one error shell, ``_command``. Each error class
 declares its category and exit code (see ``aadkit.errors``); the shell
@@ -132,40 +130,9 @@ def _settings(args):
         raise BadConfig("jobs: must be >= 1")
 
 
-# grid keys that count lags, components or filters; the other keys are
-# nonnegative weights (regularization, shrinkage)
-_GRID_COUNTS = ("L", "L_y", "n_components", "csp_f")
-
-
-def _check_grid_values(key, values):
-    if not isinstance(values, list):
-        raise BadConfig(f"grid: {key} must map to a list")
-    for v in values:
-        # bool is an int subclass; JSON true is not a number here
-        if not (type(v) is int or type(v) is float and math.isfinite(v)):
-            raise BadConfig(f"grid: {key} values must be finite numbers, "
-                            f"got {v!r}")
-        if key in _GRID_COUNTS and (type(v) is not int or v < 1):
-            raise BadConfig(f"grid: {key} values must be integers >= 1, "
-                            f"got {v!r}")
-        if v < 0:
-            raise BadConfig(f"grid: {key} values must be >= 0, got {v!r}")
-
-
 def _load_grid(args):
     if args.grid:
-        raw = dataio.read_json(args.grid, "grid")
-        needed = crossval.default_grid(args.model).params
-        wrong = sorted(set(needed) ^ set(raw))
-        if wrong:
-            key = wrong[0]
-            raise BadConfig(
-                f"grid: {key} {'missing' if key in needed else 'unknown'}; "
-                f"model {args.model} takes {', '.join(needed)}"
-            )
-        for key, values in raw.items():
-            _check_grid_values(key, values)
-        return crossval.HyperGrid(raw)
+        return crossval.HyperGrid(dataio.read_json(args.grid, "grid"))
     return crossval.default_grid(args.model)
 
 

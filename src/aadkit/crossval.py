@@ -31,10 +31,14 @@ regularizer, then the smaller lag count. There is one tuning path:
 assignments and ``pick_best`` takes the winner, in ``run_pipeline`` and
 ``run_pipeline_group`` alike; the group path scores a point by the
 unweighted mean over sessions of each session's mean. Both
-pipelines take a one-point grid as is, without any validation fit, and
-check every grid point or fixed selection before the first fit: ``L`` at
-most the shortest unit and, for CCA, ``L_y`` at most a decision window
-(BadConfig).
+pipelines take a one-point grid as is, without any validation fit. Each
+model's keys are declared once, by its default grid. Before the first
+fit both pipelines check the grid, or each fixed selection, and raise
+BadConfig unless it holds exactly the model's keys, each mapped to
+finite numbers >= 0 (integers >= 1 for the counts ``L``, ``L_y``,
+``n_components`` and ``csp_f``), ``L`` at most the shortest unit and,
+for CCA, ``L_y`` at most a decision window. The trials of a session must
+list the same channels in the same order (BadChannelIndex).
 
 The two envelope decoders share one evaluation path, the Wiener filter
 being CCA's one-component case. Each test unit (a whole trial, or a
@@ -46,6 +50,7 @@ trials get their time-PCC curves from the same projections.
 """
 
 import itertools
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, NamedTuple, Optional
@@ -64,7 +69,20 @@ from .errors import (
 from .metrics import FoldResult, MetricsReport, WindowRecord, finalize_report
 
 PROTOCOLS = ("within_trial", "loto", "nested_loto", "loso", "nested_loso")
-MODEL_KINDS = ("wf", "cca", "csp", "rgc")
+
+# model -> its default grid. A grid or fixed selection for the model holds
+# exactly these keys; a key with integer defaults counts lags, components
+# or filters (integers >= 1), any other is a weight (a number >= 0)
+_DEFAULT_GRIDS = {
+    "wf": {"lam": list(np.logspace(-6, 3, 10)), "L": [6, 11, 21]},
+    "cca": {"reg": [0.0] + list(np.logspace(-2, 2, 5)), "L": [6, 11],
+            "L_y": [11], "n_components": [2]},
+    "csp": {"csp_f": [spatial.DEFAULT_CSP_FILTERS],
+            "lda_gamma": [spatial.DEFAULT_LDA_GAMMA]},
+    "rgc": {"rgc_shrinkage": [spatial.DEFAULT_RGC_SHRINKAGE],
+            "lda_gamma": [spatial.DEFAULT_LDA_GAMMA]},
+}
+MODEL_KINDS = tuple(_DEFAULT_GRIDS)
 
 
 # ---------------------------------------------------------------------------
@@ -238,24 +256,35 @@ class HyperGrid:
 
 
 def default_grid(model_kind):
-    if model_kind == "wf":
-        return HyperGrid(
-            {"lam": list(np.logspace(-6, 3, 10)), "L": [6, 11, 21]}
+    if model_kind not in _DEFAULT_GRIDS:
+        raise BadProtocolConfig(f"unknown model kind {model_kind!r}")
+    return HyperGrid({k: list(v)
+                      for k, v in _DEFAULT_GRIDS[model_kind].items()})
+
+
+def _check_grid(model_kind, params, what="grid"):
+    """Raise BadConfig, naming ``what`` and the key, unless ``params`` maps
+    the model's keys to lists, tuples or arrays of values in their range;
+    a bool is not a number."""
+    needed = _DEFAULT_GRIDS[model_kind]
+    wrong = sorted(set(needed) ^ set(params), key=str)
+    if wrong:
+        key = wrong[0]
+        raise BadConfig(
+            f"{what}: {key} {'missing' if key in needed else 'unknown'}; "
+            f"model {model_kind} takes {', '.join(needed)}"
         )
-    if model_kind == "cca":
-        return HyperGrid(
-            {
-                "reg": [0.0] + list(np.logspace(-2, 2, 5)),
-                "L": [6, 11],
-                "L_y": [11],
-                "n_components": [2],
-            }
-        )
-    if model_kind == "csp":
-        return HyperGrid({"csp_f": [4], "lda_gamma": [1e-3]})
-    if model_kind == "rgc":
-        return HyperGrid({"rgc_shrinkage": [0.1], "lda_gamma": [1e-3]})
-    raise BadProtocolConfig(f"unknown model kind {model_kind!r}")
+    for key, values in params.items():
+        kind, low, rule = ((numbers.Integral, 1, "integers >= 1")
+                           if isinstance(needed[key][0], numbers.Integral)
+                           else (numbers.Real, 0, "finite numbers >= 0"))
+        if not isinstance(values, (list, tuple, np.ndarray)):
+            raise BadConfig(f"{what}: {key} must map to a list of {rule}")
+        for v in values:
+            if (isinstance(v, bool) or not isinstance(v, kind)
+                    or not low <= v < np.inf):
+                raise BadConfig(f"{what}: {key} values must be {rule}, "
+                                f"got {v!r}")
 
 
 def _param_key(params):
@@ -342,7 +371,11 @@ class _RunnerBase:
             t.trial_id: dataio.build_attended_streams(t)
             for t in session.trials
         }
+        names = list(session.trials[0].eeg.channel_names)
         for t in session.trials:
+            if list(t.eeg.channel_names) != names:
+                raise BadChannelIndex(f"trial {t.trial_id}: channel names or "
+                                      "order differ from the first trial's")
             if self.streams[t.trial_id].attended.shape[0] != t.eeg.n_samples:
                 raise BadProtocolConfig(
                     f"trial {t.trial_id}: envelope and EEG lengths differ; "
@@ -593,24 +626,14 @@ class _ClassifierRunner(_RunnerBase):
             raise DegenerateClass("no labeled training windows")
         segments = self._segments(rows)
         labels = [r.label for r in rows]
-        gamma = float(params.get("lda_gamma", spatial.DEFAULT_LDA_GAMMA))
         if self.kind == "csp":
-            front = spatial.csp_fit(
-                segments,
-                labels,
-                self.fs,
-                f_per=int(params.get("csp_f", spatial.DEFAULT_CSP_FILTERS)),
-                n_classes=3,
-            )
+            front = spatial.csp_fit(segments, labels, self.fs,
+                                    f_per=int(params["csp_f"]), n_classes=3)
         else:
             front = spatial.rgc_fit(
-                segments,
-                shrinkage=float(
-                    params.get("rgc_shrinkage", spatial.DEFAULT_RGC_SHRINKAGE)
-                ),
-            )
-        lda = spatial.lda_fit(front.train_features, labels, gamma=gamma,
-                              n_classes=3)
+                segments, shrinkage=float(params["rgc_shrinkage"]))
+        lda = spatial.lda_fit(front.train_features, labels,
+                              gamma=float(params["lda_gamma"]), n_classes=3)
         return front, lda
 
     def _eval_units(self, model, params, units, collect=False):
@@ -706,6 +729,7 @@ def run_pipeline(session, model_kind, plan, grid, window_s, *,
     """
     runner = _make_runner(session, model_kind, plan, window_s, time_pcc_seg_s)
     if fixed_params is None:
+        _check_grid(model_kind, grid.params)
         points = grid.points()
         runner.check_params(points)
         return _report(runner, lambda i: _loop_params(points, [runner], i),
@@ -717,6 +741,9 @@ def run_pipeline(session, model_kind, plan, grid, window_s, *,
             f"fixed_params: {len(fixed_params)} entries for "
             f"{len(plan.outer)} outer loops"
         )
+    for params in fixed_params:
+        _check_grid(model_kind, {k: [v] for k, v in params.items()},
+                    "fixed_params")
     runner.check_params(fixed_params)
     return _report(runner, lambda i: dict(fixed_params[i]), jobs)
 
@@ -742,6 +769,7 @@ def run_pipeline_group(sessions, model_kind, protocol, window_s, grid, *,
         _make_runner(s, model_kind, p, window_s, time_pcc_seg_s)
         for s, p in zip(sessions, plans)
     ]
+    _check_grid(model_kind, grid.params)
     points = grid.points()
     for runner in runners:
         runner.check_params(points)

@@ -551,6 +551,9 @@ class SynthConfig:
                 f"direction_gain: its {low:g}-14 Hz carrier band needs fs "
                 f"above {low / 0.45:.2f} Hz, got fs={self.fs:g}"
             )
+        if self.direction_gain > 0 and self.n_channels < 3:
+            raise BadConfig("direction_gain: its three direction patterns "
+                            f"need n_channels >= 3, got {self.n_channels}")
         # a trial lasts its EEG's samples, duration_s * fs rounded
         n_samples = int(round(self.duration_s * self.fs))
         if n_samples < 1:

@@ -97,6 +97,9 @@ class TestSynth:
                      id="balance_directions-str"),
         pytest.param([1, 2], "config", id="list"),
         pytest.param({"n_trials": 2, "seed": -1}, "seed", id="seed-negative"),
+        pytest.param({"n_trials": 6, "duration_s": 10, "n_channels": 2,
+                      "direction_gain": 1.0}, "direction_gain",
+                     id="direction_gain-two-channels"),
     ])
     def test_malformed_config_exit_2(self, tmp_path, config, field):
         cfg = tmp_path / "bad.json"
@@ -584,6 +587,45 @@ class TestChannels:
         assert r.returncode == 4, r.stderr
         assert r.stderr.startswith("error: data:")
         assert "ch00" in r.stderr
+
+
+def _edit_t001_channels(edit):
+    """Manifest edit: trial t001 lists its channels in reverse order, names
+    and data alike, or leaves out its last channel."""
+    def apply(root, spec):
+        from aadkit import dataio
+
+        trial = spec["trials"][1]
+        samples, fs = dataio.read_array(root / trial["eeg"])
+        cols = (list(range(samples.shape[1]))[::-1] if edit == "reversed"
+                else list(range(samples.shape[1] - 1)))
+        dataio.write_array(root / trial["eeg"], samples[:, cols], fs)
+        trial["channels"] = [trial["channels"][c] for c in cols]
+    return apply
+
+
+class TestMixedChannels:
+    @pytest.mark.parametrize("edit", ["reversed", "dropped"])
+    @pytest.mark.parametrize("model", ["wf", "csp"])
+    def test_exit_4_before_fit(self, session_dir, tmp_path, model, edit):
+        manifest = _copied_session(session_dir, tmp_path,
+                                   _edit_t001_channels(edit))
+        r = run_cli("run", "--manifest", str(manifest), "--model", model,
+                    "--protocol", "loto", "--window", "10", "--folds", "2",
+                    "--out", str(tmp_path / "o"))
+        assert r.returncode == 4, r.stderr
+        assert r.stderr.startswith("error: data: trial t001: channel")
+        assert not (tmp_path / "o").exists()
+
+    def test_channels_flag_aligns_trials(self, session_dir, tmp_path):
+        manifest = _copied_session(session_dir, tmp_path,
+                                   _edit_t001_channels("reversed"))
+        r = run_cli("run", "--manifest", str(manifest), "--model", "wf",
+                    "--protocol", "loto", "--window", "10", "--folds", "2",
+                    "--channels", "ch03,ch00", "--out", str(tmp_path / "o"))
+        assert r.returncode == 0, r.stderr
+        rows = (tmp_path / "o/channel_stats.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows[1:]] == ["ch03", "ch00"]
 
 
 @pytest.fixture(scope="module")

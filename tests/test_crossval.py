@@ -273,6 +273,25 @@ class TestHyperGrid:
         with pytest.raises(EmptyGrid):
             crossval.HyperGrid({"lam": np.array([]), "L": [6]}).points()
 
+    def test_default_grids_pinned(self):
+        """Each model's default grid, key order included; every call
+        returns a fresh copy."""
+        grids = {kind: list(crossval.default_grid(kind).params.items())
+                 for kind in crossval.MODEL_KINDS}
+        assert grids == {
+            "wf": [("lam", [1e-06, 9.999999999999999e-06, 0.0001, 0.001,
+                            0.01, 0.1, 1.0, 10.0, 100.0, 1000.0]),
+                   ("L", [6, 11, 21])],
+            "cca": [("reg", [0.0, 0.01, 0.1, 1.0, 10.0, 100.0]),
+                    ("L", [6, 11]), ("L_y", [11]), ("n_components", [2])],
+            "csp": [("csp_f", [4]), ("lda_gamma", [0.001])],
+            "rgc": [("rgc_shrinkage", [0.1]), ("lda_gamma", [0.001])],
+        }
+        crossval.default_grid("wf").params["L"].append(99)
+        assert crossval.default_grid("wf").params["L"] == [6, 11, 21]
+        with pytest.raises(BadProtocolConfig, match="unknown model kind"):
+            crossval.default_grid("lda")
+
 
 class _Runner:
     """A runner stand-in: tunes on the plan's inner assignments and scores
@@ -799,6 +818,18 @@ _LAGS_OVER_LIMIT = [
 ]
 
 
+def _record_fits(monkeypatch):
+    """Record every decoder fit; returns the list of calls."""
+    calls = []
+    for module, name in [(linear, "wf_fit"), (linear, "cca_fit"),
+                         (spatial, "csp_fit"), (spatial, "rgc_fit")]:
+        fit = getattr(module, name)
+        monkeypatch.setattr(
+            module, name,
+            lambda *a, fit=fit, **k: calls.append(1) or fit(*a, **k))
+    return calls
+
+
 class TestLagLimits:
     @pytest.mark.parametrize("entry", ["grid", "fixed", "group"])
     @pytest.mark.parametrize(
@@ -810,12 +841,7 @@ class TestLagLimits:
         """A lag count longer than a decision window (L_y) or than the
         shortest unit (L) is refused before the first fit."""
         session = synth(n_trials=4, n_channels=3, duration_s=10.0, seed=3)
-        calls = []
-        for name in ("wf_fit", "cca_fit"):
-            fit = getattr(linear, name)
-            monkeypatch.setattr(
-                linear, name,
-                lambda *a, fit=fit, **k: calls.append(1) or fit(*a, **k))
+        calls = _record_fits(monkeypatch)
         grid = crossval.default_grid(kind)
         segment_s = window_s if protocol == "within_trial" else None
         with pytest.raises(BadConfig,
@@ -831,6 +857,135 @@ class TestLagLimits:
                     session, kind, plan, grid, window_s,
                     fixed_params=fixed if entry == "fixed" else None)
         assert calls == []
+
+
+# a valid one-point selection per decoder, and its count and weight keys
+_VALID_PARAMS = {
+    "wf": {"lam": 1.0, "L": 4},
+    "cca": {"reg": 0.1, "L": 4, "L_y": 4, "n_components": 2},
+    "csp": {"csp_f": 2, "lda_gamma": 1e-3},
+    "rgc": {"rgc_shrinkage": 0.1, "lda_gamma": 1e-3},
+}
+_COUNT_KEY = {"wf": "L", "cca": "L", "csp": "csp_f"}
+_WEIGHT_KEY = {"wf": "lam", "cca": "reg", "csp": "lda_gamma",
+               "rgc": "rgc_shrinkage"}
+
+
+def _bad_params(kind, case):
+    """(params, the key the error names) for one kind of bad input."""
+    params = dict(_VALID_PARAMS[kind])
+    if case == "missing":
+        key = list(params)[-1]
+        del params[key]
+        return params, key
+    if case == "unknown":
+        return {**params, "x": 1}, "x"
+    key = _COUNT_KEY[kind] if case == "fraction" else _WEIGHT_KEY[kind]
+    params[key] = {"fraction": 4.5, "negative": -1.0, "nan": float("nan"),
+                   "bool": True}[case]
+    return params, key
+
+
+_BAD_CASES = [
+    pytest.param(kind, case, id=f"{kind}-{case}")
+    for kind in _VALID_PARAMS
+    for case in ("missing", "unknown", "fraction", "negative", "nan", "bool")
+    if case != "fraction" or kind in _COUNT_KEY
+]
+
+
+@pytest.fixture(scope="module")
+def small_session():
+    return synth(n_trials=4, n_channels=3, duration_s=10.0, seed=3,
+                 direction_gain=1.0)
+
+
+class TestParamChecks:
+    @pytest.mark.parametrize("entry", ["grid", "fixed", "group"])
+    @pytest.mark.parametrize("kind, case", _BAD_CASES)
+    def test_bad_params_are_bad_config_before_any_fit(
+            self, monkeypatch, small_session, entry, kind, case):
+        """A missing or unknown key, a fractional count, and a negative,
+        NaN or bool value are refused, naming the key, by every API entry
+        before the first fit."""
+        calls = _record_fits(monkeypatch)
+        params, key = _bad_params(kind, case)
+        grid = crossval.HyperGrid({k: [v] for k, v in params.items()})
+        prefix = "fixed_params" if entry == "fixed" else "grid"
+        with pytest.raises(BadConfig, match=f"^{prefix}: {key} "):
+            if entry == "group":
+                crossval.run_pipeline_group(
+                    [small_session, small_session], kind, "loto", 5.0, grid,
+                    n_folds=2)
+            else:
+                plan = crossval.make_folds(small_session.trials, "loto", 2)
+                crossval.run_pipeline(
+                    small_session, kind, plan,
+                    None if entry == "fixed" else grid, 5.0,
+                    fixed_params=params if entry == "fixed" else None)
+        assert calls == []
+
+    @pytest.mark.parametrize("values", [
+        pytest.param(4, id="scalar"),
+        pytest.param("4", id="string"),
+        pytest.param({"L": 4}, id="mapping"),
+    ])
+    def test_grid_values_are_a_sequence(self, small_session, values):
+        plan = crossval.make_folds(small_session.trials, "loto", 2)
+        grid = crossval.HyperGrid({"lam": [1.0], "L": values})
+        with pytest.raises(BadConfig, match="^grid: L must map to a list"):
+            crossval.run_pipeline(small_session, "wf", plan, grid, 5.0)
+
+    def test_numpy_values_accepted(self, small_session):
+        """Grid values may be numpy scalars or arrays, as the default
+        grids hold."""
+        plan = crossval.make_folds(small_session.trials, "loto", 2)
+        grid = crossval.HyperGrid({"lam": np.array([0.1, 1.0]),
+                                   "L": (np.int64(4),)})
+        report = crossval.run_pipeline(small_session, "wf", plan, grid, 5.0)
+        assert [f.params["L"] for f in report.folds] == [4, 4]
+
+
+def _mixed_channels(session, edit):
+    """The session with trial t001's EEG edited: ``reversed`` stores its
+    channels in reverse order, names and data alike; ``dropped`` leaves
+    out its last channel."""
+    trials = list(session.trials)
+    eeg = trials[1].eeg
+    names = list(eeg.channel_names)
+    cols = list(range(len(names)))[::-1] if edit == "reversed" else \
+        list(range(len(names) - 1))
+    trials[1] = dataio.Trial(
+        trials[1].trial_id, trials[1].task, trials[1].group,
+        eeg.with_samples(eeg.samples[:, cols],
+                         channel_names=[names[c] for c in cols]),
+        trials[1].speakers, trials[1].timeline)
+    return dataio.Session(session.subject, session.fs, trials, True)
+
+
+class TestMixedChannels:
+    @pytest.mark.parametrize("edit", ["reversed", "dropped"])
+    @pytest.mark.parametrize("kind", ["wf", "csp"])
+    def test_trials_must_share_channels(self, monkeypatch, small_session,
+                                        kind, edit):
+        """Every trial lists the first trial's channels in its order;
+        otherwise the columns a model reads would mean different
+        electrodes, so the run is refused before any fit."""
+        calls = _record_fits(monkeypatch)
+        session = _mixed_channels(small_session, edit)
+        plan = crossval.make_folds(session.trials, "loto", 2)
+        with pytest.raises(BadChannelIndex, match="^trial t001: channel"):
+            crossval.run_pipeline(session, kind, plan,
+                                  crossval.default_grid(kind), 5.0)
+        assert calls == []
+
+    def test_restricted_session_runs(self, small_session):
+        """Selecting channels by name aligns the trials again."""
+        session = crossval.restrict_session(
+            _mixed_channels(small_session, "reversed"), ("ch02", "ch00"))
+        plan = crossval.make_folds(session.trials, "loto", 2)
+        report = crossval.run_pipeline(session, "wf", plan, SMALL_GRID, 5.0)
+        assert report.channel_names == ["ch02", "ch00"]
 
 
 class TestAblation:

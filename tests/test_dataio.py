@@ -516,9 +516,19 @@ class TestSynth:
         with pytest.raises(BadConfig, match=f"^{field}: "):
             dataio.synth_generate(cfg)
 
+    @pytest.mark.parametrize("n_channels", [1, 2])
+    def test_direction_gain_needs_three_channels(self, n_channels):
+        """Each direction class adds its own spatial pattern, one of three
+        orthonormal columns over the channels."""
+        cfg = dataio.SynthConfig(n_trials=6, duration_s=10.0,
+                                 n_channels=n_channels, direction_gain=1.0)
+        with pytest.raises(BadConfig,
+                           match="^direction_gain: .*n_channels"):
+            dataio.synth_generate(cfg)
+
     def test_direction_gain_at_lowest_rate(self):
         """At 14 Hz the carrier band is 6-6.3 Hz."""
-        cfg = dataio.SynthConfig(n_trials=1, duration_s=5.0, n_channels=2,
+        cfg = dataio.SynthConfig(n_trials=1, duration_s=5.0, n_channels=3,
                                  fs=14.0, direction_gain=1.0, seed=2)
         plain = dataio.synth_generate(replace(cfg, direction_gain=0.0))
         coded = dataio.synth_generate(cfg)
