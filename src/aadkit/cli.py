@@ -217,20 +217,15 @@ def cmd_run(args):
             if subject in subjects[:i]:
                 raise ManifestError(f"subject: {subject!r} is repeated")
         outs = [Path(args.out) / subject for subject in subjects]
-    if args.group_tuning and len(sessions) > 1:
+    plans = [crossval.make_folds(session.trials, **_plan_args(args))
+             for session in sessions]
+    if args.group_tuning:
         reports, _ = crossval.run_pipeline_group(
-            sessions, args.model, window_s=args.window, grid=grid,
-            jobs=args.jobs, **_plan_args(args),
-        )
+            sessions, args.model, plans, grid, args.window, jobs=args.jobs)
     else:
-        reports = [
-            crossval.run_pipeline(
-                session, args.model,
-                crossval.make_folds(session.trials, **_plan_args(args)),
-                grid, args.window, jobs=args.jobs,
-            )
-            for session in sessions
-        ]
+        reports = [crossval.run_pipeline(s, args.model, p, grid, args.window,
+                                         jobs=args.jobs)
+                   for s, p in zip(sessions, plans)]
     for report in reports:
         _check_scored(report)
     for out, report in zip(outs, reports):
@@ -244,10 +239,6 @@ def cmd_ablate(args):
     _settings(args)
     layouts = dataio.read_json(args.layouts, "layouts",
                                {list: "a list of presets", dict: "a mapping"})
-    if isinstance(layouts, dict) and not all(
-            isinstance(chs, list) and all(isinstance(c, str) for c in chs)
-            for chs in layouts.values()):
-        raise BadConfig("layouts: a mapping needs lists of channel names")
     [session] = _sessions(args)
     grid = _load_grid(args)
     plan = crossval.make_folds(session.trials, **_plan_args(args))
@@ -351,7 +342,7 @@ def cmd_preprocess(args):
 @_command(io_code=3)
 def cmd_envelope(args):
     _check_positive("to-fs", args.to_fs)
-    audio = dataio.read_wav(args.audio, speaker_id=args.speaker_id or 0)
+    audio = dataio.read_wav(args.audio)
     if args.to_fs > audio.fs:
         raise BadConfig(f"to-fs: {args.to_fs:g} Hz is above the audio rate "
                         f"{audio.fs:g} Hz")
@@ -439,7 +430,6 @@ def build_parser():
     p.add_argument("--bands", type=int, default=17)
     p.add_argument("--f-low", dest="f_low", type=float, default=50.0)
     p.add_argument("--f-high", dest="f_high", type=float, default=5000.0)
-    p.add_argument("--speaker-id", dest="speaker_id", type=int, default=0)
     p.set_defaults(func=cmd_envelope)
 
     p = sub.add_parser("convert-dataset",

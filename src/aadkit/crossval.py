@@ -26,19 +26,19 @@ scored against, or None when it is excluded from scoring.
 
 Hyperparameters are searched over every point of a deterministic grid,
 maximizing mean validation accuracy with ties broken by the smaller
-regularizer, then the smaller lag count. There is one tuning path:
-``score_grid`` asks each runner to score every point on its tuning
-assignments and ``pick_best`` takes the winner, in ``run_pipeline`` and
-``run_pipeline_group`` alike; the group path scores a point by the
-unweighted mean over sessions of each session's mean. Both
-pipelines take a one-point grid as is, without any validation fit. Each
-model's keys are declared once, by its default grid. Before the first
-fit both pipelines check the grid, or each fixed selection, and raise
-BadConfig unless it holds exactly the model's keys, each mapped to
-finite numbers >= 0 (integers >= 1 for the counts ``L``, ``L_y``,
-``n_components`` and ``csp_f``), ``L`` at most the shortest unit and,
-for CCA, ``L_y`` at most a decision window. The trials of a session must
-list the same channels in the same order (BadChannelIndex).
+regularizer, then the smaller lag count. There is one tuning path,
+``run_pipeline_group``, and ``run_pipeline`` is its one-session case:
+before any final fit, ``score_grid`` scores every point of each outer
+loop by the unweighted mean over sessions of each session's mean on its
+tuning assignments and ``pick_best`` takes the winner; a one-point grid
+is taken as is, without any validation fit. Each model's keys are
+declared once, by its default grid. Before the first fit the grid, or
+each fixed selection, is checked, raising BadConfig unless it holds
+exactly the model's keys, each mapped to finite numbers >= 0 (integers
+>= 1 for the counts ``L``, ``L_y``, ``n_components`` and ``csp_f``),
+``L`` at most the shortest unit, ``L_y`` (CCA) at most a decision window
+and ``csp_f`` (CSP) at most the channel count. The trials of a session
+must list the same channels in the same order (BadChannelIndex).
 
 The two envelope decoders share one evaluation path, the Wiener filter
 being CCA's one-component case. Each test unit (a whole trial, or a
@@ -352,11 +352,12 @@ class _RunnerBase:
     """One session's fold bookkeeping. ``units`` maps every unit of the
     plan to its trial, row range and decision windows, each labeled by
     the subclass's ``_window_label(trial_id, lo, hi)``. Subclasses also
-    provide ``_fit(units, params)`` and ``_eval_units(model, params,
-    units, collect)``, which returns (accuracy, macro-F1, window records,
-    per-trial time-PCC curves) over the units' labeled windows. Without
-    ``collect`` only the accuracy is needed (``score``), and a runner may
-    return None, [] and {} for the rest."""
+    provide ``check_params(points)``, raising BadConfig for a point the
+    data cannot take, ``_fit(units, params)`` and ``_eval_units(model,
+    params, units, collect)``, which returns (accuracy, macro-F1, window
+    records, per-trial time-PCC curves) over the units' labeled windows.
+    Without ``collect`` only the accuracy is needed (``score``), and a
+    runner may return None, [] and {} for the rest."""
 
     def __init__(self, session, plan, window_s, kind, time_pcc_seg_s=1.0):
         self.session = session
@@ -408,10 +409,6 @@ class _RunnerBase:
 
     def _channel_stats(self, model, params):
         return {}
-
-    def check_params(self, points):
-        """Raise BadConfig for a parameter point the session's data cannot
-        take, before anything is fitted."""
 
     def tuning_assignments(self, loop_index):
         loop = self.plan.outer[loop_index]
@@ -591,6 +588,11 @@ class _ClassifierRunner(_RunnerBase):
     """Filterbank-CSP and Riemannian classifier pipeline; a window is
     evaluated when it sits inside one attended span."""
 
+    def check_params(self, points):
+        if self.kind == "csp":
+            _check_csp_filters(points,
+                               len(self.session.trials[0].eeg.channel_names))
+
     def _window_label(self, tid, lo, hi):
         """Direction class when the window sits inside one attended span,
         else None."""
@@ -664,6 +666,14 @@ class _ClassifierRunner(_RunnerBase):
         return acc, f1, records, {}
 
 
+def _check_csp_filters(points, n_channels):
+    """CSP keeps ``csp_f`` filters per band and class out of the channels."""
+    most = max(int(p["csp_f"]) for p in points)
+    if most > n_channels:
+        raise BadConfig(f"csp_f: {most} filters exceed the {n_channels} "
+                        "channels")
+
+
 def _masked(a, mask):
     """Rows of a lagged design, or samples of a vector, where ``mask``
     holds."""
@@ -682,19 +692,11 @@ def _make_runner(session, model_kind, plan, window_s, time_pcc_seg_s):
     raise BadProtocolConfig(f"unknown model kind {model_kind!r}")
 
 
-def _loop_params(points, runners, loop_index):
-    """Parameters of one outer loop, chosen on every runner's tuning
-    assignments; a one-point grid is returned without scoring."""
-    if len(points) == 1:
-        return dict(points[0])
-    return dict(pick_best(score_grid(points, runners, loop_index))[0])
-
-
-def _report(runner, params_for, jobs):
-    """Evaluate every outer loop with ``params_for(loop_index)``."""
+def _report(runner, selected, jobs):
+    """Evaluate outer loop i with ``selected[i]``, ``jobs`` at a time."""
 
     def _one(loop_index):
-        return runner.evaluate_outer(loop_index, params_for(loop_index))
+        return runner.evaluate_outer(loop_index, selected[loop_index])
 
     indices = range(len(runner.plan.outer))
     if jobs and jobs > 1:
@@ -727,13 +729,11 @@ def run_pipeline(session, model_kind, plan, grid, window_s, *,
     ``fixed_params`` (one dict, or one per outer loop) the search is
     skipped entirely. Test folds are never read before final evaluation.
     """
-    runner = _make_runner(session, model_kind, plan, window_s, time_pcc_seg_s)
     if fixed_params is None:
-        _check_grid(model_kind, grid.params)
-        points = grid.points()
-        runner.check_params(points)
-        return _report(runner, lambda i: _loop_params(points, [runner], i),
-                       jobs)
+        return run_pipeline_group([session], model_kind, [plan], grid,
+                                  window_s, time_pcc_seg_s=time_pcc_seg_s,
+                                  jobs=jobs)[0][0]
+    runner = _make_runner(session, model_kind, plan, window_s, time_pcc_seg_s)
     if isinstance(fixed_params, dict):
         fixed_params = [fixed_params] * len(plan.outer)
     if len(fixed_params) != len(plan.outer):
@@ -745,20 +745,21 @@ def run_pipeline(session, model_kind, plan, grid, window_s, *,
         _check_grid(model_kind, {k: [v] for k, v in params.items()},
                     "fixed_params")
     runner.check_params(fixed_params)
-    return _report(runner, lambda i: dict(fixed_params[i]), jobs)
+    return _report(runner, fixed_params, jobs)
 
 
-def run_pipeline_group(sessions, model_kind, protocol, window_s, grid, *,
-                       n_folds=None, seed=0, segment_s=None,
+def run_pipeline_group(sessions, model_kind, plans, grid, window_s, *,
                        time_pcc_seg_s=1.0, jobs=1):
-    """Group-level tuning: one parameter set per outer loop, selected by
-    the unweighted mean of the per-session validation accuracies, then
-    applied to every session's final fit (``jobs`` outer loops of a
-    session at a time, as in ``run_pipeline``)."""
-    plans = [
-        make_folds(s.trials, protocol, n_folds, seed, segment_s=segment_s)
-        for s in sessions
-    ]
+    """Group-level tuning on one plan per session, all of one protocol and
+    one outer-loop count: each outer loop's parameters are selected by the
+    unweighted mean of the per-session validation accuracies and applied
+    to every session's final fit. Returns the reports and selections."""
+    if not sessions or len(plans) != len(sessions):
+        raise BadConfig(f"plans: {len(plans)} for {len(sessions)} sessions; "
+                        "need one plan per session and one session or more")
+    protocols = sorted({p.protocol for p in plans})
+    if len(protocols) != 1:
+        raise BadProtocolConfig(f"plans mix protocols: {', '.join(protocols)}")
     n_outer = {len(p.outer) for p in plans}
     if len(n_outer) != 1:
         raise BadProtocolConfig(
@@ -774,10 +775,11 @@ def run_pipeline_group(sessions, model_kind, protocol, window_s, grid, *,
     for runner in runners:
         runner.check_params(points)
     selected = [
-        _loop_params(points, runners, i) for i in range(n_outer.pop())
+        dict(points[0] if len(points) == 1
+             else pick_best(score_grid(points, runners, i))[0])
+        for i in range(n_outer.pop())
     ]
-    reports = [_report(r, lambda i: dict(selected[i]), jobs) for r in runners]
-    return reports, selected
+    return [_report(r, selected, jobs) for r in runners], selected
 
 
 # ---------------------------------------------------------------------------
@@ -829,11 +831,11 @@ def run_channel_ablation(session, layouts, model_kind, plan, grid, window_s,
                          **kwargs):
     """Re-run the pipeline on channel subsets.
 
-    ``layouts`` maps names to channel lists, or lists ``LAYOUTS`` preset
-    names; no layout, a list entry that is not a preset name, or a name
-    that cannot name a directory (``dataio.check_path_component``) raises
-    BadConfig. Every layout's name and channel names are checked before
-    anything is fitted.
+    ``layouts`` maps names to lists of channel names, or lists ``LAYOUTS``
+    preset names; no layout, a list entry that is not a preset name, a
+    value that is not a list of names, or a name that cannot name a
+    directory (``dataio.check_path_component``) raises BadConfig. Names,
+    channels and, for csp, channel counts are checked before any fit.
     The session's own channel set is searched first; every other layout
     reuses those selected hyperparameters. A layout equal to the full
     channel set reproduces the plain run exactly.
@@ -844,11 +846,18 @@ def run_channel_ablation(session, layouts, model_kind, plan, grid, window_s,
         if unknown:
             raise BadConfig(f"layouts: unknown preset names {unknown}")
         layouts = {name: LAYOUTS[name] for name in layouts}
+    elif not all(isinstance(chs, (list, tuple))
+                 and all(isinstance(c, str) for c in chs)
+                 for chs in layouts.values()):
+        raise BadConfig("layouts: a mapping needs lists of channel names")
     if not layouts:
         raise BadConfig("layouts: empty")
     for name, channels in layouts.items():
         dataio.check_path_component("layouts", name, BadConfig)
         _channel_columns(session, channels)
+    if model_kind == "csp":
+        _check_grid(model_kind, grid.params)
+        _check_csp_filters(grid.points(), min(map(len, layouts.values())))
     full_names = tuple(session.trials[0].eeg.channel_names)
     full_report = run_pipeline(session, model_kind, plan, grid, window_s,
                                **kwargs)

@@ -775,7 +775,7 @@ def shuffle_attended(session, seed):
 # ---------------------------------------------------------------------------
 
 
-def read_wav(path, speaker_id=0):
+def read_wav(path):
     try:
         with wave.open(str(path), "rb") as fh:
             n_ch = fh.getnchannels()
@@ -799,7 +799,7 @@ def read_wav(path, speaker_id=0):
         padded = np.zeros((len(frames) // 3, 4), dtype=np.uint8)
         padded[:, 1:] = np.frombuffer(frames, dtype=np.uint8).reshape(-1, 3)
         data = padded.view("<i4")[:, 0] / float(1 << 31)
-    return AudioTrack(samples=data, fs=float(fs), speaker_id=speaker_id)
+    return AudioTrack(samples=data, fs=float(fs))
 
 
 # ---------------------------------------------------------------------------

@@ -399,6 +399,27 @@ class TestRun:
             f["params"] for f in sb["folds"]
         ]
 
+    def test_group_tuning_one_manifest_exports_the_same(
+            self, session_dir, grid_file, tmp_path, capsys):
+        """A group of one session tunes like a per-subject run."""
+        from aadkit import cli
+
+        _, sess = session_dir
+        argv = ["run", "--manifest", str(sess / "manifest.json"),
+                "--model", "wf", "--protocol", "nested_loto", "--window",
+                "10", "--folds", "3", "--grid", str(grid_file)]
+        outs = []
+        for group in (False, True):
+            out = tmp_path / f"o{int(group)}"
+            code = cli.main(argv + ["--out", str(out)]
+                            + ["--group-tuning"] * group)
+            assert code == 0
+            outs.append((capsys.readouterr().out,
+                         {p.relative_to(out): p.read_bytes()
+                          for p in sorted(out.rglob("*")) if p.is_file()}))
+        assert outs[0][1]
+        assert outs[0] == outs[1]
+
     @pytest.mark.parametrize("model", ["wf", "cca"])
     def test_nested_loto_two_folds_exit_2(self, session_dir, tmp_path,
                                           capsys, model):
@@ -587,6 +608,31 @@ class TestChannels:
         assert r.returncode == 4, r.stderr
         assert r.stderr.startswith("error: data:")
         assert "ch00" in r.stderr
+
+    @pytest.mark.parametrize("command", ["run", "ablate"])
+    def test_csp_filters_over_channels_exit_2(self, session_dir, tmp_path,
+                                              capsys, monkeypatch, command):
+        """The default csp grid keeps 4 filters; two channels cannot give
+        them, which is refused before any fit."""
+        from aadkit import cli, spatial
+
+        _, sess = session_dir
+        fits = []
+        monkeypatch.setattr(spatial, "csp_fit", lambda *a, **k: fits.append(a))
+        argv = [command, "--manifest", str(sess / "manifest.json"),
+                "--model", "csp", "--protocol", "loto", "--window", "10",
+                "--folds", "2", "--out", str(tmp_path / "o")]
+        if command == "run":
+            argv += ["--channels", "ch00,ch01"]
+        else:
+            layouts = tmp_path / "layouts.json"
+            layouts.write_text(json.dumps({"a": ["ch00", "ch01"]}))
+            argv += ["--layouts", str(layouts)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: config: csp_f: 4 filters exceed the 2 channels")
+        assert not fits
+        assert not (tmp_path / "o").exists()
 
 
 def _edit_t001_channels(edit):

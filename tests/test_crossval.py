@@ -426,9 +426,10 @@ class TestSearch:
             report = crossval.run_pipeline(sessions[0], kind, plan,
                                            crossval.default_grid(kind), 10.0)
             selected.append([f.params for f in report.folds])
+        plans = [crossval.make_folds(s.trials, "nested_loto", 3, seed=1)
+                 for s in sessions]
         selected.append(crossval.run_pipeline_group(
-            sessions, "wf", "nested_loto", 10.0, crossval.default_grid("wf"),
-            n_folds=3, seed=1,
+            sessions, "wf", plans, crossval.default_grid("wf"), 10.0,
         )[1])
         cca = {"L_y": 11, "n_components": 2}
         assert selected == [
@@ -746,8 +747,10 @@ class TestRunPipeline:
     def test_group_pipeline_shares_params(self):
         sessions = [synth(n_trials=8, n_channels=3, seed=s) for s in (1, 2)]
         grid = crossval.HyperGrid({"lam": [0.1, 10.0], "L": [6]})
+        plans = [crossval.make_folds(s.trials, "nested_loto", 4, seed=0)
+                 for s in sessions]
         reports, selected = crossval.run_pipeline_group(
-            sessions, "wf", "nested_loto", 10.0, grid, n_folds=4, seed=0
+            sessions, "wf", plans, grid, 10.0
         )
         assert len(reports) == 2
         assert len(selected) == 4
@@ -757,11 +760,11 @@ class TestRunPipeline:
     def test_group_jobs_parallel_same_result(self):
         sessions = [synth(n_trials=8, n_channels=3, seed=s) for s in (1, 2)]
         grid = crossval.HyperGrid({"lam": [0.1, 10.0], "L": [6]})
+        plans = [crossval.make_folds(s.trials, "nested_loto", 4, seed=0)
+                 for s in sessions]
         runs = [
-            crossval.run_pipeline_group(
-                sessions, "wf", "nested_loto", 10.0, grid, n_folds=4,
-                seed=0, jobs=jobs,
-            )
+            crossval.run_pipeline_group(sessions, "wf", plans, grid, 10.0,
+                                        jobs=jobs)
             for jobs in (1, 3)
         ]
         (serial, sel1), (parallel, sel3) = runs
@@ -787,10 +790,9 @@ class TestRunPipeline:
             return wf_fit(*args, **kwargs)
 
         monkeypatch.setattr(linear, "wf_fit", counting_fit)
-        crossval.run_pipeline_group(
-            sessions, "wf", "nested_loto", 10.0, SMALL_GRID, n_folds=4,
-            seed=0,
-        )
+        plans = [crossval.make_folds(s.trials, "nested_loto", 4, seed=0)
+                 for s in sessions]
+        crossval.run_pipeline_group(sessions, "wf", plans, SMALL_GRID, 10.0)
         # nothing to tune: one final fit per (session, outer loop)
         assert len(calls) == 2 * 4
 
@@ -800,7 +802,7 @@ class TestRunPipeline:
         plan = crossval.make_folds(session.trials, "nested_loto", 4, seed=0)
         report = crossval.run_pipeline(session, "wf", plan, grid, 10.0)
         _, selected = crossval.run_pipeline_group(
-            [session], "wf", "nested_loto", 10.0, grid, n_folds=4, seed=0
+            [session], "wf", [plan], grid, 10.0
         )
         assert selected == [f.params for f in report.folds]
 
@@ -844,15 +846,14 @@ class TestLagLimits:
         calls = _record_fits(monkeypatch)
         grid = crossval.default_grid(kind)
         segment_s = window_s if protocol == "within_trial" else None
+        plan = crossval.make_folds(session.trials, protocol, folds,
+                                   segment_s=segment_s)
         with pytest.raises(BadConfig,
                            match=f"^{key}: {value} lags .* {limit} samples"):
             if entry == "group":
                 crossval.run_pipeline_group(
-                    [session, session], kind, protocol, window_s, grid,
-                    n_folds=folds, segment_s=segment_s)
+                    [session, session], kind, [plan, plan], grid, window_s)
             else:
-                plan = crossval.make_folds(session.trials, protocol, folds,
-                                           segment_s=segment_s)
                 crossval.run_pipeline(
                     session, kind, plan, grid, window_s,
                     fixed_params=fixed if entry == "fixed" else None)
@@ -912,13 +913,13 @@ class TestParamChecks:
         params, key = _bad_params(kind, case)
         grid = crossval.HyperGrid({k: [v] for k, v in params.items()})
         prefix = "fixed_params" if entry == "fixed" else "grid"
+        plan = crossval.make_folds(small_session.trials, "loto", 2)
         with pytest.raises(BadConfig, match=f"^{prefix}: {key} "):
             if entry == "group":
                 crossval.run_pipeline_group(
-                    [small_session, small_session], kind, "loto", 5.0, grid,
-                    n_folds=2)
+                    [small_session, small_session], kind, [plan, plan], grid,
+                    5.0)
             else:
-                plan = crossval.make_folds(small_session.trials, "loto", 2)
                 crossval.run_pipeline(
                     small_session, kind, plan,
                     None if entry == "fixed" else grid, 5.0,
@@ -944,6 +945,64 @@ class TestParamChecks:
                                    "L": (np.int64(4),)})
         report = crossval.run_pipeline(small_session, "wf", plan, grid, 5.0)
         assert [f.params["L"] for f in report.folds] == [4, 4]
+
+    @pytest.mark.parametrize("entry", ["grid", "fixed", "group"])
+    def test_csp_filters_over_channels_before_any_fit(
+            self, monkeypatch, small_session, entry):
+        """CSP keeps ``csp_f`` filters per band and class out of the
+        session's channels, so a larger count is refused before the first
+        fit, as a configuration error."""
+        calls = _record_fits(monkeypatch)
+        session = crossval.restrict_session(small_session, ("ch00", "ch01"))
+        plan = crossval.make_folds(session.trials, "loto", 2)
+        grid = crossval.HyperGrid({"csp_f": [1, 3], "lda_gamma": [1e-3]})
+        with pytest.raises(BadConfig,
+                           match="^csp_f: 3 filters exceed the 2 channels"):
+            if entry == "group":
+                crossval.run_pipeline_group([session, session], "csp",
+                                            [plan, plan], grid, 5.0)
+            elif entry == "fixed":
+                crossval.run_pipeline(
+                    session, "csp", plan, None, 5.0,
+                    fixed_params={"csp_f": 3, "lda_gamma": 1e-3})
+            else:
+                crossval.run_pipeline(session, "csp", plan, grid, 5.0)
+        assert calls == []
+
+
+class TestGroupPlans:
+    """``run_pipeline_group`` takes one plan per session, all of one
+    protocol and one outer-loop count."""
+
+    @pytest.mark.parametrize("case, error, message", [
+        ("fewer-plans", BadConfig, "plans: 1 for 2 sessions"),
+        ("more-plans", BadConfig, "plans: 2 for 1 sessions"),
+        ("empty", BadConfig, "plans: 0 for 0 sessions"),
+        ("mixed-protocols", BadProtocolConfig,
+         "plans mix protocols: loto, nested_loto"),
+        ("mixed-outer", BadProtocolConfig,
+         "sessions produce different outer-loop counts"),
+    ])
+    def test_refused_before_any_fit(self, monkeypatch, small_session, case,
+                                    error, message):
+        calls = _record_fits(monkeypatch)
+
+        def plan(protocol="loto", n_folds=3):
+            return crossval.make_folds(small_session.trials, protocol,
+                                       n_folds)
+
+        two = [small_session, small_session]
+        sessions, plans = {
+            "fewer-plans": (two, [plan()]),
+            "more-plans": ([small_session], [plan(), plan()]),
+            "empty": ([], []),
+            "mixed-protocols": (two, [plan(), plan("nested_loto")]),
+            "mixed-outer": (two, [plan(), plan(n_folds=2)]),
+        }[case]
+        with pytest.raises(error, match=f"^{message}"):
+            crossval.run_pipeline_group(sessions, "wf", plans, SMALL_GRID,
+                                        5.0)
+        assert calls == []
 
 
 def _mixed_channels(session, edit):
@@ -1034,8 +1093,12 @@ class TestAblation:
         ({"../../escaped": ["ch00"]}, "'../../escaped' is not a file name"),
         ({"..": ["ch00"]}, "'..' is not a file name"),
         ({"": ["ch00"]}, "'' is not a file name"),
+        ({"a": 5}, "a mapping needs lists of channel names"),
+        ({"a": "ch00"}, "a mapping needs lists of channel names"),
+        ({"a": ["ch00", 5]}, "a mapping needs lists of channel names"),
     ], ids=["unknown", "int", "list", "empty-list", "empty-map",
-            "name-escapes", "name-dot-dot", "name-empty"])
+            "name-escapes", "name-dot-dot", "name-empty", "map-int",
+            "map-str", "map-int-channel"])
     def test_bad_layouts_are_bad_config(self, monkeypatch, layouts, message):
         session = synth(n_trials=4, n_channels=4, seed=16)
         plan = crossval.make_folds(session.trials, "loto", 2, seed=0)
@@ -1057,6 +1120,24 @@ class TestAblation:
             crossval.run_channel_ablation(
                 session, {"ok": ["ch01"], "bad": bad}, "wf", plan,
                 SMALL_GRID, 10.0)
+        assert calls == []
+
+    def test_csp_filters_over_layout_channels_before_any_fit(
+            self, monkeypatch):
+        """Every ``csp_f`` of the grid may be selected on the full set, so
+        each must fit every layout's channel count."""
+        session = synth(n_trials=4, n_channels=4, seed=16)
+        plan = crossval.make_folds(session.trials, "loto", 2, seed=0)
+        calls = []
+        run = crossval.run_pipeline
+        monkeypatch.setattr(crossval, "run_pipeline",
+                            lambda *a, **k: calls.append(1) or run(*a, **k))
+        grid = crossval.HyperGrid({"csp_f": [1, 3], "lda_gamma": [1e-3]})
+        with pytest.raises(BadConfig,
+                           match="^csp_f: 3 filters exceed the 2 channels"):
+            crossval.run_channel_ablation(
+                session, {"full": ["ch00", "ch01", "ch02", "ch03"],
+                          "pair": ["ch00", "ch01"]}, "csp", plan, grid, 10.0)
         assert calls == []
 
     def test_hash_of_reports_differ_between_layouts(self):
