@@ -51,6 +51,7 @@ trials get their time-PCC curves from the same projections.
 
 import itertools
 import numbers
+from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, NamedTuple, Optional
@@ -832,9 +833,10 @@ def run_channel_ablation(session, layouts, model_kind, plan, grid, window_s,
     """Re-run the pipeline on channel subsets.
 
     ``layouts`` maps names to lists of channel names, or lists ``LAYOUTS``
-    preset names; no layout, a list entry that is not a preset name, a
-    value that is not a list of names, or a name that cannot name a
-    directory (``dataio.check_path_component``) raises BadConfig. Names,
+    preset names; any other type, no layout, a list entry that is not a
+    preset name, a value that is not a list of names, or a name that
+    cannot name a directory (``dataio.check_path_component``) raises
+    BadConfig. Names,
     channels and, for csp, channel counts are checked before any fit.
     The session's own channel set is searched first; every other layout
     reuses those selected hyperparameters. A layout equal to the full
@@ -846,6 +848,10 @@ def run_channel_ablation(session, layouts, model_kind, plan, grid, window_s,
         if unknown:
             raise BadConfig(f"layouts: unknown preset names {unknown}")
         layouts = {name: LAYOUTS[name] for name in layouts}
+    elif not isinstance(layouts, Mapping):
+        raise BadConfig("layouts: need a list of preset names or a mapping "
+                        f"of names to channel lists, got "
+                        f"{type(layouts).__name__}")
     elif not all(isinstance(chs, (list, tuple))
                  and all(isinstance(c, str) for c in chs)
                  for chs in layouts.values()):

@@ -115,9 +115,10 @@ def read_json(path, label, kinds=None):
 
 def check_path_component(label, name, error):
     """Raise ``error`` prefixed with ``label`` unless ``name`` can be one
-    path component under an output directory: non-empty, not ``.`` or
-    ``..``, and without ``/``, ``\\`` or NUL."""
-    if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+    path component under an output directory: a non-empty string, not
+    ``.`` or ``..``, and without ``/``, ``\\`` or NUL."""
+    if (not isinstance(name, str) or name in ("", ".", "..")
+            or any(c in name for c in "/\\\0")):
         raise error(f"{label}: {name!r} is not a file name")
 
 

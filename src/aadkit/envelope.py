@@ -5,8 +5,10 @@ one-pole resonators) splits the audio into sub-bands; per-band magnitudes
 are compressed with a 0.6 power law, summed across bands, resampled to the
 EEG processing rate and clamped at zero.
 
-The bank runs at the audio rate, one ``sosfilt`` call per band (see
-:func:`aadkit.kernels.resonator_magnitudes`). Audio at 22.05, 44.1 or
+The bank runs at the audio rate as numpy block state-space filters, one
+per band for its whole cascade, all bands at once (see
+:func:`aadkit.kernels.resonator_magnitudes`); no SciPy module is loaded.
+Audio at 22.05, 44.1 or
 48 kHz reaches 40 Hz in two rational resampling stages, because those
 ratios need a denominator above 1000 (see :func:`aadkit.preprocess.resample`).
 """

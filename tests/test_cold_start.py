@@ -1,12 +1,12 @@
 """Commands load only the SciPy modules their work needs.
 
 ``scipy.signal`` (and the ``scipy.stats`` it pulls in) costs about a second
-to import and ``scipy.linalg`` about 0.3 s. The filter designs and the IIR
-kernel are numpy, so synthesis, conditioning and CSP load neither; only
-the gammatone resonators of ``envelope`` import ``scipy.signal``, and the
-Cholesky solve of a Wiener-filter fit ``scipy.linalg.lapack``, each on
-first use. Each case runs in a fresh interpreter, whose ``sys.modules`` is
-then the record of what the command loaded.
+to import and ``scipy.linalg`` about 0.3 s. The filter designs, the IIR
+kernel and the gammatone resonators are numpy, so synthesis, conditioning,
+envelopes and CSP load neither; only the Cholesky solve of a Wiener-filter
+fit imports ``scipy.linalg.lapack``, on first use. Each case runs in a
+fresh interpreter, whose ``sys.modules`` is then the record of what the
+command loaded.
 """
 
 import json
@@ -67,8 +67,7 @@ def test_import_loads_no_filtering():
 
 
 def test_gammatone_design_loads_no_filtering():
-    """Designing the bank is closed-form numpy; only running it through
-    the resonator kernel imports ``scipy.signal``."""
+    """Designing the bank is closed-form numpy."""
     loaded, _ = run_fresh("""
         from aadkit import envelope
         envelope.gammatone_bank(16000, 50.0, 5000.0, 17)
@@ -163,9 +162,8 @@ def test_preprocess_loads_no_scipy(tmp_path):
     assert loaded == []
 
 
-def test_envelope_loads_filtering():
-    """The positive control: the resonator kernel is the one user of
-    ``scipy.signal``."""
+def test_envelope_loads_no_scipy():
+    """The gammatone resonators and the resampling to 40 Hz."""
     loaded, _ = run_fresh("""
         import numpy as np
         from aadkit import envelope
@@ -173,7 +171,7 @@ def test_envelope_loads_filtering():
         audio = envelope.AudioTrack(np.ones(1600), 16000)
         envelope.compute_envelope(audio, bank, 40.0)
     """)
-    assert "scipy.signal" in loaded
+    assert loaded == []
 
 
 def test_bandpass_design_loads_no_scipy_with_same_coefficients():

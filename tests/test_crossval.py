@@ -1096,9 +1096,14 @@ class TestAblation:
         ({"a": 5}, "a mapping needs lists of channel names"),
         ({"a": "ch00"}, "a mapping needs lists of channel names"),
         ({"a": ["ch00", 5]}, "a mapping needs lists of channel names"),
+        ({5: ["ch01"]}, "5 is not a file name"),
+        ("full", "need a list of preset names or a mapping"),
+        (7, "need a list of preset names or a mapping"),
+        (None, "need a list of preset names or a mapping"),
     ], ids=["unknown", "int", "list", "empty-list", "empty-map",
             "name-escapes", "name-dot-dot", "name-empty", "map-int",
-            "map-str", "map-int-channel"])
+            "map-str", "map-int-channel", "name-int", "str", "scalar",
+            "none"])
     def test_bad_layouts_are_bad_config(self, monkeypatch, layouts, message):
         session = synth(n_trials=4, n_channels=4, seed=16)
         plan = crossval.make_folds(session.trials, "loto", 2, seed=0)

@@ -40,9 +40,9 @@ def _module_level_imports(tree):
 
 
 def test_scipy_is_imported_on_first_use():
-    """``scipy.signal`` costs about a second to import and ``scipy.linalg``
-    about 0.3 s; only the functions that filter or solve a Cholesky system
-    may import them, so commands that do neither load no SciPy module."""
+    """``scipy.linalg`` costs about 0.3 s to import; only the functions
+    that solve a Cholesky system may import it, so commands that solve
+    none load no SciPy module."""
     offenders = []
     for path in sorted((ROOT / "src" / "aadkit").glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
@@ -69,10 +69,11 @@ def _scipy_subpackages(node):
             if n.split(".")[0] == "scipy"}
 
 
-def test_only_the_resonator_and_cholesky_path_import_scipy():
-    """The gammatone resonators are the one user of ``scipy.signal``; the
-    Cholesky factor and solve of the Wiener filter the users of
-    ``scipy.linalg``. Filter designs and IIR filtering are numpy."""
+def test_only_the_cholesky_path_imports_scipy():
+    """The Cholesky factor and solve of the Wiener filter are the one user
+    of SciPy, through ``scipy.linalg``. Filter designs, IIR filtering and
+    the gammatone resonators are numpy, so no module imports
+    ``scipy.signal``."""
     users = {}
     for path in sorted((ROOT / "src" / "aadkit").glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
@@ -85,6 +86,5 @@ def test_only_the_resonator_and_cholesky_path_import_scipy():
                         users.setdefault(sub, set()).add(
                             f"{path.stem}.{fn.name}")
     assert users == {
-        "scipy.signal": {"kernels.resonator_magnitudes"},
         "scipy.linalg": {"kernels.cholesky_inplace", "numerics._cho_solve"},
     }

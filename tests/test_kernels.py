@@ -173,23 +173,29 @@ def test_resonator_matches_complex_recurrence(rng):
     assert np.max(np.abs(m - ref) / np.abs(ref)) < 1e-12
 
 
-def resonator_cascade(x, poles, gains, n_stages):
-    """One ``lfilter`` call per one-pole stage, written column by column."""
-    from scipy import signal
+def resonator_long_double(x, poles, gains, n_stages):
+    """The cascade one sample at a time (all bands at once), in long
+    double."""
+    p = poles.astype(np.clongdouble)
+    w = [np.zeros(p.shape, dtype=np.clongdouble) for _ in range(n_stages)]
+    y = np.empty((x.shape[0], p.shape[0]), dtype=np.clongdouble)
+    for t, v in enumerate(x.astype(np.longdouble)):
+        for i in range(n_stages):
+            w[i] = v = v + p * w[i]
+        y[t] = v
+    return gains * np.abs(y)
 
-    out = np.empty((x.shape[0], poles.shape[0]))
-    for band, (pole, gain) in enumerate(zip(poles, gains)):
-        w = x
-        for _ in range(n_stages):
-            w = signal.lfilter([1.0], [1.0, -pole], w)
-        out[:, band] = gain * np.abs(w)
-    return out
+
+def _band_peak_error(got, want):
+    """Largest error in each band relative to that band's peak."""
+    return float(np.max(np.abs(got - want) / np.max(want, axis=0)))
 
 
 class TestResonatorBitIdentity:
-    """The one-``sosfilt``-per-band kernel reproduces the per-stage
-    ``lfilter`` cascade exactly, including its empty and zero-stage
-    edges."""
+    """The block state-space kernel is within 1e-14 of each band's peak
+    of a long-double recurrence; its empty and zero-stage edges are
+    exactly ``gains * |x|``, and the envelope applies its formula to the
+    kernel's output bit for bit."""
 
     @pytest.mark.parametrize("fs", [8000, 16000, 48000])
     @pytest.mark.parametrize("n_bands", [1, 3, 17])
@@ -202,19 +208,51 @@ class TestResonatorBitIdentity:
         m = kernels.resonator_magnitudes(x, bank.poles, bank.gains, n_stages)
         assert m.dtype == np.float64 and m.flags.c_contiguous
         assert m.shape == (t_len, n_bands)
-        assert np.array_equal(
-            m, resonator_cascade(x, bank.poles, bank.gains, n_stages))
+        if t_len == 0 or n_stages == 0:
+            assert np.array_equal(m, bank.gains * np.abs(x)[:, None])
+        else:
+            want = resonator_long_double(x, bank.poles, bank.gains, n_stages)
+            assert _band_peak_error(m, want) < 1e-14
 
     def test_envelope_equals_cascade_formula(self, rng):
         bank = envelope.gammatone_bank(16000, 50.0, 5000.0, 17)
         audio = envelope.AudioTrack(0.1 * rng.standard_normal(16000), 16000)
-        mags = resonator_cascade(audio.samples, bank.poles, bank.gains,
-                                 bank.n_stages)
+        mags = kernels.resonator_magnitudes(audio.samples, bank.poles,
+                                            bank.gains, bank.n_stages)
         summed = np.sum(mags ** 0.6, axis=1)
         res = preprocess.resample(
             preprocess.MultichannelSignal(summed[:, None], 16000), 40.0)
         env = envelope.compute_envelope(audio, bank, 40.0)
         assert np.array_equal(env.samples, np.maximum(res.samples[:, 0], 0.0))
+
+
+def _resonator_edge_lengths():
+    n = kernels._RES_BLOCK
+    group, chunk = n * kernels._RES_GROUP, n * kernels._RES_CHUNK
+    return sorted({n - 1, n, n + 1, group - 1, group, group + 1, chunk,
+                   chunk + 1, 2 * group + 1})
+
+
+@pytest.mark.parametrize("t_len", _resonator_edge_lengths())
+def test_resonator_block_edges(rng, t_len):
+    """Lengths around one block, one group and one chunk of blocks."""
+    bank = envelope.gammatone_bank(16000, 50.0, 5000.0, 17)
+    x = rng.standard_normal(t_len)
+    m = kernels.resonator_magnitudes(x, bank.poles, bank.gains, 4)
+    assert m.shape == (t_len, 17) and m.flags.c_contiguous
+    want = resonator_long_double(x, bank.poles, bank.gains, 4)
+    assert _band_peak_error(m, want) < 1e-14
+
+
+def test_resonator_operators_built_once_per_bank(rng):
+    """The operators depend on the bank alone, not on the input length."""
+    bank = envelope.gammatone_bank(16000, 50.0, 5000.0, 17)
+    kernels._resonator_operators.cache_clear()
+    for t_len in (1, 1000, 80000):
+        kernels.resonator_magnitudes(rng.standard_normal(t_len), bank.poles,
+                                     bank.gains, bank.n_stages)
+    info = kernels._resonator_operators.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
 
 
 class TestCholesky:
