@@ -33,8 +33,11 @@ class AudioTrack:
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64).ravel()
-        if self.fs < 8000:
-            raise ValueError(f"audio rate {self.fs} too low")
+        if not (np.isfinite(self.fs) and self.fs >= 8000):
+            raise ValueError(f"audio rate {self.fs} must be finite and at "
+                             "least 8000 Hz")
+        if self.samples.size == 0:
+            raise ValueError("audio needs at least one sample")
         if not np.all(np.isfinite(self.samples)):
             raise ValueError("audio samples must be finite")
 
@@ -68,7 +71,7 @@ def gammatone_bank(fs, f_low, f_high, n_bands, bw_scale=DEFAULT_BW_SCALE):
     A single band sits at the ERB-scale midpoint of the edges; multiple
     bands span the edges inclusively.
     """
-    if not (0 < f_low < f_high < fs / 2):
+    if not (np.isfinite(fs) and 0 < f_low < f_high < fs / 2):
         raise InvalidBand(f"band edges ({f_low}, {f_high}) invalid for fs={fs}")
     if n_bands < 1:
         raise InvalidBand("need at least one band")

@@ -14,12 +14,14 @@ list their caller hands them: eigenvalues ascending, singular values
 descending. The package's own order and tolerance rules are
 :mod:`aadkit.numerics`' business.
 
-IIR filtering is numpy: each second-order section runs as a block
-state-space filter, BLAS products of the input's blocks with matrices
-built once per section (see :func:`sosfilt`). The gammatone resonators
-run the same way, one state-space system per band for its whole cascade
-of identical complex one-pole stages, with matrices built once per bank
-(see :func:`resonator_magnitudes`).
+IIR filtering is numpy, on one block state-space engine: a cascade of
+DF2T sections, real or complex, runs as one linear system whose matrices
+are built once per cascade (:func:`_operators`), and whose states before
+each block of the input come from one routine (:func:`_block_states`);
+then the output is BLAS products of the input's blocks. :func:`sosfilt`
+runs a whole cascade of second-order sections as one system, and
+:func:`resonator_magnitudes` one system per gammatone band for its
+cascade of identical complex one-pole stages, all bands at once.
 
 Polyphase resampling is a matrix product: the input, cut into rows of a
 multiple of the decimation factor, times one table of the filter's taps,
@@ -100,47 +102,114 @@ def cholesky_inplace(a, tol):
     return -1 if info == 0 else n_done
 
 
-# Samples per block of the IIR kernel, and the most blocks per group: the
-# Python loop of :func:`sosfilt` takes one step per group of up to 512
-# samples.
-_IIR_BLOCK = 32
-_IIR_GROUP = 16
+# Samples per block of the block state-space filters, the most blocks per
+# group of their state recurrence (the Python loop of :func:`_block_states`
+# takes one step per group of up to 1,024 samples), and blocks per chunk of
+# the resonator's output products.
+_BLOCK = 64
+_GROUP = 16
+_CHUNK = 32
 
 
-@functools.lru_cache(maxsize=256)
-def _sosfilt_operators(section, count):
-    """The matrices ``(F, G)`` of :func:`sosfilt` for one section and
-    groups of ``count`` blocks of ``N = _IIR_BLOCK`` samples.
+@functools.lru_cache(maxsize=32)
+def _operators(cascades):
+    """The matrices ``(W, U, G)`` of the block state-space filter that
+    runs ``cascades``: a tuple of P systems, each a tuple of the same
+    number of DF2T sections ``(b0, b1, b2, a1, a2)``, real or complex;
+    blocks of ``N = _BLOCK`` samples and groups of ``K = _GROUP`` blocks.
 
-    ``F`` runs the section over one block: with the block's input ``x``
-    and the DF2T states ``s = (z0, z1)`` before it, ``[x, s] @ F = [y,
-    s']``, its output and the states after it. ``G`` runs the states over
-    a group: with ``u_k = x_k @ F[:N, N:]``, the states move by ``s <- s
-    @ F[N:, N:] + u_k`` per block, and ``[u_0, ..., u_{count-1}, S] @ G``
-    gives, from the group's start state ``S``, the states before each of
-    its blocks and after the last. Row ``i`` of each matrix is the
-    response to the ``i``-th unit vector, so both come from running the
-    recurrences on the identity, in long double so that each entry is
-    rounded to float64 once.
+    A system's state ``s`` holds the DF2T states ``(z0, z1)`` of each of
+    its sections, less those that every block leaves at zero (``z1`` of a
+    one-pole section): m of them. ``W[p]`` (N + m, N) maps a block's real
+    input and the states before it, ``[x, s]``, to its output, and ``U``
+    (N, P m) maps a block's input to every system's states after it from
+    zero states. Both are float64: for complex systems a state or output
+    is an interleaved real and imaginary pair, so ``W[p]`` is (N + 2m,
+    2N) and ``U`` (N, 2Pm). ``G[p]`` runs the states over a group: with
+    the states moving by ``s <- s @ D + u_j`` per block, ``[S, u_0, ...,
+    u_{K-1}] @ G[p]`` gives, from the group's start state ``S``, the
+    states before each of its blocks and after the last. Its (r, j) block
+    of m rows and columns is ``D ** (j - r)``, zero for ``j < r``, so its
+    leading ``(k + 1) m`` square serves a group of ``k < K`` blocks.
+
+    Row ``i`` of ``W`` and ``U`` is the response to the ``i``-th unit
+    vector, so both come from running the sections on the identity; that
+    and ``D``'s powers run in long double, so that each entry is rounded
+    to float64 once. The arrays are read-only: every call on the same
+    cascades shares them.
     """
-    b0, b1, b2, a1, a2 = (np.longdouble(v) for v in section)
-    n = _IIR_BLOCK
-    basis = np.eye(n + 2, dtype=np.longdouble)
-    f = np.empty_like(basis)
-    z0, z1 = basis[:, n], basis[:, n + 1]
+    coef = np.array(cascades)
+    cplx = np.iscomplexobj(coef)
+    dt = np.clongdouble if cplx else np.longdouble
+    n, k = _BLOCK, _GROUP
+    n_sys, n_sec = coef.shape[:2]
+    # per section, each coefficient as a column over the systems
+    sections = coef.astype(dt).transpose(1, 2, 0)[..., None]
+    basis = np.eye(n + 2 * n_sec, dtype=dt)
+    f = np.empty((n_sys,) + basis.shape, dtype=dt)
+    z = list(basis[n:])
     for t in range(n):
-        x = basis[:, t]
-        f[:, t] = y = b0 * x + z0
-        z0, z1 = b1 * x - a1 * y + z1, b2 * x - a2 * y
-    f[:, n], f[:, n + 1] = z0, z1
-    basis = np.eye(2 * count + 2, dtype=np.longdouble)
-    g = np.empty_like(basis)
-    s = basis[:, 2 * count:]
-    for k in range(count):
-        g[:, 2 * k : 2 * k + 2] = s
-        s = s @ f[n:, n:] + basis[:, 2 * k : 2 * k + 2]
-    g[:, 2 * count:] = s
-    return f.astype(np.float64), g.astype(np.float64)
+        v = basis[t]
+        for i, (b0, b1, b2, a1, a2) in enumerate(sections):
+            y = b0 * v + z[2 * i]
+            z[2 * i] = b1 * v - a1 * y + z[2 * i + 1]
+            z[2 * i + 1] = b2 * v - a2 * y
+            v = y
+        f[..., t] = v
+    f[..., n:] = np.stack(z, axis=-1)
+    # states that every block leaves at zero stay zero from a zero start
+    live = np.flatnonzero(np.any(f[..., n:] != 0, axis=(0, 1)))
+    keep = np.r_[:n, n + live]
+    f = f[:, keep][:, :, keep]
+    m = f.shape[1] - n
+    power = np.broadcast_to(np.eye(m, dtype=dt), (n_sys, m, m))
+    g = np.zeros((n_sys, (k + 1) * m, (k + 1) * m), dtype=dt)
+    for q in range(k + 1):
+        for r in range(k + 1 - q):
+            g[:, r * m:(r + 1) * m, (r + q) * m:(r + q + 1) * m] = power
+        power = power @ f[:, n:, n:]
+    w = f[..., :n]
+    if cplx:
+        w = np.concatenate([w[:, :n], np.stack(
+            [w[:, n:], 1j * w[:, n:]], axis=2).reshape(n_sys, 2 * m, n)], 1)
+    u = f[:, :n, n:].transpose(1, 0, 2).reshape(n, n_sys * m)
+    out = np.complex128 if cplx else np.float64
+    ops = (np.ascontiguousarray(w, out).view(np.float64),
+           np.ascontiguousarray(u, out).view(np.float64), g.astype(out))
+    for a in ops:
+        a.setflags(write=False)
+    return ops
+
+
+def _block_states(u, g):
+    """The states before each block from zero states at the start, for
+    systems batched over the leading axes: ``u`` (..., blocks, m) holds
+    each block's states after it from zero states before it, and ``g`` is
+    the matching ``G`` of :func:`_operators`. Returns (..., blocks, m).
+
+    The blocks go in groups of ``k = min(blocks, _GROUP)``, the last one
+    zero-padded. One product per group with ``G`` gives the states within
+    it from a zero start, and a Python loop over the groups carries each
+    group's end state to the next; one more product adds each group's
+    start state to the states within it.
+    """
+    lead, (blocks, m) = u.shape[:-2], u.shape[-2:]
+    k = min(blocks, _GROUP)
+    groups = -(-blocks // k)
+    padded = np.zeros(lead + (groups * k, m), dtype=u.dtype)
+    padded[..., :blocks, :] = u
+    z = (padded.reshape(lead + (groups, k * m))
+         @ g[..., m:(k + 1) * m, :(k + 1) * m])
+    states = z[..., :k * m]
+    if groups > 1:
+        starts = np.zeros((groups,) + lead + (1, m), dtype=z.dtype)
+        step = g[..., :m, k * m:(k + 1) * m]
+        for j in range(1, groups):
+            np.matmul(starts[j - 1], step, out=starts[j])
+            starts[j, ..., 0, :] += z[..., j - 1, k * m:]
+        states = states + (np.moveaxis(starts[..., 0, :], 0, -2)
+                           @ g[..., :m, :k * m])
+    return states.reshape(lead + (groups * k, m))[..., :blocks, :]
 
 
 def sosfilt(sections, x):
@@ -151,110 +220,33 @@ def sosfilt(sections, x):
     the other. Returns a (T, C) array whose columns are contiguous, or,
     with no sections, a copy of ``x``.
 
-    Each section runs as a block state-space filter (Burrus 1972): cut
-    into blocks of N samples, a column's output is ``[x_k, s_k] @ F`` per
-    block, one BLAS product for all blocks once the states ``s_k`` before
-    them are known. These follow from one product of each group of up to
-    ``_IIR_GROUP`` blocks with ``G`` (:func:`_sosfilt_operators`) and a
-    Python loop over the groups that carries the state from one group to
-    the next. Every product is batched over columns, one matrix per
-    column, so a column's output does not depend on the others; a section
-    at a time, so a cascade in one call equals one call per part. The
-    error is about that of DF2T itself, below 1e-13 of the output's peak
-    on the package's designs.
+    The whole cascade runs as one block state-space filter (Burrus 1972)
+    with two states per section: cut into blocks of N samples, a column's
+    output is ``[x_k, s_k] @ W`` per block (:func:`_operators`), one BLAS
+    product for all blocks once the states ``s_k`` before them are known
+    (:func:`_block_states`). Every product is batched over columns, one
+    matrix per column, so a column's output does not depend on the
+    others. The error is about that of DF2T itself, below 1e-13 of the
+    output's peak on the package's designs; a cascade filtered in one
+    call and one filtered a part at a time agree to that error, not bit
+    for bit.
     """
     t_len, n_ch = x.shape
     if t_len == 0 or len(sections) == 0:
         return np.array(x, dtype=np.float64)
-    n = _IIR_BLOCK
+    n = _BLOCK
+    w, u, g = _operators((tuple(map(tuple, np.asarray(
+        sections, dtype=np.float64).tolist())),))
     blocks = -(-t_len // n)
-    groups = -(-blocks // _IIR_GROUP)
-    count = -(-blocks // groups)
-    blocks = groups * count
     # per column, each block's samples and then the states before it;
     # zeros past the end change no output before it
-    cur = np.zeros((n_ch, blocks, n + 2))
+    lhs = np.zeros((n_ch, blocks, n + u.shape[1]))
     full, rest = divmod(t_len, n)
-    cur[:, :full, :n] = x[: full * n].T.reshape(n_ch, full, n)
+    lhs[:, :full, :n] = x[: full * n].T.reshape(n_ch, full, n)
     if rest:
-        cur[:, full, :rest] = x[full * n:].T
-    nxt = np.empty_like(cur)
-    for section in np.asarray(sections, dtype=np.float64).tolist():
-        f, g = _sosfilt_operators(tuple(section), count)
-        u = (cur[..., :n] @ f[:n, n:]).reshape(n_ch, groups, 2 * count)
-        z = u @ g[: 2 * count]
-        states = z[..., :-2]
-        if groups > 1:
-            ends = z[:, :-1, -2:].transpose(1, 2, 0)
-            starts = np.zeros((groups, 2, n_ch))
-            step = g[2 * count:, 2 * count:, None]
-            for j in range(1, groups):
-                starts[j] = (step * starts[j - 1][:, None]).sum(axis=0)
-                starts[j] += ends[j - 1]
-            states = states + starts.transpose(2, 0, 1) @ g[2 * count:, :-2]
-        cur[..., n:] = states.reshape(n_ch, blocks, 2)
-        np.matmul(cur, f[:, :n], out=nxt[..., :n])
-        cur, nxt = nxt, cur
-    return cur[..., :n].reshape(n_ch, blocks * n)[:, :t_len].T
-
-
-# Samples per block of the resonator kernel, blocks per group of its state
-# recurrence (the Python loop of :func:`resonator_magnitudes` takes one
-# step per 1,024 samples), and blocks per chunk of its output products.
-_RES_BLOCK = 64
-_RES_GROUP = 16
-_RES_CHUNK = 32
-
-
-@functools.lru_cache(maxsize=8)
-def _resonator_operators(poles, n_stages):
-    """The matrices ``(W, U, G)`` of :func:`resonator_magnitudes` for one
-    bank: ``poles`` a tuple of B complex poles, ``m = n_stages``, blocks of
-    ``N = _RES_BLOCK`` samples and groups of ``K = _RES_GROUP`` blocks.
-
-    A band's state ``s`` is the last output of each of its ``m`` stages.
-    ``W[b]`` (N + 2m, 2N) maps a block's real input and the interleaved
-    real and imaginary parts of the states before it, ``[x, Re s_1, Im
-    s_1, ...]``, to its output, interleaved the same way. ``U`` (N, 2mB)
-    maps a block's input to every band's states after it from zero states,
-    ``u``. ``G[b]`` runs the states over a group: with the states moving
-    by ``s <- s @ D + u_k`` per block, ``[u_0, ..., u_{K-1}, S] @ G[b]``
-    gives, from the group's start state ``S``, the states before each of
-    its blocks and after the last. Row ``i`` of each matrix is the
-    response to the ``i``-th unit vector, so all come from running the
-    recurrences on the identity, in long double so that each entry is
-    rounded to float64 once. The arrays are read-only: every call on the
-    bank shares them.
-    """
-    n, m, k = _RES_BLOCK, n_stages, _RES_GROUP
-    p = np.array(poles, dtype=np.clongdouble)[:, None]
-    basis = np.eye(n + m, dtype=np.clongdouble)
-    f = np.empty((p.shape[0], n + m, n + m), dtype=np.clongdouble)
-    w = [basis[n + i] for i in range(m)]
-    for t in range(n):
-        v = basis[t]
-        for i in range(m):
-            w[i] = v = v + p * w[i]
-        f[..., t] = v
-    for i in range(m):
-        f[..., n + i] = w[i]
-    out_op = np.empty((p.shape[0], n + 2 * m, n), dtype=np.clongdouble)
-    out_op[:, :n] = f[:, :n, :n]
-    out_op[:, n::2] = f[:, n:, :n]
-    out_op[:, n + 1::2] = 1j * f[:, n:, :n]
-    in_op = f[:, :n, n:].transpose(1, 0, 2).astype(np.complex128)
-    basis = np.eye((k + 1) * m, dtype=np.clongdouble)
-    g = np.empty((p.shape[0],) + basis.shape, dtype=np.clongdouble)
-    s = np.broadcast_to(basis[:, k * m:], g[..., :m].shape)
-    for j in range(k):
-        g[..., j * m:(j + 1) * m] = s
-        s = s @ f[:, n:, n:] + basis[:, j * m:(j + 1) * m]
-    g[..., k * m:] = s
-    ops = (out_op.astype(np.complex128).view(np.float64),
-           in_op.view(np.float64).reshape(n, -1), g.astype(np.complex128))
-    for a in ops:
-        a.setflags(write=False)
-    return ops
+        lhs[:, full, :rest] = x[full * n:].T
+    lhs[..., n:] = _block_states(lhs[..., :n] @ u, g)
+    return (lhs @ w).reshape(n_ch, blocks * n)[:, :t_len].T
 
 
 def resonator_magnitudes(x, poles, gains, n_stages):
@@ -265,51 +257,43 @@ def resonator_magnitudes(x, poles, gains, n_stages):
     ``gains[b] * |w|``. Returns shape (T, n_bands), float64, C-ordered.
 
     Each band's cascade runs as one ``n_stages``-state block state-space
-    filter (Burrus 1972), as :func:`sosfilt` runs a section: cut into
-    blocks of N samples, the states before every block follow from one
-    product per group of ``_RES_GROUP`` blocks and a Python loop over the
-    groups, batched over bands; then a block's output is one real product
-    ``[x_k, Re s_k, Im s_k] @ W[b]`` (:func:`_resonator_operators`) whose
-    interleaved columns read as complex. The output products run
-    ``_RES_CHUNK`` blocks at a time for all bands, and each chunk's
-    magnitudes go straight into the (T, n_bands) result. Against a
-    long-double recurrence the error is below 2e-15 of each band's peak
-    on gammatone banks of up to 32 bands and 6 stages at 8 to 48 kHz,
-    about half that of ``scipy.signal.sosfilt`` with complex sections.
+    filter, as :func:`sosfilt` runs its cascade, all bands at once: a
+    stage is the DF2T section ``(1, 0, 0, -poles[b], 0)``. The states
+    before every block come from :func:`_block_states`; then a block's
+    output is one real product ``[x_k, Re s_k, Im s_k] @ W[b]``
+    (:func:`_operators`) whose interleaved columns read as complex. The
+    output products run ``_CHUNK`` blocks at a time for all bands, and
+    each chunk's magnitudes go straight into the (T, n_bands) result.
+    Against a long-double recurrence the error is below 2e-15 of each
+    band's peak on gammatone banks of up to 32 bands and 6 stages at 8 to
+    48 kHz, about half that of ``scipy.signal.sosfilt`` with complex
+    sections.
     """
     t_len, n_bands = x.shape[0], poles.shape[0]
     if n_stages == 0 or t_len == 0:
         return gains * np.abs(x)[:, None]
-    n, m, k = _RES_BLOCK, n_stages, _RES_GROUP
-    out_op, in_op, g = _resonator_operators(
-        tuple(np.asarray(poles, dtype=np.complex128).tolist()), n_stages)
+    n = _BLOCK
+    w, u, g = _operators(tuple(
+        ((1.0, 0.0, 0.0, -p, 0.0),) * n_stages
+        for p in np.asarray(poles, dtype=np.complex128).tolist()))
+    m = u.shape[1] // (2 * n_bands)
     blocks = -(-t_len // n)
-    groups = -(-blocks // k)
     # zeros past the end change no output before it
-    xb = np.zeros((groups * k, n))
+    xb = np.zeros((blocks, n))
     xb.reshape(-1)[:t_len] = x
-    u = (xb @ in_op).view(np.complex128).reshape(groups, k, n_bands, m)
-    z = u.transpose(2, 0, 1, 3).reshape(n_bands, groups, k * m) @ g[:, :k * m]
-    states = z[..., :k * m]
-    if groups > 1:
-        starts = np.zeros((groups, n_bands, 1, m), dtype=np.complex128)
-        step = g[:, k * m:, k * m:]
-        for j in range(1, groups):
-            np.matmul(starts[j - 1], step, out=starts[j])
-            starts[j, :, 0] += z[:, j - 1, k * m:]
-        states = states + (starts[:, :, 0].transpose(1, 0, 2)
-                           @ g[:, k * m:, :k * m])
-    states = states.reshape(n_bands, groups * k, m).view(np.float64)
+    states = _block_states(
+        (xb @ u).view(np.complex128).reshape(blocks, n_bands, m)
+        .transpose(1, 0, 2), g)
 
     out = np.empty((t_len, n_bands))
-    lhs = np.empty((n_bands, min(_RES_CHUNK, blocks), n + 2 * m))
-    for b0 in range(0, blocks, _RES_CHUNK):
-        b1 = min(b0 + _RES_CHUNK, blocks)
+    lhs = np.empty((n_bands, min(_CHUNK, blocks), n + 2 * m))
+    for b0 in range(0, blocks, _CHUNK):
+        b1 = min(b0 + _CHUNK, blocks)
         t0, t1 = b0 * n, min(b1 * n, t_len)
         part = lhs[:, : b1 - b0]
         part[..., :n] = xb[b0:b1]
-        part[..., n:] = states[:, b0:b1]
-        y = (part @ out_op).view(np.complex128).reshape(n_bands, -1)
+        part[..., n:].view(np.complex128)[...] = states[:, b0:b1]
+        y = (part @ w).view(np.complex128).reshape(n_bands, -1)
         np.multiply(np.abs(y[:, : t1 - t0]).T, gains, out=out[t0:t1])
     return out
 

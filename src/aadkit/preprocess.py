@@ -209,12 +209,17 @@ def rereference(x, ref_index, drop_ref=False):
     """Subtract the reference channel from every channel.
 
     With ``drop_ref`` the reference channel is removed from the output,
-    otherwise it stays as a column of zeros.
+    otherwise it stays as a column of zeros; dropping a signal's only
+    channel raises :class:`BadChannelIndex`, since no channel would be
+    left.
     """
     if not (0 <= ref_index < x.n_channels):
         raise BadChannelIndex(
             f"reference index {ref_index} out of range for C={x.n_channels}"
         )
+    if drop_ref and x.n_channels == 1:
+        raise BadChannelIndex(
+            f"dropping reference {ref_index} leaves no channel")
     ref = x.samples[:, ref_index : ref_index + 1]
     out = x.samples - ref
     names = list(x.channel_names)
@@ -362,8 +367,9 @@ def standard_chain(x, ref_index=None, band=(0.5, 62.0), band_order=8,
     skipped by passing None for its parameter.
 
     The band-pass and notch sections run as one cascade in one
-    :func:`filter_apply` pass; ``sosfilt`` runs one section at a time, so
-    this equals a pass per filter bit for bit.
+    :func:`filter_apply` pass; ``sosfilt`` runs it as one system, so this
+    equals a pass per filter within its error (1e-13 of the output's
+    peak), not bit for bit.
     """
     if ref_index is not None:
         x = rereference(x, ref_index, drop_ref=True)

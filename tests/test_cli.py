@@ -32,10 +32,10 @@ def write_wav(path, samples, fs, n_channels=1):
         fh.writeframes(pcm.astype("<i2").tobytes())
 
 
-def raw_session(root, lengths, env_fs=125.0):
-    """Save a raw 125 Hz session, one task-1 trial of 3 channels (c0, c1,
-    ref) per EEG length, with white-noise envelopes at ``env_fs`` covering
-    the same time; returns the manifest path."""
+def raw_session(root, lengths, env_fs=125.0, channels=("c0", "c1", "ref")):
+    """Save a raw 125 Hz session, one task-1 trial of ``channels`` per EEG
+    length, with white-noise envelopes at ``env_fs`` covering the same
+    time; returns the manifest path."""
     from aadkit import dataio
     from aadkit.preprocess import MultichannelSignal
 
@@ -50,8 +50,8 @@ def raw_session(root, lengths, env_fs=125.0):
         ]
         trials.append(dataio.Trial(
             f"t{i:03d}", 1, 1,
-            MultichannelSignal(rng.standard_normal((t_len, 3)), 125.0,
-                               ["c0", "c1", "ref"]),
+            MultichannelSignal(rng.standard_normal((t_len, len(channels))),
+                               125.0, list(channels)),
             speakers, [dataio.TimelineSpan(0.0, t_len / 125.0, 1)],
         ))
     return dataio.save_session(
@@ -195,6 +195,12 @@ def _envelope_stereo(tmp, session_dir):
     return ["envelope", "--audio", tmp / "a.wav", "--out", tmp / "e.aad"]
 
 
+def _preprocess_ref_only_channel(tmp, session_dir):
+    return ["preprocess", "--manifest",
+            raw_session(tmp / "raw", [1250], channels=("ref",)),
+            "--ref", "0", "--out", tmp / "o"]
+
+
 def _preprocess_band_triple(tmp, session_dir):
     return ["preprocess", "--manifest", raw_session(tmp / "raw", [1250]),
             "--band", "1,2,3", "--out", tmp / "o"]
@@ -211,6 +217,8 @@ def _preprocess_band_triple(tmp, session_dir):
                  id="run-duplicate-trial-id"),
     pytest.param(_preprocess_nan_envelope, 4, "data",
                  id="preprocess-nan-envelope"),
+    pytest.param(_preprocess_ref_only_channel, 4, "data",
+                 id="preprocess-ref-only-channel"),
     pytest.param(_envelope_4khz, 3, "io", id="envelope-4khz-wav"),
     pytest.param(_envelope_stereo, 3, "io", id="envelope-stereo-wav"),
     pytest.param(_preprocess_band_triple, 2, "argument --band",

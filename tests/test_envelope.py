@@ -10,7 +10,23 @@ def bank():
     return env.gammatone_bank(16000, 50, 5000, 17)
 
 
+class TestAudioTrack:
+    @pytest.mark.parametrize("fs", [np.nan, np.inf, 7999.0])
+    def test_rate_refused(self, fs):
+        with pytest.raises(ValueError, match="audio rate"):
+            env.AudioTrack(np.zeros(100), fs)
+
+    def test_empty_clip_refused(self):
+        with pytest.raises(ValueError, match="at least one sample"):
+            env.AudioTrack(np.zeros(0), 16000)
+
+
 class TestBank:
+    @pytest.mark.parametrize("fs", [np.nan, np.inf])
+    def test_rate_not_finite(self, fs):
+        with pytest.raises(InvalidBand):
+            env.gammatone_bank(fs, 50, 5000, 17)
+
     def test_17_centers_in_range(self, bank):
         c = bank.centers_hz
         assert len(c) == 17

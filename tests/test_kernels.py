@@ -2,6 +2,7 @@
 the eigen and SVD kernels against the numpy.linalg calls whose factors they
 pass on, and numerics' rules on top of them."""
 
+import inspect
 import math
 
 import numpy as np
@@ -92,14 +93,18 @@ def test_sosfilt_matches_long_double_df2t(rng, name):
 
 
 def _edge_lengths():
-    n, group = kernels._IIR_BLOCK, kernels._IIR_BLOCK * kernels._IIR_GROUP
-    return sorted({1, n - 1, n, n + 1, group - 1, group, group + 1,
-                   2 * group + 1})
+    """Lengths around half, one and two blocks, half, one and two groups
+    of blocks (a shorter input makes one shorter group; past one group,
+    the last group is zero-padded) and one chunk of the resonator's output
+    products."""
+    n, group = kernels._BLOCK, kernels._BLOCK * kernels._GROUP
+    edges = (n // 2, n, 2 * n, group // 2, group, 2 * group,
+             n * kernels._CHUNK)
+    return sorted({1} | {e + d for e in edges for d in (-1, 0, 1)})
 
 
 @pytest.mark.parametrize("t_len", _edge_lengths())
 def test_sosfilt_block_edges(rng, t_len):
-    """Lengths around one block and one group of blocks."""
     sections = DESIGNS["chain-250"]
     x = rng.standard_normal((t_len, 2))
     y = kernels.sosfilt(sections, x)
@@ -226,16 +231,8 @@ class TestResonatorBitIdentity:
         assert np.array_equal(env.samples, np.maximum(res.samples[:, 0], 0.0))
 
 
-def _resonator_edge_lengths():
-    n = kernels._RES_BLOCK
-    group, chunk = n * kernels._RES_GROUP, n * kernels._RES_CHUNK
-    return sorted({n - 1, n, n + 1, group - 1, group, group + 1, chunk,
-                   chunk + 1, 2 * group + 1})
-
-
-@pytest.mark.parametrize("t_len", _resonator_edge_lengths())
+@pytest.mark.parametrize("t_len", _edge_lengths())
 def test_resonator_block_edges(rng, t_len):
-    """Lengths around one block, one group and one chunk of blocks."""
     bank = envelope.gammatone_bank(16000, 50.0, 5000.0, 17)
     x = rng.standard_normal(t_len)
     m = kernels.resonator_magnitudes(x, bank.poles, bank.gains, 4)
@@ -247,12 +244,34 @@ def test_resonator_block_edges(rng, t_len):
 def test_resonator_operators_built_once_per_bank(rng):
     """The operators depend on the bank alone, not on the input length."""
     bank = envelope.gammatone_bank(16000, 50.0, 5000.0, 17)
-    kernels._resonator_operators.cache_clear()
+    kernels._operators.cache_clear()
     for t_len in (1, 1000, 80000):
         kernels.resonator_magnitudes(rng.standard_normal(t_len), bank.poles,
                                      bank.gains, bank.n_stages)
-    info = kernels._resonator_operators.cache_info()
+    info = kernels._operators.cache_info()
     assert (info.misses, info.hits) == (1, 2)
+
+
+def test_sosfilt_operators_built_once_per_cascade(rng):
+    """One cascade filtered at lengths of one group and of many groups of
+    blocks builds its operators once."""
+    kernels._operators.cache_clear()
+    for t_len in (200, 400, 7500, 75000):
+        kernels.sosfilt(DESIGNS["chain-250"], rng.standard_normal((t_len, 1)))
+    info = kernels._operators.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+
+
+def test_public_kernels_are_plain_functions():
+    """The benchmark's tracer wraps only plain functions, so a decorated
+    kernel would drop out of its trace silently; caches stay on private
+    functions."""
+    public = {name: obj for name, obj in vars(kernels).items()
+              if callable(obj) and not name.startswith("_")}
+    assert sorted(public) == ["cholesky_inplace", "fir_resample",
+                              "jacobi_sweep", "resonator_magnitudes",
+                              "sosfilt", "svd_sweep"]
+    assert all(inspect.isfunction(obj) for obj in public.values())
 
 
 class TestCholesky:

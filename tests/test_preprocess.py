@@ -218,6 +218,12 @@ class TestRereference:
         with pytest.raises(BadChannelIndex):
             pp.rereference(x, 5)
 
+    def test_dropping_the_only_channel(self):
+        x = pp.MultichannelSignal(np.zeros((5, 1)), 125)
+        assert pp.rereference(x, 0).n_channels == 1
+        with pytest.raises(BadChannelIndex):
+            pp.rereference(x, 0, drop_ref=True)
+
 
 class TestResample:
     def test_constant_preserved(self):
@@ -339,7 +345,9 @@ def test_full_chain_deterministic(rng):
 ])
 def test_chain_filters_in_one_pass(rng, monkeypatch, band, notch):
     """The band-pass and notch sections run in one ``filter_apply`` call,
-    bit for bit equal to one pass per filter."""
+    equal to one pass per filter within ``sosfilt``'s bound of 1e-12 of
+    the output's peak; the cascade runs as one system, so the two round
+    differently."""
     x = pp.MultichannelSignal(rng.standard_normal((2000, 5)), 250.0)
     want = pp.rereference(x, 0, drop_ref=True)
     if band is not None:
@@ -357,4 +365,6 @@ def test_chain_filters_in_one_pass(rng, monkeypatch, band, notch):
     monkeypatch.setattr(pp, "filter_apply", spy)
     got = pp.standard_chain(x, ref_index=0, band=band, notch=notch)
     assert len(passes) == (band is not None or notch is not None)
-    assert np.array_equal(got.samples, want.samples)
+    assert got.samples.shape == want.samples.shape
+    assert (np.max(np.abs(got.samples - want.samples))
+            < 1e-12 * np.max(np.abs(want.samples)))
