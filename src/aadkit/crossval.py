@@ -40,11 +40,13 @@ exactly the model's keys, each mapped to finite numbers >= 0 (integers
 and ``csp_f`` (CSP) at most the channel count. The trials of a session
 must list the same channels in the same order (BadChannelIndex).
 
-The two envelope decoders share one evaluation path, the Wiener filter
-being CCA's one-component case. Each test unit (a whole trial, or a
-within_trial segment) is lagged with its own zero padding and projected
-by ``linear.eeg_components``; every decision window then scores each
-candidate stream by ``metrics.component_pcc`` against
+All four decoders share one evaluation loop, in which a runner only
+decides the labeled windows of its test units and a window is correct
+when it is no tie and predicts its label. The envelope decoders decide
+alike, the Wiener filter being CCA's one-component case. Each test unit
+(a whole trial, or a within_trial segment) is lagged with its own zero
+padding and projected by ``linear.eeg_components``; every decision window
+then scores each candidate stream by ``metrics.component_pcc`` against
 ``linear.envelope_components`` of that window of the candidate, and whole
 trials get their time-PCC curves from the same projections.
 """
@@ -328,6 +330,9 @@ def score_grid(points, runners, loop_index):
 
 
 def _window_len(window_s, fs):
+    if not 0 < window_s < np.inf:
+        raise BadProtocolConfig(f"window_s={window_s} is not a finite "
+                                "positive number of seconds")
     w = int(round(window_s * fs))
     if w < 2:
         raise BadProtocolConfig(f"window_s={window_s} too short at fs={fs}")
@@ -350,21 +355,24 @@ class _Unit(NamedTuple):
 
 
 class _RunnerBase:
-    """One session's fold bookkeeping. ``units`` maps every unit of the
-    plan to its trial, row range and decision windows, each labeled by
-    the subclass's ``_window_label(trial_id, lo, hi)``. Subclasses also
-    provide ``check_params(points)``, raising BadConfig for a point the
-    data cannot take, ``_fit(units, params)`` and ``_eval_units(model,
-    params, units, collect)``, which returns (accuracy, macro-F1, window
-    records, per-trial time-PCC curves) over the units' labeled windows.
-    Without ``collect`` only the accuracy is needed (``score``), and a
-    runner may return None, [] and {} for the rest."""
+    """One session's fold bookkeeping and its one evaluation loop.
+    ``units`` maps every unit of the plan to its trial, row range and
+    decision windows, each labeled by the subclass's
+    ``_window_label(trial_id, lo, hi)``. Subclasses also provide
+    ``check_params(points)``, raising BadConfig for a point the data
+    cannot take, ``_fit(units, params)`` and ``_decide(model, params,
+    units, collect)``, which returns the units' labeled windows as
+    ``(window, predicted, tie, rhos)`` in export order, and the per-trial
+    time-PCC curves when ``collect`` is set (else {})."""
 
     def __init__(self, session, plan, window_s, kind, time_pcc_seg_s=1.0):
         self.session = session
         self.plan = plan
         self.kind = kind
         self.window_s = float(window_s)
+        if not 0 < time_pcc_seg_s < np.inf:
+            raise BadConfig(f"time_pcc_seg_s: {time_pcc_seg_s} is not a "
+                            "finite positive number of seconds")
         self.time_pcc_seg_s = time_pcc_seg_s
         self.fs = session.fs
         self.win = _window_len(window_s, self.fs)
@@ -417,6 +425,30 @@ class _RunnerBase:
             return loop.inner
         # single-loop protocols tune on the test fold (optimistic by design)
         return [Assignment(loop.fit, loop.test, loop.test)]
+
+    def _eval_units(self, model, params, units, collect=False):
+        """(accuracy, macro-F1, window records, time-PCC curves) over the
+        units' labeled windows, a tie counting wrong; without ``collect``
+        only the accuracy (``score``), with None, [] and {}."""
+        decided, curves = self._decide(model, params, units, collect)
+        correct = [not tie and predicted == w.label
+                   for w, predicted, tie, _ in decided]
+        if not collect:
+            # correct windows / windows is classification_metrics' accuracy
+            # to the bit, and grid scoring reads nothing else
+            return (correct.count(True) / len(correct) if correct
+                    else 0.0), None, [], {}
+        records = [
+            WindowRecord(trial_id=w.trial_id, window_index=w.index,
+                         predicted=predicted, attended=w.label, rhos=rhos,
+                         correct=ok, tie=tie)
+            for (w, predicted, tie, rhos), ok in zip(decided, correct)
+        ]
+        acc, f1 = metrics.classification_metrics(
+            np.array([-1 if r.tie else r.predicted for r in records],
+                     dtype=int),
+            np.array([r.attended for r in records], dtype=int), 3)
+        return acc, f1, records, curves
 
     def score(self, params, train, val):
         """Accuracy on ``val`` of a model fitted on ``train``."""
@@ -514,14 +546,14 @@ class _LinearRunner(_RunnerBase):
 
     # -- evaluation ---------------------------------------------------------
 
-    def _eval_units(self, model, params, units, collect=False):
-        """Score every valid window; units run in trial order, each lagged
-        with its own zero padding exactly as its training statistics
-        were built (a whole trial is one unit)."""
+    def _decide(self, model, params, units, collect):
+        """Score every valid window by its candidates' correlations; units
+        run in trial order, each lagged with its own zero padding exactly
+        as its training statistics were built (a whole trial is one
+        unit), and a whole trial gives its curves from the same lagging."""
         lags = int(params["L"])
-        records = []
+        decided = []
         curves = {}
-        preds = []
         for unit in sorted(units, key=lambda u: self.units[u].trial_id):
             tid, lo, hi, windows = self.units[unit]
             trial = self.trials[tid]
@@ -530,41 +562,21 @@ class _LinearRunner(_RunnerBase):
             px = linear.eeg_components(
                 model, build_lagged(trial.eeg.samples[lo:hi], lags)
             )
-            for _, w, a, b, label in windows:
-                if label is None:
+            for w in windows:
+                if w.label is None:
                     continue
                 rhos = tuple(
                     metrics.component_pcc(
-                        px[a - lo : b - lo],
-                        linear.envelope_components(model, c[a:b]),
+                        px[w.lo - lo : w.hi - lo],
+                        linear.envelope_components(model, c[w.lo : w.hi]),
                     )
                     for c in cands
                 )
-                decision = metrics.decide_window(rhos, 0)
-                preds.append(-1 if decision.tie else decision.predicted)
-                if collect:
-                    records.append(
-                        WindowRecord(
-                            trial_id=tid,
-                            window_index=w,
-                            predicted=decision.predicted,
-                            attended=0,
-                            rhos=rhos,
-                            correct=decision.correct,
-                            tie=decision.tie,
-                        )
-                    )
+                decision = metrics.decide_window(rhos, w.label)
+                decided.append((w, decision.predicted, decision.tie, rhos))
             if collect and unit == tid:
                 curves[tid] = self._trial_curves(model, px, trial)
-        if collect:
-            acc, f1 = metrics.classification_metrics(
-                np.array(preds), np.zeros(len(preds), dtype=int), 3
-            )
-        else:
-            # correct windows / windows is classification_metrics' accuracy
-            # to the bit, and grid scoring reads nothing else
-            acc, f1 = (preds.count(0) / len(preds) if preds else 0.0), None
-        return acc, f1, records, curves
+        return decided, curves
 
     def _trial_curves(self, model, px, trial):
         """Per-speaker time-PCC curves over the whole trial."""
@@ -618,11 +630,6 @@ class _ClassifierRunner(_RunnerBase):
         return np.stack([self.trials[tid].eeg.samples[a:b]
                          for tid, _, a, b, _ in rows])
 
-    def _features(self, segments, front):
-        features = (spatial.csp_features if self.kind == "csp"
-                    else spatial.tangent_features)
-        return features(segments, front)
-
     def _fit(self, units, params):
         rows = self._labeled_windows(units)
         if not rows:
@@ -639,32 +646,18 @@ class _ClassifierRunner(_RunnerBase):
                               gamma=float(params["lda_gamma"]), n_classes=3)
         return front, lda
 
-    def _eval_units(self, model, params, units, collect=False):
+    def _decide(self, model, params, units, collect):
         """Classify every labeled window of the units with one feature
-        call and one LDA call."""
+        call and one LDA call; a classifier never ties."""
         front, lda = model
         rows = self._labeled_windows(units)
-        if rows:
-            preds = spatial.lda_predict(
-                self._features(self._segments(rows), front), lda
-            )
-        else:
-            preds = np.zeros(0, dtype=int)
-        labels = np.array([r.label for r in rows], dtype=int)
-        records = [
-            WindowRecord(
-                trial_id=tid,
-                window_index=w,
-                predicted=pred,
-                attended=label,
-                rhos=None,
-                correct=pred == label,
-                tie=False,
-            )
-            for (tid, w, _, _, label), pred in zip(rows, preds.tolist())
-        ]
-        acc, f1 = metrics.classification_metrics(preds, labels, 3)
-        return acc, f1, records, {}
+        if not rows:
+            return [], {}
+        features = (spatial.csp_features if self.kind == "csp"
+                    else spatial.tangent_features)
+        preds = spatial.lda_predict(features(self._segments(rows), front), lda)
+        return [(w, pred, False, None)
+                for w, pred in zip(rows, preds.tolist())], {}
 
 
 def _check_csp_filters(points, n_channels):

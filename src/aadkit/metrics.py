@@ -124,8 +124,8 @@ def time_pcc_curve(reconstructed, candidates, fs, seg_s):
     dropped. A segment shorter than two samples raises LengthMismatch.
     """
     reconstructed = _as_components(reconstructed)
-    if seg_s <= 0:
-        raise ValueError("seg_s must be positive")
+    if not 0 < seg_s < math.inf:
+        raise ValueError("seg_s must be finite and positive")
     seg_len = int(round(seg_s * fs))
     if seg_len < 2:
         raise LengthMismatch(

@@ -33,8 +33,8 @@ class MultichannelSignal:
             self.samples = self.samples[:, None]
         if self.samples.ndim != 2 or self.samples.shape[0] < 1:
             raise ValueError(f"bad sample shape {self.samples.shape}")
-        if not self.fs > 0:
-            raise ValueError("fs must be positive")
+        if not 0 < self.fs < math.inf:
+            raise ValueError("fs must be finite and positive")
         if not np.all(np.isfinite(self.samples)):
             raise ValueError("samples must be finite")
         if not self.channel_names:
@@ -312,8 +312,8 @@ def resample(x, to_fs):
     the low-pass taps (see :func:`aadkit.kernels.fir_resample`); the
     low-pass of each stage is designed once per process.
     """
-    if not to_fs > 0:
-        raise IrrationalRatio("target rate must be positive")
+    if not 0 < to_fs < math.inf:
+        raise IrrationalRatio("target rate must be finite and positive")
     if to_fs == x.fs:
         return x.with_samples(x.samples.copy())
     y, fs = x.samples, x.fs

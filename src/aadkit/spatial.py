@@ -37,7 +37,13 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from . import kernels, preprocess
-from .errors import DegenerateClass, DimensionMismatch, NotSpd, SingularScatter
+from .errors import (
+    BadConfig,
+    DegenerateClass,
+    DimensionMismatch,
+    NotSpd,
+    SingularScatter,
+)
 from .numerics import gen_sym_eig, spd_function, sym_eig, symmetrize
 
 # Filter bank at the 40 Hz processing rate. The top band stops just under
@@ -105,7 +111,9 @@ def _check_length(x):
 def segment_covariance(segments, shrinkage=0.0):
     """Channel covariance X^T X / (T-1) of each centered window, optionally
     shrunk toward (trace/C) * I: (C, C) for a (T, C) window, (n, C, C) for
-    an (n, T, C) stack."""
+    an (n, T, C) stack. A shrinkage outside [0, 1] raises BadConfig."""
+    if not 0.0 <= shrinkage <= 1.0:
+        raise BadConfig(f"shrinkage: {shrinkage} outside [0, 1]")
     x = _windows(segments)
     _check_length(x)
     cov = _covariances(_center(x))
@@ -334,7 +342,10 @@ class LdaModel:
 
 
 def lda_fit(features, labels, gamma=DEFAULT_LDA_GAMMA, n_classes=None):
-    """Linear discriminant with diagonal shrinkage of the pooled scatter."""
+    """Linear discriminant with diagonal shrinkage of the pooled scatter;
+    ``gamma`` is a finite number >= 0 (BadConfig)."""
+    if not 0.0 <= gamma < np.inf:
+        raise BadConfig(f"gamma: {gamma} is not a finite number >= 0")
     x = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=int)
     if x.shape[0] != labels.shape[0]:

@@ -179,6 +179,16 @@ def _run_duplicate_trial_id(tmp, session_dir):
             "loto", "--window", "30", "--out", tmp / "o"]
 
 
+def _run_rgc_shrinkage_over_one(tmp, session_dir):
+    # the grid check takes any weight >= 0; the first RGC fit refuses it
+    _, sess = session_dir
+    grid = tmp / "grid.json"
+    grid.write_text(json.dumps({"rgc_shrinkage": [5.0], "lda_gamma": [1e-3]}))
+    return ["run", "--manifest", sess / "manifest.json", "--model", "rgc",
+            "--protocol", "loto", "--window", "10", "--grid", grid,
+            "--out", tmp / "o"]
+
+
 def _preprocess_nan_envelope(tmp, session_dir):
     manifest = raw_session(tmp / "raw", [1250, 1250])
     _nan_envelope(manifest.parent, json.loads(manifest.read_text()))
@@ -215,6 +225,8 @@ def _preprocess_band_triple(tmp, session_dir):
     pytest.param(_run_nan_envelope, 4, "data", id="run-nan-envelope"),
     pytest.param(_run_duplicate_trial_id, 4, "data",
                  id="run-duplicate-trial-id"),
+    pytest.param(_run_rgc_shrinkage_over_one, 2, "config",
+                 id="run-rgc-shrinkage-over-one"),
     pytest.param(_preprocess_nan_envelope, 4, "data",
                  id="preprocess-nan-envelope"),
     pytest.param(_preprocess_ref_only_channel, 4, "data",

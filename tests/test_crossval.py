@@ -445,6 +445,44 @@ class TestSearch:
             "815e057e91fa620b42393cb5cc198149263591146bbdb29dc1b91bf5ea051768"
         )
 
+    def test_classifier_score_tables_pinned(self, monkeypatch, leak_session):
+        """Every score table that two-by-two ``csp`` and three-by-two
+        ``rgc`` grids hand to ``pick_best`` on the seeded direction-gain
+        session, pinned by the selections and a digest of the tables."""
+        tables = []
+        pick_best = crossval.pick_best
+
+        def record(scored):
+            tables.append(list(scored))
+            return pick_best(scored)
+
+        monkeypatch.setattr(crossval, "pick_best", record)
+        plan = crossval.make_folds(leak_session.trials, "nested_loto", 4,
+                                   seed=1)
+        grids = {
+            "csp": {"csp_f": [2, 4], "lda_gamma": [1e-3, 0.1]},
+            "rgc": {"rgc_shrinkage": [0.05, 0.1, 0.5],
+                    "lda_gamma": [1e-3, 0.1]},
+        }
+        selected = [
+            [f.params for f in crossval.run_pipeline(
+                leak_session, kind, plan, crossval.HyperGrid(grid),
+                5.0).folds]
+            for kind, grid in grids.items()
+        ]
+        csp = {"csp_f": 2, "lda_gamma": 0.1}
+        assert selected == [
+            [csp] * 4,
+            [{"lda_gamma": 1e-3, "rgc_shrinkage": 0.05},
+             {"lda_gamma": 0.1, "rgc_shrinkage": 0.05},
+             {"lda_gamma": 1e-3, "rgc_shrinkage": 0.05},
+             {"lda_gamma": 0.1, "rgc_shrinkage": 0.1}],
+        ]
+        assert [len(t) for t in tables] == [4] * 4 + [6] * 4
+        assert hashlib.sha256(repr(tables).encode()).hexdigest() == (
+            "4c924173d1c511312df7eab1e456a8cea68c664e0e24f05140aa477f6e0c9a7f"
+        )
+
 
 class TestRunPipeline:
     def test_high_snr_nested_accuracy(self):
@@ -924,6 +962,34 @@ class TestParamChecks:
                     small_session, kind, plan,
                     None if entry == "fixed" else grid, 5.0,
                     fixed_params=params if entry == "fixed" else None)
+        assert calls == []
+
+    @pytest.mark.parametrize("entry", ["grid", "fixed", "group"])
+    @pytest.mark.parametrize("key, value, error", [
+        ("window_s", float("nan"), BadProtocolConfig),
+        ("window_s", float("inf"), BadProtocolConfig),
+        ("time_pcc_seg_s", float("nan"), BadConfig),
+        ("time_pcc_seg_s", float("inf"), BadConfig),
+        ("time_pcc_seg_s", 0.0, BadConfig),
+    ])
+    def test_bad_lengths_before_any_fit(self, monkeypatch, small_session,
+                                        entry, key, value, error):
+        """A decision window or time-PCC segment that is not a finite
+        positive length is refused, naming it, before the first fit."""
+        calls = _record_fits(monkeypatch)
+        plan = crossval.make_folds(small_session.trials, "loto", 2)
+        grid = crossval.HyperGrid({"lam": [1.0, 10.0], "L": [4]})
+        lengths = {"window_s": 5.0, "time_pcc_seg_s": 1.0, key: value}
+        with pytest.raises(error, match=f"^{key}"):
+            if entry == "group":
+                crossval.run_pipeline_group(
+                    [small_session, small_session], "wf", [plan, plan], grid,
+                    **lengths)
+            else:
+                crossval.run_pipeline(
+                    small_session, "wf", plan, grid,
+                    fixed_params={"lam": 1.0, "L": 4} if entry == "fixed"
+                    else None, **lengths)
         assert calls == []
 
     @pytest.mark.parametrize("values", [

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from aadkit import envelope as env
-from aadkit.errors import InvalidBand
+from aadkit.errors import InvalidBand, IrrationalRatio
 
 
 @pytest.fixture(scope="module")
@@ -123,6 +123,12 @@ class TestEnvelope:
         assert np.corrcoef(e.samples[inner], ref[inner])[0, 1] > 0.9999
         assert (np.max(np.abs(e.samples[inner] - ref[inner]))
                 < 0.01 * np.max(ref))
+
+    @pytest.mark.parametrize("to_fs", [np.inf, np.nan])
+    def test_target_rate_not_finite(self, bank, to_fs):
+        audio = env.AudioTrack(np.ones(1600), 16000)
+        with pytest.raises(IrrationalRatio, match="finite and positive"):
+            env.compute_envelope(audio, bank, to_fs)
 
     def test_rate_mismatch(self, bank):
         with pytest.raises(InvalidBand):

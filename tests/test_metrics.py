@@ -231,6 +231,13 @@ class TestTimePcc:
             metrics.time_pcc_curve(rng.standard_normal((40, 2)),
                                    [rng.standard_normal((39, 2))], 10.0, 1.0)
 
+    @pytest.mark.parametrize("seg_s", [0.0, -1.0, float("nan"),
+                                       float("inf")])
+    def test_segment_not_finite_positive(self, rng, seg_s):
+        rec = rng.standard_normal(80)
+        with pytest.raises(ValueError, match="^seg_s must be finite"):
+            metrics.time_pcc_curve(rec, [rec], 40.0, seg_s)
+
     @pytest.mark.parametrize("seg_s", [0.001, 0.02])
     def test_segment_below_two_samples(self, rng, seg_s):
         """0.001 s rounds to 0 samples at 40 Hz, 0.02 s to 1."""

@@ -225,6 +225,12 @@ class TestRereference:
             pp.rereference(x, 0, drop_ref=True)
 
 
+@pytest.mark.parametrize("fs", [0.0, -1.0, np.nan, np.inf])
+def test_signal_rate_not_finite_positive(fs):
+    with pytest.raises(ValueError, match="^fs must be finite and positive"):
+        pp.MultichannelSignal(np.zeros((500, 2)), fs)
+
+
 class TestResample:
     def test_constant_preserved(self):
         x = pp.MultichannelSignal(np.full((1000, 2), 3.5), 125)
@@ -258,6 +264,12 @@ class TestResample:
         spec = np.abs(np.fft.rfft(back.samples[:, 0]))
         freqs = np.fft.rfftfreq(back.n_samples, 1 / 120.0)
         assert freqs[np.argmax(spec)] == pytest.approx(7.0, abs=freqs[1])
+
+    @pytest.mark.parametrize("to_fs", [0.0, -40.0, np.inf, np.nan])
+    def test_target_rate_not_finite_positive(self, to_fs):
+        x = pp.MultichannelSignal(np.zeros((500, 2)), 250)
+        with pytest.raises(IrrationalRatio, match="finite and positive"):
+            pp.resample(x, to_fs)
 
     def test_irrational_ratio(self):
         x = pp.MultichannelSignal(np.zeros((100, 1)), 125)

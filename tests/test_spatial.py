@@ -4,6 +4,7 @@ import pytest
 from aadkit import kernels, spatial
 from aadkit.errors import (
     AadError,
+    BadConfig,
     DegenerateClass,
     DimensionMismatch,
     NotSpd,
@@ -410,6 +411,16 @@ class TestSegmentCovariance:
         with pytest.raises(DimensionMismatch):
             spatial.segment_covariance([])
 
+    @pytest.mark.parametrize("shrinkage", [-0.1, 1.5, 5.0, np.nan])
+    def test_shrinkage_outside_unit_interval(self, rng, shrinkage):
+        with pytest.raises(BadConfig, match="^shrinkage: .* outside"):
+            spatial.segment_covariance(rng.standard_normal((50, 4)),
+                                       shrinkage)
+
+    def test_full_shrinkage_accepted(self, rng):
+        cov = spatial.segment_covariance(rng.standard_normal((50, 4)), 1.0)
+        assert np.allclose(cov, np.trace(cov) / 4 * np.eye(4))
+
 
 class TestRiemannianMean:
     def test_mean_of_same(self, rng):
@@ -583,6 +594,14 @@ class TestLda:
         x = rng.standard_normal((12, 2))
         with pytest.raises(AadError, match="outside"):
             spatial.lda_fit(x, np.array([0, 1, 2] * 3 + [0, 1, -1]))
+
+    @pytest.mark.parametrize("gamma", [-1.0, np.nan, np.inf])
+    def test_gamma_refused(self, rng, gamma):
+        """A NaN gamma would skip the loading, since ``nan > 0`` is
+        False."""
+        x = rng.standard_normal((12, 2))
+        with pytest.raises(BadConfig, match="^gamma: "):
+            spatial.lda_fit(x, np.array([0, 1, 2] * 4), gamma=gamma)
 
     def test_singular_scatter(self):
         x = np.zeros((10, 3))
