@@ -8,7 +8,6 @@ attention-switch tracking, verifiable end to end on synthetic sessions.
 __version__ = "0.1.0"
 
 from .crossval import (  # noqa: F401
-    HyperGrid,
     default_grid,
     make_folds,
     run_channel_ablation,

@@ -132,7 +132,7 @@ def _settings(args):
 
 def _load_grid(args):
     if args.grid:
-        return crossval.HyperGrid(dataio.read_json(args.grid, "grid"))
+        return dataio.read_json(args.grid, "grid")
     return crossval.default_grid(args.model)
 
 

@@ -24,21 +24,23 @@ other fold, or none). A runner tabulates once per session each unit's
 trial, rows and decision windows; a window's label is the class it is
 scored against, or None when it is excluded from scoring.
 
-Hyperparameters are searched over every point of a deterministic grid,
-maximizing mean validation accuracy with ties broken by the smaller
-regularizer, then the smaller lag count. There is one tuning path,
-``run_pipeline_group``, and ``run_pipeline`` is its one-session case:
-before any final fit, ``score_grid`` scores every point of each outer
-loop by the unweighted mean over sessions of each session's mean on its
-tuning assignments and ``pick_best`` takes the winner; a one-point grid
-is taken as is, without any validation fit. Each model's keys are
-declared once, by its default grid. Before the first fit the grid, or
-each fixed selection, is checked, raising BadConfig unless it holds
-exactly the model's keys, each mapped to finite numbers >= 0 (integers
->= 1 for the counts ``L``, ``L_y``, ``n_components`` and ``csp_f``),
-``L`` at most the shortest unit, ``L_y`` (CCA) at most a decision window
-and ``csp_f`` (CSP) at most the channel count. The trials of a session
-must list the same channels in the same order (BadChannelIndex).
+A grid maps each hyperparameter to its values; every point of it
+(``grid_points``) is searched, maximizing mean validation accuracy with
+ties broken by the smaller regularizer, then the smaller lag count. There
+is one tuning path, ``run_pipeline_group``: ``run_pipeline`` is its
+one-session case, and ``run_channel_ablation`` reuses its selections on
+every layout. Before any final fit, ``score_grid`` scores every point of
+each outer loop by the unweighted mean over sessions of each session's
+mean on its tuning assignments and ``pick_best`` takes the winner; a
+one-point grid is taken as is, without any validation fit. Each model's
+keys are declared once, by its default grid. Before the first fit the
+grid is checked, raising BadConfig unless it maps exactly the model's
+keys to finite numbers >= 0 (integers >= 1 for the counts ``L``, ``L_y``,
+``n_components`` and ``csp_f``), ``L`` at most the shortest unit, ``L_y``
+(CCA) at most a decision window, ``csp_f`` (CSP) at most the channel
+count and ``rgc_shrinkage`` (RGC) at most 1. The trials of a session
+must list the same channels in the same order (BadChannelIndex), and
+their envelopes must have the EEG's rate and length (BadProtocolConfig).
 
 All four decoders share one evaluation loop, in which a runner only
 decides the labeled windows of its test units and a window is correct
@@ -52,11 +54,12 @@ trials get their time-PCC curves from the same projections.
 """
 
 import itertools
+import math
 import numbers
 from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, NamedTuple, Optional
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
@@ -73,9 +76,9 @@ from .metrics import FoldResult, MetricsReport, WindowRecord, finalize_report
 
 PROTOCOLS = ("within_trial", "loto", "nested_loto", "loso", "nested_loso")
 
-# model -> its default grid. A grid or fixed selection for the model holds
-# exactly these keys; a key with integer defaults counts lags, components
-# or filters (integers >= 1), any other is a weight (a number >= 0)
+# model -> its default grid. A grid for the model holds exactly these
+# keys; a key with integer defaults counts lags, components or filters
+# (integers >= 1), any other is a weight (a number >= 0)
 _DEFAULT_GRIDS = {
     "wf": {"lam": list(np.logspace(-6, 3, 10)), "L": [6, 11, 21]},
     "cca": {"reg": [0.0] + list(np.logspace(-2, 2, 5)), "L": [6, 11],
@@ -164,6 +167,9 @@ def make_folds(trials, protocol, n_folds=None, seed=0, segment_s=None):
         raise BadProtocolConfig(f"unknown protocol {protocol!r}")
     if not trials:
         raise BadProtocolConfig("no trials")
+    if (isinstance(seed, bool) or not isinstance(seed, numbers.Integral)
+            or seed < 0):
+        raise BadProtocolConfig(f"seed: {seed!r} is not an integer >= 0")
     rng = np.random.default_rng([seed, 77])
     fixed = ()
 
@@ -241,53 +247,55 @@ def make_folds(trials, protocol, n_folds=None, seed=0, segment_s=None):
 _PARAM_ORDER = ("lam", "reg", "L", "L_y", "n_components")
 
 
-@dataclass
-class HyperGrid:
-    params: Dict[str, list]
-
-    def points(self):
-        if not self.params:
-            raise EmptyGrid("no parameters to search")
-        keys = sorted(self.params)
-        for k in keys:
-            if len(self.params[k]) == 0:
-                raise EmptyGrid(f"parameter {k!r} has no values")
-        return [
-            dict(zip(keys, combo))
-            for combo in itertools.product(*(self.params[k] for k in keys))
-        ]
+def grid_points(grid):
+    """Every point of ``grid``, a mapping of each key to its values, as a
+    dict: keys sorted, points in ``itertools.product`` order."""
+    if not grid:
+        raise EmptyGrid("no parameters to search")
+    keys = sorted(grid)
+    for k in keys:
+        if len(grid[k]) == 0:
+            raise EmptyGrid(f"parameter {k!r} has no values")
+    return [
+        dict(zip(keys, combo))
+        for combo in itertools.product(*(grid[k] for k in keys))
+    ]
 
 
 def default_grid(model_kind):
+    """A fresh copy of the model's default grid."""
     if model_kind not in _DEFAULT_GRIDS:
         raise BadProtocolConfig(f"unknown model kind {model_kind!r}")
-    return HyperGrid({k: list(v)
-                      for k, v in _DEFAULT_GRIDS[model_kind].items()})
+    return {k: list(v) for k, v in _DEFAULT_GRIDS[model_kind].items()}
 
 
-def _check_grid(model_kind, params, what="grid"):
-    """Raise BadConfig, naming ``what`` and the key, unless ``params`` maps
-    the model's keys to lists, tuples or arrays of values in their range;
-    a bool is not a number."""
-    needed = _DEFAULT_GRIDS[model_kind]
-    wrong = sorted(set(needed) ^ set(params), key=str)
+def _checked_points(model_kind, grid):
+    """``grid_points(grid)``; raises BadConfig, naming the key, unless
+    ``grid`` is a mapping of the model's keys to lists, tuples or arrays
+    of values in their range; a bool is not a number."""
+    if not isinstance(grid, Mapping):
+        raise BadConfig(f"grid: need a mapping of parameter names to value "
+                        f"lists, got {type(grid).__name__}")
+    needed = default_grid(model_kind)
+    wrong = sorted(set(needed) ^ set(grid), key=str)
     if wrong:
         key = wrong[0]
         raise BadConfig(
-            f"{what}: {key} {'missing' if key in needed else 'unknown'}; "
+            f"grid: {key} {'missing' if key in needed else 'unknown'}; "
             f"model {model_kind} takes {', '.join(needed)}"
         )
-    for key, values in params.items():
+    for key, values in grid.items():
         kind, low, rule = ((numbers.Integral, 1, "integers >= 1")
                            if isinstance(needed[key][0], numbers.Integral)
                            else (numbers.Real, 0, "finite numbers >= 0"))
         if not isinstance(values, (list, tuple, np.ndarray)):
-            raise BadConfig(f"{what}: {key} must map to a list of {rule}")
+            raise BadConfig(f"grid: {key} must map to a list of {rule}")
         for v in values:
             if (isinstance(v, bool) or not isinstance(v, kind)
                     or not low <= v < np.inf):
-                raise BadConfig(f"{what}: {key} values must be {rule}, "
+                raise BadConfig(f"grid: {key} values must be {rule}, "
                                 f"got {v!r}")
+    return grid_points(grid)
 
 
 def _param_key(params):
@@ -386,10 +394,12 @@ class _RunnerBase:
             if list(t.eeg.channel_names) != names:
                 raise BadChannelIndex(f"trial {t.trial_id}: channel names or "
                                       "order differ from the first trial's")
-            if self.streams[t.trial_id].attended.shape[0] != t.eeg.n_samples:
+            if (self.streams[t.trial_id].attended.shape[0] != t.eeg.n_samples
+                    or not all(math.isclose(s.fs, self.fs, rel_tol=1e-6)
+                               for s in t.speakers)):
                 raise BadProtocolConfig(
-                    f"trial {t.trial_id}: envelope and EEG lengths differ; "
-                    "run preprocessing first"
+                    f"trial {t.trial_id}: envelope and EEG lengths or rates "
+                    "differ; run preprocessing first"
                 )
         if (plan.protocol == "within_trial"
                 and _window_len(plan.segment_s, self.fs) != self.win):
@@ -483,6 +493,11 @@ class _LinearRunner(_RunnerBase):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
+        seg = int(round(self.time_pcc_seg_s * self.fs))
+        if self.plan.protocol != "within_trial" and seg < 2:
+            # whole test trials give time-PCC curves of >= 2-sample segments
+            raise BadConfig(f"time_pcc_seg_s: {self.time_pcc_seg_s:g} s is "
+                            f"{seg} samples at fs={self.fs:g}; need at least 2")
         self._unit_stats = {}
         self._sum_cache = {}
 
@@ -602,9 +617,18 @@ class _ClassifierRunner(_RunnerBase):
     evaluated when it sits inside one attended span."""
 
     def check_params(self, points):
+        """CSP keeps ``csp_f`` filters per band and class out of the
+        channels; RGC's ``rgc_shrinkage`` is a weight of at most 1."""
         if self.kind == "csp":
-            _check_csp_filters(points,
-                               len(self.session.trials[0].eeg.channel_names))
+            most = max(int(p["csp_f"]) for p in points)
+            n_channels = len(self.session.trials[0].eeg.channel_names)
+            if most > n_channels:
+                raise BadConfig(f"csp_f: {most} filters exceed the "
+                                f"{n_channels} channels")
+        else:
+            most = max(p["rgc_shrinkage"] for p in points)
+            if most > 1:
+                raise BadConfig(f"rgc_shrinkage: {most} outside [0, 1]")
 
     def _window_label(self, tid, lo, hi):
         """Direction class when the window sits inside one attended span,
@@ -660,14 +684,6 @@ class _ClassifierRunner(_RunnerBase):
                 for w, pred in zip(rows, preds.tolist())], {}
 
 
-def _check_csp_filters(points, n_channels):
-    """CSP keeps ``csp_f`` filters per band and class out of the channels."""
-    most = max(int(p["csp_f"]) for p in points)
-    if most > n_channels:
-        raise BadConfig(f"csp_f: {most} filters exceed the {n_channels} "
-                        "channels")
-
-
 def _masked(a, mask):
     """Rows of a lagged design, or samples of a vector, where ``mask``
     holds."""
@@ -715,31 +731,17 @@ def _report(runner, selected, jobs):
 
 
 def run_pipeline(session, model_kind, plan, grid, window_s, *,
-                 fixed_params=None, time_pcc_seg_s=1.0, jobs=1):
-    """Full train/tune/evaluate pass; returns a MetricsReport.
+                 time_pcc_seg_s=1.0, jobs=1):
+    """Full train/tune/evaluate pass of one session, the one-session case
+    of ``run_pipeline_group``; returns a MetricsReport.
 
     Hyperparameters are tuned per outer loop on validation folds (nested
-    protocols) or on the test fold itself (single-loop protocols). With
-    ``fixed_params`` (one dict, or one per outer loop) the search is
-    skipped entirely. Test folds are never read before final evaluation.
+    protocols) or on the test fold itself (single-loop protocols); a
+    one-point grid is taken as is. Test folds are never read before final
+    evaluation.
     """
-    if fixed_params is None:
-        return run_pipeline_group([session], model_kind, [plan], grid,
-                                  window_s, time_pcc_seg_s=time_pcc_seg_s,
-                                  jobs=jobs)[0][0]
-    runner = _make_runner(session, model_kind, plan, window_s, time_pcc_seg_s)
-    if isinstance(fixed_params, dict):
-        fixed_params = [fixed_params] * len(plan.outer)
-    if len(fixed_params) != len(plan.outer):
-        raise BadConfig(
-            f"fixed_params: {len(fixed_params)} entries for "
-            f"{len(plan.outer)} outer loops"
-        )
-    for params in fixed_params:
-        _check_grid(model_kind, {k: [v] for k, v in params.items()},
-                    "fixed_params")
-    runner.check_params(fixed_params)
-    return _report(runner, fixed_params, jobs)
+    return run_pipeline_group([session], model_kind, [plan], grid, window_s,
+                              time_pcc_seg_s=time_pcc_seg_s, jobs=jobs)[0][0]
 
 
 def run_pipeline_group(sessions, model_kind, plans, grid, window_s, *,
@@ -764,8 +766,7 @@ def run_pipeline_group(sessions, model_kind, plans, grid, window_s, *,
         _make_runner(s, model_kind, p, window_s, time_pcc_seg_s)
         for s, p in zip(sessions, plans)
     ]
-    _check_grid(model_kind, grid.params)
-    points = grid.points()
+    points = _checked_points(model_kind, grid)
     for runner in runners:
         runner.check_params(points)
     selected = [
@@ -822,17 +823,17 @@ def restrict_session(session, channel_names):
 
 
 def run_channel_ablation(session, layouts, model_kind, plan, grid, window_s,
-                         **kwargs):
+                         *, time_pcc_seg_s=1.0, jobs=1):
     """Re-run the pipeline on channel subsets.
 
     ``layouts`` maps names to lists of channel names, or lists ``LAYOUTS``
     preset names; any other type, no layout, a list entry that is not a
     preset name, a value that is not a list of names, or a name that
     cannot name a directory (``dataio.check_path_component``) raises
-    BadConfig. Names,
-    channels and, for csp, channel counts are checked before any fit.
-    The session's own channel set is searched first; every other layout
-    reuses those selected hyperparameters. A layout equal to the full
+    BadConfig. Names, channels and every grid point against every
+    layout's data are checked before any fit. ``run_pipeline_group``
+    searches the grid on the session's own channel set, and every other
+    layout is evaluated with those selections. A layout equal to the full
     channel set reproduces the plain run exactly.
     """
     if isinstance(layouts, (list, tuple)):
@@ -854,21 +855,18 @@ def run_channel_ablation(session, layouts, model_kind, plan, grid, window_s,
     for name, channels in layouts.items():
         dataio.check_path_component("layouts", name, BadConfig)
         _channel_columns(session, channels)
-    if model_kind == "csp":
-        _check_grid(model_kind, grid.params)
-        _check_csp_filters(grid.points(), min(map(len, layouts.values())))
     full_names = tuple(session.trials[0].eeg.channel_names)
-    full_report = run_pipeline(session, model_kind, plan, grid, window_s,
-                               **kwargs)
-    selected = [dict(f.params) for f in full_report.folds]
-    out = {}
-    for name, channels in layouts.items():
-        if tuple(channels) == full_names:
-            out[name] = full_report
-            continue
-        sub = restrict_session(session, tuple(channels))
-        out[name] = run_pipeline(
-            sub, model_kind, plan, grid, window_s,
-            fixed_params=selected, **kwargs
-        )
-    return out
+    runners = {
+        name: _make_runner(restrict_session(session, tuple(channels)),
+                           model_kind, plan, window_s, time_pcc_seg_s)
+        for name, channels in layouts.items()
+        if tuple(channels) != full_names
+    }
+    points = _checked_points(model_kind, grid)
+    for runner in runners.values():
+        runner.check_params(points)
+    [full], selected = run_pipeline_group(
+        [session], model_kind, [plan], grid, window_s,
+        time_pcc_seg_s=time_pcc_seg_s, jobs=jobs)
+    return {name: _report(runners[name], selected, jobs)
+            if name in runners else full for name in layouts}

@@ -146,9 +146,7 @@ def test_criterion_05_synthetic_end_to_end():
                              snr=5.0, seed=7)
     session = dataio.synth_generate(cfg)
     plan = crossval.make_folds(session.trials, "nested_loto", 10, seed=0)
-    grid = crossval.HyperGrid(
-        {"lam": list(np.logspace(-6, 3, 10)), "L": [11]}
-    )
+    grid = {"lam": list(np.logspace(-6, 3, 10)), "L": [11]}
     rep = crossval.run_pipeline(session, "wf", plan, grid, 30.0)
     shuffled = dataio.shuffle_attended(session, 99)
     rep_shuf = crossval.run_pipeline(shuffled, "wf", plan, grid, 30.0)
@@ -184,7 +182,7 @@ def test_criterion_06_leakage_guard():
         dataio.SynthConfig(n_trials=12, duration_s=30.0, n_channels=3,
                            seed=8)
     )
-    grid = crossval.HyperGrid({"lam": [1.0], "L": [8]})
+    grid = {"lam": [1.0], "L": [8]}
     stable = True
     for protocol, kw in [("loto", {}), ("nested_loto", {}),
                          ("within_trial", {"segment_s": 10.0}),
@@ -232,7 +230,7 @@ def test_criterion_07_switch_tracking():
         "loto", [train_ids, test_ids],
         [crossval.OuterLoop(0, test_ids, train_ids, [])], seed=0,
     )
-    grid = crossval.HyperGrid({"lam": [1.0], "L": [11]})
+    grid = {"lam": [1.0], "L": [11]}
     rep = crossval.run_pipeline(session, "wf", plan, grid, 30.0,
                                 time_pcc_seg_s=1.0)
     hits = 0
@@ -252,7 +250,7 @@ def test_criterion_07_switch_tracking():
 
 
 def test_criterion_08_window_length_monotonicity():
-    grid = crossval.HyperGrid({"lam": list(np.logspace(-4, 2, 4)), "L": [11]})
+    grid = {"lam": list(np.logspace(-4, 2, 4)), "L": [11]}
     means = {}
     for window in (2.0, 10.0, 30.0):
         accs = []

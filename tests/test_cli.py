@@ -1082,7 +1082,7 @@ class TestPreprocessEnvelope:
         sess = dataio.load_session(tmp_path / "prep/manifest.json")
         assert sess.fs == 40.0
         plan = crossval.make_folds(sess.trials, "loto", 5, seed=0)
-        grid = crossval.HyperGrid({"lam": [1.0, 100.0], "L": [11]})
+        grid = {"lam": [1.0, 100.0], "L": [11]}
         rep = crossval.run_pipeline(sess, "wf", plan, grid, 30.0)
         assert rep.accuracy >= 0.9
 

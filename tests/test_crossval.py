@@ -22,16 +22,15 @@ def synth(n_trials=12, n_channels=4, snr=5.0, seed=0, duration_s=30.0, **kw):
     return dataio.synth_generate(cfg)
 
 
-SMALL_GRID = crossval.HyperGrid({"lam": [1.0], "L": [8]})
+SMALL_GRID = {"lam": [1.0], "L": [8]}
 
 # two values per decoder, so every outer loop makes a selection
 LEAK_GRIDS = {
-    "wf": crossval.HyperGrid({"lam": [1e-2, 1e2], "L": [6, 11]}),
-    "cca": crossval.HyperGrid({"reg": [0.0, 10.0], "L": [6, 11],
-                               "L_y": [11], "n_components": [2]}),
-    "csp": crossval.HyperGrid({"csp_f": [2, 4], "lda_gamma": [1e-3]}),
-    "rgc": crossval.HyperGrid({"rgc_shrinkage": [0.01, 0.5],
-                               "lda_gamma": [1e-3]}),
+    "wf": {"lam": [1e-2, 1e2], "L": [6, 11]},
+    "cca": {"reg": [0.0, 10.0], "L": [6, 11], "L_y": [11],
+            "n_components": [2]},
+    "csp": {"csp_f": [2, 4], "lda_gamma": [1e-3]},
+    "rgc": {"rgc_shrinkage": [0.01, 0.5], "lda_gamma": [1e-3]},
 }
 
 
@@ -127,8 +126,8 @@ class TestMakeFolds:
         units = sorted(u for f in plan.folds for u in f)
         assert units == [(t.trial_id, k) for t in session.trials
                          for k in range(9)]
-        report = crossval.run_pipeline(session, "wf", plan, None, 1.06,
-                                       fixed_params={"lam": 1.0, "L": 4})
+        report = crossval.run_pipeline(session, "wf", plan,
+                                       {"lam": [1.0], "L": [4]}, 1.06)
         assert report.n_windows + report.n_excluded == 27
 
     def test_within_trial_segment_and_window_agree_in_samples(self):
@@ -139,11 +138,11 @@ class TestMakeFolds:
         plan = crossval.make_folds(session.trials, "within_trial", 3, seed=0,
                                    segment_s=1.05)
         with pytest.raises(BadProtocolConfig, match="decision window"):
-            crossval.run_pipeline(session, "wf", plan, None, 1.0500001,
-                                  fixed_params={"lam": 1.0, "L": 4})
+            crossval.run_pipeline(session, "wf", plan,
+                                  {"lam": [1.0], "L": [4]}, 1.0500001)
         # a window of the same sample count is accepted
-        report = crossval.run_pipeline(session, "wf", plan, None, 1.04,
-                                       fixed_params={"lam": 1.0, "L": 4})
+        report = crossval.run_pipeline(session, "wf", plan,
+                                       {"lam": [1.0], "L": [4]}, 1.04)
         assert report.n_windows + report.n_excluded == 30
 
     def test_plans_pinned(self):
@@ -235,6 +234,18 @@ class TestMakeFolds:
         with pytest.raises(BadProtocolConfig):
             crossval.make_folds(session.trials, "bogus")
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, True, "1", None])
+    def test_seed_is_an_integer_at_least_zero(self, seed):
+        """A seed that is not an integer >= 0 is a protocol error, not
+        numpy's bare ValueError or TypeError; a bool is not an integer."""
+        session = synth(n_trials=4, n_channels=2, duration_s=5.0)
+        with pytest.raises(BadProtocolConfig, match="^seed: "):
+            crossval.make_folds(session.trials, "loto", 2, seed=seed)
+        assert crossval.make_folds(
+            session.trials, "loto", 2, seed=np.int64(3)
+        ).folds == crossval.make_folds(session.trials, "loto", 2,
+                                       seed=3).folds
+
     def test_task_stratification(self):
         cfg = dataio.SynthConfig(
             n_trials=12, duration_s=6.0, n_channels=2, seed=0,
@@ -249,34 +260,38 @@ class TestMakeFolds:
 
 
 class TestHyperGrid:
+    """A hyperparameter grid is a mapping of each key to its values."""
+
     def test_single_point(self):
-        pts = crossval.HyperGrid({"lam": [0.5]}).points()
+        pts = crossval.grid_points({"lam": [0.5]})
         assert pts == [{"lam": 0.5}]
 
     def test_cartesian_product_deterministic(self):
-        g = crossval.HyperGrid({"lam": [1, 2], "L": [3, 4]})
-        assert g.points() == g.points()
-        assert len(g.points()) == 4
+        g = {"lam": [1, 2], "L": [3, 4]}
+        assert crossval.grid_points(g) == [
+            {"L": 3, "lam": 1}, {"L": 3, "lam": 2},
+            {"L": 4, "lam": 1}, {"L": 4, "lam": 2},
+        ]
 
     def test_empty_grid(self):
         with pytest.raises(EmptyGrid):
-            crossval.HyperGrid({}).points()
+            crossval.grid_points({})
         with pytest.raises(EmptyGrid):
-            crossval.HyperGrid({"lam": []}).points()
+            crossval.grid_points({"lam": []})
 
     def test_numpy_values(self):
         """A parameter may list its values as a numpy array; an empty array
         is an empty grid, not numpy's ambiguous-truth error."""
         lams = np.logspace(-6, 3, 10)
-        pts = crossval.HyperGrid({"lam": lams, "L": [6]}).points()
+        pts = crossval.grid_points({"lam": lams, "L": [6]})
         assert pts == [{"L": 6, "lam": lam} for lam in lams]
         with pytest.raises(EmptyGrid):
-            crossval.HyperGrid({"lam": np.array([]), "L": [6]}).points()
+            crossval.grid_points({"lam": np.array([]), "L": [6]})
 
     def test_default_grids_pinned(self):
         """Each model's default grid, key order included; every call
         returns a fresh copy."""
-        grids = {kind: list(crossval.default_grid(kind).params.items())
+        grids = {kind: list(crossval.default_grid(kind).items())
                  for kind in crossval.MODEL_KINDS}
         assert grids == {
             "wf": [("lam", [1e-06, 9.999999999999999e-06, 0.0001, 0.001,
@@ -287,8 +302,8 @@ class TestHyperGrid:
             "csp": [("csp_f", [4]), ("lda_gamma", [0.001])],
             "rgc": [("rgc_shrinkage", [0.1]), ("lda_gamma", [0.001])],
         }
-        crossval.default_grid("wf").params["L"].append(99)
-        assert crossval.default_grid("wf").params["L"] == [6, 11, 21]
+        crossval.default_grid("wf")["L"].append(99)
+        assert crossval.default_grid("wf")["L"] == [6, 11, 21]
         with pytest.raises(BadProtocolConfig, match="unknown model kind"):
             crossval.default_grid("lda")
 
@@ -307,7 +322,8 @@ class _Runner:
 
 def _selections(plan, grid, objective):
     runner = _Runner(plan, objective)
-    return [crossval.pick_best(crossval.score_grid(grid.points(), [runner], i))
+    return [crossval.pick_best(crossval.score_grid(crossval.grid_points(grid),
+                                                [runner], i))
             for i in range(len(plan.outer))]
 
 
@@ -315,14 +331,14 @@ class TestSearch:
     def test_size_one_grid_returned(self):
         session = synth(n_trials=8, n_channels=2, duration_s=5.0)
         plan = crossval.make_folds(session.trials, "nested_loto", 4, seed=0)
-        got = _selections(plan, crossval.HyperGrid({"lam": [0.25]}),
+        got = _selections(plan, {"lam": [0.25]},
                           lambda p, tr, va: 0.5)
         assert got == [({"lam": 0.25}, 0.5)] * 4
 
     def test_planted_optimum(self):
         session = synth(n_trials=8, n_channels=2, duration_s=5.0)
         plan = crossval.make_folds(session.trials, "nested_loto", 4, seed=0)
-        grid = crossval.HyperGrid({"lam": [0.1, 1.0, 10.0], "L": [4, 8]})
+        grid = {"lam": [0.1, 1.0, 10.0], "L": [4, 8]}
 
         def objective(params, train, val):
             return 1.0 if (params["lam"], params["L"]) == (1.0, 8) else 0.0
@@ -333,7 +349,7 @@ class TestSearch:
     def test_tie_breaks_smaller_lam_then_l(self):
         session = synth(n_trials=8, n_channels=2, duration_s=5.0)
         plan = crossval.make_folds(session.trials, "nested_loto", 4, seed=0)
-        grid = crossval.HyperGrid({"lam": [10.0, 0.1], "L": [8, 4]})
+        grid = {"lam": [10.0, 0.1], "L": [8, 4]}
         got = _selections(plan, grid, lambda p, t, v: 0.7)
         assert all(p == {"lam": 0.1, "L": 4} for p, _ in got)
 
@@ -357,8 +373,8 @@ class TestSearch:
             _Runner(plans[1], objective(
                 "b", lambda p, v: float(v == plans[1].folds[2]))),
         ]
-        table = crossval.score_grid(crossval.HyperGrid(
-            {"lam": [0.0, 1.0]}).points(), runners, 0)
+        table = crossval.score_grid(
+            crossval.grid_points({"lam": [0.0, 1.0]}), runners, 0)
         expect = [(lam, tag, a.val) for lam in (0.0, 1.0)
                   for tag, r in zip("ab", runners)
                   for a in r.tuning_assignments(0)]
@@ -466,8 +482,7 @@ class TestSearch:
         }
         selected = [
             [f.params for f in crossval.run_pipeline(
-                leak_session, kind, plan, crossval.HyperGrid(grid),
-                5.0).folds]
+                leak_session, kind, plan, grid, 5.0).folds]
             for kind, grid in grids.items()
         ]
         csp = {"csp_f": 2, "lda_gamma": 0.1}
@@ -488,7 +503,7 @@ class TestRunPipeline:
     def test_high_snr_nested_accuracy(self):
         session = synth(n_trials=12, n_channels=4, snr=5.0, seed=3)
         plan = crossval.make_folds(session.trials, "nested_loto", 6, seed=0)
-        grid = crossval.HyperGrid({"lam": [0.01, 1.0, 100.0], "L": [8]})
+        grid = {"lam": [0.01, 1.0, 100.0], "L": [8]}
         report = crossval.run_pipeline(session, "wf", plan, grid, 30.0)
         assert report.accuracy >= 0.9
 
@@ -516,7 +531,7 @@ class TestRunPipeline:
     def test_deterministic(self):
         session = synth(n_trials=8, n_channels=3, seed=6)
         plan = crossval.make_folds(session.trials, "nested_loto", 4, seed=1)
-        grid = crossval.HyperGrid({"lam": [0.1, 10.0], "L": [6]})
+        grid = {"lam": [0.1, 10.0], "L": [6]}
         r1 = crossval.run_pipeline(session, "wf", plan, grid, 10.0)
         r2 = crossval.run_pipeline(session, "wf", plan, grid, 10.0)
         assert [f.model_bytes for f in r1.folds] == [
@@ -533,7 +548,6 @@ class TestRunPipeline:
     def test_jobs_parallel_same_result(self, model, grid):
         session = synth(n_trials=8, n_channels=3, seed=6)
         plan = crossval.make_folds(session.trials, "nested_loto", 4, seed=1)
-        grid = crossval.HyperGrid(grid)
         r1 = crossval.run_pipeline(session, model, plan, grid, 10.0, jobs=1)
         # switch threads often, so that they race for the shared caches
         interval = sys.getswitchinterval()
@@ -563,28 +577,11 @@ class TestRunPipeline:
         session = synth(n_trials=8, n_channels=2, seed=6, duration_s=10.0)
         plan = crossval.make_folds(session.trials, "nested_loto", 4, seed=1)
         # two points even with one reg value, so every grid is scored
-        grid = crossval.HyperGrid({"reg": regs, "L": [4], "L_y": [5],
-                                   "n_components": [1, 2]})
+        grid = {"reg": regs, "L": [4], "L_y": [5], "n_components": [1, 2]}
         crossval.run_pipeline(session, "cca", plan, grid, 10.0)
         train_sets = {a.train for loop in plan.outer for a in loop.inner}
         train_sets |= {loop.fit for loop in plan.outer}
         assert len(calls) == 2 * len(train_sets) == 20
-
-    @pytest.mark.parametrize("n", [1, 4])
-    def test_fixed_params_count_checked(self, monkeypatch, n):
-        """A fixed_params list holds one entry per outer loop; a list of
-        any other length is a BadConfig naming both counts, raised before
-        any fit."""
-        session = synth(n_trials=6, n_channels=2, duration_s=10.0)
-        plan = crossval.make_folds(session.trials, "loto", 3, seed=0)
-
-        def no_fit(*args):
-            raise AssertionError("fitted before the check")
-
-        monkeypatch.setattr(linear, "wf_fit", no_fit)
-        with pytest.raises(BadConfig, match=f"{n} .*3 outer loops"):
-            crossval.run_pipeline(session, "wf", plan, SMALL_GRID, 5.0,
-                                  fixed_params=[{"lam": 1.0, "L": 4}] * n)
 
     @pytest.mark.parametrize("protocol,kw", [
         ("loto", {}),
@@ -654,9 +651,7 @@ class TestRunPipeline:
     def test_cca_pipeline_decodes(self):
         session = synth(n_trials=10, n_channels=4, snr=5.0, seed=9)
         plan = crossval.make_folds(session.trials, "loto", 5, seed=0)
-        grid = crossval.HyperGrid(
-            {"reg": [1.0], "L": [8], "L_y": [8], "n_components": [2]}
-        )
+        grid = {"reg": [1.0], "L": [8], "L_y": [8], "n_components": [2]}
         report = crossval.run_pipeline(session, "cca", plan, grid, 30.0)
         assert report.accuracy >= 0.9
 
@@ -699,7 +694,7 @@ class TestRunPipeline:
                             counted("fit", spatial.csp_fit))
         monkeypatch.setattr(spatial, "csp_features",
                             counted("features", spatial.csp_features))
-        grid = crossval.HyperGrid({"csp_f": csp_f, "lda_gamma": [1e-3]})
+        grid = {"csp_f": csp_f, "lda_gamma": [1e-3]}
         report = crossval.run_pipeline(session, "csp", plan, grid, 5.0)
         assert report.n_windows == 12
         assert calls["fit"] == calls["features"] == fits
@@ -729,8 +724,7 @@ class TestRunPipeline:
         for name in names:
             monkeypatch.setattr(spatial, name,
                                 recorded(name, getattr(spatial, name)))
-        crossval.run_pipeline(session, kind, plan, crossval.HyperGrid(grid),
-                              5.0)
+        crossval.run_pipeline(session, kind, plan, grid, 5.0)
         win = int(round(5.0 * session.fs))
         for name in names:
             assert seen[name]
@@ -784,7 +778,7 @@ class TestRunPipeline:
 
     def test_group_pipeline_shares_params(self):
         sessions = [synth(n_trials=8, n_channels=3, seed=s) for s in (1, 2)]
-        grid = crossval.HyperGrid({"lam": [0.1, 10.0], "L": [6]})
+        grid = {"lam": [0.1, 10.0], "L": [6]}
         plans = [crossval.make_folds(s.trials, "nested_loto", 4, seed=0)
                  for s in sessions]
         reports, selected = crossval.run_pipeline_group(
@@ -797,7 +791,7 @@ class TestRunPipeline:
 
     def test_group_jobs_parallel_same_result(self):
         sessions = [synth(n_trials=8, n_channels=3, seed=s) for s in (1, 2)]
-        grid = crossval.HyperGrid({"lam": [0.1, 10.0], "L": [6]})
+        grid = {"lam": [0.1, 10.0], "L": [6]}
         plans = [crossval.make_folds(s.trials, "nested_loto", 4, seed=0)
                  for s in sessions]
         runs = [
@@ -836,7 +830,7 @@ class TestRunPipeline:
 
     def test_group_of_one_selects_like_run_pipeline(self):
         session = synth(n_trials=8, n_channels=3, snr=0.05, seed=6)
-        grid = crossval.HyperGrid({"lam": [0.01, 1.0, 100.0], "L": [4, 8]})
+        grid = {"lam": [0.01, 1.0, 100.0], "L": [4, 8]}
         plan = crossval.make_folds(session.trials, "nested_loto", 4, seed=0)
         report = crossval.run_pipeline(session, "wf", plan, grid, 10.0)
         _, selected = crossval.run_pipeline_group(
@@ -845,10 +839,10 @@ class TestRunPipeline:
         assert selected == [f.params for f in report.folds]
 
 
-# (model, protocol, folds, window_s, fixed params, the key over its limit,
-# its value, the limit in samples): a 0.2 s window is 8 samples at 40 Hz,
-# fewer than cca's default L_y; a within_trial unit of 0.4 s is 16 samples,
-# fewer than the largest L of wf's default grid
+# (model, protocol, folds, window_s, a one-point selection, the key over
+# its limit, its value, the limit in samples): a 0.2 s window is 8 samples
+# at 40 Hz, fewer than cca's default L_y; a within_trial unit of 0.4 s is
+# 16 samples, fewer than the largest L of wf's default grid
 _LAGS_OVER_LIMIT = [
     pytest.param("cca", "loto", 2, 0.2,
                  {"reg": 0.1, "L": 6, "L_y": 11, "n_components": 2},
@@ -870,6 +864,21 @@ def _record_fits(monkeypatch):
     return calls
 
 
+def _run_entry(entry, session, kind, plan, grid, **kw):
+    """Run one API entry: ``grid`` is ``run_pipeline``, ``group`` is
+    ``run_pipeline_group`` on the session twice, and ``fixed`` is
+    ``run_channel_ablation``, which reuses the selections made on the full
+    channel set, fixed, on a layout of the channels in reverse order."""
+    if entry == "group":
+        return crossval.run_pipeline_group([session, session], kind,
+                                           [plan, plan], grid, **kw)
+    if entry == "fixed":
+        layout = list(session.trials[0].eeg.channel_names)[::-1]
+        return crossval.run_channel_ablation(
+            session, {"reversed": layout}, kind, plan, grid, **kw)
+    return crossval.run_pipeline(session, kind, plan, grid, **kw)
+
+
 class TestLagLimits:
     @pytest.mark.parametrize("entry", ["grid", "fixed", "group"])
     @pytest.mark.parametrize(
@@ -879,22 +888,18 @@ class TestLagLimits:
             self, monkeypatch, entry, kind, protocol, folds, window_s,
             fixed, key, value, limit):
         """A lag count longer than a decision window (L_y) or than the
-        shortest unit (L) is refused before the first fit."""
+        shortest unit (L) is refused before the first fit, in a default
+        grid or in a selection reused by the ablation."""
         session = synth(n_trials=4, n_channels=3, duration_s=10.0, seed=3)
         calls = _record_fits(monkeypatch)
-        grid = crossval.default_grid(kind)
+        grid = ({k: [v] for k, v in fixed.items()} if entry == "fixed"
+                else crossval.default_grid(kind))
         segment_s = window_s if protocol == "within_trial" else None
         plan = crossval.make_folds(session.trials, protocol, folds,
                                    segment_s=segment_s)
         with pytest.raises(BadConfig,
                            match=f"^{key}: {value} lags .* {limit} samples"):
-            if entry == "group":
-                crossval.run_pipeline_group(
-                    [session, session], kind, [plan, plan], grid, window_s)
-            else:
-                crossval.run_pipeline(
-                    session, kind, plan, grid, window_s,
-                    fixed_params=fixed if entry == "fixed" else None)
+            _run_entry(entry, session, kind, plan, grid, window_s=window_s)
         assert calls == []
 
 
@@ -949,19 +954,10 @@ class TestParamChecks:
         before the first fit."""
         calls = _record_fits(monkeypatch)
         params, key = _bad_params(kind, case)
-        grid = crossval.HyperGrid({k: [v] for k, v in params.items()})
-        prefix = "fixed_params" if entry == "fixed" else "grid"
+        grid = {k: [v] for k, v in params.items()}
         plan = crossval.make_folds(small_session.trials, "loto", 2)
-        with pytest.raises(BadConfig, match=f"^{prefix}: {key} "):
-            if entry == "group":
-                crossval.run_pipeline_group(
-                    [small_session, small_session], kind, [plan, plan], grid,
-                    5.0)
-            else:
-                crossval.run_pipeline(
-                    small_session, kind, plan,
-                    None if entry == "fixed" else grid, 5.0,
-                    fixed_params=params if entry == "fixed" else None)
+        with pytest.raises(BadConfig, match=f"^grid: {key} "):
+            _run_entry(entry, small_session, kind, plan, grid, window_s=5.0)
         assert calls == []
 
     @pytest.mark.parametrize("entry", ["grid", "fixed", "group"])
@@ -971,6 +967,8 @@ class TestParamChecks:
         ("time_pcc_seg_s", float("nan"), BadConfig),
         ("time_pcc_seg_s", float("inf"), BadConfig),
         ("time_pcc_seg_s", 0.0, BadConfig),
+        # 0.02 s is one sample at 40 Hz, too short for a segment's PCC
+        ("time_pcc_seg_s", 0.02, BadConfig),
     ])
     def test_bad_lengths_before_any_fit(self, monkeypatch, small_session,
                                         entry, key, value, error):
@@ -978,18 +976,10 @@ class TestParamChecks:
         positive length is refused, naming it, before the first fit."""
         calls = _record_fits(monkeypatch)
         plan = crossval.make_folds(small_session.trials, "loto", 2)
-        grid = crossval.HyperGrid({"lam": [1.0, 10.0], "L": [4]})
+        grid = {"lam": [1.0, 10.0], "L": [4]}
         lengths = {"window_s": 5.0, "time_pcc_seg_s": 1.0, key: value}
         with pytest.raises(error, match=f"^{key}"):
-            if entry == "group":
-                crossval.run_pipeline_group(
-                    [small_session, small_session], "wf", [plan, plan], grid,
-                    **lengths)
-            else:
-                crossval.run_pipeline(
-                    small_session, "wf", plan, grid,
-                    fixed_params={"lam": 1.0, "L": 4} if entry == "fixed"
-                    else None, **lengths)
+            _run_entry(entry, small_session, "wf", plan, grid, **lengths)
         assert calls == []
 
     @pytest.mark.parametrize("values", [
@@ -999,7 +989,7 @@ class TestParamChecks:
     ])
     def test_grid_values_are_a_sequence(self, small_session, values):
         plan = crossval.make_folds(small_session.trials, "loto", 2)
-        grid = crossval.HyperGrid({"lam": [1.0], "L": values})
+        grid = {"lam": [1.0], "L": values}
         with pytest.raises(BadConfig, match="^grid: L must map to a list"):
             crossval.run_pipeline(small_session, "wf", plan, grid, 5.0)
 
@@ -1007,8 +997,7 @@ class TestParamChecks:
         """Grid values may be numpy scalars or arrays, as the default
         grids hold."""
         plan = crossval.make_folds(small_session.trials, "loto", 2)
-        grid = crossval.HyperGrid({"lam": np.array([0.1, 1.0]),
-                                   "L": (np.int64(4),)})
+        grid = {"lam": np.array([0.1, 1.0]), "L": (np.int64(4),)}
         report = crossval.run_pipeline(small_session, "wf", plan, grid, 5.0)
         assert [f.params["L"] for f in report.folds] == [4, 4]
 
@@ -1021,19 +1010,43 @@ class TestParamChecks:
         calls = _record_fits(monkeypatch)
         session = crossval.restrict_session(small_session, ("ch00", "ch01"))
         plan = crossval.make_folds(session.trials, "loto", 2)
-        grid = crossval.HyperGrid({"csp_f": [1, 3], "lda_gamma": [1e-3]})
+        grid = {"csp_f": [1, 3], "lda_gamma": [1e-3]}
         with pytest.raises(BadConfig,
                            match="^csp_f: 3 filters exceed the 2 channels"):
-            if entry == "group":
-                crossval.run_pipeline_group([session, session], "csp",
-                                            [plan, plan], grid, 5.0)
-            elif entry == "fixed":
-                crossval.run_pipeline(
-                    session, "csp", plan, None, 5.0,
-                    fixed_params={"csp_f": 3, "lda_gamma": 1e-3})
-            else:
-                crossval.run_pipeline(session, "csp", plan, grid, 5.0)
+            _run_entry(entry, session, "csp", plan, grid, window_s=5.0)
         assert calls == []
+
+
+    def test_short_segment_taken_by_within_trial(self, small_session):
+        """within_trial tests trial segments and computes no time-PCC
+        curves, so a segment of one sample is no error there."""
+        plan = crossval.make_folds(small_session.trials, "within_trial", 3,
+                                   segment_s=5.0)
+        report = crossval.run_pipeline(small_session, "wf", plan,
+                                       {"lam": [1.0], "L": [4]}, 5.0,
+                                       time_pcc_seg_s=0.02)
+        assert report.time_pcc == {}
+
+    @pytest.mark.parametrize("entry", ["grid", "fixed", "group"])
+    def test_rgc_shrinkage_above_one_before_any_fit(
+            self, monkeypatch, small_session, entry):
+        """RGC's shrinkage weights the covariance against its scaled
+        identity, so a value above 1 is refused before the first fit."""
+        calls = _record_fits(monkeypatch)
+        plan = crossval.make_folds(small_session.trials, "loto", 2)
+        grid = {"rgc_shrinkage": [0.1, 5.0], "lda_gamma": [1e-3]}
+        with pytest.raises(BadConfig,
+                           match=r"^rgc_shrinkage: 5.0 outside \[0, 1\]"):
+            _run_entry(entry, small_session, "rgc", plan, grid,
+                       window_s=5.0)
+        assert calls == []
+
+    @pytest.mark.parametrize("grid", [None, [("lam", [1.0]), ("L", [4])]],
+                             ids=["none", "pairs"])
+    def test_grid_is_a_mapping(self, small_session, grid):
+        plan = crossval.make_folds(small_session.trials, "loto", 2)
+        with pytest.raises(BadConfig, match="^grid: need a mapping"):
+            crossval.run_pipeline(small_session, "wf", plan, grid, 5.0)
 
 
 class TestGroupPlans:
@@ -1102,6 +1115,24 @@ class TestMixedChannels:
         with pytest.raises(BadChannelIndex, match="^trial t001: channel"):
             crossval.run_pipeline(session, kind, plan,
                                   crossval.default_grid(kind), 5.0)
+        assert calls == []
+
+    def test_envelope_rate_must_equal_eeg_rate(self, monkeypatch, tmp_path,
+                                               small_session):
+        """An envelope stored at another rate than the EEG, with as many
+        samples, would map the attention timeline at the wrong rate; it is
+        refused before any fit, as an envelope of another length is."""
+        manifest = dataio.save_session(small_session, tmp_path / "session")
+        for path in (tmp_path / "session/arrays").glob("t001_spk*.aad"):
+            samples, _ = dataio.read_array(path)
+            dataio.write_array(path, samples, 20.0)
+        session = dataio.load_session(manifest)
+        calls = _record_fits(monkeypatch)
+        plan = crossval.make_folds(session.trials, "loto", 2)
+        with pytest.raises(BadProtocolConfig,
+                           match="^trial t001: envelope and EEG lengths or "
+                                 "rates differ; run preprocessing first"):
+            crossval.run_pipeline(session, "wf", plan, SMALL_GRID, 5.0)
         assert calls == []
 
     def test_restricted_session_runs(self, small_session):
@@ -1173,7 +1204,7 @@ class TestAblation:
     def test_bad_layouts_are_bad_config(self, monkeypatch, layouts, message):
         session = synth(n_trials=4, n_channels=4, seed=16)
         plan = crossval.make_folds(session.trials, "loto", 2, seed=0)
-        monkeypatch.setattr(crossval, "run_pipeline", None)
+        monkeypatch.setattr(crossval, "run_pipeline_group", None)
         with pytest.raises(BadConfig, match=f"^layouts: {message}"):
             crossval.run_channel_ablation(session, layouts, "wf", plan,
                                           SMALL_GRID, 10.0)
@@ -1183,10 +1214,7 @@ class TestAblation:
     def test_layouts_checked_before_any_fit(self, monkeypatch, bad):
         session = synth(n_trials=4, n_channels=4, seed=16)
         plan = crossval.make_folds(session.trials, "loto", 2, seed=0)
-        calls = []
-        run = crossval.run_pipeline
-        monkeypatch.setattr(crossval, "run_pipeline",
-                            lambda *a, **k: calls.append(1) or run(*a, **k))
+        calls = _record_fits(monkeypatch)
         with pytest.raises(BadChannelIndex):
             crossval.run_channel_ablation(
                 session, {"ok": ["ch01"], "bad": bad}, "wf", plan,
@@ -1199,11 +1227,8 @@ class TestAblation:
         each must fit every layout's channel count."""
         session = synth(n_trials=4, n_channels=4, seed=16)
         plan = crossval.make_folds(session.trials, "loto", 2, seed=0)
-        calls = []
-        run = crossval.run_pipeline
-        monkeypatch.setattr(crossval, "run_pipeline",
-                            lambda *a, **k: calls.append(1) or run(*a, **k))
-        grid = crossval.HyperGrid({"csp_f": [1, 3], "lda_gamma": [1e-3]})
+        calls = _record_fits(monkeypatch)
+        grid = {"csp_f": [1, 3], "lda_gamma": [1e-3]}
         with pytest.raises(BadConfig,
                            match="^csp_f: 3 filters exceed the 2 channels"):
             crossval.run_channel_ablation(
@@ -1279,8 +1304,8 @@ class TestLinearWindowRhos:
             return fitted[-1]
 
         monkeypatch.setattr(linear, fit_name, recording_fit)
-        report = crossval.run_pipeline(session, kind, plan, None, 10.0,
-                                       fixed_params=params)
+        report = crossval.run_pipeline(
+            session, kind, plan, {k: [v] for k, v in params.items()}, 10.0)
         assert len(fitted) == len(plan.outer)
 
         trials = {t.trial_id: t for t in session.trials}
