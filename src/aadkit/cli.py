@@ -2,18 +2,18 @@
 
 Subcommands: synth, convert-dataset, preprocess, envelope, run, ablate,
 track. ``run``, ``ablate`` and ``track`` share one front half. Their
-settings (model, protocol, window, grid, seed, channels, folds, jobs, plus
+settings (model, protocol, window, grid, seed, channels, folds, plus
 group_tuning for run and segment for track) each have one flag and one
 field of the optional --config JSON file; a flag overrides the field, and
 a field's value is converted as if it were typed after the flag. What
-neither sets takes its default: seed 0, jobs 1, and for track protocol
-loto, a 30 s window and 1 s segments. The seed, which deals the folds,
-is >= 0, and jobs is >= 1. --manifest, --out and --layouts are flags
-only. Every JSON input file (--config, --grid, --layouts) is read by
-``dataio.read_json``. ``crossval`` checks a --grid file like any grid,
-and every point of it is searched. Durations and rates (--window,
---segment, --to-fs) are finite and positive. --channels names a preset
-or distinct channels, at least one.
+neither sets takes its default: seed 0, and for track protocol loto, a
+30 s window and 1 s segments. The seed, which deals the folds, is >= 0.
+--manifest, --out and --layouts are flags only. Every JSON input file
+(--config, --grid, --layouts) is read by ``dataio.read_json``.
+``crossval`` checks a --grid file like any grid, and every point of it
+is searched. Durations and rates (--window, --segment, --to-fs) are
+finite and positive. --channels names a preset or distinct channels, at
+least one.
 
 Every command runs inside one error shell, ``_command``. Each error class
 declares its category and exit code (see ``aadkit.errors``); the shell
@@ -80,7 +80,6 @@ _SETTINGS = {
     "seed": (int, 0),
     "channels": (str, None),
     "folds": (int, None),
-    "jobs": (int, 1),
 }
 _COMMAND_SETTINGS = {
     "run": {**_SETTINGS, "group_tuning": (_switch, False)},
@@ -126,8 +125,6 @@ def _settings(args):
     _check_positive("window", args.window)
     if args.seed < 0:
         raise BadConfig("seed: must be >= 0")
-    if args.jobs < 1:
-        raise BadConfig("jobs: must be >= 1")
 
 
 def _load_grid(args):
@@ -221,10 +218,9 @@ def cmd_run(args):
              for session in sessions]
     if args.group_tuning:
         reports, _ = crossval.run_pipeline_group(
-            sessions, args.model, plans, grid, args.window, jobs=args.jobs)
+            sessions, args.model, plans, grid, args.window)
     else:
-        reports = [crossval.run_pipeline(s, args.model, p, grid, args.window,
-                                         jobs=args.jobs)
+        reports = [crossval.run_pipeline(s, args.model, p, grid, args.window)
                    for s, p in zip(sessions, plans)]
     for report in reports:
         _check_scored(report)
@@ -243,9 +239,7 @@ def cmd_ablate(args):
     grid = _load_grid(args)
     plan = crossval.make_folds(session.trials, **_plan_args(args))
     reports = crossval.run_channel_ablation(
-        session, layouts, args.model, plan, grid, args.window,
-        jobs=args.jobs,
-    )
+        session, layouts, args.model, plan, grid, args.window)
     for report in reports.values():
         _check_scored(report)
     for name, report in reports.items():
@@ -280,8 +274,7 @@ def cmd_track(args):
     plan = crossval.make_folds(session.trials, **_plan_args(args))
     report = crossval.run_pipeline(
         session, args.model, plan, grid, args.window,
-        time_pcc_seg_s=args.segment, jobs=args.jobs,
-    )
+        time_pcc_seg_s=args.segment)
     dataio.export_results(report, Path(args.out))
     print(
         f"model={report.model_kind} trials={len(report.time_pcc)} "

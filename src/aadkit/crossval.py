@@ -20,9 +20,14 @@ loso / nested_loso
 ``make_folds`` deals each protocol's folds, then builds every outer loop
 the same way from the folds, a fixed training block (the group-1 trials
 of the speaker protocols) and a validation rule (the next fold, every
-other fold, or none). A runner tabulates once per session each unit's
+other fold, or none). A runner checks its plan before any fit, so that a
+plan built by hand is held to the same rules: every unit names a trial of
+the session and sits in one fold, every unit of a loop or assignment sits
+in a fold, and no training or validation set meets its test fold
+(BadProtocolConfig). It then tabulates once per session each unit's
 trial, rows and decision windows; a window's label is the class it is
-scored against, or None when it is excluded from scoring.
+scored against, or None when it is excluded from scoring. Outer loops
+run serially, in loop order.
 
 A grid maps each hyperparameter to its values; every point of it
 (``grid_points``) is searched, maximizing mean validation accuracy with
@@ -57,7 +62,6 @@ import itertools
 import math
 import numbers
 from collections.abc import Mapping
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import List, NamedTuple, Optional
 
@@ -120,22 +124,39 @@ class CvPlan:
     segment_s: Optional[float] = None
 
 
-def _check_plan(plan):
+def _check_plan(plan, trial_ids):
+    """Raise BadProtocolConfig unless every fold unit names one of
+    ``trial_ids`` and sits in one fold only, every unit of a loop or an
+    assignment sits in some fold, no fit set meets its test fold, and no
+    assignment's train, validation and test sets meet."""
     seen = set()
     for fold in plan.folds:
         for unit in fold:
             if unit in seen:
                 raise BadProtocolConfig(f"unit {unit} in multiple folds")
+            if (unit[0] if isinstance(unit, tuple) else unit) not in trial_ids:
+                raise BadProtocolConfig(f"unit {unit!r} names no trial of "
+                                        "the session")
             seen.add(unit)
     for loop in plan.outer:
-        test = set(loop.test)
-        if test & set(loop.fit):
+        test, fit = set(loop.test), set(loop.fit)
+        if test & fit:
             raise BadProtocolConfig("fit set overlaps test fold")
+        used = test | fit
         for a in loop.inner:
             train, val = set(a.train), set(a.val or ())
             if train & test or val & test or train & val:
                 raise BadProtocolConfig("overlapping assignment sets")
-    return plan
+            used |= train | val | set(a.test)
+        if used - seen:
+            raise BadProtocolConfig(f"outer loop {loop.index}: unit "
+                                    f"{min(map(repr, used - seen))} is in "
+                                    "no fold")
+
+
+def _is_integer(value):
+    """An integer, numpy's included; a bool is not one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _stratified_trial_folds(trials, n_folds, rng):
@@ -157,7 +178,7 @@ def _stratified_trial_folds(trials, n_folds, rng):
 def make_folds(trials, protocol, n_folds=None, seed=0, segment_s=None):
     """Build a cross-validation plan over the given trials.
 
-    ``n_folds`` None takes the protocol's default fold count; any number
+    ``n_folds`` None takes the protocol's default fold count; any integer
     is checked against the protocol's range. ``segment_s`` is required
     for the within_trial protocol and sets the segment (= decision
     window) length. An assignment trains on the fixed block when there
@@ -167,9 +188,10 @@ def make_folds(trials, protocol, n_folds=None, seed=0, segment_s=None):
         raise BadProtocolConfig(f"unknown protocol {protocol!r}")
     if not trials:
         raise BadProtocolConfig("no trials")
-    if (isinstance(seed, bool) or not isinstance(seed, numbers.Integral)
-            or seed < 0):
+    if not _is_integer(seed) or seed < 0:
         raise BadProtocolConfig(f"seed: {seed!r} is not an integer >= 0")
+    if n_folds is not None and not _is_integer(n_folds):
+        raise BadProtocolConfig(f"n_folds: {n_folds!r} is not an integer")
     rng = np.random.default_rng([seed, 77])
     fixed = ()
 
@@ -233,10 +255,10 @@ def make_folds(trials, protocol, n_folds=None, seed=0, segment_s=None):
             val_folds = []
         inner = [Assignment(train(i, j), folds[j], test) for j in val_folds]
         outer.append(OuterLoop(i, test, train(i), inner))
-    return _check_plan(CvPlan(
+    return CvPlan(
         protocol, [fixed] + folds if fixed else folds, outer, seed,
         segment_s=segment_s if protocol == "within_trial" else None,
-    ))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -271,8 +293,8 @@ def default_grid(model_kind):
 
 def _checked_points(model_kind, grid):
     """``grid_points(grid)``; raises BadConfig, naming the key, unless
-    ``grid`` is a mapping of the model's keys to lists, tuples or arrays
-    of values in their range; a bool is not a number."""
+    ``grid`` is a mapping of the model's keys to lists, tuples or 1-D
+    arrays of values in their range; a bool is not a number."""
     if not isinstance(grid, Mapping):
         raise BadConfig(f"grid: need a mapping of parameter names to value "
                         f"lists, got {type(grid).__name__}")
@@ -288,7 +310,8 @@ def _checked_points(model_kind, grid):
         kind, low, rule = ((numbers.Integral, 1, "integers >= 1")
                            if isinstance(needed[key][0], numbers.Integral)
                            else (numbers.Real, 0, "finite numbers >= 0"))
-        if not isinstance(values, (list, tuple, np.ndarray)):
+        if (not isinstance(values, (list, tuple, np.ndarray))
+                or getattr(values, "ndim", 1) != 1):
             raise BadConfig(f"grid: {key} must map to a list of {rule}")
         for v in values:
             if (isinstance(v, bool) or not isinstance(v, kind)
@@ -401,6 +424,7 @@ class _RunnerBase:
                     f"trial {t.trial_id}: envelope and EEG lengths or rates "
                     "differ; run preprocessing first"
                 )
+        _check_plan(plan, self.trials)
         if (plan.protocol == "within_trial"
                 and _window_len(plan.segment_s, self.fs) != self.win):
             raise BadProtocolConfig(
@@ -702,19 +726,8 @@ def _make_runner(session, model_kind, plan, window_s, time_pcc_seg_s):
     raise BadProtocolConfig(f"unknown model kind {model_kind!r}")
 
 
-def _report(runner, selected, jobs):
-    """Evaluate outer loop i with ``selected[i]``, ``jobs`` at a time."""
-
-    def _one(loop_index):
-        return runner.evaluate_outer(loop_index, selected[loop_index])
-
-    indices = range(len(runner.plan.outer))
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_one, indices))
-    else:
-        results = [_one(i) for i in indices]
-
+def _report(runner, selected):
+    """Evaluate outer loop i with ``selected[i]``, in loop order."""
     report = MetricsReport(
         model_kind=runner.kind,
         protocol=runner.plan.protocol,
@@ -722,7 +735,8 @@ def _report(runner, selected, jobs):
         time_pcc_seg_s=runner.time_pcc_seg_s,
         channel_names=list(runner.session.trials[0].eeg.channel_names),
     )
-    for fold, records, curves, n_excluded in results:
+    for i, params in enumerate(selected):
+        fold, records, curves, n_excluded = runner.evaluate_outer(i, params)
         report.folds.append(fold)
         report.windows.extend(records)
         report.time_pcc.update(curves)
@@ -739,13 +753,20 @@ def run_pipeline(session, model_kind, plan, grid, window_s, *,
     protocols) or on the test fold itself (single-loop protocols); a
     one-point grid is taken as is. Test folds are never read before final
     evaluation.
+
+    ``jobs`` is kept only for the benchmark harness's ``jobs=1`` call,
+    until ROADMAP item 1 drops it: outer loops run serially, and any
+    other value raises BadConfig before any fit.
     """
+    if jobs != 1:
+        raise BadConfig(f"jobs: {jobs!r}; outer loops run serially, "
+                        "so jobs can only be 1")
     return run_pipeline_group([session], model_kind, [plan], grid, window_s,
-                              time_pcc_seg_s=time_pcc_seg_s, jobs=jobs)[0][0]
+                              time_pcc_seg_s=time_pcc_seg_s)[0][0]
 
 
 def run_pipeline_group(sessions, model_kind, plans, grid, window_s, *,
-                       time_pcc_seg_s=1.0, jobs=1):
+                       time_pcc_seg_s=1.0):
     """Group-level tuning on one plan per session, all of one protocol and
     one outer-loop count: each outer loop's parameters are selected by the
     unweighted mean of the per-session validation accuracies and applied
@@ -774,7 +795,7 @@ def run_pipeline_group(sessions, model_kind, plans, grid, window_s, *,
              else pick_best(score_grid(points, runners, i))[0])
         for i in range(n_outer.pop())
     ]
-    return [_report(r, selected, jobs) for r in runners], selected
+    return [_report(r, selected) for r in runners], selected
 
 
 # ---------------------------------------------------------------------------
@@ -823,7 +844,7 @@ def restrict_session(session, channel_names):
 
 
 def run_channel_ablation(session, layouts, model_kind, plan, grid, window_s,
-                         *, time_pcc_seg_s=1.0, jobs=1):
+                         *, time_pcc_seg_s=1.0):
     """Re-run the pipeline on channel subsets.
 
     ``layouts`` maps names to lists of channel names, or lists ``LAYOUTS``
@@ -867,6 +888,6 @@ def run_channel_ablation(session, layouts, model_kind, plan, grid, window_s,
         runner.check_params(points)
     [full], selected = run_pipeline_group(
         [session], model_kind, [plan], grid, window_s,
-        time_pcc_seg_s=time_pcc_seg_s, jobs=jobs)
-    return {name: _report(runners[name], selected, jobs)
+        time_pcc_seg_s=time_pcc_seg_s)
+    return {name: _report(runners[name], selected)
             if name in runners else full for name in layouts}

@@ -503,7 +503,7 @@ class TestRun:
         _, sess = session_dir
         conf = tmp_path / "run.json"
         conf.write_text(json.dumps({
-            "group_tuning": True, "jobs": 2, "model": "wf",
+            "group_tuning": True, "model": "wf",
             "protocol": "loto", "window": 30,
         }))
         manifest = str(sess / "manifest.json")
@@ -515,7 +515,7 @@ class TestRun:
                          str(other), "--config", str(conf),
                          "--out", str(tmp_path / "o")])
         assert code == 0
-        assert len(calls) == 1 and calls[0]["jobs"] == 2
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("field", ["out", "manifest"])
     def test_config_flag_only_field_exit_2(self, session_dir, grid_file,
@@ -762,9 +762,6 @@ class TestSettings:
     @pytest.mark.parametrize("argv, config, field", [
         pytest.param(["--seed", "-1"], {}, "seed", id="seed-flag"),
         pytest.param([], {"seed": -1}, "seed", id="seed-field"),
-        pytest.param(["--jobs", "0"], {}, "jobs", id="jobs-flag-0"),
-        pytest.param(["--jobs", "-2"], {}, "jobs", id="jobs-flag-minus-2"),
-        pytest.param([], {"jobs": 0}, "jobs", id="jobs-field"),
     ])
     def test_negative_seed_or_jobs_below_one_exit_2(
             self, session_dir, grid_file, tmp_path, capsys, argv, config,
@@ -782,6 +779,30 @@ class TestSettings:
         assert code == 2
         assert capsys.readouterr().err.startswith(
             f"error: config: {field}: must be >= ")
+
+    @pytest.mark.parametrize("command", ["run", "ablate", "track"])
+    def test_jobs_is_no_setting(self, session_dir, tmp_path, capsys,
+                                command):
+        """Outer loops run serially, so ``--jobs`` is an unknown flag and
+        ``jobs`` an unknown config field: both exit 2."""
+        from aadkit import cli
+
+        _, sess = session_dir
+        layouts = tmp_path / "layouts.json"
+        layouts.write_text(json.dumps(["full"]))
+        argv = [command, "--manifest", str(sess / "manifest.json"),
+                "--model", "wf", "--out", str(tmp_path / "o")]
+        if command == "ablate":
+            argv += ["--layouts", str(layouts)]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--jobs", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs 1" in capsys.readouterr().err
+        conf = tmp_path / "run.json"
+        conf.write_text(json.dumps({"jobs": 1}))
+        assert cli.main(argv + ["--config", str(conf)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: config: jobs: unknown config field")
 
 
 class TestAblate:

@@ -101,31 +101,25 @@ def test_track_loads_no_scipy(session, tmp_path):
 
 def test_wf_run_loads_linalg_only_and_exports_the_same_files(session,
                                                               tmp_path):
-    """The Cholesky solve imports ``scipy.linalg`` on first use, also from
-    the worker threads of ``--jobs 2``, and the exports match a run in
-    this process, where SciPy is loaded before the run starts."""
+    """The Cholesky solve imports ``scipy.linalg`` on first use, and the
+    exports match a run in this process, where SciPy is loaded before the
+    run starts."""
     args = ["run", "--manifest", session, "--model", "wf", "--protocol",
             "nested_loto", "--window", "20", "--folds", "3"]
-    outs = {}
-    for jobs in ("1", "2"):
-        outs[jobs] = tmp_path / f"jobs{jobs}"
-        loaded, _ = run_fresh(cli_call(*args, "--jobs", jobs,
-                                       "--out", outs[jobs]))
-        assert "scipy.linalg" in loaded and "scipy.signal" not in loaded
+    fresh, eager = tmp_path / "fresh", tmp_path / "eager"
+    loaded, _ = run_fresh(cli_call(*args, "--out", fresh))
+    assert "scipy.linalg" in loaded and "scipy.signal" not in loaded
     import scipy.linalg  # noqa: F401
     from aadkit import cli
 
-    outs["eager"] = tmp_path / "eager"
-    argv = [str(a) for a in args] + ["--out", str(outs["eager"])]
-    assert cli.main(argv) == 0
-    files = {name: sorted(p.relative_to(out) for p in out.rglob("*"))
-             for name, out in outs.items()}
-    assert files["1"] and files["1"] == files["2"] == files["eager"]
-    for rel in files["1"]:
-        if (outs["1"] / rel).is_file():
-            want = (outs["1"] / rel).read_bytes()
-            assert (outs["2"] / rel).read_bytes() == want, rel
-            assert (outs["eager"] / rel).read_bytes() == want, rel
+    assert cli.main([str(a) for a in args] + ["--out", str(eager)]) == 0
+    files = {out: sorted(p.relative_to(out) for p in out.rglob("*"))
+             for out in (fresh, eager)}
+    assert files[fresh] and files[fresh] == files[eager]
+    for rel in files[fresh]:
+        if (fresh / rel).is_file():
+            want = (fresh / rel).read_bytes()
+            assert (eager / rel).read_bytes() == want, rel
 
 
 def test_csp_run_loads_no_scipy(session, tmp_path):

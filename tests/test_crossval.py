@@ -1,5 +1,6 @@
 import hashlib
-import sys
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -245,6 +246,26 @@ class TestMakeFolds:
             session.trials, "loto", 2, seed=np.int64(3)
         ).folds == crossval.make_folds(session.trials, "loto", 2,
                                        seed=3).folds
+
+    @pytest.mark.parametrize("protocol", crossval.PROTOCOLS)
+    @pytest.mark.parametrize("kind", ["float", "numpy-float", "bool",
+                                      "string"])
+    def test_n_folds_is_an_integer(self, protocol, kind):
+        """An ``n_folds`` that is not an integer is a protocol error naming
+        it, not a bare TypeError; a bool is not an integer, and numpy
+        integers are."""
+        session = synth(n_trials=6, n_channels=2, duration_s=10.0,
+                        group_b_every=3)
+        count = 2 if protocol.endswith("loso") else 3
+        n_folds = {"float": float(count), "numpy-float": np.float64(count),
+                   "bool": True, "string": str(count)}[kind]
+        with pytest.raises(BadProtocolConfig, match="^n_folds: "):
+            crossval.make_folds(session.trials, protocol, n_folds,
+                                segment_s=2.0)
+        assert crossval.make_folds(
+            session.trials, protocol, np.int64(count), segment_s=2.0
+        ).folds == crossval.make_folds(session.trials, protocol, count,
+                                       segment_s=2.0).folds
 
     def test_task_stratification(self):
         cfg = dataio.SynthConfig(
@@ -539,28 +560,6 @@ class TestRunPipeline:
         ]
         assert [w.rhos for w in r1.windows] == [w.rhos for w in r2.windows]
 
-    @pytest.mark.parametrize("model,grid", [
-        pytest.param("wf", {"lam": [0.1, 10.0], "L": [6]}, id="wf"),
-        # the worker threads share each training set's cached spectra
-        pytest.param("cca", {"reg": [0.0, 1.0], "L": [6], "L_y": [11],
-                             "n_components": [2]}, id="cca"),
-    ])
-    def test_jobs_parallel_same_result(self, model, grid):
-        session = synth(n_trials=8, n_channels=3, seed=6)
-        plan = crossval.make_folds(session.trials, "nested_loto", 4, seed=1)
-        r1 = crossval.run_pipeline(session, model, plan, grid, 10.0, jobs=1)
-        # switch threads often, so that they race for the shared caches
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            r2 = crossval.run_pipeline(session, model, plan, grid, 10.0,
-                                       jobs=3)
-        finally:
-            sys.setswitchinterval(interval)
-        assert [f.model_bytes for f in r1.folds] == [
-            f.model_bytes for f in r2.folds
-        ]
-
     @pytest.mark.parametrize("regs", [
         pytest.param([0.0], id="one-reg"),
         pytest.param(list(np.logspace(-2, 2, 6)), id="six-regs"),
@@ -746,8 +745,31 @@ class TestRunPipeline:
             (1 / 3) * (2 / 3) / n
         )
 
-    @pytest.mark.parametrize("jobs", [1, 3])
-    def test_task4_windows_excluded(self, jobs):
+    def test_jobs_other_than_one_refused_before_any_fit(
+            self, monkeypatch, small_session, tmp_path):
+        """Outer loops run serially: ``jobs=1`` exports the same files as a
+        call without it, and any other value is refused before any fit."""
+        calls = _record_fits(monkeypatch)
+        plan = crossval.make_folds(small_session.trials, "loto", 2)
+        grid = {"lam": [1.0, 10.0], "L": [4]}
+        for jobs in (2, 0, None):
+            with pytest.raises(BadConfig, match="^jobs: "):
+                crossval.run_pipeline(small_session, "wf", plan, grid, 5.0,
+                                      jobs=jobs)
+        assert calls == []
+        one, default = tmp_path / "one", tmp_path / "default"
+        dataio.export_results(crossval.run_pipeline(
+            small_session, "wf", plan, grid, 5.0, jobs=1), one)
+        dataio.export_results(crossval.run_pipeline(
+            small_session, "wf", plan, grid, 5.0), default)
+        files = sorted(f.relative_to(one) for f in one.rglob("*")
+                       if f.is_file())
+        assert files == sorted(f.relative_to(default)
+                               for f in default.rglob("*") if f.is_file())
+        for rel in files:
+            assert (one / rel).read_bytes() == (default / rel).read_bytes()
+
+    def test_task4_windows_excluded(self):
         cfg = dataio.SynthConfig(
             n_trials=6, duration_s=30.0, n_channels=3, seed=12,
             tasks=[1, 4, 1, 4, 1, 4],
@@ -755,15 +777,12 @@ class TestRunPipeline:
         )
         session = dataio.synth_generate(cfg)
         plan = crossval.make_folds(session.trials, "loto", 3, seed=0)
-        report = crossval.run_pipeline(session, "wf", plan, SMALL_GRID, 30.0,
-                                       jobs=jobs)
+        report = crossval.run_pipeline(session, "wf", plan, SMALL_GRID, 30.0)
         # 30 s windows on task-4 trials span the unattended half: excluded
         assert report.n_windows == 3
         assert report.n_excluded == 3
         trial_tasks = {t.trial_id: t.task for t in session.trials}
         assert all(trial_tasks[w.trial_id] == 1 for w in report.windows)
-        serial = crossval.run_pipeline(session, "wf", plan, SMALL_GRID, 30.0)
-        assert report.windows == serial.windows
 
     def test_switch_trials_keep_30s_windows(self):
         cfg = dataio.SynthConfig(
@@ -788,29 +807,6 @@ class TestRunPipeline:
         assert len(selected) == 4
         for rep in reports:
             assert [f.params for f in rep.folds] == selected
-
-    def test_group_jobs_parallel_same_result(self):
-        sessions = [synth(n_trials=8, n_channels=3, seed=s) for s in (1, 2)]
-        grid = {"lam": [0.1, 10.0], "L": [6]}
-        plans = [crossval.make_folds(s.trials, "nested_loto", 4, seed=0)
-                 for s in sessions]
-        runs = [
-            crossval.run_pipeline_group(sessions, "wf", plans, grid, 10.0,
-                                        jobs=jobs)
-            for jobs in (1, 3)
-        ]
-        (serial, sel1), (parallel, sel3) = runs
-        assert sel1 == sel3
-        for a, b in zip(serial, parallel):
-            assert [f.model_bytes for f in a.folds] == [
-                f.model_bytes for f in b.folds
-            ]
-            assert a.windows == b.windows
-            assert a.time_pcc.keys() == b.time_pcc.keys()
-            for tid in a.time_pcc:
-                assert a.time_pcc[tid][0] == b.time_pcc[tid][0]
-                assert np.array_equal(a.time_pcc[tid][1], b.time_pcc[tid][1])
-            assert (a.accuracy, a.n_excluded) == (b.accuracy, b.n_excluded)
 
     def test_group_one_point_grid_fits_once_per_loop(self, monkeypatch):
         sessions = [synth(n_trials=8, n_channels=3, seed=s) for s in (1, 2)]
@@ -986,6 +982,8 @@ class TestParamChecks:
         pytest.param(4, id="scalar"),
         pytest.param("4", id="string"),
         pytest.param({"L": 4}, id="mapping"),
+        pytest.param(np.array(4), id="0-d-array"),
+        pytest.param(np.array([[4]]), id="2-d-array"),
     ])
     def test_grid_values_are_a_sequence(self, small_session, values):
         plan = crossval.make_folds(small_session.trials, "loto", 2)
@@ -1081,6 +1079,52 @@ class TestGroupPlans:
         with pytest.raises(error, match=f"^{message}"):
             crossval.run_pipeline_group(sessions, "wf", plans, SMALL_GRID,
                                         5.0)
+        assert calls == []
+
+
+def _broken_plan(session, case):
+    """A ``make_folds`` plan edited by hand to break one rule, and the
+    message that refuses it."""
+    protocol, n_folds = {"train-has-test": ("nested_loto", 3),
+                         "assignment-unit-in-no-fold": ("within_trial", 3),
+                         }.get(case, ("loto", 2))
+    plan = crossval.make_folds(session.trials, protocol, n_folds,
+                               segment_s=5.0)
+    loop = plan.outer[0]
+    if case == "fit-has-test":
+        plan.outer[0] = replace(loop, fit=loop.fit + loop.test)
+        return plan, "fit set overlaps test fold"
+    if case == "train-has-test":
+        a = loop.inner[0]
+        loop.inner[0] = replace(a, train=a.train + loop.test)
+        return plan, "overlapping assignment sets"
+    if case == "unit-names-no-trial":
+        plan.folds[0] += ("nope",)
+        return plan, "unit 'nope' names no trial of the session"
+    if case == "loop-unit-in-no-fold":
+        plan.folds = [f for f in plan.folds if "t000" not in f]
+        return plan, "outer loop 0: unit 't000' is in no fold"
+    a = loop.inner[0]
+    loop.inner[0] = replace(a, val=a.val + (("t000", 9),))
+    return plan, "outer loop 0: unit ('t000', 9) is in no fold"
+
+
+class TestPlanChecks:
+    """Every API entry checks its plan, also one built by hand, before
+    any fit; the other tests run ``make_folds`` plans through the same
+    check."""
+
+    @pytest.mark.parametrize("entry", ["grid", "fixed", "group"])
+    @pytest.mark.parametrize("case", [
+        "fit-has-test", "train-has-test", "unit-names-no-trial",
+        "loop-unit-in-no-fold", "assignment-unit-in-no-fold"])
+    def test_refused_before_any_fit(self, monkeypatch, small_session, entry,
+                                    case):
+        calls = _record_fits(monkeypatch)
+        plan, message = _broken_plan(small_session, case)
+        with pytest.raises(BadProtocolConfig, match=f"^{re.escape(message)}"):
+            _run_entry(entry, small_session, "wf", plan,
+                       {"lam": [1.0, 10.0], "L": [4]}, window_s=5.0)
         assert calls == []
 
 
