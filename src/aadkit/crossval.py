@@ -37,7 +37,12 @@ one-session case, and ``run_channel_ablation`` reuses its selections on
 every layout. Before any final fit, ``score_grid`` scores every point of
 each outer loop by the unweighted mean over sessions of each session's
 mean on its tuning assignments and ``pick_best`` takes the winner; a
-one-point grid is taken as is, without any validation fit. Each model's
+one-point grid is taken as is, without any validation fit. Points that
+differ only in the regularizer (``lam`` for ``wf``, ``reg`` for ``cca``)
+are scored as a group: a runner fits all of them on a training set with
+one ``linear.wf_fit`` or ``linear.cca_fit`` call, then evaluates each
+model as it would alone (a ``csp`` or ``rgc`` point is a group of its
+own). Each model's
 keys are declared once, by its default grid. Before the first fit the
 grid is checked, raising BadConfig unless it maps exactly the model's
 keys to finite numbers >= 0 (integers >= 1 for the counts ``L``, ``L_y``,
@@ -265,8 +270,10 @@ def make_folds(trials, protocol, n_folds=None, seed=0, segment_s=None):
 # hyperparameter grid
 # ---------------------------------------------------------------------------
 
+# the regularizer keys, the only keys a group of scored points varies
+_REGULARIZERS = ("lam", "reg")
 # canonical tie-break order: regularizers first, then lag counts
-_PARAM_ORDER = ("lam", "reg", "L", "L_y", "n_components")
+_PARAM_ORDER = _REGULARIZERS + ("L", "L_y", "n_components")
 
 
 def grid_points(grid):
@@ -337,21 +344,33 @@ def pick_best(scored):
     return best[1], best[2]
 
 
+def _structure(params):
+    """A point's keys and values other than its regularizer."""
+    return tuple((k, v) for k, v in params.items() if k not in _REGULARIZERS)
+
+
 def score_grid(points, runners, loop_index):
     """Validation score table ``[(params, score)]`` in grid order.
 
-    A point's score is the unweighted mean over runners (one per session)
-    of its mean ``runner.score`` over that runner's tuning assignments of
-    outer loop ``loop_index``.
+    Consecutive points that differ only in the regularizer form a group;
+    since grid keys are sorted and ``lam`` and ``reg`` sort last among
+    their model's keys, each group of ``grid_points`` is one value of the
+    other keys with every regularizer value. Each runner (one per session)
+    scores a group with one ``runner.score(group, train, val)`` call per
+    tuning assignment of outer loop ``loop_index``, which returns one
+    accuracy per point. A point's score is the unweighted mean over
+    runners of its mean accuracy over that runner's assignments.
     """
     tuning = [(r, r.tuning_assignments(loop_index)) for r in runners]
     table = []
-    for params in points:
-        per_session = [
-            np.mean([r.score(params, a.train, a.val) for a in assignments])
-            for r, assignments in tuning
-        ]
-        table.append((params, float(np.mean(per_session))))
+    for _, group in itertools.groupby(points, _structure):
+        group = list(group)
+        scores = [[r.score(group, a.train, a.val) for a in assignments]
+                  for r, assignments in tuning]
+        for j, params in enumerate(group):
+            per_session = [np.mean([acc[j] for acc in accs])
+                           for accs in scores]
+            table.append((params, float(np.mean(per_session))))
     return table
 
 
@@ -391,10 +410,12 @@ class _RunnerBase:
     decision windows, each labeled by the subclass's
     ``_window_label(trial_id, lo, hi)``. Subclasses also provide
     ``check_params(points)``, raising BadConfig for a point the data
-    cannot take, ``_fit(units, params)`` and ``_decide(model, params,
-    units, collect)``, which returns the units' labeled windows as
-    ``(window, predicted, tie, rhos)`` in export order, and the per-trial
-    time-PCC curves when ``collect`` is set (else {})."""
+    cannot take, ``_fit(units, points)``, which fits one model on the
+    units per point of a group (points that differ only in the
+    regularizer), and ``_decide(model, params, units, collect)``, which
+    returns the units' labeled windows as ``(window, predicted, tie,
+    rhos)`` in export order, and the per-trial time-PCC curves when
+    ``collect`` is set (else {})."""
 
     def __init__(self, session, plan, window_s, kind, time_pcc_seg_s=1.0):
         self.session = session
@@ -436,11 +457,16 @@ class _RunnerBase:
 
     def _unit(self, unit):
         """A within_trial segment ``(trial_id, k)`` is the k-th decision
-        window of its trial; a whole trial holds all its whole windows."""
+        window of its trial, which must have one (BadProtocolConfig); a
+        whole trial holds all its whole windows."""
         if isinstance(unit, tuple):
             tid, seg = unit
-            lo = seg * self.win
-            hi = min(lo + self.win, self.trials[tid].eeg.n_samples)
+            n_win = self.trials[tid].eeg.n_samples // self.win
+            if not (_is_integer(seg) and 0 <= seg < n_win):
+                raise BadProtocolConfig(
+                    f"unit {unit!r} is no whole decision window of trial "
+                    f"{tid}, which has {n_win}")
+            lo, hi = seg * self.win, (seg + 1) * self.win
             spans = [(seg, lo, hi)]
         else:
             tid, lo, hi = unit, 0, self.trials[unit].eeg.n_samples
@@ -484,15 +510,17 @@ class _RunnerBase:
             np.array([r.attended for r in records], dtype=int), 3)
         return acc, f1, records, curves
 
-    def score(self, params, train, val):
-        """Accuracy on ``val`` of a model fitted on ``train``."""
-        return self._eval_units(self._fit(train, params), params, val)[0]
+    def score(self, points, train, val):
+        """Accuracies on ``val`` of the models fitted on ``train`` at each
+        point of a group, in its order."""
+        return [self._eval_units(model, params, val)[0]
+                for model, params in zip(self._fit(train, points), points)]
 
     def evaluate_outer(self, loop_index, params):
         """Final fit and test of one outer loop: (fold, window records,
         time-PCC curves, number of test windows excluded)."""
         loop = self.plan.outer[loop_index]
-        model = self._fit(loop.fit, params)
+        [model] = self._fit(loop.fit, [params])
         acc, f1, records, curves = self._eval_units(
             model, params, loop.test, collect=True
         )
@@ -573,15 +601,17 @@ class _LinearRunner(_RunnerBase):
         self._sum_cache[key] = total
         return total
 
-    def _fit(self, units, params):
-        lags = int(params["L"])
+    def _fit(self, units, points):
+        """Every regularizer value of the group with one fit call on the
+        units' statistics."""
+        first = points[0]
+        lags = int(first["L"])
         if self.kind == "wf":
             stats = self._stats_for_units(units, lags, 0)
-            return linear.wf_fit(stats, params["lam"])
-        stats = self._stats_for_units(units, lags, int(params["L_y"]))
-        return linear.cca_fit(
-            stats, params["reg"], int(params["n_components"])
-        )
+            return linear.wf_fit(stats, [p["lam"] for p in points])
+        stats = self._stats_for_units(units, lags, int(first["L_y"]))
+        return linear.cca_fit(stats, [p["reg"] for p in points],
+                              int(first["n_components"]))
 
     # -- evaluation ---------------------------------------------------------
 
@@ -678,21 +708,28 @@ class _ClassifierRunner(_RunnerBase):
         return np.stack([self.trials[tid].eeg.samples[a:b]
                          for tid, _, a, b, _ in rows])
 
-    def _fit(self, units, params):
+    def _fit(self, units, points):
+        """One (front end, LDA) model per point; the units' windows are
+        cut once for all of them."""
         rows = self._labeled_windows(units)
         if not rows:
             raise DegenerateClass("no labeled training windows")
         segments = self._segments(rows)
         labels = [r.label for r in rows]
-        if self.kind == "csp":
-            front = spatial.csp_fit(segments, labels, self.fs,
-                                    f_per=int(params["csp_f"]), n_classes=3)
-        else:
-            front = spatial.rgc_fit(
-                segments, shrinkage=float(params["rgc_shrinkage"]))
-        lda = spatial.lda_fit(front.train_features, labels,
-                              gamma=float(params["lda_gamma"]), n_classes=3)
-        return front, lda
+        models = []
+        for params in points:
+            if self.kind == "csp":
+                front = spatial.csp_fit(segments, labels, self.fs,
+                                        f_per=int(params["csp_f"]),
+                                        n_classes=3)
+            else:
+                front = spatial.rgc_fit(
+                    segments, shrinkage=float(params["rgc_shrinkage"]))
+            lda = spatial.lda_fit(front.train_features, labels,
+                                  gamma=float(params["lda_gamma"]),
+                                  n_classes=3)
+            models.append((front, lda))
+        return models
 
     def _decide(self, model, params, units, collect):
         """Classify every labeled window of the units with one feature

@@ -27,10 +27,12 @@ Polyphase resampling is a matrix product: the input, cut into rows of a
 multiple of the decimation factor, times one table of the filter's taps,
 one BLAS call per block of rows (see :func:`fir_resample`).
 
-SciPy is imported by one kernel only, on first use, never at module
-level: :func:`cholesky_inplace` imports ``scipy.linalg.lapack`` (about
-0.3 s), which only a Wiener-filter solve needs. Synthesis, conditioning,
-audio envelopes and every decoder but ``wf`` load no SciPy module at all.
+SciPy is imported on first use, never at module level, and only for the
+Cholesky path: :func:`cholesky_inplace` imports ``scipy.linalg.lapack``
+(about 0.3 s) for ``dpotrf``, and :func:`aadkit.numerics.solve_regularized`
+imports it for ``dpotrs``; only a Wiener-filter solve needs either.
+Synthesis, conditioning, audio envelopes and every decoder but ``wf`` load
+no SciPy module at all.
 """
 
 import functools
@@ -88,13 +90,14 @@ def cholesky_inplace(a, tol):
     """
     # dpotrf on the transposed (Fortran-ordered) view of a C-ordered ``a``
     # factors in place: its upper factor U = L^T lands on the lower triangle
-    # of ``a``. The copy back below only moves data for other layouts.
+    # of ``a``. Other layouts are factored in a copy, which is copied back.
     from scipy.linalg import lapack as _lapack
 
     factor, info = _lapack.dpotrf(a.T, lower=0, clean=0, overwrite_a=1)
     if info < 0:
         raise ValueError(f"dpotrf: illegal argument {-info}")
-    a[...] = factor.T
+    if not np.may_share_memory(factor, a):
+        a[...] = factor.T
     n_done = a.shape[0] if info == 0 else info - 1
     bad = np.flatnonzero(~(np.diagonal(a)[:n_done] ** 2 > tol))
     if bad.size:

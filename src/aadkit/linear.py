@@ -6,6 +6,10 @@ Both decoders are scored the same way: ``eeg_components`` and
 ``envelope_components`` give paired (T, k) projections and
 ``metrics.component_pcc`` averages their column correlations. The Wiener
 filter is the one-component case, with the identity on the envelope side.
+
+``wf_fit`` and ``cca_fit`` take one regularizer value or a sequence of
+them; a sequence fits every value on the same statistics with one call
+and returns one model per value, each bit-identical to its own fit.
 """
 
 from dataclasses import dataclass
@@ -29,12 +33,19 @@ class WfModel:
 def wf_fit(stats, lam):
     """Least-squares backward model with diagonal loading lam.
 
-    Solves (rxx + lam I) w = rxy on accumulated statistics.
+    Solves (rxx + lam I) w = rxy on accumulated statistics. ``lam`` may
+    also be a sequence of loadings: then the system is solved at all of
+    them with one ``solve_regularized`` call, and the models come back as
+    a list in ``lam``'s order, each bit-identical to its own fit.
     """
     if stats.rxy is None:
         raise DimensionMismatch("stats carry no regression target")
     w = solve_regularized(stats.rxx, stats.rxy, lam)
-    return WfModel(w=w, lam=float(lam), lags=stats.lags, channels=stats.channels)
+    if np.ndim(lam) == 0:
+        return WfModel(w=w, lam=float(lam), lags=stats.lags,
+                       channels=stats.channels)
+    return [WfModel(w=wi, lam=float(li), lags=stats.lags,
+                    channels=stats.channels) for wi, li in zip(w, lam)]
 
 
 @dataclass
@@ -56,6 +67,12 @@ def cca_fit(stats, reg, n_components):
     statistics object at any number of ``reg`` values decompose each
     auto-covariance once; at ``reg = 0`` the fit is bit-identical to
     whitening ``rxx`` and ``ryy`` directly.
+
+    ``reg`` may also be a sequence: then the shifted eigenpairs of all
+    its values go to ``spd_function`` as one stack per side and the
+    whitened cross-covariances to one stacked ``svd`` call, and the
+    models come back as a list in ``reg``'s order, each bit-identical to
+    its own fit.
     """
     if stats.ryy is None or stats.rxy_mat is None:
         raise DimensionMismatch("stats carry no lagged-target covariances")
@@ -66,14 +83,18 @@ def cca_fit(stats, reg, n_components):
         raise DimensionMismatch(
             f"n_components={n_components} out of range for ({dx}, {dy})"
         )
+    regs = np.asarray(reg, dtype=np.float64)[..., None]
     ex, ey = stats.rxx_eig, stats.ryy_eig
-    wxw = spd_function(EigPairs(ex.values + reg, ex.vectors), "inv_sqrt")
-    wyw = spd_function(EigPairs(ey.values + reg, ey.vectors), "inv_sqrt")
+    wxw = spd_function(EigPairs(ex.values + regs, ex.vectors), "inv_sqrt")
+    wyw = spd_function(EigPairs(ey.values + regs, ey.vectors), "inv_sqrt")
     u, s, v = svd(wxw @ stats.rxy_mat @ wyw)
-    wx = wxw @ u[:, :n_components]
-    wy = wyw @ v[:, :n_components]
-    corr = np.clip(s[:n_components], 0.0, 1.0)
-    return CcaModel(wx=wx, wy=wy, correlations=corr, reg=float(reg))
+    wx = wxw @ u[..., :n_components]
+    wy = wyw @ v[..., :n_components]
+    corr = np.clip(s[..., :n_components], 0.0, 1.0)
+    if np.ndim(reg) == 0:
+        return CcaModel(wx=wx, wy=wy, correlations=corr, reg=float(reg))
+    return [CcaModel(wx=wx[i], wy=wy[i], correlations=corr[i],
+                     reg=float(r)) for i, r in enumerate(reg)]
 
 
 def eeg_components(model, x):

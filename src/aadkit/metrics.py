@@ -18,18 +18,19 @@ def pcc(a, b):
         raise LengthMismatch(f"lengths differ: {a.shape[0]} vs {b.shape[0]}")
     if a.shape[0] < 2:
         raise LengthMismatch("need at least 2 samples")
-    # np.add.reduce(a) / n is a.mean() to the bit for 1-D float64, and
-    # min/max clip like np.clip (NaN stays NaN), both without numpy's
-    # per-call wrapper overhead: scoring calls this once per window,
+    # np.add.reduce(a) / n is a.mean() to the bit for 1-D float64,
+    # ndarray.dot runs the same cblas_ddot as @, and min/max clip like
+    # np.clip (NaN stays NaN), all without numpy's per-call wrapper or
+    # ufunc dispatch overhead: scoring calls this once per window,
     # candidate and component
     n = a.shape[0]
     ac = a - np.add.reduce(a) / n
     bc = b - np.add.reduce(b) / n
-    na = math.sqrt(float(ac @ ac))
-    nb = math.sqrt(float(bc @ bc))
+    na = math.sqrt(float(ac.dot(ac)))
+    nb = math.sqrt(float(bc.dot(bc)))
     if na == 0.0 or nb == 0.0:
         return 0.0
-    return min(max(float(ac @ bc) / (na * nb), -1.0), 1.0)
+    return min(max(float(ac.dot(bc)) / (na * nb), -1.0), 1.0)
 
 
 @dataclass

@@ -25,6 +25,10 @@ has the eigenvalues ``values + reg`` on the same eigenvectors, a caller
 that loads one matrix with many ``reg`` values decomposes it once and
 passes ``EigPairs(values + reg, vectors)`` for each.
 
+:func:`svd` takes stacks too, and :func:`solve_regularized` takes a
+sequence of loadings: it checks the system once and solves it at each
+loading, each result bit-identical to the call with that loading alone.
+
 Only the Cholesky path needs SciPy (``dpotrf``/``dpotrs`` from
 ``scipy.linalg.lapack``), and it imports it on first use, so the ``cca``,
 ``csp`` and ``rgc`` decoders, which never call :func:`solve_regularized`,
@@ -32,7 +36,6 @@ never pay its 0.3 s import; eigen- and singular value problems run on
 ``numpy.linalg``.
 """
 
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -101,7 +104,8 @@ def spd_tolerance(a):
 
 
 def solve_regularized(a, b, lam):
-    """Solve (a + lam*I) x = b for symmetric PSD ``a``.
+    """Solve (a + lam*I) x = b for symmetric PSD ``a``, at one loading or
+    at each of a sequence of loadings.
 
     Parameters
     ----------
@@ -109,24 +113,37 @@ def solve_regularized(a, b, lam):
         Symmetric positive semidefinite matrix.
     b : (n,) or (n, m) array_like
         Right-hand side.
-    lam : float
-        Nonnegative diagonal loading.
+    lam : float or (k,) sequence of floats
+        Nonnegative diagonal loading, or one loading per system.
 
     Returns
     -------
-    x : ndarray, same shape as ``b``.
+    x : ndarray, same shape as ``b`` for a single ``lam``; for a sequence,
+        shape ``(k,) + b.shape``, member ``i`` bit-identical to the call
+        with ``lam[i]`` alone.
+
+    ``a``, ``b`` and the loadings are checked once. Each loading then
+    costs one copy of ``a`` with the loading added to its diagonal
+    (``a + 0.0`` first, which is bit-identical to ``a + lam * eye(n)``),
+    one :func:`kernels.cholesky_inplace` call and two ``dpotrs`` solves.
 
     Raises
     ------
     SingularSystem
-        When the loaded matrix is numerically singular (lam = 0 and ``a``
-        rank deficient), or when ``a``, ``b`` or ``lam`` is not finite.
+        When a loaded matrix is numerically singular (lam = 0 and ``a``
+        rank deficient), or when ``a``, ``b`` or a loading is not finite.
+    ValueError
+        When a loading is negative.
     """
     a = _as_matrix(a)
     b = np.asarray(b, dtype=np.float64)
-    if lam < 0:
+    lams = np.asarray(lam, dtype=np.float64)
+    if lams.ndim > 1:
+        raise DimensionMismatch(f"lam must be a number or a 1-D sequence, "
+                                f"got shape {lams.shape}")
+    if np.any(lams < 0):
         raise ValueError("lam must be nonnegative")
-    if not (math.isfinite(lam) and np.all(np.isfinite(a))
+    if not (np.all(np.isfinite(lams)) and np.all(np.isfinite(a))
             and np.all(np.isfinite(b))):
         raise SingularSystem(f"non-finite system or rhs (lam={lam})")
     a = _check_square_symmetric(a)
@@ -135,28 +152,35 @@ def solve_regularized(a, b, lam):
         raise DimensionMismatch(
             f"rhs length {b.shape[0]} does not match system size {n}"
         )
-    m = a + lam * np.eye(n)
-    mean_diag = float(np.trace(m)) / n
-    tol = max(1e-13 * mean_diag, 0.0)
-    fac = m.copy()
-    bad = kernels.cholesky_inplace(fac, tol)
-    if bad >= 0:
-        raise SingularSystem(
-            f"Cholesky pivot {bad} not positive; system singular at lam={lam}"
-        )
-    x = _cho_solve(fac, b)
-    # one refinement step keeps the residual tiny on ill-conditioned systems
-    x = x + _cho_solve(fac, b - m @ x)
-    return x
+    out = np.empty(lams.shape + b.shape)
+    for load, x in zip(lams.flat, out.reshape((-1,) + b.shape)):
+        m = np.add(a, 0.0, order="C")
+        m.reshape(-1)[:: n + 1] += load
+        mean_diag = float(np.trace(m)) / n
+        tol = max(1e-13 * mean_diag, 0.0)
+        fac = m.copy()
+        bad = kernels.cholesky_inplace(fac, tol)
+        if bad >= 0:
+            raise SingularSystem(
+                f"Cholesky pivot {bad} not positive; system singular at "
+                f"lam={load}"
+            )
+        x0 = _cho_solve(fac, b)
+        # one refinement step keeps the residual tiny on ill-conditioned
+        # systems
+        x[...] = x0 + _cho_solve(fac, b - m @ x0)
+    return out
 
 
 def _cho_solve(fac, rhs):
-    """Solve with the lower Cholesky factor ``fac`` by LAPACK ``dpotrs``:
-    the routine ``scipy.linalg.cho_solve`` ends in, without its argument
-    checks, which cost more than the solve at these sizes."""
+    """Solve with the C-ordered lower Cholesky factor ``fac`` by LAPACK
+    ``dpotrs``: the routine ``scipy.linalg.cho_solve`` ends in, without
+    its argument checks, which cost more than the solve at these sizes.
+    ``fac.T`` is the Fortran-ordered upper factor, which ``dpotrs`` reads
+    in place where ``fac`` itself would be copied."""
     from scipy.linalg import lapack as _lapack
 
-    x, info = _lapack.dpotrs(fac, rhs, lower=1)
+    x, info = _lapack.dpotrs(fac.T, rhs, lower=0)
     if info != 0:
         raise ValueError(f"dpotrs: illegal argument {-info}")
     return x
@@ -219,19 +243,23 @@ def gen_sym_eig(a, b):
 
 
 def svd(m):
-    """Thin singular value decomposition with LAPACK (``np.linalg.svd``).
+    """Thin singular value decomposition with LAPACK (``np.linalg.svd``)
+    of a matrix, or of each member of a stack (..., p, q) with one call.
 
-    Returns (u, s, v) with compact shapes: ``m = u @ diag(s) @ v.T``,
-    ``s`` nonnegative descending, ``u`` and ``v`` column-orthonormal, all
-    as LAPACK computes them, except that singular values at or below
-    ``1e-14 * s[0]`` are set to exactly zero.
+    Returns (u, s, v) with compact shapes: ``m = u @ diag(s) @ v.T`` for
+    each member, ``s`` nonnegative descending, ``u`` and ``v``
+    column-orthonormal, all as LAPACK computes them, except that a
+    member's singular values at or below ``1e-14`` times its largest are
+    set to exactly zero.
 
     Raises
     ------
     NonConvergence
         If LAPACK does not converge.
     """
-    m = _as_matrix(m)
+    m = np.asarray(m, dtype=np.float64)
+    if m.ndim < 2:
+        raise DimensionMismatch(f"matrix must be 2-D, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("svd input must be finite")
     factors = []
@@ -239,8 +267,8 @@ def svd(m):
         raise NonConvergence("SVD did not converge")
     u, s, vt = factors
     if s.size:
-        s[s <= 1e-14 * s[0]] = 0.0
-    return u, s, vt.T
+        s[s <= 1e-14 * s[..., :1]] = 0.0
+    return u, s, vt.swapaxes(-1, -2)
 
 
 _SPD_FUNCTIONS = {

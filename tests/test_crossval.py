@@ -331,14 +331,51 @@ class TestHyperGrid:
 
 class _Runner:
     """A runner stand-in: tunes on the plan's inner assignments and scores
-    a point with ``score(params, train, val)``."""
+    each point of a group with ``objective(params, train, val)``."""
 
-    def __init__(self, plan, score):
+    def __init__(self, plan, objective):
         self.plan = plan
-        self.score = score
+        self.objective = objective
+
+    def score(self, points, train, val):
+        return [self.objective(p, train, val) for p in points]
 
     def tuning_assignments(self, loop_index):
         return self.plan.outer[loop_index].inner
+
+
+class TestGroupScoring:
+    def test_nested_wf_counts(self, monkeypatch):
+        """A nested wf run fits each training set's regularizer values
+        with one wf_fit call and one Cholesky factorization per value:
+        loops x assignments x points for the search, plus one final fit
+        per loop. Lagging and PCC counts are those of scoring one point at
+        a time (90 and 648 on this session)."""
+        counts = {"wf_fit": 0, "cholesky": 0, "lag": 0, "pcc": 0}
+        for module, name, key in [
+                (linear, "wf_fit", "wf_fit"),
+                (kernels, "cholesky_inplace", "cholesky"),
+                (crossval, "build_lagged", "lag"),
+                (linear, "build_lagged", "lag"),
+                (metrics, "pcc", "pcc")]:
+            real = getattr(module, name)
+
+            def counting(*a, real=real, key=key, **k):
+                counts[key] += 1
+                return real(*a, **k)
+            monkeypatch.setattr(module, name, counting)
+        session = synth(n_trials=6, n_channels=3, duration_s=10.0, seed=2)
+        plan = crossval.make_folds(session.trials, "nested_loto", 3, seed=0)
+        grid = {"lam": [0.1, 1.0, 10.0], "L": [4, 8]}
+        crossval.run_pipeline(session, "wf", plan, grid, 5.0)
+        loops = len(plan.outer)
+        assignments = len(plan.outer[0].inner)
+        assert (loops, assignments) == (3, 2)
+        assert counts == {
+            # one call per (loop, assignment, L), plus the final fits
+            "wf_fit": loops * assignments * 2 + loops,
+            "cholesky": loops * assignments * 6 + loops,
+            "lag": 90, "pcc": 648}
 
 
 def _selections(plan, grid, objective):
@@ -374,34 +411,42 @@ class TestSearch:
         got = _selections(plan, grid, lambda p, t, v: 0.7)
         assert all(p == {"lam": 0.1, "L": 4} for p, _ in got)
 
-    def test_scores_points_then_sessions_then_assignments(self):
-        """A point's score is the unweighted mean over sessions of each
-        session's mean over its assignments, and every runner sees its
-        calls in grid order."""
+    def test_scores_groups_then_sessions_then_assignments(self):
+        """Points that differ only in the regularizer are scored as one
+        group: each runner gets one call per group and assignment, groups
+        in grid order. A point's score is the unweighted mean over
+        sessions of each session's mean over its assignments, and the
+        table keeps grid order."""
         session = synth(n_trials=6, n_channels=2, duration_s=5.0)
         plans = [crossval.make_folds(session.trials, "nested_loto", n,
                                      seed=0) for n in (3, 6)]
         calls = []
 
-        def objective(tag, value):
-            def score(params, train, val):
-                calls.append((params["lam"], tag, val))
-                return value(params, val)
-            return score
+        class Recording(_Runner):
+            def __init__(self, tag, plan, value):
+                super().__init__(plan, lambda p, t, v: value(p, v))
+                self.tag = tag
+
+            def score(self, points, train, val):
+                calls.append(([(p["L"], p["lam"]) for p in points],
+                              self.tag, val))
+                return super().score(points, train, val)
 
         runners = [
-            _Runner(plans[0], objective("a", lambda p, v: p["lam"])),
-            _Runner(plans[1], objective(
-                "b", lambda p, v: float(v == plans[1].folds[2]))),
+            Recording("a", plans[0], lambda p, v: p["lam"] + p["L"]),
+            Recording("b", plans[1],
+                      lambda p, v: float(v == plans[1].folds[2])),
         ]
         table = crossval.score_grid(
-            crossval.grid_points({"lam": [0.0, 1.0]}), runners, 0)
-        expect = [(lam, tag, a.val) for lam in (0.0, 1.0)
+            crossval.grid_points({"lam": [0.0, 1.0], "L": [4, 8]}),
+            runners, 0)
+        expect = [([(L, 0.0), (L, 1.0)], tag, a.val) for L in (4, 8)
                   for tag, r in zip("ab", runners)
                   for a in r.tuning_assignments(0)]
         assert calls == expect
-        assert table == [({"lam": 0.0}, 0.5 * (0.0 + 1 / 5)),
-                         ({"lam": 1.0}, 0.5 * (1.0 + 1 / 5))]
+        assert table == [
+            ({"L": L, "lam": lam}, 0.5 * (L + lam + 1 / 5))
+            for L in (4, 8) for lam in (0.0, 1.0)]
 
     def test_recovers_planted_ridge_optimum(self):
         """Planted linear-Gaussian problem with known ridge optimum
@@ -1087,6 +1132,7 @@ def _broken_plan(session, case):
     message that refuses it."""
     protocol, n_folds = {"train-has-test": ("nested_loto", 3),
                          "assignment-unit-in-no-fold": ("within_trial", 3),
+                         "segment-past-last-window": ("within_trial", 3),
                          }.get(case, ("loto", 2))
     plan = crossval.make_folds(session.trials, protocol, n_folds,
                                segment_s=5.0)
@@ -1104,6 +1150,12 @@ def _broken_plan(session, case):
     if case == "loop-unit-in-no-fold":
         plan.folds = [f for f in plan.folds if "t000" not in f]
         return plan, "outer loop 0: unit 't000' is in no fold"
+    if case == "segment-past-last-window":
+        # t000 is 10 s long: its 5 s segments are 0 and 1
+        plan.folds[0] += (("t000", 9),)
+        plan.outer[0] = replace(loop, test=loop.test + (("t000", 9),))
+        return plan, ("unit ('t000', 9) is no whole decision window of "
+                      "trial t000, which has 2")
     a = loop.inner[0]
     loop.inner[0] = replace(a, val=a.val + (("t000", 9),))
     return plan, "outer loop 0: unit ('t000', 9) is in no fold"
@@ -1117,7 +1169,8 @@ class TestPlanChecks:
     @pytest.mark.parametrize("entry", ["grid", "fixed", "group"])
     @pytest.mark.parametrize("case", [
         "fit-has-test", "train-has-test", "unit-names-no-trial",
-        "loop-unit-in-no-fold", "assignment-unit-in-no-fold"])
+        "loop-unit-in-no-fold", "assignment-unit-in-no-fold",
+        "segment-past-last-window"])
     def test_refused_before_any_fit(self, monkeypatch, small_session, entry,
                                     case):
         calls = _record_fits(monkeypatch)
@@ -1344,8 +1397,9 @@ class TestLinearWindowRhos:
         real_fit = getattr(linear, fit_name)
 
         def recording_fit(*args, **kwargs):
-            fitted.append(real_fit(*args, **kwargs))
-            return fitted[-1]
+            models = real_fit(*args, **kwargs)
+            fitted.extend(models)
+            return models
 
         monkeypatch.setattr(linear, fit_name, recording_fit)
         report = crossval.run_pipeline(
@@ -1423,10 +1477,10 @@ def test_score_is_accuracy_of_collected_evaluation(kind, params):
     runner = crossval._make_runner(session, kind, plan, 5.0, 1.0)
     accuracies = []
     for loop in plan.outer:
-        model = runner._fit(loop.fit, params)
+        [model] = runner._fit(loop.fit, [params])
         acc, _, records, _ = runner._eval_units(model, params, loop.test,
                                                 collect=True)
-        score = runner.score(params, loop.fit, loop.test)
+        [score] = runner.score([params], loop.fit, loop.test)
         assert score == acc
         assert acc == np.mean([r.correct for r in records])
         accuracies.append(acc)

@@ -283,6 +283,24 @@ class TestCholesky:
         assert np.allclose(np.tril(fac), np.linalg.cholesky(a), atol=1e-12)
         assert np.array_equal(np.triu(fac, 1), np.triu(a, 1))
 
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_every_layout_gets_the_same_factor(self, rng, layout):
+        """A C-ordered matrix is factored in place; any other layout is
+        factored in a copy that is copied back, to the same bits."""
+        a = rng.standard_normal((10, 10))
+        a = a @ a.T + 10 * np.eye(10)
+        want = a.copy()
+        assert kernels.cholesky_inplace(want, 1e-14) == -1
+        if layout == "F":
+            fac = np.asfortranarray(a)
+        elif layout == "strided":
+            fac = np.zeros((20, 20))[::2, ::2]
+            fac[...] = a
+        else:
+            fac = a.copy()
+        assert kernels.cholesky_inplace(fac, 1e-14) == -1
+        assert np.array_equal(fac, want)
+
     def test_indefinite_returns_failing_pivot(self):
         a = np.array([[4.0, 2.0, 0.0], [2.0, 5.0, 3.0], [0.0, 3.0, 1.0]])
         # pivots: 4, 5 - 1 = 4, 1 - 9/4 < 0
@@ -390,6 +408,20 @@ def test_svd_values_are_lapack_values(rng, shape, rank):
     assert np.allclose(u.T @ u, np.eye(k), atol=1e-12)
     assert np.allclose(v.T @ v, np.eye(k), atol=1e-12)
     assert np.allclose((u * s) @ v.T, m, atol=1e-12)
+
+
+def test_svd_of_a_stack_is_each_member_svd(rng):
+    """One call on a stack gives each member's decomposition to the bit,
+    with each member's own zero floor."""
+    m = rng.standard_normal((4, 9, 5))
+    m[2, :, 4] = m[2, :, 3]
+    m[3] *= 1e6
+    u, s, v = numerics.svd(m)
+    assert (u.shape, s.shape, v.shape) == ((4, 9, 5), (4, 5), (4, 5, 5))
+    for i in range(4):
+        for got, want in zip((u[i], s[i], v[i]), numerics.svd(m[i])):
+            assert np.array_equal(got, want)
+    assert s[2, -1] == 0.0 and np.all(s[[0, 1, 3], -1] > 0.0)
 
 
 def _stable_descending(values, vectors):

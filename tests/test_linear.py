@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from aadkit import kernels, linear
+from aadkit import dataio, kernels, linear
 from aadkit.design import accumulate, build_lagged
 from aadkit.errors import DimensionMismatch, NotSpd
 from aadkit.metrics import component_pcc, pcc
@@ -270,6 +270,68 @@ class TestCcaScore:
         with pytest.raises(DimensionMismatch):
             linear.eeg_components(model, build_lagged(
                 rng.standard_normal((100, 2)), 4))
+
+
+def session_stats(lags, target_lags):
+    """Training statistics of three trials of a seeded synthetic session,
+    summed as the pipeline sums them."""
+    session = dataio.synth_generate(dataio.SynthConfig(
+        n_trials=3, duration_s=20.0, n_channels=4, seed=11))
+    total = None
+    for trial in session.trials:
+        y = dataio.build_attended_streams(trial).attended
+        part = accumulate([build_lagged(trial.eeg.samples, lags)],
+                          [build_lagged(y, target_lags) if target_lags
+                           else y])
+        total = part if total is None else total + part
+    return total
+
+
+class TestGroupedFits:
+    """A sequence of regularizer values fits every value with one call,
+    each model bit-identical to its own fit."""
+
+    def test_wf_lam_sequence(self, monkeypatch):
+        stats = session_stats(6, 0)
+        lams = list(np.logspace(-6, 3, 10))
+        single = [linear.wf_fit(stats, lam) for lam in lams]
+        calls = []
+        cholesky = kernels.cholesky_inplace
+        monkeypatch.setattr(kernels, "cholesky_inplace",
+                            lambda *a: calls.append(1) or cholesky(*a))
+        grouped = linear.wf_fit(stats, lams)
+        assert len(calls) == len(lams)
+        assert isinstance(grouped, list) and len(grouped) == len(lams)
+        for got, want in zip(grouped, single):
+            assert np.array_equal(got.w, want.w)
+            assert (got.lam, got.lags, got.channels) == (
+                want.lam, want.lags, want.channels)
+
+    def test_cca_reg_sequence(self, monkeypatch):
+        stats = session_stats(6, 11)
+        regs = [0.0] + list(np.logspace(-2, 2, 5))
+        single = [linear.cca_fit(stats, reg, 2) for reg in regs]
+        calls = []
+        sweep = kernels.svd_sweep
+        monkeypatch.setattr(kernels, "svd_sweep",
+                            lambda m, out: calls.append(m.shape)
+                            or sweep(m, out))
+        grouped = linear.cca_fit(stats, regs, 2)
+        assert calls == [(len(regs), 24, 11)]
+        assert isinstance(grouped, list) and len(grouped) == len(regs)
+        for got, want in zip(grouped, single):
+            for name in ("wx", "wy", "correlations"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+            assert got.reg == want.reg
+
+    def test_cca_reg_sequence_names_the_member_not_spd(self, rng):
+        x = rng.standard_normal((400, 2))
+        x = np.column_stack([x, x[:, 0]])  # a duplicated channel
+        y = rng.standard_normal(400)
+        stats = accumulate([build_lagged(x, 2)], [build_lagged(y, 2)])
+        assert len(linear.cca_fit(stats, [0.1, 1.0], 1)) == 2
+        with pytest.raises(NotSpd, match=r"\(member 1\)"):
+            linear.cca_fit(stats, [0.1, 0.0], 1)
 
 
 class TestChannelWeightStats:

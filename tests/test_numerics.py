@@ -37,6 +37,15 @@ def gaussian_elimination(a, b):
     return x
 
 
+def cho_solve_formula(m, b):
+    """The package's Cholesky factor of ``m`` solved, plus one refinement
+    step, with ``scipy.linalg.cho_solve``."""
+    fac = m.copy()
+    assert kernels.cholesky_inplace(fac, 0.0) == -1
+    x = cho_solve((fac, True), b, check_finite=False)
+    return x + cho_solve((fac, True), b - m @ x, check_finite=False)
+
+
 class TestSolveRegularized:
     def test_identity(self):
         x = numerics.solve_regularized(np.eye(2), np.array([1.0, 2.0]), 0.0)
@@ -96,15 +105,78 @@ class TestSolveRegularized:
         for lam in (0.0, 1e-6, 0.3, 100.0):
             a = random_spd(rng, 9, cond=1e5)
             b = rng.standard_normal(rhs_shape)
-            m = a + lam * np.eye(9)
-            fac = m.copy()
-            assert kernels.cholesky_inplace(fac, 0.0) == -1
-            want = cho_solve((fac, True), b, check_finite=False)
-            want = want + cho_solve((fac, True), b - m @ want,
-                                    check_finite=False)
+            want = cho_solve_formula(a + lam * np.eye(9), b)
             got = numerics.solve_regularized(a, b, lam)
             assert got.shape == b.shape
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("rhs_shape", [(9,), (9, 4)])
+    def test_lam_sequence_equals_one_call_per_lam(self, rhs_shape):
+        """A sequence of loadings gives the stack of the single-loading
+        results, each bit for bit, for a tuple, a list or an array."""
+        rng = np.random.default_rng(10 + len(rhs_shape))
+        a = random_spd(rng, 9, cond=1e5)
+        b = rng.standard_normal(rhs_shape)
+        lams = [0.0, 1e-6, 0.3, 100.0]
+        want = [numerics.solve_regularized(a, b, lam) for lam in lams]
+        for seq in (lams, tuple(lams), np.array(lams)):
+            got = numerics.solve_regularized(a, b, seq)
+            assert got.shape == (4,) + rhs_shape
+            for member, single in zip(got, want):
+                assert np.array_equal(member, single)
+        assert numerics.solve_regularized(a, b, []).shape == (0,) + rhs_shape
+
+    def test_lam_sequence_checks_system_once(self, monkeypatch):
+        """One symmetry check for the whole sequence, and one Cholesky
+        factorization per loading."""
+        calls = {"check": 0, "cholesky": 0}
+        for module, name, key in [
+                (numerics, "_check_square_symmetric", "check"),
+                (kernels, "cholesky_inplace", "cholesky")]:
+            real = getattr(module, name)
+            monkeypatch.setattr(
+                module, name, lambda *a, real=real, key=key:
+                calls.__setitem__(key, calls[key] + 1) or real(*a))
+        numerics.solve_regularized(np.eye(4), np.ones(4),
+                                   [0.0, 0.1, 1.0, 10.0, 100.0])
+        assert calls == {"check": 1, "cholesky": 5}
+
+    def test_singular_member_of_lam_sequence_raises(self):
+        v = np.array([1.0, 2.0, 3.0])
+        a = np.outer(v, v)  # rank 1
+        for rhs in (np.ones(3), np.ones((3, 2))):
+            with pytest.raises(SingularSystem, match="singular at lam=0.0$"):
+                numerics.solve_regularized(a, rhs, [1.0, 0.0, 2.0])
+
+    @pytest.mark.parametrize("bad, error", [
+        (-1.0, ValueError), (-0.5e-300, ValueError),
+        (np.nan, SingularSystem), (np.inf, SingularSystem)],
+        ids=["negative", "tiny-negative", "nan", "inf"])
+    def test_lam_sequence_refuses_bad_member(self, bad, error, monkeypatch):
+        """A negative or non-finite loading anywhere in the sequence is
+        refused before any factorization."""
+        calls = []
+        monkeypatch.setattr(kernels, "cholesky_inplace",
+                            lambda *a: calls.append(1))
+        with pytest.raises(error):
+            numerics.solve_regularized(np.eye(3), np.ones(3),
+                                       [0.1, 1.0, bad])
+        assert calls == []
+
+    def test_lam_of_two_dimensions_refused(self):
+        with pytest.raises(DimensionMismatch, match="^lam must be"):
+            numerics.solve_regularized(np.eye(3), np.ones(3), [[0.1, 1.0]])
+
+    def test_loading_maps_negative_zero_like_eye(self):
+        """The diagonal is loaded on a copy of ``a + 0.0``, so a -0.0 off
+        the diagonal becomes +0.0 exactly as in ``a + lam * eye(n)``."""
+        a = np.array([[2.0, -0.0], [-0.0, 3.0]])
+        b = np.array([1.0, -0.0])
+        for lam in (0.0, 0.5):
+            want = cho_solve_formula(a + lam * np.eye(2), b)
+            got = numerics.solve_regularized(a, b, lam)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_shrinkage_monotone(self, rng):
         a = random_spd(rng, 6)
