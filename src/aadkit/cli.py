@@ -1,19 +1,18 @@
 """Command line interface.
 
-Subcommands: synth, convert-dataset, preprocess, envelope, run, ablate,
-track. ``run``, ``ablate`` and ``track`` share one front half. Their
-settings (model, protocol, window, grid, seed, channels, folds, plus
-group_tuning for run and segment for track) each have one flag and one
-field of the optional --config JSON file; a flag overrides the field, and
-a field's value is converted as if it were typed after the flag. What
-neither sets takes its default: seed 0, and for track protocol loto, a
-30 s window and 1 s segments. The seed, which deals the folds, is >= 0.
---manifest, --out and --layouts are flags only. Every JSON input file
-(--config, --grid, --layouts) is read by ``dataio.read_json``.
-``crossval`` checks a --grid file like any grid, and every point of it
-is searched. Durations and rates (--window, --segment, --to-fs) are
-finite and positive. --channels names a preset or distinct channels, at
-least one.
+Subcommands: synth, convert-dataset, preprocess, envelope, run, ablate.
+``run`` and ``ablate`` share one front half. Their settings (model,
+protocol, window, grid, seed, channels, folds, plus group_tuning and
+segment for run) each have one flag and one field of the optional
+--config JSON file; a flag overrides the field, and a field's value is
+converted as if it were typed after the flag. What neither sets takes its
+default: seed 0, and 1 s time-PCC segments. The seed, which deals the
+folds, is >= 0. --manifest, --out and --layouts are flags only. Every
+JSON input file (--config, --grid, --layouts) is read by
+``dataio.read_json``. ``crossval`` checks a --grid file like any grid,
+and every point of it is searched. Durations and rates (--window,
+--segment, --to-fs) are finite and positive. --channels names a preset or
+distinct channels, at least one.
 
 Every command runs inside one error shell, ``_command``. Each error class
 declares its category and exit code (see ``aadkit.errors``); the shell
@@ -70,8 +69,8 @@ def _switch(text):
     return text == "true"
 
 
-# setting -> (converter, default); the flags of run, ablate and track and
-# the config fields they accept are both built from this table
+# setting -> (converter, default); the flags of run and ablate and the
+# config fields they accept are both built from this table
 _SETTINGS = {
     "model": (str, None),
     "protocol": (str, None),
@@ -82,15 +81,15 @@ _SETTINGS = {
     "folds": (int, None),
 }
 _COMMAND_SETTINGS = {
-    "run": {**_SETTINGS, "group_tuning": (_switch, False)},
+    "run": {**_SETTINGS, "group_tuning": (_switch, False),
+            "segment": (float, 1.0)},
     "ablate": _SETTINGS,
-    "track": {**_SETTINGS, "protocol": (str, "loto"),
-              "window": (float, 30.0), "segment": (float, 1.0)},
 }
 _HELP = {
     "grid": "hyperparameter grid JSON",
     "channels": "layout preset or comma-separated names",
-    "segment": "curve resolution in seconds",
+    "segment": "time-PCC curve resolution in seconds, for wf and cca on "
+               "whole-trial protocols; ignored otherwise",
 }
 
 
@@ -167,8 +166,8 @@ def _plan_args(args):
 
 
 def _check_scored(report):
-    """``run`` and ``ablate`` report decision windows; ``track`` alone
-    may export a run that scored none."""
+    """A run that scored no decision window is refused before export,
+    time-PCC curves or not."""
     if report.n_windows == 0:
         raise DegenerateClass(
             f"no valid {report.window_s:g} s decision window in any test "
@@ -202,8 +201,11 @@ def cmd_synth(args):
 def cmd_run(args):
     """One manifest exports to --out; several export to one directory per
     subject under it, each subject checked to be a file name and not
-    repeated before anything is fitted."""
+    repeated, and every session's data checked against the settings,
+    before anything is fitted. ``wf`` and ``cca`` runs on whole-trial
+    protocols also export time-PCC curves at --segment resolution."""
     _settings(args)
+    _check_positive("segment", args.segment)
     grid = _load_grid(args)
     sessions = list(_sessions(args, many=True))
     outs = [Path(args.out)]
@@ -218,10 +220,11 @@ def cmd_run(args):
              for session in sessions]
     if args.group_tuning:
         reports, _ = crossval.run_pipeline_group(
-            sessions, args.model, plans, grid, args.window)
+            sessions, args.model, plans, grid, args.window,
+            time_pcc_seg_s=args.segment)
     else:
-        reports = [crossval.run_pipeline(s, args.model, p, grid, args.window)
-                   for s, p in zip(sessions, plans)]
+        reports = crossval._run_each(sessions, args.model, plans, grid,
+                                     args.window, args.segment)
     for report in reports:
         _check_scored(report)
     for out, report in zip(outs, reports):
@@ -245,41 +248,6 @@ def cmd_ablate(args):
     for name, report in reports.items():
         dataio.export_results(report, Path(args.out) / name)
         print(f"layout={name} {_summary_line(report)}")
-    return 0
-
-
-@_command()
-def cmd_track(args):
-    _settings(args)
-    if args.model not in ("wf", "cca"):
-        raise BadConfig(
-            f"model: tracking needs an envelope decoder, got {args.model!r}"
-        )
-    if args.protocol == "within_trial":
-        # curves are cut from whole test trials only
-        raise BadConfig(
-            "protocol: tracking needs whole-trial test folds, got "
-            "'within_trial'"
-        )
-    _check_positive("segment", args.segment)
-    [session] = _sessions(args)
-    seg_len = int(round(args.segment * session.fs))
-    if seg_len < 2:
-        # a segment's PCC needs two samples; refuse before anything is fit
-        raise BadConfig(
-            f"segment: {args.segment:g} s is {seg_len} samples at "
-            f"fs={session.fs:g}; need at least 2"
-        )
-    grid = _load_grid(args)
-    plan = crossval.make_folds(session.trials, **_plan_args(args))
-    report = crossval.run_pipeline(
-        session, args.model, plan, grid, args.window,
-        time_pcc_seg_s=args.segment)
-    dataio.export_results(report, Path(args.out))
-    print(
-        f"model={report.model_kind} trials={len(report.time_pcc)} "
-        f"segment={report.time_pcc_seg_s:g}"
-    )
     return 0
 
 
@@ -403,7 +371,6 @@ def build_parser():
     p = run_like("ablate", "re-run with partial channel layouts", cmd_ablate)
     p.add_argument("--layouts", required=True,
                    help="JSON list of preset names or name->channels mapping")
-    run_like("track", "per-trial time-resolved correlation curves", cmd_track)
 
     p = sub.add_parser("preprocess", help="condition a raw session")
     p.add_argument("--manifest", required=True)

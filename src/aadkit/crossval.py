@@ -814,12 +814,20 @@ def run_pipeline_group(sessions, model_kind, plans, grid, window_s, *,
     protocols = sorted({p.protocol for p in plans})
     if len(protocols) != 1:
         raise BadProtocolConfig(f"plans mix protocols: {', '.join(protocols)}")
-    n_outer = {len(p.outer) for p in plans}
-    if len(n_outer) != 1:
+    if len({len(p.outer) for p in plans}) != 1:
         raise BadProtocolConfig(
             "sessions produce different outer-loop counts; use equal trial "
             "layouts or set n_folds"
         )
+    runners, points = _checked_runners(sessions, model_kind, plans, grid,
+                                       window_s, time_pcc_seg_s)
+    return _tuned_reports(runners, points)
+
+
+def _checked_runners(sessions, model_kind, plans, grid, window_s,
+                     time_pcc_seg_s):
+    """One runner per session and the grid's points, every point checked
+    against every session's data: each refusal comes before any fit."""
     runners = [
         _make_runner(s, model_kind, p, window_s, time_pcc_seg_s)
         for s, p in zip(sessions, plans)
@@ -827,12 +835,31 @@ def run_pipeline_group(sessions, model_kind, plans, grid, window_s, *,
     points = _checked_points(model_kind, grid)
     for runner in runners:
         runner.check_params(points)
+    return runners, points
+
+
+def _tuned_reports(runners, points):
+    """Each outer loop's parameters, selected over all the runners (a
+    one-point grid taken as is), then every runner's report: the reports
+    and the selections."""
     selected = [
         dict(points[0] if len(points) == 1
              else pick_best(score_grid(points, runners, i))[0])
-        for i in range(n_outer.pop())
+        for i in range(len(runners[0].plan.outer))
     ]
     return [_report(r, selected) for r in runners], selected
+
+
+def _run_each(sessions, model_kind, plans, grid, window_s, time_pcc_seg_s):
+    """``run_pipeline`` of each session on its plan, in order, with every
+    session's runner built and checked before the first fit."""
+    runners, points = _checked_runners(sessions, model_kind, plans, grid,
+                                       window_s, time_pcc_seg_s)
+    reports = []
+    while runners:
+        # a runner goes, with its statistics caches, once it has reported
+        reports.append(_tuned_reports([runners.pop(0)], points)[0][0])
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -914,15 +941,12 @@ def run_channel_ablation(session, layouts, model_kind, plan, grid, window_s,
         dataio.check_path_component("layouts", name, BadConfig)
         _channel_columns(session, channels)
     full_names = tuple(session.trials[0].eeg.channel_names)
-    runners = {
-        name: _make_runner(restrict_session(session, tuple(channels)),
-                           model_kind, plan, window_s, time_pcc_seg_s)
-        for name, channels in layouts.items()
-        if tuple(channels) != full_names
-    }
-    points = _checked_points(model_kind, grid)
-    for runner in runners.values():
-        runner.check_params(points)
+    partial = [name for name, channels in layouts.items()
+               if tuple(channels) != full_names]
+    runners, _ = _checked_runners(
+        [restrict_session(session, tuple(layouts[name])) for name in partial],
+        model_kind, [plan] * len(partial), grid, window_s, time_pcc_seg_s)
+    runners = dict(zip(partial, runners))
     [full], selected = run_pipeline_group(
         [session], model_kind, [plan], grid, window_s,
         time_pcc_seg_s=time_pcc_seg_s)

@@ -473,6 +473,45 @@ class TestRun:
         assert capsys.readouterr().err.startswith(f"error: config: {message}")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("group", [False, True],
+                             ids=["per-subject", "group-tuning"])
+    @pytest.mark.parametrize("second, lags, segment, message", [
+        pytest.param(dict(duration_s=2.0), 100, "1",
+                     "L: 100 lags exceed the shortest trial or segment, "
+                     "80 samples", id="lags-over-second-trials"),
+        pytest.param(dict(duration_s=20.0, fs=20.0), 4, "0.05",
+                     "time_pcc_seg_s: 0.05 s is 1 samples at fs=20",
+                     id="segment-under-two-samples-at-second-rate"),
+    ])
+    def test_every_session_checked_before_any_fit(
+            self, tmp_path, capsys, monkeypatch, group, second, lags,
+            segment, message):
+        """A setting that only the second manifest's data refuses exits 2
+        before the first manifest is fitted, tuned per subject or as a
+        group."""
+        from aadkit import cli, dataio, linear
+
+        manifests = [
+            str(dataio.save_session(dataio.synth_generate(dataio.SynthConfig(
+                n_trials=6, n_channels=2, seed=i, subject=subject, **cfg)),
+                tmp_path / subject))
+            for i, (subject, cfg) in enumerate(
+                [("a", dict(duration_s=20.0)), ("b", second)])
+        ]
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"lam": [1, 10], "L": [lags]}))
+        fits = []
+        monkeypatch.setattr(linear, "wf_fit", lambda *a: fits.append(a))
+        argv = ["run", "--manifest", manifests[0], "--manifest",
+                manifests[1], "--model", "wf", "--protocol", "loto",
+                "--window", "1", "--folds", "2", "--grid", str(grid),
+                "--segment", segment, "--out", str(tmp_path / "o")]
+        code = cli.main(argv + ["--group-tuning"] * group)
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: config: {message}")
+        assert not fits
+        assert not (tmp_path / "o").exists()
+
     def test_config_file_flag_hybrid(self, session_dir, grid_file, tmp_path):
         tmp, sess = session_dir
         conf = tmp_path / "run.json"
@@ -727,19 +766,9 @@ class TestNoDecisionWindow:
         assert "Traceback" not in r.stderr
         assert not (tmp_path / "o").exists()
 
-    def test_track_exports_curves(self, short_session, tmp_path):
-        manifest, grid = short_session
-        r = run_cli("track", "--manifest", str(manifest), "--model", "wf",
-                    "--folds", "2", "--grid", str(grid),
-                    "--out", str(tmp_path / "tr"))
-        assert r.returncode == 0, r.stderr
-        lines = (tmp_path / "tr/time_pcc.csv").read_text().strip().splitlines()
-        # 4 trials x 20 one-second segments x 3 speaker candidates
-        assert len(lines) == 1 + 4 * 20 * 3
-
 
 class TestSettings:
-    @pytest.mark.parametrize("command", ["run", "ablate", "track"])
+    @pytest.mark.parametrize("command", ["run", "ablate"])
     def test_optional_flags_are_config_fields(self, command, tmp_path):
         """Every optional flag of the command is also a config field, and
         the required flags are not."""
@@ -780,7 +809,7 @@ class TestSettings:
         assert capsys.readouterr().err.startswith(
             f"error: config: {field}: must be >= ")
 
-    @pytest.mark.parametrize("command", ["run", "ablate", "track"])
+    @pytest.mark.parametrize("command", ["run", "ablate"])
     def test_jobs_is_no_setting(self, session_dir, tmp_path, capsys,
                                 command):
         """Outer loops run serially, so ``--jobs`` is an unknown flag and
@@ -949,17 +978,16 @@ class TestOutputNames:
 
 
 class TestTrack:
-    def test_classifier_rejected(self, session_dir, tmp_path):
-        _, sess = session_dir
-        r = run_cli("track", "--manifest", str(sess / "manifest.json"),
-                    "--model", "csp", "--out", str(tmp_path / "o"))
-        assert r.returncode == 2
+    """Switch tracking is ``run``'s time-PCC curves: ``--segment`` sets
+    their resolution, only ``wf`` and ``cca`` on whole-trial protocols
+    compute them, and other runs ignore it."""
 
     def test_rows_per_trial(self, session_dir, grid_file, tmp_path):
         _, sess = session_dir
-        r = run_cli("track", "--manifest", str(sess / "manifest.json"),
-                    "--model", "wf", "--grid", str(grid_file),
-                    "--folds", "5", "--out", str(tmp_path / "tr"))
+        r = run_cli("run", "--manifest", str(sess / "manifest.json"),
+                    "--model", "wf", "--protocol", "loto", "--window", "30",
+                    "--grid", str(grid_file), "--folds", "5",
+                    "--out", str(tmp_path / "tr"))
         assert r.returncode == 0, r.stderr
         lines = (tmp_path / "tr/time_pcc.csv").read_text().strip().splitlines()
         # 10 trials x 30 one-second segments x 3 speaker candidates
@@ -967,16 +995,22 @@ class TestTrack:
 
     def test_config_segment_applied(self, session_dir, grid_file, tmp_path):
         _, sess = session_dir
-        conf = tmp_path / "track.json"
-        conf.write_text(json.dumps({"segment": 2.0}))
-        r = run_cli("track", "--manifest", str(sess / "manifest.json"),
-                    "--model", "wf", "--grid", str(grid_file),
-                    "--folds", "5", "--config", str(conf),
-                    "--out", str(tmp_path / "tr"))
+        conf = tmp_path / "run.json"
+        conf.write_text(json.dumps({"segment": 2}))
+        r = run_cli("run", "--manifest", str(sess / "manifest.json"),
+                    "--model", "wf", "--protocol", "loto", "--window", "30",
+                    "--grid", str(grid_file), "--folds", "5",
+                    "--config", str(conf), "--out", str(tmp_path / "tr"))
         assert r.returncode == 0, r.stderr
-        assert "segment=2" in r.stdout
         lines = (tmp_path / "tr/time_pcc.csv").read_text().strip().splitlines()
+        # 10 trials x 15 two-second segments x 3 speaker candidates
         assert len(lines) == 1 + 10 * 15 * 3
+        segments = {}
+        for row in lines[1:]:
+            trial_id, seg, _, _ = row.split(",")
+            segments.setdefault(trial_id, set()).add(int(seg))
+        assert len(segments) == 10
+        assert all(s == set(range(15)) for s in segments.values())
 
     @pytest.mark.parametrize("segment, n_samples", [
         pytest.param("0.001", 0, id="rounds-to-0"),
@@ -989,24 +1023,46 @@ class TestTrack:
         _, sess = session_dir
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps({"lam": [1.0], "L": [4]}))
-        r = run_cli("track", "--manifest", str(sess / "manifest.json"),
+        r = run_cli("run", "--manifest", str(sess / "manifest.json"),
                     "--model", "wf", "--protocol", "loto", "--folds", "2",
                     "--window", "10", "--grid", str(grid),
                     "--segment", segment, "--out", str(tmp_path / "o"))
         assert r.returncode == 2, r.stderr
-        assert r.stderr.startswith("error: config: segment:")
+        assert r.stderr.startswith("error: config: time_pcc_seg_s:")
         assert f"is {n_samples} samples" in r.stderr
         assert "Traceback" not in r.stderr
         assert not (tmp_path / "o").exists()
 
-    def test_within_trial_rejected(self, session_dir, tmp_path):
+    @pytest.mark.parametrize("model, protocol, window, folds", [
+        pytest.param("csp", "loto", "10", "2", id="csp"),
+        pytest.param("wf", "within_trial", "10", "3", id="within_trial"),
+    ])
+    def test_ignored_without_curves(self, session_dir, tmp_path, model,
+                                    protocol, window, folds):
+        """Runs that compute no curves export the same bytes with or
+        without ``--segment``, and print the same line."""
+        _, sess = session_dir
+        argv = ["run", "--manifest", str(sess / "manifest.json"),
+                "--model", model, "--protocol", protocol, "--window", window,
+                "--folds", folds]
+        outs = []
+        for extra, out in (([], tmp_path / "plain"),
+                           (["--segment", "2"], tmp_path / "seg")):
+            r = run_cli(*argv, *extra, "--out", str(out))
+            assert r.returncode == 0, r.stderr
+            outs.append((r.stdout, {p.relative_to(out): p.read_bytes()
+                                    for p in sorted(out.rglob("*"))
+                                    if p.is_file()}))
+        assert outs[0][1]
+        assert outs[0] == outs[1]
+
+    def test_track_is_no_command(self, session_dir, tmp_path):
         _, sess = session_dir
         r = run_cli("track", "--manifest", str(sess / "manifest.json"),
-                    "--model", "wf", "--protocol", "within_trial",
-                    "--window", "10", "--out", str(tmp_path / "o"))
+                    "--model", "wf", "--out", str(tmp_path / "o"))
         assert r.returncode == 2
-        assert r.stderr.startswith("error: config:")
-        assert "whole-trial" in r.stderr
+        assert "invalid choice: 'track'" in r.stderr
+        assert not (tmp_path / "o").exists()
 
 
 class TestPreprocessEnvelope:
@@ -1163,18 +1219,16 @@ class TestNonFiniteFlags:
     @pytest.mark.parametrize("command, flag, value", [
         pytest.param("run", "--window", "inf", id="run-window-inf"),
         pytest.param("run", "--window", "nan", id="run-window-nan"),
-        pytest.param("track", "--segment", "inf", id="track-segment-inf"),
+        pytest.param("run", "--segment", "inf", id="run-segment-inf"),
         pytest.param("preprocess", "--to-fs", "inf", id="preprocess-to-fs-inf"),
         pytest.param("envelope", "--to-fs", "inf", id="envelope-to-fs-inf"),
     ])
     def test_exit_2(self, session_dir, tmp_path, command, flag, value):
         _, sess = session_dir
         if command == "run":
+            # the flag under test comes last, so it overrides this window
             args = ["--manifest", str(sess / "manifest.json"),
-                    "--model", "wf", "--protocol", "loto"]
-        elif command == "track":
-            args = ["--manifest", str(sess / "manifest.json"),
-                    "--model", "wf"]
+                    "--model", "wf", "--protocol", "loto", "--window", "30"]
         elif command == "preprocess":
             args = ["--manifest", str(raw_session(tmp_path / "raw", [1250]))]
         else:

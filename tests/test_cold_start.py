@@ -92,9 +92,12 @@ def test_run_loads_no_filtering(session, tmp_path, model, window):
 
 
 def test_track_loads_no_scipy(session, tmp_path):
+    """Switch tracking, ``run``'s time-PCC curves here at a 2 s
+    resolution, is numpy too."""
     loaded, _ = run_fresh(cli_call(
-        "track", "--manifest", session, "--model", "cca", "--window", "20",
-        "--folds", "2", "--out", tmp_path / "o",
+        "run", "--manifest", session, "--model", "cca", "--protocol", "loto",
+        "--window", "20", "--folds", "2", "--segment", "2",
+        "--out", tmp_path / "o",
     ))
     assert loaded == []
 
