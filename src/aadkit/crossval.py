@@ -61,6 +61,11 @@ padding and projected by ``linear.eeg_components``; every decision window
 then scores each candidate stream by ``metrics.component_pcc`` against
 ``linear.envelope_components`` of that window of the candidate, and whole
 trials get their time-PCC curves from the same projections.
+
+WF and CCA fit from lagged statistics that a linear runner keeps in one
+cache keyed by (units, ``L``, ``L_y``): a training set is the ``+`` of
+its units' entries, so one met again shares one object and its cached
+eigenpairs.
 """
 
 import itertools
@@ -73,7 +78,7 @@ from typing import List, NamedTuple, Optional
 import numpy as np
 
 from . import dataio, linear, metrics, spatial
-from .design import LaggedDesign, accumulate, build_lagged
+from .design import accumulate, build_lagged
 from .errors import (
     BadChannelIndex,
     BadConfig,
@@ -550,8 +555,7 @@ class _LinearRunner(_RunnerBase):
             # whole test trials give time-PCC curves of >= 2-sample segments
             raise BadConfig(f"time_pcc_seg_s: {self.time_pcc_seg_s:g} s is "
                             f"{seg} samples at fs={self.fs:g}; need at least 2")
-        self._unit_stats = {}
-        self._sum_cache = {}
+        self._stats_cache = {}
 
     def _window_label(self, tid, lo, hi):
         """0 (the attended stream) when it is defined throughout the
@@ -573,43 +577,42 @@ class _LinearRunner(_RunnerBase):
 
     # -- training statistics ------------------------------------------------
 
-    def _stats_for_unit(self, unit, lags, target_lags):
-        key = (unit, lags, target_lags)
-        if key in self._unit_stats:
-            return self._unit_stats[key]
-        tid, lo, hi, _ = self.units[unit]
-        streams = self.streams[tid]
-        x = build_lagged(self.trials[tid].eeg.samples[lo:hi], lags)
-        y = streams.attended[lo:hi]
-        if target_lags:
-            y = build_lagged(y, target_lags)
-        mask = streams.mask[lo:hi]
-        if not mask.all():
-            x, y = _masked(x, mask), _masked(y, mask)
-        stats = accumulate([x], [y])
-        self._unit_stats[key] = stats
+    def _stats(self, units, lags, target_lags):
+        """Cached statistics of a tuple of units: one unit is lagged, cut
+        to the rows where its attended stream is defined and accumulated;
+        more are the ``+`` of their entries, so a one-unit training set
+        and the inner assignments (i, j) and (j, i) share one object."""
+        key = (units, lags, target_lags)
+        if key in self._stats_cache:
+            return self._stats_cache[key]
+        if len(units) > 1:
+            stats = self._stats(units[:1], lags, target_lags)
+            for unit in units[1:]:
+                stats = stats + self._stats((unit,), lags, target_lags)
+        else:
+            tid, lo, hi, _ = self.units[units[0]]
+            streams = self.streams[tid]
+            x = build_lagged(self.trials[tid].eeg.samples[lo:hi], lags)
+            y = streams.attended[lo:hi]
+            if target_lags:
+                y = build_lagged(y, target_lags)
+            rows = streams.mask[lo:hi]
+            if not rows.all():
+                x = replace(x, matrix=x.matrix[rows])
+                y = (replace(y, matrix=y.matrix[rows]) if target_lags
+                     else y[rows])
+            stats = accumulate([x], [y])
+        self._stats_cache[key] = stats
         return stats
-
-    def _stats_for_units(self, units, lags, target_lags):
-        key = (tuple(units), lags, target_lags)
-        if key in self._sum_cache:
-            return self._sum_cache[key]
-        total = None
-        for unit in units:
-            part = self._stats_for_unit(unit, lags, target_lags)
-            total = part if total is None else total + part
-        self._sum_cache[key] = total
-        return total
 
     def _fit(self, units, points):
         """Every regularizer value of the group with one fit call on the
         units' statistics."""
         first = points[0]
-        lags = int(first["L"])
+        stats = self._stats(tuple(units), int(first["L"]),
+                            int(first.get("L_y", 0)))
         if self.kind == "wf":
-            stats = self._stats_for_units(units, lags, 0)
             return linear.wf_fit(stats, [p["lam"] for p in points])
-        stats = self._stats_for_units(units, lags, int(first["L_y"]))
         return linear.cca_fit(stats, [p["reg"] for p in points],
                               int(first["n_components"]))
 
@@ -745,14 +748,6 @@ class _ClassifierRunner(_RunnerBase):
                 for w, pred in zip(rows, preds.tolist())], {}
 
 
-def _masked(a, mask):
-    """Rows of a lagged design, or samples of a vector, where ``mask``
-    holds."""
-    if isinstance(a, LaggedDesign):
-        return LaggedDesign(a.matrix[mask], a.lags, a.channels)
-    return a[mask]
-
-
 def _make_runner(session, model_kind, plan, window_s, time_pcc_seg_s):
     if model_kind in ("wf", "cca"):
         return _LinearRunner(session, plan, window_s, model_kind,
@@ -857,7 +852,7 @@ def _run_each(sessions, model_kind, plans, grid, window_s, time_pcc_seg_s):
                                        window_s, time_pcc_seg_s)
     reports = []
     while runners:
-        # a runner goes, with its statistics caches, once it has reported
+        # a runner goes, with its statistics cache, once it has reported
         reports.append(_tuned_reports([runners.pop(0)], points)[0][0])
     return reports
 

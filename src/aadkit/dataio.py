@@ -906,6 +906,9 @@ def export_results(report, out_dir):
                 for f in report.folds
             ],
         }
+        if report.time_pcc:
+            # time_pcc.csv's segment_index counts segments of this length
+            summary["time_pcc_seg_s"] = report.time_pcc_seg_s
         spath.write_text(json.dumps(summary, indent=2, sort_keys=True))
 
         _write_csv(tpath, ["trial_id", "segment_index", "candidate", "pcc"], (

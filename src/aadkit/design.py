@@ -7,12 +7,13 @@ It is built as one strided copy: L - 1 zero rows on top of the signal, a
 to (T, C*L).
 Covariance statistics are unnormalized sums over training windows; each
 window is lagged with its own zero padding so no samples mix across
-window (or trial) boundaries. A statistics object decomposes its
-auto-covariances at most once, on first use, so every regularized fit on
-the same training set shares one pair of eigendecompositions.
+window (or trial) boundaries. ``+`` is the one merge of statistics and
+the one check that both share a layout. A statistics object decomposes
+its auto-covariances at most once, on first use, so every regularized fit
+on the same training set shares one pair of eigendecompositions.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional
 
@@ -52,6 +53,10 @@ def build_lagged(x, lags):
     return LaggedDesign(out, lags, n_ch)
 
 
+# the summed fields of CovStats, each an array or None
+_SUMS = ("rxx", "rxy", "ryy", "rxy_mat")
+
+
 @dataclass
 class CovStats:
     """Summed second-moment statistics of lagged EEG against targets.
@@ -62,6 +67,10 @@ class CovStats:
     ``rxx_eig`` and ``ryy_eig`` are the :func:`~aadkit.numerics.sym_eig`
     pairs of ``rxx`` and ``ryy``, computed on first access and kept, so
     the arrays must not be modified after that.
+
+    ``+`` is the one merge: DimensionMismatch names the first of ``lags``,
+    ``channels``, ``target_lags`` and each sum's shape (or absence) in
+    which the two sides differ; otherwise it returns a new object of sums.
     """
 
     rxx: np.ndarray
@@ -82,26 +91,17 @@ class CovStats:
         return sym_eig(self.ryy)
 
     def __add__(self, other):
-        if self.rxx.shape != other.rxx.shape:
-            raise DimensionMismatch("cannot merge stats of different sizes")
-
-        def _merge(a, b):
-            if a is None and b is None:
-                return None
-            if a is None or b is None:
-                raise DimensionMismatch("cannot merge stats of different kinds")
-            return a + b
-
-        return CovStats(
-            rxx=self.rxx + other.rxx,
-            rxy=_merge(self.rxy, other.rxy),
-            ryy=_merge(self.ryy, other.ryy),
-            rxy_mat=_merge(self.rxy_mat, other.rxy_mat),
-            n_rows=self.n_rows + other.n_rows,
-            lags=self.lags,
-            channels=self.channels,
-            target_lags=self.target_lags,
-        )
+        for key in ("lags", "channels", "target_lags") + _SUMS:
+            mine, theirs = getattr(self, key), getattr(other, key)
+            if key in _SUMS:  # a sum compares by shape, None when absent
+                mine, theirs = (a if a is None else a.shape
+                                for a in (mine, theirs))
+            if mine != theirs:
+                raise DimensionMismatch(
+                    f"cannot merge stats: {key} {mine} against {theirs}")
+        sums = {k: None if getattr(self, k) is None
+                else getattr(self, k) + getattr(other, k) for k in _SUMS}
+        return replace(self, **sums, n_rows=self.n_rows + other.n_rows)
 
 
 def accumulate(designs, targets):
@@ -109,40 +109,23 @@ def accumulate(designs, targets):
 
     ``targets`` entries are either 1-D arrays (regression targets, giving
     ``rxy``) or LaggedDesign instances (giving ``ryy`` and ``rxy_mat``).
-    All pairs must agree in sample count and in lag/channel layout.
+    Each pair must agree in sample count; the pairs' statistics are summed
+    with ``+``, which checks that they share one layout.
     """
     if len(designs) != len(targets):
         raise DimensionMismatch("need one target per design")
     if not designs:
         raise DimensionMismatch("need at least one design")
-    lags, channels = designs[0].lags, designs[0].channels
     stats = None
     for d, y in zip(designs, targets):
-        if d.lags != lags or d.channels != channels:
-            raise DimensionMismatch("inconsistent lag/channel layout")
         x = d.matrix
-        if isinstance(y, LaggedDesign):
-            if y.matrix.shape[0] != x.shape[0]:
-                raise DimensionMismatch("target length differs from design")
-            part = CovStats(
-                rxx=symmetrize(x.T @ x),
-                ryy=symmetrize(y.matrix.T @ y.matrix),
-                rxy_mat=x.T @ y.matrix,
-                n_rows=x.shape[0],
-                lags=lags,
-                channels=channels,
-                target_lags=y.lags,
-            )
-        else:
-            y = np.asarray(y, dtype=np.float64).ravel()
-            if y.shape[0] != x.shape[0]:
-                raise DimensionMismatch("target length differs from design")
-            part = CovStats(
-                rxx=symmetrize(x.T @ x),
-                rxy=x.T @ y,
-                n_rows=x.shape[0],
-                lags=lags,
-                channels=channels,
-            )
+        lagged = isinstance(y, LaggedDesign)
+        t = y.matrix if lagged else np.asarray(y, dtype=np.float64).ravel()
+        if t.shape[0] != x.shape[0]:
+            raise DimensionMismatch("target length differs from design")
+        cross = ({"ryy": symmetrize(t.T @ t), "rxy_mat": x.T @ t,
+                  "target_lags": y.lags} if lagged else {"rxy": x.T @ t})
+        part = CovStats(rxx=symmetrize(x.T @ x), n_rows=x.shape[0],
+                        lags=d.lags, channels=d.channels, **cross)
         stats = part if stats is None else stats + part
     return stats

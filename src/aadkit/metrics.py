@@ -152,14 +152,19 @@ def detect_crossover(curve_a, curve_b, seg_s, smooth_segs=5):
 
     Both curves are smoothed with a centered moving average, then the
     changepoint maximizing (pre-split mean of a-b) + (post-split mean of
-    b-a) is returned. Intended for two-speaker switch trials.
+    b-a) is returned. Intended for two-speaker switch trials. Curves of
+    different lengths raise LengthMismatch; curves under two segments
+    long return 0.0.
     """
-    a = _smooth(np.asarray(curve_a, dtype=np.float64), smooth_segs)
-    b = _smooth(np.asarray(curve_b, dtype=np.float64), smooth_segs)
-    d = a - b
-    n = d.shape[0]
+    a = np.asarray(curve_a, dtype=np.float64)
+    b = np.asarray(curve_b, dtype=np.float64)
+    if a.shape != b.shape:
+        raise LengthMismatch(f"curves differ in shape: {a.shape} and "
+                             f"{b.shape}")
+    n = a.shape[0]
     if n < 2:
         return 0.0
+    d = _smooth(a, smooth_segs) - _smooth(b, smooth_segs)
     best_t, best_score = 1, -np.inf
     for t in range(1, n):
         score = float(np.mean(d[:t]) - np.mean(d[t:]))

@@ -1056,6 +1056,25 @@ class TestTrack:
         assert outs[0][1]
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("model, extra, seg_s", [
+        pytest.param("wf", ["--segment", "2"], 2.0, id="wf-segment-2"),
+        pytest.param("cca", [], 1.0, id="cca-default"),
+        pytest.param("csp", [], None, id="csp-no-curves"),
+    ])
+    def test_summary_records_segment(self, session_dir, tmp_path, model,
+                                     extra, seg_s):
+        """``summary.json`` gives the curves' segment length in seconds
+        when ``time_pcc.csv`` holds curves, and has no such key else."""
+        _, sess = session_dir
+        r = run_cli("run", "--manifest", str(sess / "manifest.json"),
+                    "--model", model, "--protocol", "loto", "--window", "10",
+                    "--folds", "2", *extra, "--out", str(tmp_path / "o"))
+        assert r.returncode == 0, r.stderr
+        summary = json.loads((tmp_path / "o/summary.json").read_text())
+        assert summary.get("time_pcc_seg_s") == seg_s
+        rows = (tmp_path / "o/time_pcc.csv").read_text().splitlines()
+        assert (len(rows) > 1) == (seg_s is not None)
+
     def test_track_is_no_command(self, session_dir, tmp_path):
         _, sess = session_dir
         r = run_cli("track", "--manifest", str(sess / "manifest.json"),

@@ -5,7 +5,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from aadkit import crossval, dataio, kernels, linear, metrics, spatial
+from aadkit import (
+    crossval,
+    dataio,
+    design,
+    kernels,
+    linear,
+    metrics,
+    numerics,
+    spatial,
+)
 from aadkit.design import LaggedDesign, accumulate
 from aadkit.errors import (
     BadChannelIndex,
@@ -626,6 +635,45 @@ class TestRunPipeline:
         train_sets = {a.train for loop in plan.outer for a in loop.inner}
         train_sets |= {loop.fit for loop in plan.outer}
         assert len(calls) == 2 * len(train_sets) == 20
+
+    @pytest.mark.parametrize("kind, grid", [
+        ("wf", {"lam": [0.1, 10.0], "L": [3, 5]}),
+        ("cca", {"reg": [0.0, 1.0], "L": [3, 5], "L_y": [2, 4],
+                 "n_components": [1]}),
+    ])
+    def test_statistics_shared(self, monkeypatch, kind, grid):
+        """A nested run accumulates each trial once per (L, L_y) and sums
+        those statistics into every training set; an inner assignment
+        (i, j) shares the statistics of (j, i), so CCA decomposes each
+        distinct (training set, L, L_y) twice."""
+        layouts, eigs = [], []
+        real_accumulate = design.accumulate
+
+        def counting_accumulate(designs, targets):
+            stats = real_accumulate(designs, targets)
+            layouts.append((len(designs), stats.lags, stats.target_lags))
+            return stats
+        monkeypatch.setattr(crossval, "accumulate", counting_accumulate)
+        monkeypatch.setattr(design, "accumulate", counting_accumulate)
+        real_eig = numerics.sym_eig
+        for module in (design, numerics):
+            monkeypatch.setattr(module, "sym_eig",
+                                lambda s: eigs.append(s.shape) or real_eig(s))
+        session = synth(n_trials=8, n_channels=2, seed=6, duration_s=10.0)
+        plan = crossval.make_folds(session.trials, "nested_loto", 4, seed=1)
+        report = crossval.run_pipeline(session, kind, plan, grid, 5.0)
+        lag_pairs = {(p["L"], p.get("L_y", 0))
+                     for p in crossval.grid_points(grid)}
+        assert sorted(layouts) == sorted(
+            (1, L, L_y) for L, L_y in lag_pairs for _ in session.trials)
+        if kind == "cca":
+            fitted = {(a.train, L, L_y) for loop in plan.outer
+                      for a in loop.inner for L, L_y in lag_pairs}
+            fitted |= {(loop.fit, fold.params["L"], fold.params["L_y"])
+                       for loop, fold in zip(plan.outer, report.folds)}
+            assert len(eigs) == 2 * len(fitted) == 56
+        else:
+            assert eigs == []
 
     @pytest.mark.parametrize("protocol,kw", [
         ("loto", {}),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from aadkit.design import LaggedDesign, accumulate, build_lagged
+from aadkit.design import CovStats, LaggedDesign, accumulate, build_lagged
 from aadkit.errors import BadLag, DimensionMismatch
 
 
@@ -166,3 +166,65 @@ class TestAccumulate:
             accumulate([x], [np.zeros(9)])
         with pytest.raises(DimensionMismatch):
             accumulate([x], [])
+
+
+def lagged_stats(rng, lags, channels, target_lags=0):
+    """Statistics of one random 30-sample window: a vector target (WF)
+    when ``target_lags`` is 0, else a lagged one (CCA)."""
+    x = build_lagged(rng.standard_normal((30, channels)), lags)
+    y = rng.standard_normal(30)
+    return accumulate([x], [build_lagged(y, target_lags) if target_lags
+                            else y])
+
+
+class TestCovStatsAdd:
+    """``+`` is the one merge of statistics: it sums two statistics of
+    one layout and raises DimensionMismatch naming the first field in
+    which the layouts differ."""
+
+    @pytest.mark.parametrize("target_lags", [0, 4])
+    def test_sums_every_field(self, rng, target_lags):
+        a = lagged_stats(rng, 3, 2, target_lags)
+        b = lagged_stats(rng, 3, 2, target_lags)
+        total = a + b
+        for key in ("rxx", "rxy", "ryy", "rxy_mat"):
+            x, y = getattr(a, key), getattr(b, key)
+            if x is None:
+                assert getattr(total, key) is None, key
+            else:
+                assert np.array_equal(getattr(total, key), x + y), key
+        assert total.n_rows == 60
+        assert (total.lags, total.channels, total.target_lags) == (
+            3, 2, target_lags)
+
+    def test_lags_channels_swap_refused(self, rng):
+        # both designs are 12 columns wide, so rxx shapes agree
+        a, b = lagged_stats(rng, 4, 3), lagged_stats(rng, 3, 4)
+        assert a.rxx.shape == b.rxx.shape
+        with pytest.raises(DimensionMismatch, match="lags"):
+            a + b
+
+    def test_target_lags_refused(self, rng):
+        a, b = lagged_stats(rng, 2, 2, 3), lagged_stats(rng, 2, 2, 5)
+        with pytest.raises(DimensionMismatch, match="target_lags"):
+            a + b
+
+    def test_wf_plus_cca_refused(self, rng):
+        wf, cca = lagged_stats(rng, 2, 2), lagged_stats(rng, 2, 2, 3)
+        for a, b in ((wf, cca), (cca, wf)):
+            with pytest.raises(DimensionMismatch):
+                a + b
+
+    def test_array_shape_refused(self):
+        a = CovStats(rxx=np.eye(2), rxy=np.zeros(2), lags=2, channels=1)
+        b = CovStats(rxx=np.eye(2), rxy=np.zeros(3), lags=2, channels=1)
+        with pytest.raises(DimensionMismatch, match="rxy"):
+            a + b
+
+    def test_accumulate_refuses_mixed_layouts(self, rng):
+        x = rng.standard_normal((20, 2))
+        y = rng.standard_normal(20)
+        with pytest.raises(DimensionMismatch, match="lags"):
+            accumulate([build_lagged(x, 2), build_lagged(x, 3)], [y, y])
+        with pytest.raises(DimensionMismatch, match="target_lags"):
+            accumulate([build_lagged(x, 2)] * 2, [y, build_lagged(y, 2)])

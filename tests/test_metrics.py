@@ -288,6 +288,20 @@ class TestCrossover:
             hits += abs(t - 15.0) <= 2.0
         assert hits >= 18
 
+    def test_length_mismatch(self):
+        # a one-segment curve must not broadcast against a longer one
+        with pytest.raises(LengthMismatch):
+            metrics.detect_crossover([0.5, 0.4, 0.3, 0.1, 0.0], [0.0], 1.0)
+        with pytest.raises(LengthMismatch):
+            metrics.detect_crossover([0.0, 1.0], [1.0, 0.0, 1.0], 1.0)
+
+    @pytest.mark.parametrize("smooth_segs", [1, 5])
+    def test_empty_curves(self, smooth_segs):
+        assert metrics.detect_crossover([], [], 2.0, smooth_segs) == 0.0
+
+    def test_one_segment(self):
+        assert metrics.detect_crossover([0.5], [0.1], 2.0) == 0.0
+
 
 def test_report_delta_consistency(rng):
     report = metrics.MetricsReport("wf", "loto", 30.0)
