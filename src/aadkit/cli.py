@@ -11,8 +11,9 @@ folds, is >= 0. --manifest, --out and --layouts are flags only. Every
 JSON input file (--config, --grid, --layouts) is read by
 ``dataio.read_json``. ``crossval`` checks a --grid file like any grid,
 and every point of it is searched. Durations and rates (--window,
---segment, --to-fs) are finite and positive. --channels names a preset or
-distinct channels, at least one.
+--segment, --to-fs) are finite and positive, and a --to-fs is at most
+its input's rate. --channels names a preset or distinct channels, at
+least one.
 
 Every command runs inside one error shell, ``_command``. Each error class
 declares its category and exit code (see ``aadkit.errors``); the shell
@@ -263,6 +264,9 @@ def _frequency_pair(text):
 def cmd_preprocess(args):
     _check_positive("to-fs", args.to_fs)
     session = dataio.load_session(args.manifest)
+    if args.to_fs > session.fs:
+        raise BadConfig(f"to-fs: {args.to_fs:g} Hz is above the EEG rate "
+                        f"{session.fs:g} Hz")
     trials = []
     for trial in session.trials:
         eeg = trial.eeg

@@ -47,10 +47,12 @@ keys are declared once, by its default grid. Before the first fit the
 grid is checked, raising BadConfig unless it maps exactly the model's
 keys to finite numbers >= 0 (integers >= 1 for the counts ``L``, ``L_y``,
 ``n_components`` and ``csp_f``), ``L`` at most the shortest unit, ``L_y``
-(CCA) at most a decision window, ``csp_f`` (CSP) at most the channel
+(CCA) at most a decision window and ``n_components`` (CCA) at most
+min(``L`` x channels, ``L_y``), ``csp_f`` (CSP) at most the channel
 count and ``rgc_shrinkage`` (RGC) at most 1. The trials of a session
 must list the same channels in the same order (BadChannelIndex), and
 their envelopes must have the EEG's rate and length (BadProtocolConfig).
+Windows and segments become samples by ``preprocess.to_samples``.
 
 All four decoders share one evaluation loop, in which a runner only
 decides the labeled windows of its test units and a window is correct
@@ -69,7 +71,6 @@ eigenpairs.
 """
 
 import itertools
-import math
 import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
@@ -87,6 +88,7 @@ from .errors import (
     EmptyGrid,
 )
 from .metrics import FoldResult, MetricsReport, WindowRecord, finalize_report
+from .preprocess import to_samples
 
 PROTOCOLS = ("within_trial", "loto", "nested_loto", "loso", "nested_loso")
 
@@ -206,15 +208,16 @@ def make_folds(trials, protocol, n_folds=None, seed=0, segment_s=None):
     fixed = ()
 
     if protocol == "within_trial":
-        if segment_s is None or segment_s <= 0:
-            raise BadProtocolConfig("within_trial needs a positive segment_s")
+        if segment_s is None:
+            raise BadProtocolConfig("within_trial needs a segment_s")
         n_folds = 3 if n_folds is None else n_folds
         if n_folds < 3:
             raise BadProtocolConfig("within_trial needs >= 3 folds")
         # a segment is one whole decision window; a shorter tail is dropped
         units = [
             (t.trial_id, k) for t in trials
-            for k in range(t.eeg.n_samples // _window_len(segment_s, t.eeg.fs))
+            for k in range(t.eeg.n_samples // to_samples(
+                segment_s, t.eeg.fs, BadProtocolConfig, "segment_s", 2))
         ]
         if len(units) < n_folds:
             raise BadProtocolConfig("fewer segments than folds")
@@ -384,16 +387,6 @@ def score_grid(points, runners, loop_index):
 # ---------------------------------------------------------------------------
 
 
-def _window_len(window_s, fs):
-    if not 0 < window_s < np.inf:
-        raise BadProtocolConfig(f"window_s={window_s} is not a finite "
-                                "positive number of seconds")
-    w = int(round(window_s * fs))
-    if w < 2:
-        raise BadProtocolConfig(f"window_s={window_s} too short at fs={fs}")
-    return w
-
-
 class _Window(NamedTuple):
     trial_id: str
     index: int
@@ -427,12 +420,14 @@ class _RunnerBase:
         self.plan = plan
         self.kind = kind
         self.window_s = float(window_s)
-        if not 0 < time_pcc_seg_s < np.inf:
-            raise BadConfig(f"time_pcc_seg_s: {time_pcc_seg_s} is not a "
-                            "finite positive number of seconds")
-        self.time_pcc_seg_s = time_pcc_seg_s
         self.fs = session.fs
-        self.win = _window_len(window_s, self.fs)
+        # only the curves of wf and cca whole test trials use the segment
+        curves = kind in ("wf", "cca") and plan.protocol != "within_trial"
+        to_samples(time_pcc_seg_s, self.fs, BadConfig, "time_pcc_seg_s",
+                   2 if curves else 0)
+        self.time_pcc_seg_s = time_pcc_seg_s
+        self.win = to_samples(window_s, self.fs, BadProtocolConfig,
+                              "window_s", 2)
         self.trials = {t.trial_id: t for t in session.trials}
         self.streams = {
             t.trial_id: dataio.build_attended_streams(t)
@@ -444,7 +439,7 @@ class _RunnerBase:
                 raise BadChannelIndex(f"trial {t.trial_id}: channel names or "
                                       "order differ from the first trial's")
             if (self.streams[t.trial_id].attended.shape[0] != t.eeg.n_samples
-                    or not all(math.isclose(s.fs, self.fs, rel_tol=1e-6)
+                    or not all(dataio.same_rate(s.fs, self.fs)
                                for s in t.speakers)):
                 raise BadProtocolConfig(
                     f"trial {t.trial_id}: envelope and EEG lengths or rates "
@@ -452,7 +447,8 @@ class _RunnerBase:
                 )
         _check_plan(plan, self.trials)
         if (plan.protocol == "within_trial"
-                and _window_len(plan.segment_s, self.fs) != self.win):
+                and to_samples(plan.segment_s, self.fs, BadProtocolConfig,
+                               "segment_s", 2) != self.win):
             raise BadProtocolConfig(
                 "within_trial segments must match the decision window"
             )
@@ -550,11 +546,6 @@ class _LinearRunner(_RunnerBase):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        seg = int(round(self.time_pcc_seg_s * self.fs))
-        if self.plan.protocol != "within_trial" and seg < 2:
-            # whole test trials give time-PCC curves of >= 2-sample segments
-            raise BadConfig(f"time_pcc_seg_s: {self.time_pcc_seg_s:g} s is "
-                            f"{seg} samples at fs={self.fs:g}; need at least 2")
         self._stats_cache = {}
 
     def _window_label(self, tid, lo, hi):
@@ -564,16 +555,24 @@ class _LinearRunner(_RunnerBase):
 
     def check_params(self, points):
         """Each unit is lagged by ``L`` on its own, and CCA lags each
-        window's candidates by ``L_y``."""
+        window's candidates by ``L_y`` and keeps ``n_components`` pairs of
+        the L x channels EEG and L_y envelope columns."""
         limits = {"L": (min(u.hi - u.lo for u in self.units.values()),
                         "the shortest trial or segment")}
         if self.kind == "cca":
             limits["L_y"] = (self.win, "the decision window")
+        n_channels = len(self.session.trials[0].eeg.channel_names)
         for params in points:
             for key, (limit, what) in limits.items():
                 if int(params[key]) > limit:
                     raise BadConfig(f"{key}: {int(params[key])} lags exceed "
                                     f"{what}, {limit} samples")
+            if self.kind == "cca":
+                most = min(int(params["L"]) * n_channels, int(params["L_y"]))
+                if int(params["n_components"]) > most:
+                    raise BadConfig(
+                        f"n_components: {int(params['n_components'])} "
+                        f"components exceed min(L x channels, L_y), {most}")
 
     # -- training statistics ------------------------------------------------
 

@@ -4,7 +4,8 @@ results export.
 Sessions live as a ``manifest.json`` plus binary ``.aad`` arrays. An array
 file is an 8-field little-endian uint32 header (magic ``AADK``, version,
 T, C, fs in millihertz, three reserved zeros) followed by float32 samples,
-time-major. Trials carry 2-3 speaker envelopes, spatial directions and an
+time-major; ``header_rate`` refuses a rate the header would not read back
+as itself. Trials carry 2-3 speaker envelopes, spatial directions and an
 attention timeline built from the task description (switch tasks split the
 trial at the cue, "ignore" tasks label the post-cue span as unattended).
 
@@ -37,7 +38,7 @@ from .errors import (
     ShapeMismatch,
     UnknownTask,
 )
-from .preprocess import MultichannelSignal
+from .preprocess import MultichannelSignal, to_samples
 
 MAGIC = int.from_bytes(b"AADK", "little")
 VERSION = 1
@@ -61,13 +62,34 @@ def direction_class(direction_deg):
 # ---------------------------------------------------------------------------
 
 
+def same_rate(a, b):
+    """Whether two sampling rates are one rate: equal within 1e-6 of the
+    larger, which a rate read back from an ``.aad`` header keeps."""
+    return math.isclose(a, b, rel_tol=1e-6)
+
+
+def header_rate(fs, error, label="fs"):
+    """``fs`` in the whole millihertz that an ``.aad`` header stores as a
+    uint32. Raises ``error`` prefixed with ``label`` for a rate that is
+    not finite and positive, that rounds to no count the header holds, or
+    that would read back as another rate (``same_rate``)."""
+    milli = int(round(fs * 1000)) if 0 < fs * 1000 < 2**32 else 0
+    if not (0 < milli < 2**32 and same_rate(milli / 1000, fs)):
+        raise error(f"{label}: {fs:g} Hz is no rate an .aad header stores: "
+                    "whole millihertz from 1 mHz to 4294967.295 Hz")
+    return milli
+
+
 def write_array(path, samples, fs):
+    """Write an ``.aad`` array; IoError, before any file is opened, for a
+    rate that ``header_rate`` refuses."""
     samples = np.asarray(samples, dtype=np.float32)
     if samples.ndim == 1:
         samples = samples[:, None]
     t_len, n_ch = samples.shape
     header = struct.pack(
-        "<8I", MAGIC, VERSION, t_len, n_ch, int(round(fs * 1000)), 0, 0, 0
+        "<8I", MAGIC, VERSION, t_len, n_ch,
+        header_rate(fs, IoError, f"{path}: fs"), 0, 0, 0
     )
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -216,10 +238,12 @@ def clamp_timeline(timeline, end_s):
 
 def span_rows(span, fs, n_samples):
     """Rows ``[lo, hi)`` of a signal with ``n_samples`` rows at ``fs`` that
-    a timeline span covers: both ends rounded to the nearest sample, the
-    end clamped to the signal, so ``hi <= lo`` when it covers none."""
-    return (int(round(span.start_s * fs)),
-            min(int(round(span.end_s * fs)), n_samples))
+    a timeline span covers: both ends rounded by ``to_samples``
+    (ManifestError), the end clamped to the signal, so ``hi <= lo`` when
+    it covers none."""
+    lo, hi = (to_samples(t, fs, ManifestError, "timeline")
+              for t in (span.start_s, span.end_s))
+    return lo, min(hi, n_samples)
 
 
 def _check_trial_ids(trials):
@@ -316,7 +340,7 @@ def _parse_manifest(spec, base):
             if key not in entry:
                 raise ManifestError(f"trial entry missing field {key!r}")
         eeg_data, eeg_fs = read_array(base / entry["eeg"])
-        if not math.isclose(eeg_fs, fs, rel_tol=1e-6):
+        if not same_rate(eeg_fs, fs):
             raise ShapeMismatch(
                 f"trial {entry['id']}: eeg rate {eeg_fs} != session rate {fs}"
             )
@@ -528,12 +552,12 @@ class SynthConfig:
     def validate(self):
         if self.n_trials < 1:
             raise BadConfig("n_trials: must be >= 1")
-        if not (math.isfinite(self.duration_s) and self.duration_s > 0):
-            raise BadConfig("duration_s: must be positive and finite")
         if self.n_channels < 1:
             raise BadConfig("n_channels: must be >= 1")
-        if not (math.isfinite(self.fs) and self.fs > 0):
-            raise BadConfig("fs: must be positive and finite")
+        # the arrays of the session store fs in their headers
+        header_rate(self.fs, BadConfig)
+        n_samples = to_samples(self.duration_s, self.fs, BadConfig,
+                               "duration_s", 1)
         if self.n_speakers not in (2, 3):
             raise BadConfig("n_speakers: must be 2 or 3")
         if self.kernel_lags < 1:
@@ -555,10 +579,6 @@ class SynthConfig:
         if self.direction_gain > 0 and self.n_channels < 3:
             raise BadConfig("direction_gain: its three direction patterns "
                             f"need n_channels >= 3, got {self.n_channels}")
-        # a trial lasts its EEG's samples, duration_s * fs rounded
-        n_samples = int(round(self.duration_s * self.fs))
-        if n_samples < 1:
-            raise BadConfig(f"duration_s: no whole sample at fs={self.fs:g}")
         if self.switch_times is not None:
             if len(self.switch_times) != self.n_trials:
                 raise BadConfig("switch_times: need one entry per trial")
@@ -615,7 +635,7 @@ def load_synth_config(path):
 def _smooth_positive_noise(rng, t_len, fs):
     """Nonnegative envelope-like series: low-pass filtered |noise|^0.6."""
     raw = np.abs(rng.standard_normal(t_len)) ** 0.6
-    width = max(3, int(round(0.25 * fs)))
+    width = max(3, to_samples(0.25, fs, BadConfig, "fs"))
     window = np.hanning(width + 2)[1:-1]
     window /= window.sum()
     return np.convolve(raw, window, mode="same")
@@ -640,7 +660,7 @@ def synth_generate(cfg):
     substreams make the output independent of generation order.
     """
     cfg.validate()
-    t_len = int(round(cfg.duration_s * cfg.fs))
+    t_len = to_samples(cfg.duration_s, cfg.fs, BadConfig, "duration_s", 1)
     rng_k = np.random.default_rng([cfg.seed, 0])
     h_att = rng_k.standard_normal((cfg.n_channels, cfg.kernel_lags))
     h_att /= np.linalg.norm(h_att, axis=1, keepdims=True)

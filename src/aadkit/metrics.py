@@ -8,6 +8,7 @@ from typing import List, Optional
 import numpy as np
 
 from .errors import LengthMismatch
+from .preprocess import to_samples
 
 
 def pcc(a, b):
@@ -122,17 +123,11 @@ def time_pcc_curve(reconstructed, candidates, fs, seg_s):
     ``reconstructed`` and the candidates are 1-D signals or (T, k)
     component arrays, scored with ``component_pcc``. Returns an
     (n_segments, n_candidates) array; an incomplete tail segment is
-    dropped. A segment shorter than two samples raises LengthMismatch.
+    dropped. A segment that ``preprocess.to_samples`` finds not finite or
+    under two samples raises LengthMismatch.
     """
     reconstructed = _as_components(reconstructed)
-    if not 0 < seg_s < math.inf:
-        raise ValueError("seg_s must be finite and positive")
-    seg_len = int(round(seg_s * fs))
-    if seg_len < 2:
-        raise LengthMismatch(
-            f"segment of {seg_s:g} s is {seg_len} samples at fs={fs:g}; "
-            "need at least 2"
-        )
+    seg_len = to_samples(seg_s, fs, LengthMismatch, "seg_s", 2)
     n_seg = reconstructed.shape[0] // seg_len
     cands = [_as_components(c) for c in candidates]
     for c in cands:

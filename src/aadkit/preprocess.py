@@ -19,6 +19,21 @@ from . import kernels
 from .errors import BadChannelIndex, InvalidBand, IrrationalRatio
 
 
+def to_samples(seconds, fs, error, label, minimum=0):
+    """The samples in ``seconds`` at ``fs`` by Python's ``round`` (a half
+    goes to the even count), the package's one duration conversion. Raises
+    ``error``, prefixed with ``label``, when ``seconds * fs`` is negative
+    or not finite, or rounds to fewer than ``minimum`` samples."""
+    if not 0 <= seconds * fs < math.inf:
+        raise error(f"{label}: {seconds:g} s at fs={fs:g} is not a finite "
+                    "number of samples >= 0")
+    n = int(round(seconds * fs))
+    if n < minimum:
+        raise error(f"{label}: {seconds:g} s is {n} samples at fs={fs:g}; "
+                    f"need at least {minimum}")
+    return n
+
+
 @dataclass
 class MultichannelSignal:
     """Time-major (T, C) signal with sampling rate and channel labels."""

@@ -100,6 +100,16 @@ class TestSynth:
         pytest.param({"n_trials": 6, "duration_s": 10, "n_channels": 2,
                       "direction_gain": 1.0}, "direction_gain",
                      id="direction_gain-two-channels"),
+        # a session at 40.0001 Hz would be stored as 40 Hz, so that its
+        # manifest and arrays disagree; 5 MHz overflows the header field
+        pytest.param({"n_trials": 1, "duration_s": 1, "fs": 40.0001}, "fs",
+                     id="fs-not-stored"),
+        pytest.param({"n_trials": 1, "duration_s": 1e-3, "fs": 5e6}, "fs",
+                     id="fs-over-header"),
+        pytest.param({"duration_s": 1e300, "fs": 1e10}, "fs",
+                     id="fs-1e10"),
+        pytest.param({"n_trials": 1, "duration_s": 1e308}, "duration_s",
+                     id="duration-overflows-samples"),
     ])
     def test_malformed_config_exit_2(self, tmp_path, config, field):
         cfg = tmp_path / "bad.json"
@@ -1259,6 +1269,39 @@ class TestNonFiniteFlags:
         assert r.returncode == 2
         assert r.stderr.startswith(f"error: config: {flag[2:]}:")
         assert "Traceback" not in r.stderr
+
+    @pytest.mark.parametrize("protocol, flag, setting", [
+        pytest.param("loto", "--window", "window_s", id="window"),
+        pytest.param("within_trial", "--window", "segment_s",
+                     id="within_trial-window"),
+        pytest.param("loto", "--segment", "time_pcc_seg_s", id="segment"),
+    ])
+    def test_overflowing_duration_exit_2(self, session_dir, tmp_path,
+                                         protocol, flag, setting):
+        """1e308 s is finite, but its sample count at 40 Hz is not."""
+        _, sess = session_dir
+        r = run_cli("run", "--manifest", str(sess / "manifest.json"),
+                    "--model", "wf", "--protocol", protocol, "--window", "30",
+                    flag, "1e308", "--out", str(tmp_path / "o"))
+        assert r.returncode == 2
+        assert r.stderr.startswith(f"error: config: {setting}: 1e+308 s at "
+                                   "fs=40 is not a finite number of samples")
+        assert "Traceback" not in r.stderr
+
+    @pytest.mark.parametrize("to_fs", ["250", "1e9", "1e308"])
+    def test_preprocess_rate_above_eeg_rate_exit_2(self, tmp_path, to_fs):
+        """A target rate above the EEG rate is refused before any
+        resampling, which at 1e9 Hz would ask for gigabytes and at 1e308 Hz
+        for more than numpy allows. Envelopes may still be resampled up to
+        the target rate."""
+        manifest = raw_session(tmp_path / "raw", [500, 500])
+        r = run_cli("preprocess", "--manifest", str(manifest),
+                    "--to-fs", to_fs, "--out", str(tmp_path / "prep"))
+        assert r.returncode == 2
+        assert r.stderr.startswith("error: config: to-fs:")
+        assert "EEG rate 125 Hz" in r.stderr
+        assert "Traceback" not in r.stderr
+        assert not (tmp_path / "prep").exists()
 
     def test_envelope_rate_above_audio_rate_exit_2(self, tmp_path, rng):
         """A target rate above the audio rate is refused before the

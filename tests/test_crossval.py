@@ -140,6 +140,15 @@ class TestMakeFolds:
                                        {"lam": [1.0], "L": [4]}, 1.06)
         assert report.n_windows + report.n_excluded == 27
 
+    @pytest.mark.parametrize("segment_s", [0.0, -1.0, float("nan"), 1e308])
+    def test_within_trial_segment_without_samples(self, segment_s):
+        """A segment of no whole sample count is refused, naming it; 1e308
+        s is finite, but not its sample count."""
+        session = synth(n_trials=3, n_channels=2, duration_s=5.0)
+        with pytest.raises(BadProtocolConfig, match="^segment_s: "):
+            crossval.make_folds(session.trials, "within_trial", 3,
+                                segment_s=segment_s)
+
     def test_within_trial_segment_and_window_agree_in_samples(self):
         """1.05 s is 10 samples at 10 Hz and 1.0500001 s is 11, so the plan
         and the runner would cut different units: rejected, although the
@@ -968,6 +977,31 @@ def _run_entry(entry, session, kind, plan, grid, **kw):
     return crossval.run_pipeline(session, kind, plan, grid, **kw)
 
 
+class TestComponentLimit:
+    @pytest.mark.parametrize("entry", ["grid", "fixed", "group"])
+    def test_components_over_limit_before_any_fit(self, monkeypatch, entry):
+        """CCA keeps at most min(L x channels, L_y) component pairs: with
+        L = 2 on two channels and L_y = 3 that is 3, so 7 is refused
+        before the first fit, in a grid or in a selection reused by the
+        ablation."""
+        session = synth(n_trials=4, n_channels=2, duration_s=10.0, seed=3)
+        calls = _record_fits(monkeypatch)
+        plan = crossval.make_folds(session.trials, "nested_loto", 3)
+        grid = {"reg": [0.1, 1.0], "L": [2], "L_y": [3], "n_components": [7]}
+        with pytest.raises(BadConfig, match="^" + re.escape(
+                "n_components: 7 components exceed min(L x channels, L_y), "
+                "3")):
+            _run_entry(entry, session, "cca", plan, grid, window_s=5.0)
+        assert calls == []
+
+    def test_components_at_limit_run(self):
+        session = synth(n_trials=4, n_channels=2, duration_s=10.0, seed=3)
+        plan = crossval.make_folds(session.trials, "loto", 2)
+        grid = {"reg": [0.1], "L": [2], "L_y": [3], "n_components": [3]}
+        report = crossval.run_pipeline(session, "cca", plan, grid, 5.0)
+        assert report.n_windows > 0
+
+
 class TestLagLimits:
     @pytest.mark.parametrize("entry", ["grid", "fixed", "group"])
     @pytest.mark.parametrize(
@@ -1058,6 +1092,9 @@ class TestParamChecks:
         ("time_pcc_seg_s", 0.0, BadConfig),
         # 0.02 s is one sample at 40 Hz, too short for a segment's PCC
         ("time_pcc_seg_s", 0.02, BadConfig),
+        # finite seconds whose sample count at 40 Hz is not
+        ("window_s", 1e308, BadProtocolConfig),
+        ("time_pcc_seg_s", 1e308, BadConfig),
     ])
     def test_bad_lengths_before_any_fit(self, monkeypatch, small_session,
                                         entry, key, value, error):

@@ -48,6 +48,23 @@ class TestArrays:
             dataio.read_array(path)
 
 
+    @pytest.mark.parametrize("fs", [40.0001, 5e6, 1e-4, np.nan, np.inf])
+    def test_unstorable_rate_refused_before_open(self, tmp_path, fs):
+        """The header holds fs in whole millihertz as a uint32: 40.0001 Hz
+        would read back as 40.0, 5 MHz overflows the field, and 0.1 mHz
+        rounds to zero. Each is refused before the file exists."""
+        path = tmp_path / "a.aad"
+        with pytest.raises(IoError, match="fs: .* no rate an .aad header"):
+            dataio.write_array(path, np.zeros((4, 1)), fs)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("fs", [13.34, 0.001, 4294967.295])
+    def test_storable_rates_read_back(self, tmp_path, fs):
+        path = tmp_path / "a.aad"
+        dataio.write_array(path, np.zeros((4, 1)), fs)
+        assert dataio.read_array(path)[1] == fs
+
+
 class TestReadJson:
     def test_object_by_default(self, tmp_path):
         path = tmp_path / "x.json"
@@ -339,6 +356,15 @@ def test_span_rows_round_and_clamp():
     assert dataio.span_rows(span(10.0, 12.0, None), 10.0, 100) == (100, 100)
 
 
+@pytest.mark.parametrize("start, end", [(0.0, 1e308), (-1.0, 5.0),
+                                        (0.0, float("nan"))])
+def test_span_rows_refuses_ends_without_a_row(start, end):
+    """An end whose sample count overflows, is negative or is not a
+    number is a typed error, not Python's OverflowError or ValueError."""
+    with pytest.raises(ManifestError, match="^timeline: "):
+        dataio.span_rows(dataio.TimelineSpan(start, end, 1), 10.0, 100)
+
+
 class TestAttendedStreams:
     def test_single_span_verbatim(self):
         cfg = dataio.SynthConfig(n_trials=1, duration_s=10.0, n_channels=2,
@@ -506,6 +532,11 @@ class TestSynth:
         ("duration_s", {"duration_s": float("nan")}),
         ("snr", {"snr": float("inf")}),
         ("interference_gain", {"interference_gain": float("nan")}),
+        # rates the .aad header cannot store: one that reads back as
+        # 40.0 Hz, and one over its uint32 millihertz field
+        ("fs", {"fs": 40.0001}),
+        ("fs", {"fs": 5e6, "duration_s": 1e-3}),
+        ("duration_s", {"duration_s": 1e308}),
     ])
     def test_generate_rejects_bad_config(self, field, settings):
         """Each of these used to pass validation and then fail inside the

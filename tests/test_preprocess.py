@@ -1,8 +1,38 @@
+import re
+
 import numpy as np
 import pytest
 
 from aadkit import preprocess as pp
 from aadkit.errors import BadChannelIndex, InvalidBand, IrrationalRatio
+
+
+class TestToSamples:
+    @pytest.mark.parametrize("seconds, fs, n", [
+        (30.0, 40.0, 1200), (10.0, 13.34, 133),
+        # halves go to the even count, as Python's round takes them
+        (2.5, 1.0, 2), (3.5, 1.0, 4), (0.25, 10.0, 2), (0.0, 40.0, 0),
+    ])
+    def test_rounds_like_python(self, seconds, fs, n):
+        assert pp.to_samples(seconds, fs, InvalidBand, "x") == n
+
+    @pytest.mark.parametrize("seconds, message", [
+        pytest.param(-1.0, "-1 s at fs=40 is not a finite number of "
+                     "samples >= 0", id="negative"),
+        pytest.param(np.nan, "nan s at fs=40 is not", id="nan"),
+        pytest.param(np.inf, "inf s at fs=40 is not", id="inf"),
+        pytest.param(1e308, "1e+308 s at fs=40 is not a finite number of "
+                     "samples", id="product-overflows"),
+        pytest.param(0.02, "0.02 s is 1 samples at fs=40; need at least 2",
+                     id="under-minimum"),
+    ])
+    def test_refusals_name_the_setting(self, seconds, message):
+        """The caller's error class and label, for a duration that is
+        negative or not finite, a product that overflows, or fewer
+        samples than the caller's minimum."""
+        with pytest.raises(BadChannelIndex,
+                           match=f"^window: {re.escape(message)}"):
+            pp.to_samples(seconds, 40.0, BadChannelIndex, "window", 2)
 
 
 def unit_circle_gain(cascade, freq_hz, fs):
